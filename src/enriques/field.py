@@ -35,6 +35,11 @@ class Tower:
     ``levels`` is a tuple of ``(var, modulus)`` pairs; each modulus is a
     monic squarefree dense coefficient tuple over the tower below it, of
     degree >= 2.  The empty tower is QQ itself.
+
+    :meth:`extend` rejects a modulus that is untrimmed, of degree below 2
+    or not monic, and every level is built through it (``split_tower``
+    only ever builds monic factors).  Arithmetic relies on this: reducing
+    modulo a tower modulus never inverts its leading coefficient.
     """
 
     levels: tuple = ()
@@ -57,6 +62,12 @@ class Tower:
     def extend(self, var, modulus):
         if any(v == var for v, _ in self.levels):
             raise ValueError(f"variable {var!r} already used in tower")
+        if modulus and is_zero(self, modulus[-1]):
+            raise ValueError(f"modulus for {var!r} has a trailing zero")
+        if len(modulus) < 3:
+            raise ValueError(f"modulus for {var!r} has degree below 2")
+        if modulus[-1] != one(self):
+            raise ValueError(f"modulus for {var!r} is not monic")
         return Tower(self.levels + ((var, modulus),))
 
     @property
@@ -93,6 +104,20 @@ def from_rational(tw, q):
     if q == 0:
         return ()
     return (from_rational(tw.sub(), q),)
+
+
+def qscale(tw, a, q):
+    """``a * q`` for a rational ``q``, coefficient by coefficient.
+
+    Scaling by a nonzero rational keeps an element reduced and trimmed,
+    so this equals ``mul(tw, a, from_rational(tw, q))`` without the
+    multiplication and reduction."""
+    if not tw.levels:
+        return a * q
+    if q == 0:
+        return ()
+    s = tw.sub()
+    return tuple(qscale(s, c, q) for c in a)
 
 
 def lift(tw, a):
@@ -146,10 +171,6 @@ def inv(tw, a):
     raise ModulusSplit(tw.top_var, g)
 
 
-def div(tw, a, b):
-    return mul(tw, a, inv(tw, b))
-
-
 def rereduce(tw_new, a):
     """Re-reduce an element after the top modulus shrank (tower split)."""
     if not tw_new.levels:
@@ -196,10 +217,6 @@ def pdeg(f):
     return len(f) - 1
 
 
-def pconst(tw, c):
-    return () if is_zero(tw, c) else (c,)
-
-
 def padd(tw, f, g):
     n = max(len(f), len(g))
     z = zero(tw)
@@ -236,22 +253,32 @@ def pmul(tw, f, g):
 
 
 def pdivmod(tw, f, g):
+    """Quotient and remainder of ``f`` by ``g``, with ``deg r < deg g``.
+
+    The remainder is reduced in place from the top coefficient down.  The
+    leading coefficient of ``g`` is inverted only when it is not 1, so
+    reduction modulo a tower modulus (monic, checked in ``Tower.extend``)
+    never inverts; general divisions such as Euclid's do.
+    """
+    g = ptrim(tw, g)
     if not g:
         raise DivisionByZero("polynomial division by zero")
-    invlc = inv(tw, g[-1])
-    q = [zero(tw)] * max(0, len(f) - len(g) + 1)
+    dg = len(g) - 1
+    lc = g[-1]
+    invlc = None if lc == one(tw) else inv(tw, lc)
+    low = [(i, b) for i, b in enumerate(g[:-1]) if not is_zero(tw, b)]
     r = list(f)
-    while len(r) >= len(g) and ptrim(tw, r):
-        r = list(ptrim(tw, r))
-        if len(r) < len(g):
-            break
-        c = mul(tw, r[-1], invlc)
-        k = len(r) - len(g)
+    q = [zero(tw)] * max(0, len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg]
+        if is_zero(tw, c):
+            continue
+        if invlc is not None:
+            c = mul(tw, c, invlc)
         q[k] = c
-        for i, b in enumerate(g):
+        for i, b in low:
             r[k + i] = sub(tw, r[k + i], mul(tw, c, b))
-        r = r[:-1]
-    return ptrim(tw, q), ptrim(tw, r)
+    return ptrim(tw, q), ptrim(tw, r[:dg])
 
 
 def pmod(tw, f, g):
@@ -266,7 +293,7 @@ def pdiv_exact(tw, f, g):
 
 
 def pmonic(tw, f):
-    if not f:
+    if not f or f[-1] == one(tw):
         return f
     return pscale(tw, f, inv(tw, f[-1]))
 
@@ -333,8 +360,7 @@ def _pgcd_qq(f, g):
 
 
 def pderiv(tw, f):
-    return ptrim(tw, [mul(tw, from_rational(tw, i), f[i])
-                      for i in range(1, len(f))])
+    return ptrim(tw, [qscale(tw, f[i], i) for i in range(1, len(f))])
 
 
 def peval(tw, f, x0):
@@ -355,15 +381,6 @@ def _xgcd_against(tw, a, m):
         raise DivisionByZero("gcd of zero polynomials")
     c = inv(tw, r0[-1])
     return pscale(tw, r0, c), pscale(tw, s0, c)
-
-
-def plift(tw_ext, f):
-    """Lift a polynomial over ``tw_ext.sub()`` coefficientwise into ``tw_ext``."""
-    return tuple(lift(tw_ext, c) for c in f)
-
-
-def prereduce(tw_new, f):
-    return ptrim(tw_new, [rereduce(tw_new, c) for c in f])
 
 
 # ---------------------------------------------------------------------------
@@ -554,41 +571,17 @@ class BiPoly:
     def coeff(self, i, j):
         return self.terms.get((i, j), zero(self.tower))
 
-    def leading_form(self):
-        m = self.order()
-        return BiPoly(self.tower, {k: v for k, v in self.terms.items()
-                                   if k[0] + k[1] == m})
-
-    def form_in_t(self):
-        """The lowest form written as a polynomial in t = y/x.
-
-        Returns ``(coeffs, x_mult)``: dense coefficients of L(1, t) and the
-        multiplicity of x in the lowest form (the 'direction at infinity').
-        """
-        m = self.order()
-        tw = self.tower
-        cs = [zero(tw)] * (m + 1)
-        for (i, j), c in self.terms.items():
-            if i + j == m:
-                cs[j] = c
-        cs = ptrim(tw, cs)
-        x_mult = m - pdeg(cs) if cs else m
-        return cs, x_mult
-
     def deriv(self, var):
         tw = self.tower
         out = {}
         for (i, j), c in self.terms.items():
             if var == "x" and i > 0:
                 out[(i - 1, j)] = add(tw, out.get((i - 1, j), zero(tw)),
-                                      mul(tw, from_rational(tw, i), c))
+                                      qscale(tw, c, i))
             elif var == "y" and j > 0:
                 out[(i, j - 1)] = add(tw, out.get((i, j - 1), zero(tw)),
-                                      mul(tw, from_rational(tw, j), c))
+                                      qscale(tw, c, j))
         return BiPoly(tw, out)
-
-    def eval_origin_shifted(self):
-        return self.terms.get((0, 0), zero(self.tower))
 
     def compose(self, px, py):
         """Substitute BiPolys for x and y."""
@@ -606,18 +599,8 @@ class BiPoly:
             acc = acc + BiPoly.from_elem(tw, c) * power(xpow, px, i) * power(ypow, py, j)
         return acc
 
-    def linear_change(self, a11, a12, a21, a22):
-        """Substitute x -> a11 x + a12 y, y -> a21 x + a22 y (rational entries)."""
-        tw = self.tower
-        x = BiPoly.variable("x", tw)
-        y = BiPoly.variable("y", tw)
-        return self.compose(a11 * x + a12 * y, a21 * x + a22 * y)
-
     def lift_to(self, tw_ext):
         return BiPoly(tw_ext, {k: lift(tw_ext, v) for k, v in self.terms.items()})
-
-    def rereduce_to(self, tw_new):
-        return BiPoly(tw_new, {k: rereduce(tw_new, v) for k, v in self.terms.items()})
 
     # -- conversions to (K[x])[y] -------------------------------------
     def to_yx(self):
@@ -889,8 +872,7 @@ def _lagrange(tw, pts, vals):
             denom *= pts[k] - pts[j]
             basis = _qmul(basis, (-pts[j], Fraction(1)))
         scale = 1 / denom
-        term = ptrim(tw, [mul(tw, vals[k], from_rational(tw, b * scale))
-                          for b in basis])
+        term = ptrim(tw, [qscale(tw, vals[k], b * scale) for b in basis])
         acc = padd(tw, acc, term)
     return acc
 

@@ -27,8 +27,8 @@ from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, NonReducedGerm, RetryBudgetExceeded,
                      UnrealizableForest)
 from .field import (QQ, BiPoly, Tower, UniPoly, add, branched, from_rational,
-                    generator, is_zero, mul, one, pdeg, pgcd, split_directions,
-                    zero)
+                    generator, is_zero, mul, one, pdeg, pgcd, qscale,
+                    split_directions, zero)
 
 MAX_DEPTH = 64
 INF_DIR = "inf"
@@ -90,24 +90,35 @@ def monomial_map(a, b, tower=QQ):
 # ---------------------------------------------------------------------------
 
 def _chart_a(p, m, c):
-    """p(x, x(y+c)) / x^m for a direction root c in p's tower."""
+    """p(x, x(y+c)) / x^m for a direction root c in p's tower.
+
+    The powers c^0..c^deg_y are computed once, so the term of x^i y^j
+    contributes to each y^k one tower ``mul`` by c^(j-k) (none for k = j)
+    and one rational scaling by comb(j, k).  A dense Taylor shift of each
+    total-degree row is slower here: composed pullback polynomials have
+    sparse rows.
+    """
     tw = p.tower
     out = {}
-    czero = is_zero(tw, c)
+    if is_zero(tw, c):
+        cpow = None
+    else:
+        cpow = [one(tw)]
+        for _ in range(p.deg_y()):
+            cpow.append(mul(tw, cpow[-1], c))
     for (i, j), coef in p.terms.items():
         if i + j < m:
             raise ValueError("division exponent exceeds vanishing order")
-        if czero:
+        if cpow is None:
             key = (i + j - m, j)
             out[key] = add(tw, out.get(key, zero(tw)), coef)
             continue
-        cpow = one(tw)
-        # k runs from j down to 0 so c-powers build up incrementally
         for k in range(j, -1, -1):
-            val = mul(tw, coef, mul(tw, from_rational(tw, comb(j, k)), cpow))
+            val = coef if k == j else mul(tw, coef, cpow[j - k])
+            if 0 < k < j:
+                val = qscale(tw, val, comb(j, k))
             key = (i + j - m, k)
             out[key] = add(tw, out.get(key, zero(tw)), val)
-            cpow = mul(tw, cpow, c)
     return BiPoly(tw, out)
 
 

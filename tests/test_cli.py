@@ -174,3 +174,15 @@ class TestExitCodes:
         res = run(runner, ["map", "pullback", mp, kf])
         assert res.exit_code == 1
         assert "ContractedCurvePresent" in res.stderr
+
+    @pytest.mark.parametrize("modulus", [["1/1", "0/1"], ["-2/1", "1/1"],
+                                         ["-2/1", "0/1", "2/1"]],
+                             ids=["trailing-zero", "degree-1", "not-monic"])
+    def test_bad_tower_modulus_exit_2(self, runner, tmp_path, modulus):
+        gf = write(tmp_path, "g.json", {
+            "tower": {"levels": [{"var": "s", "modulus": modulus}]},
+            "poly": poly_to_json(X * Y)})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError" in res.stderr
+        assert "Traceback" not in res.stderr

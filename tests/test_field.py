@@ -10,9 +10,9 @@ from enriques import (QQ, BiPoly, FieldElement, ModulusSplit, Tower, UniPoly,
                       branched, field_arith, poly_gcd, split_directions)
 from enriques.field import (divides, elem_from_json, elem_to_json, exact_div,
                             from_rational, generator, inv, is_zero, mul, one,
-                            poly_from_json, poly_to_json, rereduce,
-                            resultant_y, tower_from_json, tower_to_json,
-                            uni_resultant)
+                            padd, pdivmod, pmul, poly_from_json, poly_to_json,
+                            ptrim, qscale, rereduce, resultant_y,
+                            tower_from_json, tower_to_json, uni_resultant)
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -187,3 +187,56 @@ class TestInvertProperty:
             return
         a = fe(QQ, Fraction(q))
         assert (a * a.inverse()).rep == Fraction(1)
+
+
+# Q, Q(s) with s^2 = 2, and Q(s)(t) with t^2 = 3: fields, so every nonzero
+# leading coefficient is invertible.
+Q_S = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+Q_ST = Q_S.extend("t", ((Fraction(-3),), (), (Fraction(1),)))
+TOWERS = (QQ, Q_S, Q_ST)
+
+small_q = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def elements(tw):
+    """Reduced elements: coefficient lists shorter than the top degree."""
+    if not tw.levels:
+        return small_q
+    sub = tw.sub()
+    deg = len(tw.top_modulus) - 1
+    return st.lists(elements(sub), max_size=deg).map(
+        lambda cs: ptrim(sub, cs))
+
+
+def nonzero(tw):
+    return elements(tw).filter(lambda a: not is_zero(tw, a))
+
+
+@st.composite
+def divisions(draw, tw, monic):
+    f = ptrim(tw, draw(st.lists(elements(tw), max_size=6)))
+    lead = one(tw) if monic else draw(nonzero(tw))
+    g = tuple(draw(st.lists(elements(tw), max_size=3))) + (lead,)
+    return f, g
+
+
+DEPTHS = pytest.mark.parametrize("tw", TOWERS, ids=["d0", "d1", "d2"])
+
+
+class TestCoreProperties:
+    @DEPTHS
+    @pytest.mark.parametrize("monic", [True, False], ids=["monic", "general"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_pdivmod_identity(self, tw, monic, data):
+        f, g = data.draw(divisions(tw, monic))
+        q, r = pdivmod(tw, f, g)
+        assert len(r) < len(g)
+        assert padd(tw, pmul(tw, q, g), r) == f
+
+    @DEPTHS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), q=small_q)
+    def test_qscale_is_mul_by_rational(self, tw, data, q):
+        a = data.draw(elements(tw))
+        assert qscale(tw, a, q) == mul(tw, a, from_rational(tw, q))

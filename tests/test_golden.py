@@ -1,0 +1,49 @@
+"""Golden outputs: every README CLI example, byte for byte.
+
+Each case runs one command on the fixed inputs in ``tests/data`` and
+compares its stdout with ``tests/data/golden/<name>.txt``.  The germ and
+map examples also run on inputs over Q(s), s^2 = 2, so the tower
+arithmetic is pinned as well.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from enriques.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+
+def _d(name):
+    return str(DATA / name)
+
+
+CASES = {
+    "gen-fermat-3-md": ["gen", "fermat", "--k", "3", "--format", "md"],
+    "gen-wiman-json": ["gen", "wiman", "--format", "json"],
+    "gen-klein-polars": ["gen", "klein-polars"],
+    "sweep-theorem-b-50": ["sweep", "theorem-b", "--kmax", "50"],
+    "sweep-klein-bound-8": ["sweep", "klein-bound", "--kmax", "8"],
+    "sweep-h-bound-wiman": ["sweep", "h-bound", "--gen", "wiman"],
+    "cluster-check": ["cluster", "check", _d("cluster.json")],
+    "cluster-hc-2025": ["cluster", "hc", _d("cluster.json"), "--c2", "2025"],
+    "germ-mult-cluster": ["germ", "mult-cluster", _d("germ.json")],
+    "map-bp": ["map", "bp", _d("map.json")],
+    "map-degree": ["map", "degree", _d("map.json")],
+    "map-pullback": ["map", "pullback", _d("map.json"), _d("cluster.json")],
+    "map-bp-tower": ["map", "bp", _d("map_tower.json")],
+    "map-degree-tower": ["map", "degree", _d("map_tower.json")],
+    "config-kummer-2": ["config", "kummer", _d("config.json"), "--k", "2"],
+    "config-verify-pullback-2": ["config", "verify-pullback",
+                                 _d("config.json"), "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    res = CliRunner().invoke(main, CASES[name], catch_exceptions=False)
+    assert res.exit_code == 0, res.stderr
+    assert res.stdout == (GOLDEN / f"{name}.txt").read_text()

@@ -15,6 +15,8 @@ from enriques import (QQ, BiPoly, BlowupChart, ContractedCurvePresent, Germ,
                       mult_cluster, noether_intersection, pullback_cluster,
                       self_intersection, shared_cluster, single_point,
                       strict_transform)
+from enriques.field import generator, ptrim, qscale
+from enriques.localeng import _chart_a
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -316,3 +318,38 @@ class TestRandomized:
         except NonReducedGerm:
             return
         assert is_consistent(k)
+
+
+Q_S = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+
+
+class TestChartA:
+    """_chart_a against the independent route through BiPoly.compose."""
+
+    @pytest.mark.parametrize("kind", ["zero", "rational", "generator"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_compose(self, kind, data):
+        tw = QQ if kind == "rational" else Q_S
+        small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        coef = (small if not tw.levels else
+                st.tuples(small, small).map(lambda ab: ptrim(QQ, ab)))
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), coef,
+            min_size=1, max_size=8))
+        p = BiPoly(tw, terms)
+        if p.is_zero():
+            return
+        m = data.draw(st.integers(0, p.order()))
+        if kind == "zero":
+            c = ()
+        elif kind == "rational":
+            c = data.draw(small.filter(lambda v: v != 0))
+        else:
+            c = qscale(tw, generator(tw), data.draw(st.integers(1, 3)))
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        composed = p.compose(x, x * (y + BiPoly.from_elem(tw, c)))
+        lowered = BiPoly(tw, {(i - m, j): v
+                              for (i, j), v in composed.terms.items()})
+        assert _chart_a(p, m, c) == lowered
