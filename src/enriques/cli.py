@@ -16,7 +16,7 @@ from . import clusters as CL
 from . import localeng as L
 from .clusters import Node
 from .errors import EnriquesError, ParseError
-from .field import QQ, poly_from_json, tower_from_json
+from .field import poly_from_json, tower_from_json
 
 
 def rat_str(q):
@@ -30,6 +30,15 @@ def dec10(q):
         ctx.prec = 10
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)
+
+
+def write(text, out):
+    """Write text to the --out path, or echo it to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def emit(rows, columns, fmt, out):
@@ -50,11 +59,7 @@ def emit(rows, columns, fmt, out):
         for r in rows:
             lines.append("| " + " | ".join(str(r[c]) for c in columns) + " |")
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    write(text, out)
 
 
 def load_json(path):
@@ -177,12 +182,7 @@ CLUSTER_COLS = ["id", "parent", "second_proximity", "orbit", "mult"]
 
 def emit_cluster(k, fmt, out):
     if fmt == "json":
-        text = json.dumps(CL.cluster_to_json(k), indent=2) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        write(json.dumps(CL.cluster_to_json(k), indent=2) + "\n", out)
     else:
         emit(cluster_rows(k), CLUSTER_COLS, fmt, out)
 
@@ -284,12 +284,7 @@ def config_h_index(file, fmt, out):
 def config_kummer(file, k, seed, out):
     c = parse_config(load_json(file))
     new = C.kummer_pullback(c, C.KummerSpec(k), seed)
-    text = json.dumps(C.config_to_json(new), indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    write(json.dumps(C.config_to_json(new), indent=2) + "\n", out)
 
 
 @config.command("verify-pullback")

@@ -46,14 +46,6 @@ class EnriquesForest:
     def __hash__(self):
         return hash(self.nodes)
 
-    def ancestors(self, nid):
-        out = []
-        n = self.by_id[nid]
-        while n.parent is not None:
-            out.append(n.parent)
-            n = self.by_id[n.parent]
-        return out
-
     def proximate_to(self, nid):
         """Nodes proximate to the given node: its children plus satellites."""
         return list(self.children[nid]) + self._satellites[nid]
@@ -251,10 +243,7 @@ def harbourne_constant(c_self_int, mults):
 def h_passing_bound(c_self_int, k):
     if not is_consistent(k):
         raise InconsistentCluster("cluster violates proximity inequalities")
-    n = k.size()
-    if n < 1:
-        raise EmptyCluster("bound needs at least one point")
-    return Fraction(c_self_int - self_intersection(k), n)
+    return harbourne_constant(c_self_int, k)
 
 
 def remark_h4_monotone(c_self_int, k, full):

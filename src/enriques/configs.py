@@ -10,7 +10,6 @@ monomial germs (x^k, y^k) and (x^k, y).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,8 +17,7 @@ from .clusters import (WeightedMultiCluster, cluster_from_json,
                        cluster_to_json, self_intersection, single_point,
                        chain_cluster)
 from .errors import EmptyCluster, HypothesisViolated, PlacementConflict
-from .field import QQ, BiPoly
-from .localeng import LocalMap, monomial_map, pullback_cluster
+from .localeng import monomial_map, pullback_cluster
 
 GENERIC = "generic"
 VERTEX = "vertex"
@@ -186,10 +184,7 @@ def kummer_pullback(c, s, seed=0):
                     "vertex pullback square does not scale by deg f = k^2")
             new_sing.append(SingularSpec(pb, sp.count))
         else:
-            x = BiPoly.variable("x", QQ)
-            y = BiPoly.variable("y", QQ)
-            pb = pullback_cluster(LocalMap.from_polys(x ** k, y),
-                                  sp.cluster, seed)
+            pb = pullback_cluster(monomial_map(k, 1), sp.cluster, seed)
             if self_intersection(pb) != k * self_intersection(sp.cluster):
                 raise PlacementConflict(
                     "line pullback square does not scale by deg f = k")
@@ -403,7 +398,3 @@ def config_from_json(data):
     comps = tuple((cp["deg"], cp["count"]) for cp in data["components"])
     return PlaneConfig(degree=data["degree"], components=comps, sing=sing,
                        smooth_vertex_marks=data.get("smooth_vertex_marks", 0))
-
-
-def config_key(c):
-    return json.dumps(config_to_json(c), sort_keys=True)

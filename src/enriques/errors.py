@@ -47,10 +47,6 @@ class NonReducedGerm(EnriquesError):
 class BudgetExceeded(EnriquesError):
     """A blowup recursion exceeded its hard depth cap."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class RetryBudgetExceeded(EnriquesError):
     """Seeded sampling failed to produce a certified witness in time."""

@@ -1022,10 +1022,18 @@ def tower_to_json(tw):
 
 
 def tower_from_json(data):
+    """Build a tower from JSON.  Every modulus passes ``Tower.extend``'s
+    checks, and the depth-1 one must be irreducible over QQ; deeper ones
+    are adjoined optimistically, as in ``split_directions``."""
     tw = QQ
     for level in data.get("levels", []):
         modulus = tuple(elem_from_json(tw, c) for c in level["modulus"])
         tw = tw.extend(level["var"], modulus)
+        if tw.depth == 1:
+            factors = _split_over_qq(modulus)
+            if len(factors) != 1 or factors[0][3] != 1:
+                raise ValueError(f"modulus for {level['var']!r} is "
+                                 "reducible over QQ")
     return tw
 
 

@@ -11,9 +11,20 @@ Conjugate directions (roots of an irreducible tangent factor) are kept
 as one branch with an orbit size; if later arithmetic discovers that an
 optimistically adjoined modulus factors, the branch is redone in each
 factor tower (dynamic evaluation).
+
+One recursion, ``_blowups``, runs this process for every entry point:
+the multiplicity cluster of a germ, the base points (and so the local
+degree) of a map germ, and the shared cluster of two germs.  Each entry
+point passes a ``step(polys)`` that reads the current strict transforms
+and returns either None (no point recorded, stop) or a triple
+``(fields, exps, span)``: the weights of the new point, the exceptional
+exponent divided out of each polynomial at the next blowup (None: the
+polynomial misses the point and is carried unchanged), and how many
+leading polynomials span the tangent cone.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -196,19 +207,63 @@ def _run_direction(tw, d, fn):
     return out
 
 
-class _Ids:
-    def __init__(self):
-        self.n = 0
+def _blowups(tw, polys, step):
+    """Entries (id, parent, second, orbit and step's fields) of every
+    point that ``step`` records, ancestor-first along each branch.
 
-    def fresh(self):
-        self.n += 1
-        return f"q{self.n:03d}"
+    Invariants the entry points rely on:
+
+    * the depth cap is checked before ``step``, so a germ needing more
+      than MAX_DEPTH blowups raises even when its last point would stop;
+    * ids are drawn after ``step`` accepts a point and before its tangent
+      cone is split, so a branch aborted by a modulus split consumes ids
+      and the redone branches draw fresh ones;
+    * the tangent cone is the first nonzero spanning form as it is, gcd'd
+      with the others in order (a single form is never made monic);
+    * the vertical direction is taken iff every spanning form is zero or
+      divisible by x;
+    * each branch returns its own entry list, so a branch that is redone
+      leaves nothing behind.
+    """
+    ids = itertools.count(1)
+
+    def rec(tw, polys, parent, second, markers, orbit, depth):
+        if depth > MAX_DEPTH:
+            raise BudgetExceeded(f"blowup recursion exceeded {MAX_DEPTH} "
+                                 "blowups")
+        node = step(polys)
+        if node is None:
+            return []
+        fields, exps, span = node
+        nid = f"q{next(ids):03d}"
+        entries = [{"id": nid, "parent": parent, "second": second,
+                    "orbit": orbit, **fields}]
+        forms = [_form_t(p, e) for p, e in zip(polys[:span], exps)]
+        tco = functools.reduce(lambda a, b: pgcd(tw, a, b),
+                               [f for f, _ in forms if f is not None])
+        for d in _finite_directions(tw, tco):
+            def go(t, root, ofac):
+                lifted = polys if t == tw else [p.lift_to(t) for p in polys]
+                hs = [p if e is None else _chart_a(p, e, root)
+                      for p, e in zip(lifted, exps)]
+                child_second = markers[1] if is_zero(t, root) else None
+                return rec(t, hs, nid, child_second, (nid, child_second),
+                           orbit * ofac, depth + 1)
+            entries.extend(_run_direction(tw, d, go))
+        if all(f is None or xm > 0 for f, xm in forms):
+            hs = [p if e is None else _chart_b(p, e)
+                  for p, e in zip(polys, exps)]
+            entries.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
+                               orbit, depth + 1))
+        return entries
+
+    return rec(tw, polys, None, None, (None, None), 1, 0)
 
 
-def _entries_to_cluster(entries):
+def _entries_to_cluster(entries, key="mult"):
     nodes = [Node(e["id"], e["parent"], e["second"], e["orbit"])
              for e in entries]
-    return WeightedMultiCluster(nodes, {e["id"]: e["mult"] for e in entries})
+    return WeightedMultiCluster(nodes, {e["id"]: e[key] for e in entries})
 
 
 # ---------------------------------------------------------------------------
@@ -232,34 +287,12 @@ def mult_cluster(g):
     """The cluster of all infinitely near points of multiplicity >= 2."""
     if not is_squarefree(g.poly):
         raise NonReducedGerm("germ has a repeated factor")
-    ids = _Ids()
-    entries = _mc_rec(g.tower, g.poly, None, None, (None, None), 1, ids, 0)
-    return _entries_to_cluster(entries)
 
+    def step(polys):
+        m = polys[0].order()
+        return None if m < 2 else ({"mult": m}, (m,), 1)
 
-def _mc_rec(tw, p, parent, second, markers, orbit, ids, depth):
-    if depth > MAX_DEPTH:
-        raise BudgetExceeded(f"resolution exceeded {MAX_DEPTH} blowups")
-    m = p.order()
-    if m < 2:
-        return []
-    nid = ids.fresh()
-    entries = [{"id": nid, "parent": parent, "second": second,
-                "orbit": orbit, "mult": m}]
-    tco, xmult = _form_t(p, m)
-    for d in _finite_directions(tw, tco):
-        def go(t, root, ofac, _d=d):
-            pp = p if t == tw else p.lift_to(t)
-            h = _chart_a(pp, m, root)
-            child_second = markers[1] if is_zero(t, root) else None
-            return _mc_rec(t, h, nid, child_second,
-                           (nid, child_second), orbit * ofac, ids, depth + 1)
-        entries.extend(_run_direction(tw, d, go))
-    if xmult > 0:
-        h = _chart_b(p, m)
-        entries.extend(_mc_rec(tw, h, nid, markers[0],
-                               (markers[0], nid), orbit, ids, depth + 1))
-    return entries
+    return _entries_to_cluster(_blowups(g.tower, (g.poly,), step))
 
 
 # ---------------------------------------------------------------------------
@@ -307,58 +340,19 @@ def _base_points_full(f):
     contracted, p1, p2 = _reduced_polys(f)
     if p1.order() < 1 or p2.order() < 1:
         return (WeightedMultiCluster([], {}), {})
-    fpoly = contracted.poly if contracted is not None else None
-    ids = _Ids()
-    entries = _bp_rec(p1.tower, p1, p2, fpoly, None, None, (None, None),
-                      1, ids, 0)
-    cluster = _entries_to_cluster(entries)
+    polys = (p1, p2) if contracted is None else (p1, p2, contracted.poly)
+
+    def step(polys):
+        # the contracted curve F, when present, rides along as a third
+        # polynomial; it does not span the tangent cone
+        nu = min(polys[0].order(), polys[1].order())
+        fm = polys[2].order() if len(polys) > 2 else 0
+        exps = (nu, nu, fm or None)[:len(polys)]
+        return {"mult": nu, "fmult": fm}, exps, 2
+
+    entries = _blowups(p1.tower, polys, step)
     fmults = {e["id"]: e["fmult"] for e in entries}
-    return cluster, fmults
-
-
-def _bp_rec(tw, p1, p2, fp, parent, second, markers, orbit, ids, depth):
-    if depth > MAX_DEPTH:
-        raise BudgetExceeded(f"base point recursion exceeded {MAX_DEPTH} "
-                             "blowups; pencil members may share a component")
-    nu = min(p1.order(), p2.order())
-    fm = 0
-    if fp is not None and not fp.is_zero() and fp.terms.get((0, 0)) is None:
-        fm = fp.order()
-    nid = ids.fresh()
-    entries = [{"id": nid, "parent": parent, "second": second,
-                "orbit": orbit, "mult": nu, "fmult": fm}]
-    l1, xm1 = _form_t(p1, nu)
-    l2, xm2 = _form_t(p2, nu)
-    if l1 is None and l2 is None:
-        raise ValueError("both lowest forms vanish below the pencil order")
-    if l1 is None:
-        tco = l2
-    elif l2 is None:
-        tco = l1
-    else:
-        tco = pgcd(tw, l1, l2)
-    inf_shared = ((l1 is None or xm1 > 0) and (l2 is None or xm2 > 0))
-    for d in _finite_directions(tw, tco):
-        def go(t, root, ofac, _d=d):
-            q1 = p1 if t == tw else p1.lift_to(t)
-            q2 = p2 if t == tw else p2.lift_to(t)
-            h1 = _chart_a(q1, nu, root)
-            h2 = _chart_a(q2, nu, root)
-            hf = None
-            if fp is not None:
-                fl = fp if t == tw else fp.lift_to(t)
-                hf = _chart_a(fl, fl.order() if fm else 0, root) if fm else fl
-            child_second = markers[1] if is_zero(t, root) else None
-            return _bp_rec(t, h1, h2, hf, nid, child_second,
-                           (nid, child_second), orbit * ofac, ids, depth + 1)
-        entries.extend(_run_direction(tw, d, go))
-    if inf_shared:
-        h1 = _chart_b(p1, nu)
-        h2 = _chart_b(p2, nu)
-        hf = _chart_b(fp, fp.order()) if (fp is not None and fm) else fp
-        entries.extend(_bp_rec(tw, h1, h2, hf, nid, markers[0],
-                               (markers[0], nid), orbit, ids, depth + 1))
-    return entries
+    return _entries_to_cluster(entries), fmults
 
 
 def local_degree(f):
@@ -440,43 +434,14 @@ def shared_cluster(a, b):
     g = F.poly_gcd(a.poly, b.poly)
     if g.order() >= 1:
         raise ValueError("germs share a component through the origin")
-    ids = _Ids()
-    entries = _shared_rec(a.tower, a.poly, b.poly, None, None,
-                          (None, None), 1, ids, 0)
-    nodes = [Node(e["id"], e["parent"], e["second"], e["orbit"])
-             for e in entries]
-    ka = WeightedMultiCluster(nodes, {e["id"]: e["ma"] for e in entries})
-    kb = WeightedMultiCluster(nodes, {e["id"]: e["mb"] for e in entries})
-    return ka, kb
 
+    def step(polys):
+        m1, m2 = polys[0].order(), polys[1].order()
+        return {"ma": m1, "mb": m2}, (m1, m2), 2
 
-def _shared_rec(tw, p1, p2, parent, second, markers, orbit, ids, depth):
-    if depth > MAX_DEPTH:
-        raise BudgetExceeded(f"shared resolution exceeded {MAX_DEPTH} blowups")
-    m1, m2 = p1.order(), p2.order()
-    nid = ids.fresh()
-    entries = [{"id": nid, "parent": parent, "second": second,
-                "orbit": orbit, "ma": m1, "mb": m2}]
-    l1, xm1 = _form_t(p1, m1)
-    l2, xm2 = _form_t(p2, m2)
-    tco = pgcd(tw, l1, l2)
-    for d in _finite_directions(tw, tco):
-        def go(t, root, ofac, _d=d):
-            q1 = p1 if t == tw else p1.lift_to(t)
-            q2 = p2 if t == tw else p2.lift_to(t)
-            h1 = _chart_a(q1, m1, root)
-            h2 = _chart_a(q2, m2, root)
-            child_second = markers[1] if is_zero(t, root) else None
-            return _shared_rec(t, h1, h2, nid, child_second,
-                               (nid, child_second), orbit * ofac, ids,
-                               depth + 1)
-        entries.extend(_run_direction(tw, d, go))
-    if xm1 > 0 and xm2 > 0:
-        h1 = _chart_b(p1, m1)
-        h2 = _chart_b(p2, m2)
-        entries.extend(_shared_rec(tw, h1, h2, nid, markers[0],
-                                   (markers[0], nid), orbit, ids, depth + 1))
-    return entries
+    entries = _blowups(a.tower, (a.poly, b.poly), step)
+    return (_entries_to_cluster(entries, "ma"),
+            _entries_to_cluster(entries, "mb"))
 
 
 # ---------------------------------------------------------------------------

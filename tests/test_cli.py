@@ -1,14 +1,15 @@
 """End-to-end CLI checks: formats, determinism and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from enriques.cli import main
 from enriques.clusters import cluster_to_json, single_point, chain_cluster
-from enriques.field import poly_to_json
-from enriques import BiPoly
+from enriques.field import generator, poly_to_json, tower_to_json
+from enriques import QQ, BiPoly
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -185,4 +186,19 @@ class TestExitCodes:
         res = run(runner, ["germ", "mult-cluster", gf])
         assert res.exit_code == 2
         assert "ParseError" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_reducible_tower_modulus_exit_2(self, runner, tmp_path):
+        # t^2 - 1 = (t - 1)(t + 1): a depth-1 modulus must be irreducible
+        tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        t = BiPoly.from_elem(tw, generator(tw))
+        gf = write(tmp_path, "g.json", {
+            "tower": tower_to_json(tw),
+            "poly": poly_to_json((y - t * x) * (y - x) + x ** 3)})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError" in res.stderr
+        assert "reducible" in res.stderr
         assert "Traceback" not in res.stderr

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from enriques import (HypothesisViolated, KummerSpec, PlaneConfig,
-                      PlacementConflict, SingularSpec, config_from_json,
-                      config_to_json, fermat, h_bound_gap, h_index,
-                      klein_closed_forms, klein_lines, klein_polars,
+                      PlacementConflict, SingularSpec, chain_cluster,
+                      config_from_json, config_to_json, fermat, h_bound_gap,
+                      h_index, klein_closed_forms, klein_lines, klein_polars,
                       klein_recursion, klein_report, klein_S_cluster,
                       klein_state, kummer_pullback, pullback_theorem_check,
                       self_intersection, single_point, strict_gap_demo,
                       theorem_b_family, triangle, wiman)
-from enriques.configs import GENERIC, VERTEX, mult_size, sigma_m2
+from enriques.configs import GENERIC, LINE, VERTEX, mult_size, sigma_m2
 
 
 class TestGenerators:
@@ -95,6 +95,42 @@ class TestKummerTransport:
         new = kummer_pullback(wiman(), KummerSpec(2))
         assert mult_size(new) == 4 * 201
         assert sigma_m2(new) == 4 * 2700
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_line_placements(self, k):
+        # clusters on a coordinate line are pulled back under (x^k, y);
+        # each pulled-back cluster is listed as (parent, second proximity,
+        # weight) per node, in canonical order
+        c = PlaneConfig(
+            degree=4, components=((4, 1),),
+            sing=(SingularSpec(chain_cluster([2, 1]), 1, LINE),
+                  SingularSpec(chain_cluster([2, 1, 1], satellites={2: 0}),
+                               2, LINE),
+                  SingularSpec(single_point(3), 1, LINE)))
+        new = kummer_pullback(c, KummerSpec(k))
+        got = [(sp.count, sp.placement,
+                [(n.parent, n.second_proximity, sp.cluster.weights[n.id])
+                 for n in sp.cluster.forest.nodes])
+               for sp in new.sing]
+        chain = [(None, None, 2)] + [(f"q{i:03d}", None, 2)
+                                     for i in range(1, k)]
+        if k == 2:
+            want = [(2, GENERIC, chain + [("q002", None, 1),
+                                          ("q003", None, 1)]),
+                    (4, GENERIC, chain + [("q002", None, 2)]),
+                    (2, GENERIC, [(None, None, 3), ("q001", None, 3)])]
+        else:
+            want = [(3, GENERIC, chain + [("q003", None, 1),
+                                          ("q004", None, 1),
+                                          ("q005", None, 1)]),
+                    (6, GENERIC, chain + [("q003", None, 2),
+                                          ("q004", None, 1),
+                                          ("q005", "q004", 1)]),
+                    (3, GENERIC, [(None, None, 3), ("q001", None, 3),
+                                  ("q002", None, 3)])]
+        assert got == want
+        assert new.degree == 4 * k
+        assert h_index(new) == {2: Fraction(-5, 3), 3: Fraction(-10, 7)}[k]
 
 
 class TestTheoremB:

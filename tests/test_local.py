@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques import (QQ, BiPoly, BlowupChart, ContractedCurvePresent, Germ,
-                      HypothesisViolated, LocalMap, NonReducedGerm,
-                      base_points, chain_cluster, curves_through, fixed_part,
+from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
+                      ContractedCurvePresent, Germ, HypothesisViolated,
+                      LocalMap, NonReducedGerm, base_points, chain_cluster, curves_through, fixed_part,
                       germ_mult, intersection_multiplicity, is_consistent,
                       local_degree, map_multiplicity, monomial_map,
                       mult_cluster, noether_intersection, pullback_cluster,
@@ -353,3 +353,75 @@ class TestChartA:
         lowered = BiPoly(tw, {(i - m, j): v
                               for (i, j), v in composed.terms.items()})
         assert _chart_a(p, m, c) == lowered
+
+
+def ids_weights_orbits(k):
+    return ([n.id for n in k.forest.nodes], weight_list(k),
+            [n.orbit for n in k.forest.nodes])
+
+
+class TestBlowupBudget:
+    """The depth cap of the blowup recursion, at the same boundary for
+    every entry point: MAX_DEPTH = 64 blowups below the root."""
+
+    def test_mult_cluster_boundary(self):
+        k = mult_cluster(Germ(Y ** 2 - X ** 129))
+        assert len(k.forest.nodes) == 64
+        with pytest.raises(BudgetExceeded):
+            mult_cluster(Germ(Y ** 2 - X ** 131))
+
+    @pytest.mark.parametrize("entry", ["shared_cluster", "base_points",
+                                       "local_degree"])
+    def test_pair_boundary(self, entry):
+        def size(n):
+            a, b = Y, Y - X ** n
+            if entry == "shared_cluster":
+                ka, kb = shared_cluster(Germ(a), Germ(b))
+                assert ka.forest == kb.forest
+                return len(ka.forest.nodes)
+            if entry == "base_points":
+                return len(base_points(LocalMap.from_polys(a, b)).forest.nodes)
+            # every base point is simple, so the degree counts them
+            return local_degree(LocalMap.from_polys(a, b))
+
+        assert size(65) == 65
+        with pytest.raises(BudgetExceeded):
+            size(66)
+
+
+class TestModulusSplitInsideRecursion:
+    """A D5 split in the middle of each blowup recursion.
+
+    Over Q(s), s^2 = 2, the tangent cone of B = y^2 - 2x^2 is adjoined as
+    t^2 = 2, which factors as (t - s)(t + s); the branch is redone in each
+    factor.  The aborted branch consumes the id q002."""
+
+    def setup_method(self):
+        x = BiPoly.variable("x", Q_S)
+        y = BiPoly.variable("y", Q_S)
+        s = BiPoly.from_elem(Q_S, generator(Q_S))
+        self.x, self.y, self.s = x, y, s
+        self.B = y ** 2 - 2 * x ** 2
+
+    def test_mult_cluster(self):
+        x, y, s, B = self.x, self.y, self.s, self.B
+        g = B ** 2 + (y - s * x) * x ** 5 + (y - s * x) * x ** 6
+        assert ids_weights_orbits(mult_cluster(Germ(g))) == (
+            ["q001", "q003", "q005", "q004"], [4, 2, 2, 2], [1, 1, 1, 1])
+
+    def pair(self):
+        x, y, s, B = self.x, self.y, self.s, self.B
+        return B + (y - s * x) ** 3, B + x ** 4
+
+    def test_shared_cluster(self):
+        a, b = self.pair()
+        want = (["q001", "q003", "q005", "q004"], [2, 1, 1, 1], [1, 1, 1, 1])
+        ka, kb = shared_cluster(Germ(a), Germ(b))
+        assert ids_weights_orbits(ka) == want
+        assert ids_weights_orbits(kb) == want
+
+    def test_base_points_and_degree(self):
+        f = LocalMap.from_polys(*self.pair())
+        assert ids_weights_orbits(base_points(f)) == (
+            ["q001", "q003", "q005", "q004"], [2, 1, 1, 1], [1, 1, 1, 1])
+        assert local_degree(f) == 7
