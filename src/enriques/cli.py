@@ -15,7 +15,7 @@ from . import configs as C
 from . import clusters as CL
 from . import localeng as L
 from .clusters import Node
-from .errors import EnriquesError, ParseError
+from .errors import EnriquesError, HypothesisViolated, ModulusSplit, ParseError
 from .field import poly_from_json, tower_from_json
 
 
@@ -92,6 +92,12 @@ def guarded(fn):
             return fn(*args, **kwargs)
         except ParseError as e:
             click.echo(f"ParseError: {e}", err=True)
+            sys.exit(2)
+        except ModulusSplit as e:
+            # the engine branches its own levels, so this one came from
+            # the input tower
+            click.echo(f"ParseError: tower modulus for {e.var!r} is "
+                       "reducible", err=True)
             sys.exit(2)
         except EnriquesError as e:
             click.echo(f"{type(e).__name__}: {e}", err=True)
@@ -187,6 +193,13 @@ def emit_cluster(k, fmt, out):
         emit(cluster_rows(k), CLUSTER_COLS, fmt, out)
 
 
+def parse_germ(data):
+    try:
+        return L.Germ(parse_poly(data))
+    except ValueError as e:
+        raise ParseError(f"malformed germ: {e}") from None
+
+
 @main.group()
 def germ():
     """Plane curve germ operations."""
@@ -198,18 +211,26 @@ def germ():
 @OUT
 @guarded
 def germ_mult_cluster(file, fmt, out):
-    g = L.Germ(parse_poly(load_json(file)))
-    emit_cluster(L.mult_cluster(g), fmt, out)
+    emit_cluster(L.mult_cluster(parse_germ(load_json(file))), fmt, out)
 
 
 # -- map ----------------------------------------------------------------
 
 def parse_map(data):
+    """A map germ, which must be dominant: a Jacobian determinant that
+    vanishes identically is rejected here rather than in ``LocalMap``,
+    which the pullback also builds from large composed polynomials."""
     try:
-        return L.LocalMap.from_polys(parse_poly(data["f1"]),
-                                     parse_poly(data["f2"]))
+        f = L.LocalMap.from_polys(parse_poly(data["f1"]),
+                                  parse_poly(data["f2"]))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed map: {e}") from None
+    p1, p2 = f.f1.poly, f.f2.poly
+    jacobian = p1.deriv("x") * p2.deriv("y") - p1.deriv("y") * p2.deriv("x")
+    if jacobian.is_zero():
+        raise HypothesisViolated("map germ is not dominant: its Jacobian "
+                                 "determinant vanishes identically")
+    return f
 
 
 @main.group(name="map")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +34,8 @@ from fractions import Fraction
 from math import comb
 
 from . import field as F
-from .clusters import (Node, WeightedMultiCluster, self_intersection)
+from .clusters import (Node, WeightedMultiCluster, cluster_to_json,
+                       self_intersection)
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, NonReducedGerm, RetryBudgetExceeded,
                      UnrealizableForest)
@@ -585,11 +587,18 @@ _CURVES_CACHE = {}
 
 def curves_through(k, seed):
     """Two seeded germs with multiplicity exactly nu_q at every cluster
-    point and no further common point (certified by the intersection
-    number equalling K^2).  Results are memoized per (cluster, seed)."""
-    import json as _json
-    from .clusters import cluster_to_json
-    key = (_json.dumps(cluster_to_json(k), sort_keys=True), seed)
+    point and no further common point, certified by the intersection
+    number I_0(w, z) equalling K^2.  Results are memoized per (cluster,
+    seed).
+
+    Once both germs pass ``_verify_through``, Noether's formula gives
+    K^2 <= I_0(w, z), and ``field.resultant_order_mod_p`` gives
+    I_0(w, z) <= ord_x Res_y(w, z) <= ord_x (Res_y(w, z) mod P), so a
+    modular order equal to K^2 certifies the pair.  Otherwise the exact
+    ``intersection_multiplicity`` decides, so each sample is accepted or
+    rejected exactly as by the exact route alone.
+    """
+    key = (json.dumps(cluster_to_json(k), sort_keys=True), seed)
     if key in _CURVES_CACHE:
         return _CURVES_CACHE[key]
     result = _curves_through(k, seed)
@@ -629,6 +638,8 @@ def _curves_through(k, seed):
                 and _verify_through(z, k, directions, root_id)):
             last = "sampled member has excess multiplicity at a cluster point"
             continue
+        if F.resultant_order_mod_p(w, z) == k2:
+            return Germ(w), Germ(z)
         inter = intersection_multiplicity(Germ(w), Germ(z))
         if inter != k2:
             last = (f"intersection {inter} != K^2 = {k2}; "

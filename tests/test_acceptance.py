@@ -9,6 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -22,11 +23,13 @@ from enriques import (QQ, BiPoly, Germ, KummerSpec, base_points,
                       self_intersection, shared_cluster, single_point,
                       strict_gap_demo, triangle, wiman)
 from enriques.cli import main
+from enriques.clusters import cluster_to_json
 from enriques.configs import mult_size, sigma_m2
 from enriques.errors import EnriquesError
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def report(num, label, ok):
@@ -149,12 +152,17 @@ def test_criterion_7_pullback_laws():
         chain_cluster([3, 1, 1], satellites={2: 0}),
     ]
     maps = [(a, b) for a in range(1, 4) for b in range(a, 4)]
+    # f*(K) of every case: it must not depend on how curves_through
+    # certifies its pair of curves
+    golden = (GOLDEN / "pullback-grid-seed0.jsonl").read_text().splitlines()
     cases = 0
     ok = True
     for k in clusters:
         for a, b in maps:
             f = monomial_map(a, b)
             pb = pullback_cluster(f, k, 0)
+            ok = ok and (json.dumps(cluster_to_json(pb), sort_keys=True)
+                         == golden[cases])
             deg = local_degree(f)
             ok = ok and self_intersection(pb) == deg * self_intersection(k)
             if map_multiplicity(f) > 1:
@@ -163,8 +171,9 @@ def test_criterion_7_pullback_laws():
                 ok = ok and pb.size() <= deg * k.size()
             cases += 1
     elapsed = time.monotonic() - t0
-    report(7, f"(f*K)^2 = deg*K^2 and |f*K| <= deg|K| on {cases} cases "
-              f"({elapsed:.1f}s)", ok and cases >= 100 and elapsed < 60.0)
+    report(7, f"(f*K)^2 = deg*K^2, |f*K| <= deg|K| and golden f*K on "
+              f"{cases} cases ({elapsed:.1f}s)",
+           ok and cases == len(golden) and elapsed < 60.0)
 
 
 def test_criterion_8_pullback_h_instances():

@@ -202,3 +202,59 @@ class TestExitCodes:
         assert "ParseError" in res.stderr
         assert "reducible" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_zero_denominator_exit_2(self, runner, tmp_path):
+        gf = write(tmp_path, "g.json", {"vars": ["x", "y"], "terms": [
+            [1, 0, "1/0"], [0, 1, "1/1"]]})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError" in res.stderr and "'1/0'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_constant_germ_exit_2(self, runner, tmp_path):
+        gf = write(tmp_path, "g.json", poly_to_json(BiPoly.const(1)))
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("cmd", ["degree", "bp"])
+    def test_non_dominant_map_exit_1(self, runner, tmp_path, cmd):
+        mp = write(tmp_path, "m.json", {"f1": poly_to_json(X),
+                                        "f2": poly_to_json(X)})
+        res = run(runner, ["map", cmd, mp])
+        assert res.exit_code == 1
+        assert "HypothesisViolated" in res.stderr and "dominant" in res.stderr
+        assert res.stdout == ""
+
+    def test_reducible_second_level_exit_2(self, runner, tmp_path):
+        # u^2 - 2 = (u - s)(u + s) over Q(s), s^2 = 2
+        s_tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+        tw = s_tw.extend("u", ((Fraction(-2),), (), (Fraction(1),)))
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        u = BiPoly.from_elem(tw, generator(tw))
+        s = BiPoly.from_elem(tw, (generator(s_tw),))
+        gf = write(tmp_path, "g.json", {
+            "tower": tower_to_json(tw),
+            "poly": poly_to_json((y - u * x) * (y - s * x) + x ** 3)})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError" in res.stderr and "'u'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_level_named_like_an_engine_level(self, runner, tmp_path):
+        # the irreducible cubic tangent cone is adjoined one level up
+        outs = []
+        for var in ("s", "t2"):
+            tw = QQ.extend(var, (Fraction(-2), Fraction(0), Fraction(1)))
+            x = BiPoly.variable("x", tw)
+            y = BiPoly.variable("y", tw)
+            gf = write(tmp_path, f"g-{var}.json", {
+                "tower": tower_to_json(tw),
+                "poly": poly_to_json(y ** 3 - 3 * x ** 3 + x ** 5)})
+            res = run(runner, ["germ", "mult-cluster", gf, "--format", "json"])
+            assert res.exit_code == 0, res.stderr
+            outs.append(res.output)
+        assert outs[0] == outs[1]
+        assert [nd["mult"] for nd in json.loads(outs[0])["nodes"]] == [3]

@@ -15,6 +15,7 @@ from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       mult_cluster, noether_intersection, pullback_cluster,
                       self_intersection, shared_cluster, single_point,
                       strict_transform)
+from enriques import field, localeng
 from enriques.field import generator, ptrim, qscale
 from enriques.localeng import _chart_a
 
@@ -257,6 +258,24 @@ class TestCurvesThrough:
         a = curves_through(chain_cluster([2, 2]), 3)
         b = curves_through(chain_cluster([2, 2]), 3)
         assert a[0].poly == b[0].poly and a[1].poly == b[1].poly
+
+    @pytest.mark.parametrize("forced", [None, 10 ** 6], ids=["none", "high"])
+    def test_exact_fallback_draws_the_same_pair(self, monkeypatch, forced):
+        # a failed modular certificate falls back to the exact resultant,
+        # which accepts and rejects the same samples
+        clusters = [single_point(2), chain_cluster([3, 2, 1]),
+                    chain_cluster([3, 2, 1], satellites={2: 0})]
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        fast = [curves_through(k, 4) for k in clusters]
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        monkeypatch.setattr(field, "resultant_order_mod_p",
+                            lambda p, q: forced)
+        calls = []
+        exact_im = localeng.intersection_multiplicity
+        monkeypatch.setattr(localeng, "intersection_multiplicity",
+                            lambda a, b: calls.append(1) or exact_im(a, b))
+        assert [curves_through(k, 4) for k in clusters] == fast
+        assert len(calls) >= len(clusters)
 
 
 class TestPullback:
