@@ -704,8 +704,42 @@ def _gcd_qq(p, q):
     return monic_lex(BiPoly(QQ, terms))
 
 
+# x0 of the certificate in poly_gcd; not 0, where germs share y^k
+_GCD_X0 = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3))
+
+
+def _gcd_in_x(tw, f, g):
+    """gcd(f, g) if one x = x0 certifies it free of y, else None."""
+    for c in _GCD_X0:
+        fx = _eval_x(tw, f, c)
+        if len(fx) == len(f):
+            break
+    else:
+        return None
+    try:
+        if len(pgcd(tw, fx, _eval_x(tw, g, c))) > 1:
+            return None
+        h = ()
+        for row in f + g:
+            h = pgcd(tw, h, row)
+            if len(h) == 1:
+                break
+    except ModulusSplit:
+        return None
+    return monic_lex(BiPoly.from_yx(tw, (h,)))
+
+
 def poly_gcd(p, q):
-    """GCD in K[x, y], normalized monic-lex; divides both inputs exactly."""
+    """GCD in K[x, y], normalized monic-lex; divides both inputs exactly.
+
+    Over a tower, a certificate (Brown, JACM 18, 1971) runs before the
+    primitive PRS in (K[x])[y].  Take x0 != 0 with lc_y(f)(x0) != 0.
+    h = gcd(f, g) has lc_y(h) | lc_y(f), so h(x0, y) keeps the y-degree
+    of h and divides f(x0, y) and g(x0, y); if these are coprime, h lies
+    in K[x] and is the gcd of the x-coefficients of f and g.  The
+    monic-lex gcd is unique, so both routes agree; any other outcome,
+    or a zero divisor met on the way, runs the PRS.
+    """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
     if p.is_zero():
@@ -724,6 +758,9 @@ def poly_gcd(p, q):
         u = f[0] if _yx_deg(f) == 0 else g[0]
         other = g if _yx_deg(f) == 0 else f
         return monic_lex(BiPoly.from_yx(tw, (pgcd(tw, u, _yx_content(tw, other)),)))
+    h = _gcd_in_x(tw, f, g)
+    if h is not None:
+        return h
     fpp, fc = _yx_primitive(tw, f)
     gpp, gc = _yx_primitive(tw, g)
     cont = pgcd(tw, fc, gc)

@@ -374,11 +374,14 @@ def local_degree(f):
 def intersection_multiplicity(a, b):
     """Order at the origin of the intersection of two germs.
 
-    Computed as ord_x Res_y after a coordinate change x -> x + u y drawn
-    from a deterministic sequence, accepted only once the leading
-    y-coefficients survive at x = 0 and the two restrictions to x = 0
-    share no zero besides the origin.  Infinity means a common component
-    through the origin.
+    Computed as ord_x Res_y after a shear x -> x + u y, u = 0, 1, ...,
+    accepted once the leading y-coefficients survive at x = 0 and the
+    restrictions to x = 0 share no zero besides the origin.  For coprime
+    pa, pb of degrees d_a, d_b, u fails only if a top form vanishes at
+    (u, 1) (at most d_a + d_b values) or the line x = u y meets a common
+    zero off the origin (at most d_a d_b, Bezout); so past (d_a + 1)
+    (d_b + 1) shears ``RetryBudgetExceeded`` is raised.  Infinity means a
+    common component through the origin.
     """
     tw = a.tower
     pa, pb = a.poly, b.poly
@@ -393,13 +396,15 @@ def intersection_multiplicity(a, b):
             raise ValueError("germ factored into a unit at the origin")
     x = BiPoly.variable("x", tw)
     y = BiPoly.variable("y", tw)
-    for u in itertools.count():
+    shears = (pa.total_degree() + 1) * (pb.total_degree() + 1)
+    for u in range(shears):
         qa = pa.compose(x + u * y, y) if u else pa
         qb = pb.compose(x + u * y, y) if u else pb
         res = _try_resultant_order(tw, qa, qb)
         if res is not None:
             return res
-    raise AssertionError("unreachable")
+    raise RetryBudgetExceeded(
+        f"no admissible shear x -> x + u y among the first {shears}")
 
 
 def _restrict_x0(tw, p):

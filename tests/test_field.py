@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, FieldElement, ModulusSplit, Tower, UniPoly,
-                      branched, field_arith, poly_gcd, split_directions)
+                      branched, field, field_arith, poly_gcd, split_directions)
 from enriques.field import (divides, elem_from_json, elem_to_json, exact_div,
                             from_rational, generator, inv, is_zero, mul, one,
                             padd, pdivmod, pmul, poly_from_json, poly_to_json,
@@ -311,3 +311,72 @@ class TestCoreProperties:
     def test_qscale_is_mul_by_rational(self, tw, data, q):
         a = data.draw(elements(tw))
         assert qscale(tw, a, q) == mul(tw, a, from_rational(tw, q))
+
+
+Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
+
+
+@st.composite
+def tower_bipolys(draw, tw, max_deg, only_x=False):
+    """Bivariate polynomials over ``tw`` of total degree <= max_deg."""
+    monos = [(i, j) for i in range(max_deg + 1)
+             for j in range(1 if only_x else max_deg + 1 - i)]
+    return BiPoly(tw, draw(st.dictionaries(st.sampled_from(monos),
+                                           nonzero(tw), max_size=4)))
+
+
+def prs_gcd(p, q):
+    """poly_gcd with the specialization certificate forced to fail."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(field, "_gcd_in_x", lambda tw, f, g: None)
+        return poly_gcd(p, q)
+
+
+class TestGcdCertificate:
+    """The coprime-in-y certificate returns the gcd of the primitive PRS."""
+
+    @pytest.mark.parametrize("tw", [Q_S, Q_CUBE, Q_ST],
+                             ids=["sqrt2", "cubic", "depth2"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_prs(self, tw, data):
+        h = data.draw(tower_bipolys(tw, 2, only_x=data.draw(st.booleans())))
+        a = data.draw(tower_bipolys(tw, 2))
+        b = data.draw(tower_bipolys(tw, 2))
+        p, q = h * a, h * b
+        if p.is_zero() and q.is_zero():
+            return
+        g = poly_gcd(p, q)
+        assert g == prs_gcd(p, q)
+        assert divides(g, p) and divides(g, q)
+
+    def test_skips_x0_where_leading_coefficient_vanishes(self, monkeypatch):
+        s = BiPoly.from_elem(Q_S, generator(Q_S))
+        x = BiPoly.variable("x", Q_S)
+        y = BiPoly.variable("y", Q_S)
+        h = x * x + s
+        p, q = h * ((x - 1) * y + 1), h * (y - x)
+        seen = []
+        eval_x = field._eval_x
+        monkeypatch.setattr(field, "_eval_x",
+                            lambda tw, f, c: seen.append(c) or eval_x(tw, f, c))
+        monkeypatch.setattr(field, "_yx_prem", _no_prs)
+        assert poly_gcd(p, q) == h
+        assert seen[:3] == [1, -1, -1]
+        monkeypatch.undo()
+        assert prs_gcd(p, q) == h
+
+    def test_common_factor_in_y_falls_back(self, monkeypatch):
+        s = BiPoly.from_elem(Q_S, generator(Q_S))
+        x = BiPoly.variable("x", Q_S)
+        y = BiPoly.variable("y", Q_S)
+        h = y * y - s * x
+        monkeypatch.setattr(field, "_yx_prem", _no_prs)
+        with pytest.raises(AssertionError, match="PRS"):
+            poly_gcd(h * (y + x), h * (y - x))
+        monkeypatch.undo()
+        assert poly_gcd(h * (y + x), h * (y - x)) == h
+
+
+def _no_prs(tw, f, g):
+    raise AssertionError("the primitive PRS ran")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       ContractedCurvePresent, Germ, HypothesisViolated,
-                      LocalMap, NonReducedGerm, base_points, chain_cluster, curves_through, fixed_part,
+                      LocalMap, NonReducedGerm, RetryBudgetExceeded,
+                      base_points, chain_cluster, curves_through, fixed_part,
                       germ_mult, intersection_multiplicity, is_consistent,
                       local_degree, map_multiplicity, monomial_map,
                       mult_cluster, noether_intersection, pullback_cluster,
@@ -101,6 +102,24 @@ class TestMultCluster:
     def test_irrational_tangents_share_an_orbit(self):
         k = mult_cluster(Germ((Y ** 2 - 2 * X ** 2) * X))
         assert weight_list(k) == [3]
+
+    def test_tower_germ_with_repeated_x_factor(self, monkeypatch):
+        # this germ spent most of a minute in the primitive PRS of poly_gcd
+        tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+        s = BiPoly.from_elem(tw, generator(tw))
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        p = (-2 * x ** 4 * y ** 5 - 3 * x ** 9 + s * x ** 7 * y
+             - 3 * x ** 6 * y + 4 * x ** 5 * y ** 7 + 6 * x ** 10 * y ** 2
+             - 2 * s * x ** 8 * y ** 3 + 6 * x ** 7 * y ** 3
+             - 2 * s * x ** 6 * y ** 5 - 3 * s * x ** 11 + 2 * x ** 9 * y
+             - 3 * s * x ** 8 * y)
+
+        def no_prs(tw, f, g):
+            raise AssertionError("the primitive PRS ran")
+
+        monkeypatch.setattr(field, "_yx_prem", no_prs)
+        assert localeng.is_squarefree(p) is False
 
     def test_always_consistent(self):
         for p in (X * Y, Y ** 2 - X ** 3, Y ** 2 - X ** 5,
@@ -195,6 +214,15 @@ class TestIntersectionMultiplicity:
         cusp = Germ(Y ** 2 - X ** 3)
         assert intersection_multiplicity(cusp, Germ(X)) == 2
         assert intersection_multiplicity(cusp, Germ(Y)) == 3
+
+    def test_shear_budget(self, monkeypatch):
+        # (d_a + 1)(d_b + 1) shears, then a typed error
+        shears = []
+        monkeypatch.setattr(localeng, "_try_resultant_order",
+                            lambda tw, qa, qb: shears.append(qa))
+        with pytest.raises(RetryBudgetExceeded, match="first 12$"):
+            intersection_multiplicity(Germ(Y ** 2 - X ** 3), Germ(Y - X ** 2))
+        assert len(shears) == 12
 
     def test_symmetry(self):
         pairs = [(Y - X ** 2, Y ** 3 - X ** 2), (X * Y, Y ** 2 - X ** 3),
