@@ -717,13 +717,10 @@ def _gcd_in_x(tw, f, g):
     else:
         return None
     try:
+        fx = pmonic(tw, fx)
         if len(pgcd(tw, fx, _eval_x(tw, g, c))) > 1:
             return None
-        h = ()
-        for row in f + g:
-            h = pgcd(tw, h, row)
-            if len(h) == 1:
-                break
+        h = _yx_content(tw, f + g)
     except ModulusSplit:
         return None
     return monic_lex(BiPoly.from_yx(tw, (h,)))
@@ -737,8 +734,11 @@ def poly_gcd(p, q):
     h = gcd(f, g) has lc_y(h) | lc_y(f), so h(x0, y) keeps the y-degree
     of h and divides f(x0, y) and g(x0, y); if these are coprime, h lies
     in K[x] and is the gcd of the x-coefficients of f and g.  The
-    monic-lex gcd is unique, so both routes agree; any other outcome,
-    or a zero divisor met on the way, runs the PRS.
+    monic-lex gcd is unique, so both routes agree; any other outcome
+    runs the PRS.  Over a reducible tower (a product of fields) the
+    proof needs lc_y(f)(x0) to be a unit, not only nonzero, so it is
+    inverted first: a zero divisor there or later raises
+    ``ModulusSplit`` and also sends the pair to the PRS.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")

@@ -314,6 +314,7 @@ class TestCoreProperties:
 
 
 Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
+Q_T = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))  # Q x Q
 
 
 @st.composite
@@ -376,6 +377,45 @@ class TestGcdCertificate:
             poly_gcd(h * (y + x), h * (y - x))
         monkeypatch.undo()
         assert poly_gcd(h * (y + x), h * (y - x)) == h
+
+    def test_zero_divisor_leading_coefficient_splits(self):
+        # Over Q(t), t^2 = 1, e = (1 + t)/2 is idempotent.  lc_y(f) = 1 - e
+        # is a zero divisor: in the t = 1 component f drops to y-degree 2
+        # and shares (x - 1)y + 1 with g, although f(1, y) and g(1, y) are
+        # coprime.  The certificate must not answer; the PRS splits.
+        e = BiPoly.from_elem(Q_T, (Fraction(1, 2), Fraction(1, 2)))
+        x = BiPoly.variable("x", Q_T)
+        y = BiPoly.variable("y", Q_T)
+        one_ = BiPoly.const(1, Q_T)
+        p = e * ((x - 1) * y + 1) * (y + 2) + (one_ - e) * (y ** 3 + 1)
+        q = e * ((x - 1) * y + 1) * (y + 3) + (one_ - e) * (y + 5)
+        assert field._gcd_in_x(Q_T, p.to_yx(), q.to_yx()) is None
+        with pytest.raises(ModulusSplit):
+            poly_gcd(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reducible_tower_answers_per_component(self, data):
+        """Over Q(t), t^2 = 1 = Q x Q, a certified gcd is the gcd over Q
+        at t = 1 and at t = -1."""
+        h = data.draw(tower_bipolys(Q_T, 2))
+        a = data.draw(tower_bipolys(Q_T, 2))
+        b = data.draw(tower_bipolys(Q_T, 2))
+        p, q = h * a, h * b
+        f, g = p.to_yx(), q.to_yx()
+        if len(f) < 2 or len(g) < 2:
+            return
+        cert = field._gcd_in_x(Q_T, f, g)
+        if cert is None:
+            return
+        for r in (1, -1):
+            def at(u):
+                return BiPoly(QQ, {k: sum(ci * r ** i for i, ci in enumerate(c))
+                                   for k, c in u.terms.items()})
+            pr, qr = at(p), at(q)
+            if pr.is_zero() and qr.is_zero():
+                continue
+            assert at(cert) == poly_gcd(pr, qr)
 
 
 def _no_prs(tw, f, g):
