@@ -14,7 +14,6 @@ import click
 from . import configs as C
 from . import clusters as CL
 from . import localeng as L
-from .clusters import Node
 from .errors import EnriquesError, HypothesisViolated, ModulusSplit, ParseError
 from .field import poly_from_json, tower_from_json
 
@@ -74,7 +73,7 @@ def parse_poly(data):
     try:
         tower = tower_from_json(data.get("tower", {"levels": []}))
         return poly_from_json(tower, data["poly"] if "poly" in data else data)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed polynomial: {e}") from None
 
 
@@ -131,8 +130,7 @@ def cluster():
 def cluster_check(file, fmt, out):
     data = load_json(file)
     try:
-        nodes = [Node(nd["id"], nd.get("parent"), nd.get("second_proximity"),
-                      nd.get("orbit", 1)) for nd in data["nodes"]]
+        nodes = [CL.node_from_json(nd) for nd in data["nodes"]]
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed cluster: {e}") from None
     violations = CL.validate_forest(nodes)
@@ -226,6 +224,8 @@ def parse_map(data):
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed map: {e}") from None
     p1, p2 = f.f1.poly, f.f2.poly
+    if p1.tower != p2.tower:
+        raise ParseError("malformed map: f1 and f2 are over different towers")
     jacobian = p1.deriv("x") * p2.deriv("y") - p1.deriv("y") * p2.deriv("x")
     if jacobian.is_zero():
         raise HypothesisViolated("map germ is not dominant: its Jacobian "
@@ -298,7 +298,7 @@ def config_h_index(file, fmt, out):
 
 @config.command("kummer")
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--k", required=True, type=int)
+@click.option("--k", required=True, type=click.IntRange(min=2))
 @SEED
 @OUT
 @guarded
@@ -310,7 +310,7 @@ def config_kummer(file, k, seed, out):
 
 @config.command("verify-pullback")
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--k", required=True, type=int)
+@click.option("--k", required=True, type=click.IntRange(min=2))
 @SEED
 @FORMAT
 @OUT
@@ -361,7 +361,7 @@ def gen():
 
 
 @gen.command("fermat")
-@click.option("--k", required=True, type=int)
+@click.option("--k", required=True, type=click.IntRange(min=2))
 @FORMAT
 @OUT
 @CONFIG_OUT

@@ -356,11 +356,26 @@ def cluster_to_json(k):
                       for n in k.forest.nodes]}
 
 
+def json_int(v, what):
+    """``v`` if it is an integer (not a bool or a float), else TypeError."""
+    if type(v) is not int:
+        raise TypeError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
+def node_from_json(nd):
+    """A Node from JSON: string ids and an integer orbit, else TypeError."""
+    node = Node(nd["id"], nd.get("parent"), nd.get("second_proximity"),
+                json_int(nd.get("orbit", 1), "orbit"))
+    if not isinstance(node.id, str) or not all(
+            v is None or isinstance(v, str)
+            for v in (node.parent, node.second_proximity)):
+        raise TypeError(f"node ids must be strings in {nd!r}")
+    return node
+
+
 def cluster_from_json(data):
-    nodes = []
-    weights = {}
-    for nd in data["nodes"]:
-        nodes.append(Node(nd["id"], nd.get("parent"),
-                          nd.get("second_proximity"), nd.get("orbit", 1)))
-        weights[nd["id"]] = nd["mult"]
+    nodes = [node_from_json(nd) for nd in data["nodes"]]
+    weights = {n.id: json_int(nd["mult"], "mult")
+               for n, nd in zip(nodes, data["nodes"])}
     return WeightedMultiCluster(nodes, weights)

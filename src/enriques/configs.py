@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .clusters import (WeightedMultiCluster, cluster_from_json,
-                       cluster_to_json, self_intersection, single_point,
-                       chain_cluster)
+                       cluster_to_json, json_int, self_intersection,
+                       single_point, chain_cluster)
 from .errors import EmptyCluster, HypothesisViolated, PlacementConflict
 from .localeng import monomial_map, pullback_cluster
 
@@ -392,9 +392,12 @@ def config_to_json(c):
 
 
 def config_from_json(data):
-    sing = tuple(SingularSpec(cluster_from_json(s["cluster"]), s["count"],
+    sing = tuple(SingularSpec(cluster_from_json(s["cluster"]),
+                              json_int(s["count"], "count"),
                               s.get("placement", GENERIC))
                  for s in data["sing"])
-    comps = tuple((cp["deg"], cp["count"]) for cp in data["components"])
-    return PlaneConfig(degree=data["degree"], components=comps, sing=sing,
-                       smooth_vertex_marks=data.get("smooth_vertex_marks", 0))
+    comps = tuple((json_int(cp["deg"], "deg"), json_int(cp["count"], "count"))
+                  for cp in data["components"])
+    marks = json_int(data.get("smooth_vertex_marks", 0), "smooth_vertex_marks")
+    return PlaneConfig(degree=json_int(data["degree"], "degree"),
+                       components=comps, sing=sing, smooth_vertex_marks=marks)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import DivisionByZero, ModulusSplit
+from .errors import DivisionByZero, ModulusSplit, RetryBudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -653,24 +653,6 @@ def _yx_scale_div(tw, f, c):
     return tuple(pdiv_exact(tw, row, c) for row in f)
 
 
-def _yx_prem(tw, f, g):
-    """Pseudo-remainder of f by g in (K[x])[y]."""
-    f = list(f)
-    dg = _yx_deg(g)
-    lcg = g[-1]
-    while _yx_deg(f) >= dg and _yx_trim(f):
-        f = list(_yx_trim(f))
-        if _yx_deg(f) < dg:
-            break
-        lcf = f[-1]
-        k = _yx_deg(f) - dg
-        f = [pmul(tw, row, lcg) for row in f]
-        for i in range(dg + 1):
-            f[k + i] = psub(tw, f[k + i], pmul(tw, lcf, g[i]))
-        f = f[:-1]
-    return _yx_trim(f)
-
-
 def _yx_primitive(tw, f):
     c = _yx_content(tw, f)
     if not c:
@@ -704,41 +686,44 @@ def _gcd_qq(p, q):
     return monic_lex(BiPoly(QQ, terms))
 
 
-# x0 of the certificate in poly_gcd; not 0, where germs share y^k
-_GCD_X0 = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3))
+def _x0s():
+    """x0 = 1, -1, 2, -2, ...; not 0, where germs share y^k."""
+    for n in itertools.count(1):
+        yield Fraction(n)
+        yield Fraction(-n)
 
 
-def _gcd_in_x(tw, f, g):
-    """gcd(f, g) if one x = x0 certifies it free of y, else None."""
-    for c in _GCD_X0:
-        fx = _eval_x(tw, f, c)
-        if len(fx) == len(f):
-            break
-    else:
+def _image(tw, f, g, c):
+    """Monic gcd of f(c, y) and g(c, y), or None if lc_y(f)(c) = 0; that
+    coefficient is inverted, so a zero divisor raises ModulusSplit."""
+    fx = _eval_x(tw, f, c)
+    if len(fx) < len(f):
         return None
-    try:
-        fx = pmonic(tw, fx)
-        if len(pgcd(tw, fx, _eval_x(tw, g, c))) > 1:
-            return None
-        h = _yx_content(tw, f + g)
-    except ModulusSplit:
-        return None
-    return monic_lex(BiPoly.from_yx(tw, (h,)))
+    return pgcd(tw, pmonic(tw, fx), _eval_x(tw, g, c))
 
 
 def poly_gcd(p, q):
     """GCD in K[x, y], normalized monic-lex; divides both inputs exactly.
 
-    Over a tower, a certificate (Brown, JACM 18, 1971) runs before the
-    primitive PRS in (K[x])[y].  Take x0 != 0 with lc_y(f)(x0) != 0.
-    h = gcd(f, g) has lc_y(h) | lc_y(f), so h(x0, y) keeps the y-degree
-    of h and divides f(x0, y) and g(x0, y); if these are coprime, h lies
-    in K[x] and is the gcd of the x-coefficients of f and g.  The
-    monic-lex gcd is unique, so both routes agree; any other outcome
-    runs the PRS.  Over a reducible tower (a product of fields) the
-    proof needs lc_y(f)(x0) to be a unit, not only nonzero, so it is
-    inverted first: a zero divisor there or later raises
-    ``ModulusSplit`` and also sends the pair to the PRS.
+    Over the rationals it is sympy's.  Over a tower it is Brown's
+    evaluation gcd in (K[x])[y] (JACM 18, 1971; for towers van Hoeij and
+    Monagan, ISSAC 2002).  Let h = gcd(f, g), of y-degree d.  At x0 with
+    lc_y(f)(x0) a unit, lc_y(h) | lc_y(f) keeps deg h(x0, y) = d, so the
+    image gcd(f(x0, y), g(x0, y)) has degree >= d, and = d only if it is
+    h(x0, y) made monic.  So the first image, of p and q, decides d = 0,
+    and h is then the content gcd in K[x].  Else f and g are made
+    primitive.  If also lc_y(g)(x0) != 0, Res_y(f/h, g/h) specializes, so
+    the degree is d unless x0 is one of the ``bad`` roots of lc_y(f)
+    lc_y(g) Res_y(f/h, g/h).  Scaled by gamma(x0), where gamma =
+    gcd(lc_y f, lc_y g), images of degree d are those of gamma/lc_y(h) h,
+    of x-degree below ``need``: interpolated, made primitive and dividing
+    p and q, that is h.  A failed division means images of degree > d,
+    and a lower degree resets them.  Among bad + need points, need give
+    degree d, so the loop ends before ``RetryBudgetExceeded``.  Each
+    inversion is of a unit or raises ``ModulusSplit``, so over a product
+    of fields every step holds in each component: an image degree that
+    differs between components leaves a zero divisor leading Euclid,
+    which raises.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
@@ -752,29 +737,35 @@ def poly_gcd(p, q):
     if not tw.levels:
         return _gcd_qq(p, q)
     f, g = p.to_yx(), q.to_yx()
-    if _yx_deg(f) == 0 and _yx_deg(g) == 0:
-        return monic_lex(BiPoly.from_yx(tw, (pgcd(tw, f[0], g[0]),)))
     if _yx_deg(f) == 0 or _yx_deg(g) == 0:
-        u = f[0] if _yx_deg(f) == 0 else g[0]
-        other = g if _yx_deg(f) == 0 else f
+        u, other = (f[0], g) if _yx_deg(f) == 0 else (g[0], f)
         return monic_lex(BiPoly.from_yx(tw, (pgcd(tw, u, _yx_content(tw, other)),)))
-    h = _gcd_in_x(tw, f, g)
-    if h is not None:
-        return h
-    fpp, fc = _yx_primitive(tw, f)
-    gpp, gc = _yx_primitive(tw, g)
-    cont = pgcd(tw, fc, gc)
-    a, b = fpp, gpp
-    if _yx_deg(a) < _yx_deg(b):
-        a, b = b, a
-    while b:
-        r = _yx_prem(tw, a, b)
-        if r:
-            r, _ = _yx_primitive(tw, r)
-        a, b = b, r
-    app, _ = _yx_primitive(tw, a)
-    gcd_yx = tuple(pmul(tw, row, cont) for row in app)
-    return monic_lex(BiPoly.from_yx(tw, gcd_yx))
+    first = next(im for c in _x0s()
+                 if (im := _image(tw, f, g, c)) is not None)
+    if len(first) == 1:
+        return monic_lex(BiPoly.from_yx(tw, (_yx_content(tw, f + g),)))
+    f, fc = _yx_primitive(tw, f)
+    g, gc = _yx_primitive(tw, g)
+    gamma = pgcd(tw, f[-1], g[-1])
+    dxf, dxg = (max(map(len, u)) - 1 for u in (f, g))
+    need = len(gamma) + min(dxf, dxg)
+    bad = len(f[-1]) + len(g[-1]) - 2 + dxf * _yx_deg(g) + dxg * _yx_deg(f)
+    pts, imgs = [], []
+    for c in itertools.islice(_x0s(), bad + need):
+        im = _image(tw, f, g, c)
+        if im is None or (imgs and len(im) > len(imgs[0])):
+            continue
+        if imgs and len(im) < len(imgs[0]):
+            pts, imgs = [], []
+        pts.append(c)
+        imgs.append(pscale(tw, im, peval(tw, gamma, from_rational(tw, c))))
+        if len(imgs) == need:
+            h, _ = _yx_primitive(tw, tuple(_lagrange(tw, pts, vs)
+                                           for vs in zip(*imgs)))
+            hp = BiPoly.from_yx(tw, h)
+            if divides(hp, p) and divides(hp, q):
+                return monic_lex(hp * BiPoly.from_yx(tw, (pgcd(tw, fc, gc),)))
+    raise RetryBudgetExceeded(f"no gcd interpolated at {bad + need} points x0")
 
 
 def exact_div(p, q):
@@ -1195,5 +1186,8 @@ def poly_to_json(p):
 def poly_from_json(tower, data):
     terms = {}
     for i, j, c in data["terms"]:
+        if not all(type(e) is int and e >= 0 for e in (i, j)):
+            raise ValueError(f"exponents {i!r}, {j!r} are not non-negative "
+                             "integers")
         terms[(i, j)] = elem_from_json(tower, c)
     return BiPoly(tower, terms)

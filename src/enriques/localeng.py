@@ -306,30 +306,13 @@ def map_multiplicity(f):
 
 
 def fixed_part(f):
-    """(contracted curve F or None, reduced map with the gcd removed)."""
+    """(contracted curve F or None, (r1, r2)): the components of f with
+    their gcd removed; r1 or r2 may be a unit."""
     d = F.poly_gcd(f.f1.poly, f.f2.poly)
     if d.total_degree() == 0:
-        return None, f
-    r1 = F.exact_div(f.f1.poly, d)
-    r2 = F.exact_div(f.f2.poly, d)
+        return None, (f.f1.poly, f.f2.poly)
     contracted = Germ(d) if d.order() >= 1 else None
-    if r1.order() >= 1 and r2.order() >= 1:
-        return contracted, LocalMap.from_polys(r1, r2)
-    return contracted, _ReducedPair(r1, r2)
-
-
-@dataclass(frozen=True)
-class _ReducedPair:
-    """Like LocalMap but components may be units (order 0)."""
-    p1: BiPoly
-    p2: BiPoly
-
-
-def _reduced_polys(f):
-    contracted, red = fixed_part(f)
-    if isinstance(red, LocalMap):
-        return contracted, red.f1.poly, red.f2.poly
-    return contracted, red.p1, red.p2
+    return contracted, (F.exact_div(f.f1.poly, d), F.exact_div(f.f2.poly, d))
 
 
 def base_points(f):
@@ -339,7 +322,7 @@ def base_points(f):
 
 
 def _base_points_full(f):
-    contracted, p1, p2 = _reduced_polys(f)
+    contracted, (p1, p2) = fixed_part(f)
     if p1.order() < 1 or p2.order() < 1:
         return (WeightedMultiCluster([], {}), {})
     polys = (p1, p2) if contracted is None else (p1, p2, contracted.poly)
@@ -594,7 +577,7 @@ def curves_through(k, seed):
     """Two seeded germs with multiplicity exactly nu_q at every cluster
     point and no further common point, certified by the intersection
     number I_0(w, z) equalling K^2.  Results are memoized per (cluster,
-    seed).
+    seed), for the latest 1024 pairs.
 
     Once both germs pass ``_verify_through``, Noether's formula gives
     K^2 <= I_0(w, z), and ``field.resultant_order_mod_p`` gives
@@ -608,6 +591,8 @@ def curves_through(k, seed):
         return _CURVES_CACHE[key]
     result = _curves_through(k, seed)
     _CURVES_CACHE[key] = result
+    if len(_CURVES_CACHE) > 1024:
+        del _CURVES_CACHE[next(iter(_CURVES_CACHE))]
     return result
 
 
@@ -668,7 +653,10 @@ def pullback_cluster(f, k, seed=0):
             "pullback is only defined for finite map germs")
     if not k.forest.nodes:
         return WeightedMultiCluster([], {})
-    w, z = curves_through(k, seed)
-    wf = w.poly.compose(f.f1.poly, f.f2.poly)
-    zf = z.poly.compose(f.f1.poly, f.f2.poly)
-    return base_points(LocalMap.from_polys(wf, zf))
+    tw = f.f1.tower
+    # w and z are rational; read them over the tower of f
+    w, z = (BiPoly(tw, {m: from_rational(tw, c)
+                        for m, c in g.poly.terms.items()})
+            for g in curves_through(k, seed))
+    return base_points(LocalMap.from_polys(w.compose(f.f1.poly, f.f2.poly),
+                                           z.compose(f.f1.poly, f.f2.poly)))

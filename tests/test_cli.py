@@ -2,9 +2,12 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from enriques.cli import main
 from enriques.clusters import cluster_to_json, single_point, chain_cluster
@@ -13,6 +16,7 @@ from enriques import QQ, BiPoly
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -243,6 +247,48 @@ class TestExitCodes:
         assert "ParseError" in res.stderr and "'u'" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_map_over_two_towers_exit_2(self, runner, tmp_path):
+        tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+        mp = write(tmp_path, "m.json", {
+            "f1": poly_to_json(X ** 2),
+            "f2": {"tower": tower_to_json(tw),
+                   "poly": poly_to_json(BiPoly.variable("y", tw) ** 3)}})
+        for cmd in (["bp"], ["degree"]):
+            res = run(runner, ["map"] + cmd + [mp])
+            assert res.exit_code == 2
+            assert "different towers" in res.stderr
+
+    @pytest.mark.parametrize("node", [
+        {"id": "p", "orbit": "2", "mult": 2}, {"id": ["p"], "mult": 2},
+        {"id": "p", "parent": 1, "mult": 2}, {"id": "p", "mult": 3.5},
+        {"id": "p", "mult": True}],
+        ids=["orbit-str", "id-list", "parent-int", "mult-float", "mult-bool"])
+    @pytest.mark.parametrize("cmd", [["check"], ["hc", "--c2", "4"],
+                                     ["codim"]], ids=lambda c: c[0])
+    def test_malformed_node_exit_2(self, runner, tmp_path, node, cmd):
+        kf = write(tmp_path, "k.json", {"nodes": [node]})
+        res = run(runner, ["cluster", cmd[0], kf] + cmd[1:])
+        assert res.exit_code == 2
+        assert "ParseError: malformed cluster" in res.stderr
+
+    @pytest.mark.parametrize("term", [["a", 0, "1"], [-1, 3, "1"],
+                                      [1.0, 2, "1"], [True, 2, "1"]],
+                             ids=["str", "negative", "float", "bool"])
+    def test_bad_exponent_exit_2(self, runner, tmp_path, term):
+        gf = write(tmp_path, "g.json", {"terms": [term, [2, 0, "1"]]})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError: malformed polynomial" in res.stderr
+
+    @pytest.mark.parametrize("cmd", [["gen", "fermat"], ["config", "kummer"],
+                                     ["config", "verify-pullback"]],
+                             ids=lambda c: c[-1])
+    def test_k_below_2_is_a_usage_error(self, runner, cmd):
+        args = cmd + ([str(DATA / "config.json")] if cmd[0] == "config" else [])
+        res = run(runner, args + ["--k", "1"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--k'" in res.stderr
+
     def test_level_named_like_an_engine_level(self, runner, tmp_path):
         # the irreducible cubic tangent cone is adjoined one level up
         outs = []
@@ -258,3 +304,123 @@ class TestExitCodes:
             outs.append(res.output)
         assert outs[0] == outs[1]
         assert [nd["mult"] for nd in json.loads(outs[0])["nodes"]] == [3]
+
+
+# -- fuzzing: small well-formed JSON with at most one node replaced by junk --
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.sampled_from([1.5, "", "p", "1", "1/0", "x"]),
+    lambda c: st.lists(c, max_size=2)
+    | st.dictionaries(st.sampled_from(["id", "mult", "terms", "levels"]), c,
+                      max_size=2),
+    max_leaves=4)
+
+
+def _paths(value, path=()):
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replace(value[path[0]], path[1:], new)
+    return out
+
+
+@st.composite
+def corrupted(draw, valid):
+    """A value of ``valid``, or that value with one node swapped for junk."""
+    value = draw(valid)
+    path = draw(st.none() | st.sampled_from(list(_paths(value))))
+    return value if path is None else _replace(value, path, draw(JUNK))
+
+
+@st.composite
+def clusters(draw):
+    nodes = []
+    for i in range(draw(st.integers(1, 3))):
+        parent = draw(st.sampled_from([None] + [nd["id"] for nd in nodes]))
+        nodes.append({"id": f"q{i}", "parent": parent, "orbit": 1,
+                      "mult": draw(st.integers(0, 2))})
+    return {"nodes": nodes}
+
+
+S_TOWER = {"levels": [{"var": "s", "modulus": ["-2", "0", "1"]}]}
+RATIONALS = st.sampled_from(["1", "-2", "1/2", "3"])
+
+
+@st.composite
+def polys(draw, towers=True):
+    over_s = towers and draw(st.booleans())
+    coeffs = (RATIONALS | st.builds(lambda a, b: {"ext": "s", "coeffs": [a, b]},
+                                    RATIONALS, RATIONALS)
+              if over_s else RATIONALS)
+    terms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    coeffs).map(list), min_size=1, max_size=3))
+    return {"tower": S_TOWER, "poly": {"terms": terms}} if over_s else {
+        "terms": terms}
+
+
+MAPS = st.fixed_dictionaries({"f1": polys(), "f2": polys()})
+# a pullback over Q(s) of these maps can take minutes, so over Q only
+QQ_MAPS = st.fixed_dictionaries({"f1": polys(False), "f2": polys(False)})
+CONFIGS = st.fixed_dictionaries({
+    "degree": st.integers(1, 6),
+    "components": st.lists(st.fixed_dictionaries(
+        {"deg": st.integers(1, 2), "count": st.integers(1, 6)}), max_size=2),
+    "sing": st.lists(st.fixed_dictionaries(
+        {"cluster": clusters(), "count": st.integers(1, 3),
+         "placement": st.sampled_from(["generic", "vertex", "line"])}),
+        max_size=2),
+    "smooth_vertex_marks": st.integers(0, 1)})
+OPTION = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+
+# each command: its arguments before the files, its input files, its options
+COMMANDS = {
+    "cluster check": ([clusters()], []),
+    "cluster hc": ([clusters()], ["--c2"]),
+    "cluster codim": ([clusters()], []),
+    "germ mult-cluster": ([polys()], []),
+    "map bp": ([MAPS], []),
+    "map degree": ([MAPS], []),
+    "map pullback": ([QQ_MAPS, clusters()], ["--seed"]),
+    "config h-index": ([CONFIGS], []),
+    "config kummer": ([CONFIGS], ["--k"]),
+    "config verify-pullback": ([CONFIGS], ["--k"]),
+    "gen fermat": ([], ["--k"]),
+    "gen wiman": ([], []),
+    "sweep theorem-b": ([], ["--kmax"]),
+    "sweep klein-bound": ([], ["--kmax"]),
+    "sweep h-bound": ([], ["--kmax"]),
+}
+
+
+class TestFuzz:
+    """Every command ends in exit 0, 1 or 2 and never in a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_codes(self, command, data):
+        inputs, options = COMMANDS[command]
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            args = command.split()
+            for n, strategy in enumerate(inputs):
+                name = f"in{n}.json"
+                with open(name, "w") as fh:
+                    json.dump(data.draw(corrupted(strategy)), fh)
+                args.append(name)
+            for opt in options:
+                args += [opt, data.draw(OPTION)]
+            res = runner.invoke(main, args)
+        assert res.exit_code in (0, 1, 2), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            repr(res.exception))

@@ -1,13 +1,16 @@
 """Tower arithmetic, polynomial gcds, resultants and direction splitting."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques import (QQ, BiPoly, FieldElement, ModulusSplit, Tower, UniPoly,
-                      branched, field, field_arith, poly_gcd, split_directions)
+from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
+                      RetryBudgetExceeded, Tower, UniPoly, branched, field,
+                      field_arith, poly_gcd, split_directions)
 from enriques.field import (divides, elem_from_json, elem_to_json, exact_div,
                             from_rational, generator, inv, is_zero, mul, one,
                             padd, pdivmod, pmul, poly_from_json, poly_to_json,
@@ -326,21 +329,54 @@ def tower_bipolys(draw, tw, max_deg, only_x=False):
                                            nonzero(tw), max_size=4)))
 
 
-def prs_gcd(p, q):
-    """poly_gcd with the specialization certificate forced to fail."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(field, "_gcd_in_x", lambda tw, f, g: None)
-        return poly_gcd(p, q)
+SYM_X, SYM_Y = sympy.symbols("x y")
+
+
+@functools.cache
+def sympy_field(tw):
+    """sympy's algebraic field for ``tw`` and the images of its levels."""
+    gens = {Q_S: [sympy.sqrt(2)], Q_CUBE: [sympy.root(2, 3)],
+            Q_ST: [sympy.sqrt(2), sympy.sqrt(3)]}[tw]
+    dom = sympy.QQ.algebraic_field(*gens)
+    return dom, [dom.from_sympy(a) for a in gens]
+
+
+def sympy_poly(u):
+    """``u`` as a sympy Poly in (y, x), whose lex order is monic-lex's."""
+    dom, roots = sympy_field(u.tower)
+
+    def elem(tw, a):
+        if not tw.levels:
+            return dom.from_sympy(sympy.Rational(a.numerator, a.denominator))
+        acc = dom.zero
+        for c in reversed(a):
+            acc = acc * roots[tw.depth - 1] + elem(tw.sub(), c)
+        return acc
+
+    return sympy.Poly.from_dict(
+        {(j, i): elem(u.tower, c) for (i, j), c in u.terms.items()},
+        SYM_Y, SYM_X, domain=dom)
+
+
+def sympy_gcd(p, q):
+    """sympy's monic-lex gcd: a reference independent of ``poly_gcd``."""
+    return sympy_poly(p).gcd(sympy_poly(q)).monic()
+
+
+def s_x_y():
+    """The generator s of Q(s), s^2 = 2, and x, y, as BiPolys over it."""
+    return (BiPoly.from_elem(Q_S, generator(Q_S)), BiPoly.variable("x", Q_S),
+            BiPoly.variable("y", Q_S))
 
 
 class TestGcdCertificate:
-    """The coprime-in-y certificate returns the gcd of the primitive PRS."""
+    """The tower gcd equals sympy's over the same algebraic field."""
 
     @pytest.mark.parametrize("tw", [Q_S, Q_CUBE, Q_ST],
                              ids=["sqrt2", "cubic", "depth2"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_matches_prs(self, tw, data):
+    def test_matches_sympy(self, tw, data):
         h = data.draw(tower_bipolys(tw, 2, only_x=data.draw(st.booleans())))
         a = data.draw(tower_bipolys(tw, 2))
         b = data.draw(tower_bipolys(tw, 2))
@@ -348,65 +384,94 @@ class TestGcdCertificate:
         if p.is_zero() and q.is_zero():
             return
         g = poly_gcd(p, q)
-        assert g == prs_gcd(p, q)
+        assert sympy_poly(g) == sympy_gcd(p, q)
         assert divides(g, p) and divides(g, q)
 
     def test_skips_x0_where_leading_coefficient_vanishes(self, monkeypatch):
-        s = BiPoly.from_elem(Q_S, generator(Q_S))
-        x = BiPoly.variable("x", Q_S)
-        y = BiPoly.variable("y", Q_S)
+        s, x, y = s_x_y()
         h = x * x + s
         p, q = h * ((x - 1) * y + 1), h * (y - x)
         seen = []
         eval_x = field._eval_x
         monkeypatch.setattr(field, "_eval_x",
                             lambda tw, f, c: seen.append(c) or eval_x(tw, f, c))
-        monkeypatch.setattr(field, "_yx_prem", _no_prs)
         assert poly_gcd(p, q) == h
-        assert seen[:3] == [1, -1, -1]
-        monkeypatch.undo()
-        assert prs_gcd(p, q) == h
+        assert seen == [1, -1, -1]
+        assert sympy_poly(h) == sympy_gcd(p, q)
 
-    def test_common_factor_in_y_falls_back(self, monkeypatch):
-        s = BiPoly.from_elem(Q_S, generator(Q_S))
-        x = BiPoly.variable("x", Q_S)
-        y = BiPoly.variable("y", Q_S)
+    def test_common_factor_in_y(self, monkeypatch):
+        s, x, y = s_x_y()
         h = y * y - s * x
-        monkeypatch.setattr(field, "_yx_prem", _no_prs)
-        with pytest.raises(AssertionError, match="PRS"):
-            poly_gcd(h * (y + x), h * (y - x))
-        monkeypatch.undo()
-        assert poly_gcd(h * (y + x), h * (y - x)) == h
+        p, q = h * (y + x) * (x - 1), h * (y - x) * (x - 1) * x
+        points = []
+        lagrange = field._lagrange
+        monkeypatch.setattr(field, "_lagrange",
+                            lambda tw, pts, vals: points.append(len(pts))
+                            or lagrange(tw, pts, vals))
+        assert poly_gcd(p, q) == h * (x - 1)
+        # gamma = 1 and both primitive parts have x-degree 2: three points
+        # for each y-coefficient of h
+        assert points == [3, 3, 3]
 
-    def test_zero_divisor_leading_coefficient_splits(self):
+    @pytest.mark.parametrize("root, degrees", [(1, [3, 3, 2, 2]),
+                                               (-1, [2, 2, 3, 2])],
+                             ids=["reset", "skip"])
+    def test_unlucky_points(self, monkeypatch, root, degrees):
+        # y - x shares the root y = x0 with y - root at x0 = root: an
+        # unlucky first interpolation point is replaced, a later one is
+        # skipped.  The first image comes first, then x0 = 1, -1, 2.
+        s, x, y = s_x_y()
+        h = y * y - s * x
+        seen = []
+        image = field._image
+
+        def spy(tw, f, g, c):
+            im = image(tw, f, g, c)
+            seen.append(len(im) - 1)
+            return im
+
+        monkeypatch.setattr(field, "_image", spy)
+        assert poly_gcd(h * (y - x), h * (y - root)) == h
+        assert seen == degrees
+
+    def test_interpolation_is_bounded(self, monkeypatch):
+        s, x, y = s_x_y()
+        h = y * y - s * x
+        monkeypatch.setattr(field, "_lagrange", lambda tw, pts, vals: (
+            one(tw), one(tw)))
+        with pytest.raises(RetryBudgetExceeded, match="points x0"):
+            poly_gcd(h * (y + x), h * (y - x))
+
+    def test_zero_divisor_leading_coefficient_splits(self, monkeypatch):
         # Over Q(t), t^2 = 1, e = (1 + t)/2 is idempotent.  lc_y(f) = 1 - e
         # is a zero divisor: in the t = 1 component f drops to y-degree 2
         # and shares (x - 1)y + 1 with g, although f(1, y) and g(1, y) are
-        # coprime.  The certificate must not answer; the PRS splits.
+        # coprime.  Inverting lc_y(f)(1) splits the modulus.
         e = BiPoly.from_elem(Q_T, (Fraction(1, 2), Fraction(1, 2)))
         x = BiPoly.variable("x", Q_T)
         y = BiPoly.variable("y", Q_T)
         one_ = BiPoly.const(1, Q_T)
         p = e * ((x - 1) * y + 1) * (y + 2) + (one_ - e) * (y ** 3 + 1)
         q = e * ((x - 1) * y + 1) * (y + 3) + (one_ - e) * (y + 5)
-        assert field._gcd_in_x(Q_T, p.to_yx(), q.to_yx()) is None
+        # the split comes from the first image, before any content gcd
+        monkeypatch.setattr(field, "_yx_content", _no_content)
         with pytest.raises(ModulusSplit):
             poly_gcd(p, q)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_reducible_tower_answers_per_component(self, data):
-        """Over Q(t), t^2 = 1 = Q x Q, a certified gcd is the gcd over Q
-        at t = 1 and at t = -1."""
+        """Over Q(t), t^2 = 1 = Q x Q, poly_gcd either splits the modulus
+        or answers with the gcd over Q at t = 1 and at t = -1."""
         h = data.draw(tower_bipolys(Q_T, 2))
         a = data.draw(tower_bipolys(Q_T, 2))
         b = data.draw(tower_bipolys(Q_T, 2))
         p, q = h * a, h * b
-        f, g = p.to_yx(), q.to_yx()
-        if len(f) < 2 or len(g) < 2:
+        if p.is_zero() and q.is_zero():
             return
-        cert = field._gcd_in_x(Q_T, f, g)
-        if cert is None:
+        try:
+            g = poly_gcd(p, q)
+        except ModulusSplit:
             return
         for r in (1, -1):
             def at(u):
@@ -415,8 +480,8 @@ class TestGcdCertificate:
             pr, qr = at(p), at(q)
             if pr.is_zero() and qr.is_zero():
                 continue
-            assert at(cert) == poly_gcd(pr, qr)
+            assert at(g) == poly_gcd(pr, qr)
 
 
-def _no_prs(tw, f, g):
-    raise AssertionError("the primitive PRS ran")
+def _no_content(tw, f):
+    raise AssertionError("a content gcd ran")

@@ -1,6 +1,7 @@
 """Blowups, multiplicity clusters, base points and pullbacks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,8 +104,8 @@ class TestMultCluster:
         k = mult_cluster(Germ((Y ** 2 - 2 * X ** 2) * X))
         assert weight_list(k) == [3]
 
-    def test_tower_germ_with_repeated_x_factor(self, monkeypatch):
-        # this germ spent most of a minute in the primitive PRS of poly_gcd
+    def test_tower_germ_with_repeated_x_factor(self):
+        # this germ spent most of a minute in a primitive PRS of poly_gcd
         tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
         s = BiPoly.from_elem(tw, generator(tw))
         x = BiPoly.variable("x", tw)
@@ -114,12 +115,21 @@ class TestMultCluster:
              - 2 * s * x ** 8 * y ** 3 + 6 * x ** 7 * y ** 3
              - 2 * s * x ** 6 * y ** 5 - 3 * s * x ** 11 + 2 * x ** 9 * y
              - 3 * s * x ** 8 * y)
-
-        def no_prs(tw, f, g):
-            raise AssertionError("the primitive PRS ran")
-
-        monkeypatch.setattr(field, "_yx_prem", no_prs)
         assert localeng.is_squarefree(p) is False
+
+    def test_tower_germ_with_squared_factor_in_y(self):
+        # x h^2 a: a primitive PRS in (K[x])[y] took over 90 s on it
+        tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+        s = BiPoly.from_elem(tw, generator(tw))
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        h = s * x * y ** 2 + 2 * s * x ** 2 * y - (1 + s) * (x ** 3 + x * y) + 3
+        a = ((1 - s) * y ** 4 - (1 + 2 * s) * x * y ** 3 + (s - 1) * x ** 4
+             + (1 - 2 * s) * x ** 2 * y + 2 * s * x ** 3 + (3 + 2 * s) * x ** 2
+             + (s - 3) * x)
+        start = time.perf_counter()
+        assert localeng.is_squarefree(x * h * h * a) is False
+        assert time.perf_counter() - start < 20
 
     def test_always_consistent(self):
         for p in (X * Y, Y ** 2 - X ** 3, Y ** 2 - X ** 5,
@@ -144,16 +154,18 @@ class TestMapBasics:
     def test_fixed_part_monomials(self):
         fp, reduced = fixed_part(LocalMap.from_polys(X ** 2, X * Y))
         assert fp.poly == X
-        assert (reduced.f1.poly, reduced.f2.poly) == (X, Y)
+        assert reduced == (X, Y)
 
     def test_fixed_part_empty(self):
-        fp, _ = fixed_part(monomial_map(2, 2))
+        f = monomial_map(2, 2)
+        fp, reduced = fixed_part(f)
         assert fp is None
+        assert reduced == (f.f1.poly, f.f2.poly)
 
     def test_fixed_part_xy(self):
         fp, reduced = fixed_part(LocalMap.from_polys(X ** 2 * Y, X * Y ** 2))
         assert fp.poly == X * Y
-        assert (reduced.f1.poly, reduced.f2.poly) == (X, Y)
+        assert reduced == (X, Y)
 
 
 class TestBasePoints:
@@ -287,6 +299,14 @@ class TestCurvesThrough:
         b = curves_through(chain_cluster([2, 2]), 3)
         assert a[0].poly == b[0].poly and a[1].poly == b[1].poly
 
+    def test_cache_evicts_the_oldest_entry(self, monkeypatch):
+        cache = {("old", i): None for i in range(1024)}
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", cache)
+        pair = curves_through(single_point(2), 0)
+        assert len(cache) == 1024
+        assert ("old", 0) not in cache and ("old", 1) in cache
+        assert list(cache.values())[-1] == pair
+
     @pytest.mark.parametrize("forced", [None, 10 ** 6], ids=["none", "high"])
     def test_exact_fallback_draws_the_same_pair(self, monkeypatch, forced):
         # a failed modular certificate falls back to the exact resultant,
@@ -312,6 +332,13 @@ class TestPullback:
         pb = pullback_cluster(monomial_map(1, 1), k, 0)
         assert weight_list(pb) == [2, 1]
         assert self_intersection(pb) == self_intersection(k)
+
+    def test_map_over_a_tower(self):
+        # the rational curves through K are read over the tower of f
+        tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+        k = chain_cluster([2, 1])
+        assert (pullback_cluster(monomial_map(2, 3, tw), k, 0)
+                == pullback_cluster(monomial_map(2, 3), k, 0))
 
     def test_double_cover_of_a_point(self):
         pb = pullback_cluster(monomial_map(2, 2), single_point(1), 0)
