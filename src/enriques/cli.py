@@ -276,7 +276,7 @@ def map_pullback(mapfile, clusterfile, seed, fmt, out):
 def parse_config(data):
     try:
         return C.config_from_json(data)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed config: {e}") from None
 
 
@@ -393,7 +393,8 @@ def sweep():
 
 
 @sweep.command("theorem-b")
-@click.option("--kmax", default=10, type=int, show_default=True)
+@click.option("--kmax", default=10, type=click.IntRange(min=2),
+              show_default=True)
 @SEED
 @FORMAT
 @OUT
@@ -408,7 +409,8 @@ def sweep_theorem_b(kmax, seed, fmt, out):
 
 
 @sweep.command("klein-bound")
-@click.option("--kmax", default=8, type=int, show_default=True)
+@click.option("--kmax", default=8, type=click.IntRange(min=2),
+              show_default=True)
 @FORMAT
 @OUT
 @guarded
@@ -433,7 +435,8 @@ def sweep_klein_bound(kmax, fmt, out):
 
 
 @sweep.command("h-bound")
-@click.option("--kmax", default=10, type=int, show_default=True)
+@click.option("--kmax", default=10, type=click.IntRange(min=2),
+              show_default=True)
 @click.option("--gen", "gen_name", default="wiman",
               type=click.Choice(sorted(GEN_TABLE)))
 @FORMAT

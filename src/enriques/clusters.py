@@ -356,10 +356,13 @@ def cluster_to_json(k):
                       for n in k.forest.nodes]}
 
 
-def json_int(v, what):
-    """``v`` if it is an integer (not a bool or a float), else TypeError."""
+def json_int(v, what, least=None):
+    """``v`` if it is an integer (not a bool or a float), else TypeError;
+    ValueError if it is below ``least``."""
     if type(v) is not int:
         raise TypeError(f"{what} must be an integer, not {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{what} must be >= {least}, not {v}")
     return v
 
 

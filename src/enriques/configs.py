@@ -298,28 +298,30 @@ class KleinState:
         return sum(sz for _, _, sz in self.families)
 
 
+def _s_runs(level):
+    """The runs (weight, count) of S_{p,level} at one of the 42 base points:
+    weights level+1, level, then 4 * 3^(level-m-1) points of weight m for
+    m = level-1..2.  S_1 is a single point of weight 2."""
+    if level == 1:
+        return [(2, 1)]
+    return ([(level + 1, 1), (level, 1)]
+            + [(m, 4 * 3 ** (level - m - 1)) for m in range(level - 1, 1, -1)])
+
+
 def klein_S_cluster(k):
-    """The totally ordered cluster S_{p,k} at one of the 42 base points:
-    weights k+1, k, then 4 * 3^(k-m-1) points of weight m for m = k-1..2."""
+    """The totally ordered cluster S_{p,k}, expanded from its runs."""
     if k < 2:
         raise ValueError("S clusters start at k = 2")
-    weights = [k + 1, k]
-    for m in range(k - 1, 1, -1):
-        weights.extend([m] * (4 * 3 ** (k - m - 1)))
-    return chain_cluster(weights)
+    return chain_cluster([w for w, n in _s_runs(k) for _ in range(n)])
 
 
 def _s_square(level):
     """Sum of squared weights of S_{p,level} at one point."""
-    if level == 1:
-        return 4
-    return self_intersection(klein_S_cluster(level))
+    return sum(n * w * w for w, n in _s_runs(level))
 
 
 def _s_size(level):
-    if level == 1:
-        return 1
-    return klein_S_cluster(level).size()
+    return sum(n for _, n in _s_runs(level))
 
 
 def klein_T_square():
@@ -396,8 +398,10 @@ def config_from_json(data):
                               json_int(s["count"], "count"),
                               s.get("placement", GENERIC))
                  for s in data["sing"])
-    comps = tuple((json_int(cp["deg"], "deg"), json_int(cp["count"], "count"))
+    comps = tuple((json_int(cp["deg"], "deg", 1),
+                   json_int(cp["count"], "count", 1))
                   for cp in data["components"])
-    marks = json_int(data.get("smooth_vertex_marks", 0), "smooth_vertex_marks")
-    return PlaneConfig(degree=json_int(data["degree"], "degree"),
+    marks = json_int(data.get("smooth_vertex_marks", 0),
+                     "smooth_vertex_marks", 0)
+    return PlaneConfig(degree=json_int(data["degree"], "degree", 1),
                        components=comps, sing=sing, smooth_vertex_marks=marks)

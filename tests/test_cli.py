@@ -289,6 +289,30 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "Invalid value for '--k'" in res.stderr
 
+    @pytest.mark.parametrize("cmd", ["theorem-b", "klein-bound", "h-bound"])
+    @pytest.mark.parametrize("kmax", ["1", "0", "-3"])
+    def test_kmax_below_2_is_a_usage_error(self, runner, cmd, kmax):
+        res = run(runner, ["sweep", cmd, "--kmax", kmax])
+        assert res.exit_code == 2
+        assert "Invalid value for '--kmax'" in res.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        ("degree", -6), ("deg", -1), ("count", 0),
+        ("smooth_vertex_marks", -2)])
+    @pytest.mark.parametrize("cmd", [["h-index"], ["kummer", "--k", "2"]],
+                             ids=lambda c: c[0])
+    def test_bad_config_number_exit_2(self, runner, tmp_path, field, value,
+                                      cmd):
+        data = json.loads((DATA / "config.json").read_text())
+        if field in ("deg", "count"):
+            data["components"][0][field] = value
+        else:
+            data[field] = value
+        cf = write(tmp_path, "c.json", data)
+        res = run(runner, ["config", cmd[0], cf] + cmd[1:])
+        assert res.exit_code == 2
+        assert f"ParseError: malformed config: {field} must be >=" in res.stderr
+
     def test_level_named_like_an_engine_level(self, runner, tmp_path):
         # the irreducible cubic tangent cone is adjoined one level up
         outs = []

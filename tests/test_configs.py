@@ -1,5 +1,6 @@
 """Plane configurations, Kummer transport and the Klein recursion."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from enriques import (HypothesisViolated, KummerSpec, PlaneConfig,
                       klein_state, kummer_pullback, pullback_theorem_check,
                       self_intersection, single_point, strict_gap_demo,
                       theorem_b_family, triangle, wiman)
-from enriques.configs import GENERIC, LINE, VERTEX, mult_size, sigma_m2
+from enriques.configs import (GENERIC, LINE, VERTEX, _s_size, _s_square,
+                              mult_size, sigma_m2)
 
 
 class TestGenerators:
@@ -226,6 +228,19 @@ class TestKlein:
             assert c.size() == 2 * 3 ** (k - 2)
             assert 42 * self_intersection(c) == 588 * 3 ** (k - 2) - 42
             assert is_consistent(c)
+
+    def test_s_runs_match_built_cluster(self):
+        assert (_s_square(1), _s_size(1)) == (4, 1)
+        for level in range(2, 9):
+            c = klein_S_cluster(level)
+            assert _s_square(level) == self_intersection(c)
+            assert _s_size(level) == c.size()
+
+    def test_report_far_out_is_fast(self):
+        start = time.perf_counter()
+        rep = klein_report(40)
+        assert time.perf_counter() - start < 2.0
+        assert rep["discrepancy"]
 
     def test_recursion_k2(self):
         k2, size, h = klein_recursion(2)

@@ -3,7 +3,8 @@
 Each case runs one command on the fixed inputs in ``tests/data`` and
 compares its stdout with ``tests/data/golden/<name>.txt``.  The germ and
 map examples also run on inputs over Q(s), s^2 = 2, so the tower
-arithmetic is pinned as well.
+arithmetic is pinned as well, and ``sweep klein-bound --kmax 12`` pins
+the Klein recursion beyond the range the cluster cross-check builds.
 """
 
 from pathlib import Path
@@ -27,6 +28,7 @@ CASES = {
     "gen-klein-polars": ["gen", "klein-polars"],
     "sweep-theorem-b-50": ["sweep", "theorem-b", "--kmax", "50"],
     "sweep-klein-bound-8": ["sweep", "klein-bound", "--kmax", "8"],
+    "sweep-klein-bound-12": ["sweep", "klein-bound", "--kmax", "12"],
     "sweep-h-bound-wiman": ["sweep", "h-bound", "--gen", "wiman"],
     "cluster-check": ["cluster", "check", _d("cluster.json")],
     "cluster-hc-2025": ["cluster", "hc", _d("cluster.json"), "--c2", "2025"],
