@@ -34,8 +34,11 @@ def dec10(q):
 def write(text, out):
     """Write text to the --out path, or echo it to stdout."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {out}: {e}") from None
     else:
         click.echo(text, nl=False)
 
@@ -346,9 +349,7 @@ def emit_config_row(name, cfg, fmt, out, config_out):
     emit(rows, ["generator", "degree", "points", "h", "decimal",
                 "provenance"], fmt, out)
     if config_out:
-        with open(config_out, "w") as fh:
-            json.dump(C.config_to_json(cfg), fh, indent=2)
-            fh.write("\n")
+        write(json.dumps(C.config_to_json(cfg), indent=2) + "\n", config_out)
 
 
 CONFIG_OUT = click.option("--config-out", default=None, type=click.Path(),

@@ -912,113 +912,6 @@ def _qmul(f, g):
     return tuple(out)
 
 
-RES_PRIME = 2 ** 31 - 1
-
-
-def resultant_order_mod_p(p, q, prime=RES_PRIME):
-    """ord_x of Res_y(p, q) reduced modulo ``prime``, or None.
-
-    ``p`` and ``q`` are over the rationals.  Their denominators are
-    cleared, both leading y-coefficients must be nonzero mod ``prime`` at
-    x = 0 (else None), and Res_y mod ``prime`` is interpolated (Newton)
-    from deg(p) * deg(q) + 1 univariate resultants (Euclid over F_prime) at
-    x = 1, 2, ..., skipping points where a leading y-coefficient vanishes.
-    None also when the result is zero or the prime has too few points.
-
-    When not None the value bounds the intersection number from above:
-    the y-degrees survive the reduction, so the result is the reduction
-    of the integer Res_y and ord_x can only grow, and with leading
-    coefficients nonzero at x = 0, ord_x Res_y(p, q) is the sum of the
-    intersection numbers of p and q on the line x = 0, so at least
-    I_0(p, q) (Collins, JACM 18, 1971).
-    """
-    if p.tower.levels or q.tower.levels:
-        raise ValueError("resultant_order_mod_p needs rational coefficients")
-    f, g = _rows_mod(p, prime), _rows_mod(q, prime)
-    if not f or not g or not f[-1].get(0) or not g[-1].get(0):
-        return None
-    need = p.total_degree() * q.total_degree() + 1
-    xdeg = max(p.deg_x(), q.deg_x())
-    pts, vals = [], []
-    for c in range(1, prime):
-        cpow = [pow(c, i, prime) for i in range(xdeg + 1)]
-        fc, gc = _eval_rows(f, cpow, prime), _eval_rows(g, cpow, prime)
-        if fc[-1] and gc[-1]:
-            pts.append(c)
-            vals.append(_uni_resultant_mod(fc, gc, prime))
-            if len(pts) == need:
-                break
-    else:
-        return None
-    coeffs = _newton_mod(pts, vals, prime)
-    return next((i for i, v in enumerate(coeffs) if v), None)
-
-
-def _rows_mod(p, prime):
-    """Denominator-cleared p mod ``prime`` as y-rows of {x-exponent: c}."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    rows = [{} for _ in range(p.deg_y() + 1)]
-    for (i, j), c in p.terms.items():
-        v = c.numerator * (den // c.denominator) % prime
-        if v:
-            rows[j][i] = v
-    return rows
-
-
-def _eval_rows(rows, cpow, prime):
-    return [sum(v * cpow[i] for i, v in row.items()) % prime for row in rows]
-
-
-def _uni_resultant_mod(f, g, prime):
-    """Res(f, g) over F_prime by Euclid; f, g dense with nonzero tops."""
-    acc = 1
-    while len(g) > 1:
-        df, dg = len(f) - 1, len(g) - 1
-        if df < dg:
-            f, g = g, f
-            if df * dg % 2:
-                acc = -acc
-            continue
-        r = list(f)
-        inv_lc = pow(g[-1], -1, prime)
-        for k in range(df - dg, -1, -1):
-            t = r[k + dg] * inv_lc % prime
-            if t:
-                for i in range(dg + 1):
-                    r[k + i] = (r[k + i] - t * g[i]) % prime
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return 0
-        if df * dg % 2:
-            acc = -acc
-        acc = acc * pow(g[-1], df - (len(r) - 1), prime) % prime
-        f, g = g, r
-    return acc * pow(g[0], len(f) - 1, prime) % prime
-
-
-def _newton_mod(pts, vals, prime):
-    """Coefficients, low to high, of the interpolant through (pts, vals)."""
-    span = pts[-1] - pts[0]
-    inverses = [0, 1]
-    for d in range(2, span + 1):
-        inverses.append(-(prime // d) * inverses[prime % d] % prime)
-    dd = list(vals)
-    n = len(pts)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inverses[pts[i] - pts[i - j]] % prime
-    out = [dd[-1]]
-    for k in range(n - 2, -1, -1):
-        # out * (x - pts[k]) + dd[k]
-        shifted = [0] + out
-        for i, v in enumerate(out):
-            shifted[i] = (shifted[i] - pts[k] * v) % prime
-        shifted[0] = (shifted[0] + dd[k]) % prime
-        out = shifted
-    return out
-
-
 def order_in_x(tw, f):
     for i, c in enumerate(f):
         if not is_zero(tw, c):

@@ -14,7 +14,8 @@ factor tower (dynamic evaluation).
 
 One recursion, ``_blowups``, runs this process for every entry point:
 the multiplicity cluster of a germ, the base points (and so the local
-degree) of a map germ, and the shared cluster of two germs.  Each entry
+degree) of a map germ, and the shared points of two germs (the shared
+cluster, and the certificate of the curves through a cluster).  Each entry
 point passes a ``step(polys)`` that reads the current strict transforms
 and returns either None (no point recorded, stop) or a triple
 ``(fields, exps, span)``: the weights of the new point, the exceptional
@@ -424,14 +425,21 @@ def shared_cluster(a, b):
     g = F.poly_gcd(a.poly, b.poly)
     if g.order() >= 1:
         raise ValueError("germs share a component through the origin")
+    entries = _shared_points(a.poly, b.poly)
+    return (_entries_to_cluster(entries, "ma"),
+            _entries_to_cluster(entries, "mb"))
+
+
+def _shared_points(p, q):
+    """``_blowups`` entries of the points p and q share, weighted "ma" and
+    "mb" by their multiplicities.  A component through the origin that p
+    and q share is never separated, so then ``BudgetExceeded`` is raised."""
 
     def step(polys):
         m1, m2 = polys[0].order(), polys[1].order()
         return {"ma": m1, "mb": m2}, (m1, m2), 2
 
-    entries = _blowups(a.tower, (a.poly, b.poly), step)
-    return (_entries_to_cluster(entries, "ma"),
-            _entries_to_cluster(entries, "mb"))
+    return _blowups(p.tower, (p, q), step)
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +587,14 @@ def curves_through(k, seed):
     number I_0(w, z) equalling K^2.  Results are memoized per (cluster,
     seed), for the latest 1024 pairs.
 
-    Once both germs pass ``_verify_through``, Noether's formula gives
-    K^2 <= I_0(w, z), and ``field.resultant_order_mod_p`` gives
-    I_0(w, z) <= ord_x Res_y(w, z) <= ord_x (Res_y(w, z) mod P), so a
-    modular order equal to K^2 certifies the pair.  Otherwise the exact
-    ``intersection_multiplicity`` decides, so each sample is accepted or
-    rejected exactly as by the exact route alone.
+    Once both germs pass ``_verify_through``, I_0(w, z) is Noether's sum
+    of orbit * e_w * e_z over the points w and z share
+    (``_shared_points``); the points of K alone give K^2, so the sum is
+    K^2 exactly when w and z share no further point.  A shared component
+    through the origin makes I_0 infinite: the recursion never separates
+    it and stops at its blowup cap, and that is a rejection.  The cap
+    would also reject a pair whose only shared points are those of a
+    cluster deeper than MAX_DEPTH.
     """
     key = (json.dumps(cluster_to_json(k), sort_keys=True), seed)
     if key in _CURVES_CACHE:
@@ -628,14 +638,15 @@ def _curves_through(k, seed):
                 and _verify_through(z, k, directions, root_id)):
             last = "sampled member has excess multiplicity at a cluster point"
             continue
-        if F.resultant_order_mod_p(w, z) == k2:
+        try:
+            inter = sum(e["orbit"] * e["ma"] * e["mb"]
+                        for e in _shared_points(w, z))
+        except BudgetExceeded:
+            inter = math.inf
+        if inter == k2:
             return Germ(w), Germ(z)
-        inter = intersection_multiplicity(Germ(w), Germ(z))
-        if inter != k2:
-            last = (f"intersection {inter} != K^2 = {k2}; "
-                    "members share an extra point")
-            continue
-        return Germ(w), Germ(z)
+        last = (f"intersection {inter} != K^2 = {k2}; "
+                "members share an extra point")
     raise RetryBudgetExceeded(
         "no certified pair of curves through the cluster", certificate=last)
 

@@ -313,6 +313,17 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert f"ParseError: malformed config: {field} must be >=" in res.stderr
 
+    @pytest.mark.parametrize("option,target", [
+        ("--out", "missing/x.md"), ("--out", ""),
+        ("--config-out", "missing/c.json")],
+        ids=["out-missing-dir", "out-directory", "config-out-missing-dir"])
+    def test_unwritable_output_exit_2(self, runner, tmp_path, option, target):
+        path = tmp_path / target
+        res = run(runner, ["gen", "wiman", option, str(path)])
+        assert res.exit_code == 2
+        assert f"ParseError: cannot write {path}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_level_named_like_an_engine_level(self, runner, tmp_path):
         # the irreducible cubic tangent cone is adjoined one level up
         outs = []

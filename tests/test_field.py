@@ -14,8 +14,7 @@ from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
 from enriques.field import (divides, elem_from_json, elem_to_json, exact_div,
                             from_rational, generator, inv, is_zero, mul, one,
                             padd, pdivmod, pmul, poly_from_json, poly_to_json,
-                            order_in_x, ptrim, qscale, rereduce,
-                            RES_PRIME, resultant_order_mod_p, resultant_y,
+                            ptrim, qscale, rereduce, resultant_y,
                             tower_from_json, tower_to_json, uni_resultant,
                             _fresh_var)
 
@@ -129,62 +128,6 @@ class TestResultants:
         r2 = resultant_y(Y ** 2 - X ** 3, Y - X)
         first2 = next(i for i, c in enumerate(r2) if c)
         assert first2 == 2
-
-
-@st.composite
-def bipolys(draw, max_deg):
-    """Rational bivariate polynomials of total degree <= max_deg."""
-    monos = [(i, j) for i in range(max_deg + 1)
-             for j in range(max_deg + 1 - i)]
-    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=3)
-    return BiPoly(QQ, draw(st.dictionaries(st.sampled_from(monos), coeffs)))
-
-
-class TestModularResultantOrder:
-    """The modular order bounds the exact x-order of Res_y from above."""
-
-    @pytest.mark.parametrize("prime,max_deg", [(RES_PRIME, 4), (3, 1),
-                                               (5, 2), (7, 2)],
-                             ids=["P", "3", "5", "7"])
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_bounds_exact_order(self, prime, max_deg, data):
-        p = data.draw(bipolys(max_deg))
-        q = data.draw(bipolys(max_deg))
-        got = resultant_order_mod_p(p, q, prime)
-        if got is not None:
-            exact = order_in_x(QQ, resultant_y(p, q))
-            assert exact is not None and got >= exact
-
-    def test_strictly_greater_mod_small_prime(self):
-        # Res_y(y + 3, y + x) = +-(x - 3): order 0 over Q, 1 mod 3
-        p, q = Y + 3, Y + X
-        assert order_in_x(QQ, resultant_y(p, q)) == 0
-        assert resultant_order_mod_p(p, q) == 0
-        assert resultant_order_mod_p(p, q, 3) == 1
-
-    def test_intersection_numbers(self):
-        assert resultant_order_mod_p(Y ** 2 - X ** 3, Y) == 3
-        assert resultant_order_mod_p(Y - X ** 2, Y + X ** 2) == 2
-        half = Fraction(1, 2)
-        assert resultant_order_mod_p(half * Y - X ** 2, Y + half * X) == 1
-
-    def test_shared_component_is_none(self):
-        c = Y - X - X ** 2
-        assert resultant_order_mod_p(c * (Y - 2 * X), c * (Y + X)) is None
-
-    def test_leading_coefficient_vanishing_at_zero_is_none(self):
-        # the y^2-coefficient x of p vanishes at x = 0
-        assert resultant_order_mod_p(X * Y ** 2 + Y - X, Y - X ** 2) is None
-        # over Q it is 1, but 2^31 - 1 divides it
-        p = (RES_PRIME + X) * Y ** 2 + Y - X
-        assert resultant_order_mod_p(p, Y - X ** 2) is None
-
-    def test_tower_rejected(self):
-        tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
-        y = BiPoly.variable("y", tw)
-        with pytest.raises(ValueError):
-            resultant_order_mod_p(y, y + 1)
 
 
 class TestSplitDirections:

@@ -1,5 +1,7 @@
 """Blowups, multiplicity clusters, base points and pullbacks."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -17,8 +19,8 @@ from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       mult_cluster, noether_intersection, pullback_cluster,
                       self_intersection, shared_cluster, single_point,
                       strict_transform)
-from enriques import field, localeng
-from enriques.field import generator, ptrim, qscale
+from enriques import localeng
+from enriques.field import generator, poly_to_json, ptrim, qscale
 from enriques.localeng import _chart_a
 
 X = BiPoly.variable("x")
@@ -307,23 +309,49 @@ class TestCurvesThrough:
         assert ("old", 0) not in cache and ("old", 1) in cache
         assert list(cache.values())[-1] == pair
 
-    @pytest.mark.parametrize("forced", [None, 10 ** 6], ids=["none", "high"])
-    def test_exact_fallback_draws_the_same_pair(self, monkeypatch, forced):
-        # a failed modular certificate falls back to the exact resultant,
-        # which accepts and rejects the same samples
-        clusters = [single_point(2), chain_cluster([3, 2, 1]),
-                    chain_cluster([3, 2, 1], satellites={2: 0})]
+    def test_drawn_pairs_are_pinned(self, monkeypatch):
+        # the pairs drawn for the 18 clusters of the pullback grid and two
+        # deeper chains at seeds 0-7, hashed in that order; recorded while
+        # a resultant certified I_0 = K^2, so both certificates accept
+        # the same samples
+        grid = [([1], None), ([2], None), ([3], None),
+                ([1, 1], None), ([2, 1], None), ([2, 2], None),
+                ([3, 1], None), ([3, 2], None), ([3, 3], None),
+                ([1, 1, 1], None), ([2, 1, 1], None), ([2, 2, 2], None),
+                ([3, 2, 1], None), ([3, 3, 3], None), ([3, 2, 2], None),
+                ([2, 1, 1], {2: 0}), ([3, 2, 1], {2: 0}),
+                ([3, 1, 1], {2: 0}), ([5, 4, 3, 2, 1], None),
+                ([3, 3, 1], None)]
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
-        fast = [curves_through(k, 4) for k in clusters]
+        digest = hashlib.sha256()
+        for weights, sats in grid:
+            k = (single_point(weights[0]) if len(weights) == 1
+                 else chain_cluster(weights, satellites=sats))
+            for seed in range(8):
+                w, z = curves_through(k, seed)
+                digest.update(json.dumps([poly_to_json(w.poly),
+                                          poly_to_json(z.poly)]).encode())
+                if seed == 0 and weights in ([2, 2], [3, 3, 1]):
+                    assert (intersection_multiplicity(w, z)
+                            == self_intersection(k))
+        assert digest.hexdigest() == ("2785073a25af740c418ed7acbc5e340f"
+                                      "25ae86365bfee14bc9c23a20c3c11e1e")
+
+    def test_shared_component_is_rejected(self, monkeypatch):
+        # a shared component is never separated: the recursion hits its
+        # cap, and the certificate reads that as an infinite I_0
+        c = Y - X - 3 * X ** 2
+        with pytest.raises(BudgetExceeded):
+            localeng._shared_points(c * (Y - 2 * X), c * (Y + X))
+
+        def capped(p, q):
+            raise BudgetExceeded("blowup recursion exceeded 64 blowups")
+
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
-        monkeypatch.setattr(field, "resultant_order_mod_p",
-                            lambda p, q: forced)
-        calls = []
-        exact_im = localeng.intersection_multiplicity
-        monkeypatch.setattr(localeng, "intersection_multiplicity",
-                            lambda a, b: calls.append(1) or exact_im(a, b))
-        assert [curves_through(k, 4) for k in clusters] == fast
-        assert len(calls) >= len(clusters)
+        monkeypatch.setattr(localeng, "_shared_points", capped)
+        with pytest.raises(RetryBudgetExceeded) as exc:
+            curves_through(single_point(2), 0)
+        assert exc.value.certificate.startswith("intersection inf != K^2 = 4")
 
 
 class TestPullback:
