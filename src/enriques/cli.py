@@ -43,25 +43,28 @@ def write(text, out):
         click.echo(text, nl=False)
 
 
-def emit(rows, columns, fmt, out):
+def render(rows, columns, fmt):
+    """The rows as a json, csv or markdown table."""
     if fmt == "json":
-        text = json.dumps([{c: r[c] for c in columns} for r in rows],
+        return json.dumps([{c: r[c] for c in columns} for r in rows],
                           indent=2) + "\n"
-    elif fmt == "csv":
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for r in rows:
             writer.writerow([r[c] for c in columns])
-        text = buf.getvalue()
-    else:
-        head = "| " + " | ".join(columns) + " |"
-        sep = "| " + " | ".join("---" for _ in columns) + " |"
-        lines = [head, sep]
-        for r in rows:
-            lines.append("| " + " | ".join(str(r[c]) for c in columns) + " |")
-        text = "\n".join(lines) + "\n"
-    write(text, out)
+        return buf.getvalue()
+    head = "| " + " | ".join(columns) + " |"
+    sep = "| " + " | ".join("---" for _ in columns) + " |"
+    lines = [head, sep]
+    for r in rows:
+        lines.append("| " + " | ".join(str(r[c]) for c in columns) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def emit(rows, columns, fmt, out):
+    write(render(rows, columns, fmt), out)
 
 
 def load_json(path):
@@ -346,10 +349,13 @@ def emit_config_row(name, cfg, fmt, out, config_out):
     rows = [{"generator": name, "degree": cfg.degree,
              "points": C.mult_size(cfg), "h": rat_str(h),
              "decimal": dec10(h), "provenance": "h_index"}]
-    emit(rows, ["generator", "degree", "points", "h", "decimal",
-                "provenance"], fmt, out)
+    text = render(rows, ["generator", "degree", "points", "h", "decimal",
+                         "provenance"], fmt)
+    # the config is written first, so a path that cannot be written
+    # exits 2 before anything reaches stdout
     if config_out:
         write(json.dumps(C.config_to_json(cfg), indent=2) + "\n", config_out)
+    write(text, out)
 
 
 CONFIG_OUT = click.option("--config-out", default=None, type=click.Path(),

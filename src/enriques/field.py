@@ -159,7 +159,7 @@ def inv(tw, a):
     if not tw.levels:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return 1 / a
+        return Fraction(1) / a
     s = tw.sub()
     a = pmod(s, a, tw.top_modulus)
     if not a:
@@ -204,6 +204,138 @@ def branched(tower, var, fn):
 
 
 # ---------------------------------------------------------------------------
+# Integer leaves: elements scaled by one rational, and arithmetic on them
+# ---------------------------------------------------------------------------
+
+def leaves(tw, elems):
+    """The rational leaves of the elements, in order."""
+    if not tw.levels:
+        return list(elems)
+    s = tw.sub()
+    return [v for a in elems for v in leaves(s, a)]
+
+
+def _scale_leaves(tw, elems, den, num):
+    if not tw.levels:
+        if den == num == 1:
+            return [v.numerator for v in elems]
+        return [v.numerator * (den // v.denominator) // num for v in elems]
+    s = tw.sub()
+    return [tuple(_scale_leaves(s, a, den, num)) for a in elems]
+
+
+def int_scale(tw, elems):
+    """``(ints, q)``: ``ints[i] = q * elems[i]`` for the one positive
+    rational ``q`` that makes all their leaves integers with gcd 1 (q = 1
+    when every element is zero).  Leaves may be ints or Fractions."""
+    vals = leaves(tw, elems)
+    den = math.lcm(*(v.denominator for v in vals))
+    num = 0
+    for v in vals:
+        num = math.gcd(num, v.numerator * (den // v.denominator))
+        if num == 1:
+            break
+    num = num or 1
+    return _scale_leaves(tw, elems, den, num), Fraction(den, num)
+
+
+class IntTower:
+    """Arithmetic on elements of a tower with integer leaves, exact up to
+    one positive integer ``sigma`` fixed by the tower.
+
+    Each level's modulus M is scaled to integer leaves, mu M, and divides
+    by pseudo-division in exactly 2 deg M - 2 steps; so leaves stay
+    integers and every reduced result carries the same factor.  ``mul``
+    returns sigma a b and ``unpack`` sigma times the class of what it
+    reads.  At depth 0 sigma is 1 and both are exact.
+
+    ``pack`` is Kronecker substitution: the leaf of s_1^e_1 ... s_n^e_n
+    (levels bottom-up) goes to bit width * sum(e_i r_i), where r_i is the
+    product of 2 deg M_j - 1 over the levels j below i, the exponent
+    ranges of a product of two reduced elements.  So sums of products of
+    packed ints are the packed unreduced sums of products, while every
+    leaf of the result is below 2^(width - 1) in absolute value, and
+    ``unpack`` reads them back leaf by leaf.  At depth 0 packing is the
+    identity.
+    """
+
+    def __init__(self, tw):
+        towers = [tw]
+        while towers[-1].levels:
+            towers.append(towers[-1].sub())
+        self.towers = towers[::-1]          # towers[i] has depth i
+        self.mods, self.sig, self.slots = [None], [1], [1]
+        for t in self.towers[1:]:
+            m, mu = int_scale(t.sub(), t.top_modulus)
+            self.mods.append((m[:-1], mu.numerator))
+            self.sig.append(self.sig[-1] ** (len(m) - 1)
+                            * mu.numerator ** (len(m) - 2))
+            self.slots.append(self.slots[-1] * (2 * len(m) - 3))
+        self.depth = len(self.towers) - 1
+        self.sigma = self.sig[-1]
+        self.one = int_scale(tw, [one(tw)])[0][0]
+
+    def _reduce(self, i, cs):
+        """sig[i] times the class of sum cs[e] t_i^e, for 2 deg M_i - 1
+        coefficients that are each sig[i - 1] times a reduced element."""
+        s = self.towers[i - 1]
+        low, mu = self.mods[i]
+        lam = self.sig[i - 1] * mu
+        while len(cs) > len(low):
+            top = cs.pop()
+            cs = [qscale(s, c, lam) for c in cs]
+            if is_zero(s, top):
+                continue
+            for j, m in enumerate(low):
+                e = len(cs) - len(low) + j
+                cs[e] = sub(s, cs[e], self._mul(i - 1, top, m))
+        return ptrim(s, cs)
+
+    def _mul(self, i, a, b):
+        if not i:
+            return a * b
+        s = self.towers[i - 1]
+        cs = [0 if not s.levels else ()] * (2 * len(self.mods[i][0]) - 1)
+        for x, u in enumerate(a):
+            for y, v in enumerate(b):
+                cs[x + y] = add(s, cs[x + y], self._mul(i - 1, u, v))
+        return self._reduce(i, cs)
+
+    def mul(self, a, b):
+        return self._mul(self.depth, a, b)
+
+    def _pack(self, i, a, width):
+        if not i:
+            return a
+        step = width * self.slots[i - 1]
+        v = 0
+        for e, c in enumerate(a):
+            v += self._pack(i - 1, c, width) << (e * step)
+        return v
+
+    def pack(self, a, width):
+        return self._pack(self.depth, a, width)
+
+    def _unpack(self, i, v, width):
+        if not i:
+            return v
+        step = width * self.slots[i - 1]
+        mask, half = (1 << step) - 1, 1 << (step - 1)
+        cs = []
+        for _ in range(2 * len(self.mods[i][0]) - 2):
+            low = v & mask
+            if low >= half:
+                low -= mask + 1
+            cs.append(self._unpack(i - 1, low, width))
+            v = (v - low) >> step
+        cs.append(self._unpack(i - 1, v, width))
+        return self._reduce(i, cs)
+
+    def unpack(self, v, width):
+        return self._unpack(self.depth, v, width)
+
+
+# ---------------------------------------------------------------------------
 # Dense univariate polynomials over a tower (plain tuples, low -> high)
 # ---------------------------------------------------------------------------
 
@@ -219,10 +351,11 @@ def pdeg(f):
 
 
 def padd(tw, f, g):
-    n = max(len(f), len(g))
-    z = zero(tw)
-    out = [add(tw, f[i] if i < len(f) else z, g[i] if i < len(g) else z)
-           for i in range(n)]
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] = add(tw, out[i], c)
     return ptrim(tw, out)
 
 
@@ -308,20 +441,6 @@ def pgcd(tw, f, g):
     return pmonic(tw, f)
 
 
-def _prim_int(f):
-    """Scale rational coefficients to a primitive integer tuple."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
 def _pgcd_qq(f, g):
     """Rational univariate gcd via the primitive PRS over the integers
     (avoids the coefficient blowup of naive Euclid over Fraction)."""
@@ -329,7 +448,7 @@ def _pgcd_qq(f, g):
         return pmonic(QQ, g)
     if not g:
         return pmonic(QQ, f)
-    a, b = _prim_int(f), _prim_int(g)
+    a, b = int_scale(QQ, f)[0], int_scale(QQ, g)[0]
     while b:
         # integer pseudo-remainder of a by b
         r = list(a)

@@ -40,9 +40,9 @@ from .clusters import (Node, WeightedMultiCluster, cluster_to_json,
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, NonReducedGerm, RetryBudgetExceeded,
                      UnrealizableForest)
-from .field import (QQ, BiPoly, Tower, UniPoly, add, branched, from_rational,
-                    generator, is_zero, mul, one, pdeg, pgcd, qscale,
-                    split_directions, zero)
+from .field import (QQ, BiPoly, Tower, UniPoly, branched, from_rational,
+                    generator, is_zero, pdeg, pgcd, qscale, split_directions,
+                    zero)
 
 MAX_DEPTH = 64
 INF_DIR = "inf"
@@ -103,49 +103,86 @@ def monomial_map(a, b, tower=QQ):
 # Chart substitutions
 # ---------------------------------------------------------------------------
 
-def _chart_a(p, m, c):
-    """p(x, x(y+c)) / x^m for a direction root c in p's tower.
+def _int_poly(tw, terms):
+    """``(q, s)``: the polynomial with these terms scaled by the positive
+    rational ``s`` to integer leaves with gcd 1."""
+    vals, s = F.int_scale(tw, list(terms.values()))
+    return BiPoly(tw, dict(zip(terms, vals))), s
 
-    The powers c^0..c^deg_y are computed once, so the term of x^i y^j
-    contributes to each y^k one tower ``mul`` by c^(j-k) (none for k = j)
-    and one rational scaling by comb(j, k).  A dense Taylor shift of each
-    total-degree row is slower here: composed pullback polynomials have
-    sparse rows.
+
+def _chart_int(p, m, c):
+    """``(q, s)`` with p(x, x(y+c)) / x^m = s q, for p with integer leaves
+    and a direction root c in p's tower; q has integer leaves with gcd 1.
+
+    The term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m) y^k.  With
+    c = a/b and J = deg_y p, the weights C(j, k) a^(j-k) b^(J-j+k) are
+    integers up to one scale (``F.IntTower``), and they and each N are
+    packed into single ints, so the loop costs one int product and sum
+    per (term, k) at every tower depth; each output coefficient is
+    unpacked and reduced modulo the tower once.  The blowup recursion
+    reads only orders, tangent directions and whether leading
+    coefficients are units, none of which a nonzero rational scale
+    changes, so it keeps q alone.
+
+    Two denser loops are slower here: a Taylor shift of each total-degree
+    row (composed pullback polynomials have sparse rows), and packing the
+    powers of y too, so that one product serves a term's row (every
+    product and sum then costs the whole row).
     """
     tw = p.tower
+    it = F.IntTower(tw)
+    (a,), q = F.int_scale(tw, [c])
+    a, b = qscale(tw, a, q.denominator), q.numerator
+    js = {j for _, j in p.terms}
+    J = max(js, default=0)
+    apow = [it.one]                     # sigma^e a^e
+    for _ in range(J):
+        apow.append(it.mul(apow[-1], a))
+    sb = it.sigma * b
+    pairs = [(j, k) for j in js for k in range(j + 1)
+             if not is_zero(tw, apow[j - k])]
+    weights = [qscale(tw, apow[j - k], comb(j, k) * sb ** (J - j + k))
+               for j, k in pairs]
+    nbits, wbits = (max(map(abs, F.leaves(tw, elems)), default=0)
+                    .bit_length() for elems in (p.terms.values(), weights))
+    # a key gets at most one product per term, and a product adds at most
+    # tw.degree leaf products to each slot, so every leaf of a packed sum
+    # stays below 2^(width - 1) in absolute value
+    width = nbits + wbits + (len(p.terms) * tw.degree).bit_length() + 1
+    rows = {j: [] for j in js}
+    for (j, k), w in zip(pairs, weights):
+        rows[j].append((k, it.pack(w, width)))
     out = {}
-    if is_zero(tw, c):
-        cpow = None
-    else:
-        cpow = [one(tw)]
-        for _ in range(p.deg_y()):
-            cpow.append(mul(tw, cpow[-1], c))
-    for (i, j), coef in p.terms.items():
-        if i + j < m:
+    for (i, j), n in p.terms.items():
+        base = i + j - m
+        if base < 0:
             raise ValueError("division exponent exceeds vanishing order")
-        if cpow is None:
-            key = (i + j - m, j)
-            out[key] = add(tw, out.get(key, zero(tw)), coef)
-            continue
-        for k in range(j, -1, -1):
-            val = coef if k == j else mul(tw, coef, cpow[j - k])
-            if 0 < k < j:
-                val = qscale(tw, val, comb(j, k))
-            key = (i + j - m, k)
-            out[key] = add(tw, out.get(key, zero(tw)), val)
-    return BiPoly(tw, out)
+        n = it.pack(n, width)
+        for k, w in rows[j]:
+            key = (base, k)
+            out[key] = out.get(key, 0) + n * w
+    res, s = _int_poly(tw, {key: it.unpack(v, width)
+                            for key, v in out.items()})
+    return res, 1 / (s * it.sigma * sb ** J)
+
+
+def _chart_a(p, m, c):
+    """p(x, x(y+c)) / x^m for a direction root c in p's tower: the
+    integer core ``_chart_int`` on p scaled to integers, scaled back."""
+    tw = p.tower
+    ip, s = _int_poly(tw, p.terms)
+    q, t = _chart_int(ip, m, c)
+    return BiPoly(tw, {key: qscale(tw, v, t / s)
+                       for key, v in q.terms.items()})
 
 
 def _chart_b(p, m):
-    """p(xy, y) / y^m (the vertical direction)."""
-    tw = p.tower
-    out = {}
-    for (i, j), coef in p.terms.items():
-        if i + j < m:
-            raise ValueError("division exponent exceeds vanishing order")
-        key = (i, i + j - m)
-        out[key] = add(tw, out.get(key, zero(tw)), coef)
-    return BiPoly(tw, out)
+    """p(xy, y) / y^m (the vertical direction); (i, j) -> (i, i + j - m)
+    is one-to-one, so each coefficient moves unchanged."""
+    if any(i + j < m for i, j in p.terms):
+        raise ValueError("division exponent exceeds vanishing order")
+    return BiPoly(p.tower, {(i, i + j - m): coef
+                            for (i, j), coef in p.terms.items()})
 
 
 def germ_mult(g):
@@ -247,7 +284,7 @@ def _blowups(tw, polys, step):
         for d in _finite_directions(tw, tco):
             def go(t, root, ofac):
                 lifted = polys if t == tw else [p.lift_to(t) for p in polys]
-                hs = [p if e is None else _chart_a(p, e, root)
+                hs = [p if e is None else _chart_int(p, e, root)[0]
                       for p, e in zip(lifted, exps)]
                 child_second = markers[1] if is_zero(t, root) else None
                 return rec(t, hs, nid, child_second, (nid, child_second),
@@ -260,6 +297,7 @@ def _blowups(tw, polys, step):
                                orbit, depth + 1))
         return entries
 
+    polys = [_int_poly(tw, p.terms)[0] for p in polys]
     return rec(tw, polys, None, None, (None, None), 1, 0)
 
 
@@ -461,14 +499,14 @@ def _cluster_conditions(k):
     D = 1 + sum(k.weights[n.id] for n in forest.nodes)
     monos = [(i, j) for i in range(D + 1) for j in range(D + 1 - i)]
     index = {m: c for c, m in enumerate(monos)}
-    spoly = {m: {index[m]: Fraction(1)} for m in monos}
+    spoly = {m: {index[m]: 1} for m in monos}
     conditions = []
     directions = {}
 
     def vec_add(target, key, vec, scale):
         dst = target.setdefault(key, {})
         for col, val in vec.items():
-            dst[col] = dst.get(col, Fraction(0)) + val * scale
+            dst[col] = dst.get(col, 0) + val * scale
             if dst[col] == 0:
                 del dst[col]
         if not dst:
@@ -486,7 +524,7 @@ def _cluster_conditions(k):
             spx = forest.by_id[cid].second_proximity
             if spx is not None:
                 if spx == markers[1]:
-                    dirc = Fraction(0)
+                    dirc = 0
                 elif spx == markers[0]:
                     dirc = INF_DIR
                 else:
@@ -496,7 +534,7 @@ def _cluster_conditions(k):
                     raise UnrealizableForest(
                         f"two satellites at the same direction under {nid}")
             else:
-                dirc = Fraction(free_c)
+                dirc = free_c
                 free_c += 1
             taken.add(dirc)
             directions[cid] = dirc
@@ -505,7 +543,7 @@ def _cluster_conditions(k):
                 for (i, j), vec in sp.items():
                     if i + j < nu:
                         continue
-                    vec_add(out, (i, i + j - nu), vec, Fraction(1))
+                    vec_add(out, (i, i + j - nu), vec, 1)
                 walk(out, cid, (markers[0], nid))
             else:
                 c = dirc
@@ -513,11 +551,11 @@ def _cluster_conditions(k):
                     if i + j < nu:
                         continue
                     if c == 0:
-                        vec_add(out, (i + j - nu, j), vec, Fraction(1))
+                        vec_add(out, (i + j - nu, j), vec, 1)
                     else:
                         for kk in range(j + 1):
                             vec_add(out, (i + j - nu, kk), vec,
-                                    Fraction(comb(j, kk)) * c ** (j - kk))
+                                    comb(j, kk) * c ** (j - kk))
                 walk(out, cid, (nid, markers[1] if c == 0 else None))
 
     walk(spoly, roots[0], (None, None))
@@ -525,7 +563,7 @@ def _cluster_conditions(k):
 
 
 def _nullspace(rows, ncols):
-    mat = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
+    mat = [[r.get(c, 0) for c in range(ncols)] for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -537,7 +575,7 @@ def _nullspace(rows, ncols):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
+        inv = Fraction(1) / mat[rank][col]
         mat[rank] = [v * inv for v in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col] != 0:
@@ -570,12 +608,12 @@ def _verify_through(poly, k, directions, root_id):
             if dirc == INF_DIR:
                 hh = _chart_b(h, nu)
             else:
-                hh = _chart_a(h, nu, from_rational(h.tower, dirc))
+                hh, _ = _chart_int(h, nu, dirc)
             if not walk(hh, cid):
                 return False
         return True
 
-    return walk(poly, root_id)
+    return walk(_int_poly(QQ, poly.terms)[0], root_id)
 
 
 _CURVES_CACHE = {}

@@ -323,6 +323,8 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert f"ParseError: cannot write {path}" in res.stderr
         assert "Traceback" not in res.stderr
+        # nothing reaches stdout before the failed write
+        assert res.stdout == ""
 
     def test_level_named_like_an_engine_level(self, runner, tmp_path):
         # the irreducible cubic tangent cone is adjoined one level up

@@ -1,6 +1,7 @@
 """Tower arithmetic, polynomial gcds, resultants and direction splitting."""
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
                       RetryBudgetExceeded, Tower, UniPoly, branched, field,
                       field_arith, poly_gcd, split_directions)
-from enriques.field import (divides, elem_from_json, elem_to_json, exact_div,
-                            from_rational, generator, inv, is_zero, mul, one,
+from enriques.field import (IntTower, add, divides, elem_from_json,
+                            elem_to_json, exact_div, from_rational, generator,
+                            int_scale, inv, is_zero, monic_lex, mul, one,
                             padd, pdivmod, pmul, poly_from_json, poly_to_json,
                             ptrim, qscale, rereduce, resultant_y,
                             tower_from_json, tower_to_json, uni_resultant,
-                            _fresh_var)
+                            zero, _fresh_var, leaves)
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -63,6 +65,14 @@ class TestFieldArith:
         assert len(results) == 1
         bt, val = results[0]
         assert mul(bt, val, from_rational(bt, Fraction(-2))) == one(bt)
+
+    def test_int_inputs_stay_exact(self):
+        # a depth-0 leaf may be an int; 1 / 3 would be a float
+        assert inv(QQ, 3) == Fraction(1, 3)
+        assert type(inv(QQ, 3)) is Fraction
+        p = monic_lex(BiPoly(QQ, {(0, 1): 2, (1, 0): 1}))
+        assert p.terms == {(0, 1): Fraction(1), (1, 0): Fraction(1, 2)}
+        assert all(type(v) is Fraction for v in p.terms.values())
 
     def test_add_sub(self):
         tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
@@ -257,6 +267,57 @@ class TestCoreProperties:
     def test_qscale_is_mul_by_rational(self, tw, data, q):
         a = data.draw(elements(tw))
         assert qscale(tw, a, q) == mul(tw, a, from_rational(tw, q))
+
+
+# moduli with rational, not integer, coefficients, as split_directions
+# adjoins them: r^2 + r/3 - 1/2 and u^2 + (r/2) u - 1/3
+Q_R = QQ.extend("r", (Fraction(-1, 2), Fraction(1, 3), Fraction(1)))
+Q_RU = Q_R.extend("u", ((Fraction(-1, 3),), (Fraction(0), Fraction(1, 2)),
+                        (Fraction(1),)))
+INT_TOWERS = pytest.mark.parametrize(
+    "tw", (QQ, Q_ST, Q_R, Q_RU), ids=["d0", "d2", "d1-rational",
+                                      "d2-rational"])
+
+
+def int_leaves(tw, a):
+    return all(type(v) is int for v in leaves(tw, [a]))
+
+
+class TestIntTower:
+    """Integer-leaf tower arithmetic, exact up to the tower's scale."""
+
+    @INT_TOWERS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_int_scale(self, tw, data):
+        elems = data.draw(st.lists(elements(tw), max_size=4))
+        ints, q = int_scale(tw, elems)
+        assert q > 0
+        assert all(int_leaves(tw, a) for a in ints)
+        assert ints == [qscale(tw, a, q) for a in elems]
+        assert math.gcd(*leaves(tw, ints)) in (0, 1)
+
+    @INT_TOWERS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mul_and_packed_sums(self, tw, data):
+        it = IntTower(tw)
+        pairs = data.draw(st.lists(st.tuples(elements(tw), elements(tw)),
+                                   min_size=1, max_size=4))
+        pairs = [tuple(int_scale(tw, ab)[0]) for ab in pairs]
+        for a, b in pairs:
+            prod = it.mul(a, b)
+            assert int_leaves(tw, prod)
+            assert prod == qscale(tw, mul(tw, a, b), it.sigma)
+        bits = max(map(abs, leaves(tw, [v for ab in pairs for v in ab])),
+                   default=0).bit_length()
+        width = 2 * bits + (len(pairs) * tw.degree).bit_length() + 1
+        packed = sum(it.pack(a, width) * it.pack(b, width) for a, b in pairs)
+        want = functools.reduce(lambda acc, ab: add(tw, acc, mul(tw, *ab)),
+                                pairs, zero(tw))
+        got = it.unpack(packed, width)
+        assert int_leaves(tw, got)
+        assert got == qscale(tw, want, it.sigma)
 
 
 Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,14 @@ from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       mult_cluster, noether_intersection, pullback_cluster,
                       self_intersection, shared_cluster, single_point,
                       strict_transform)
-from enriques import localeng
+from enriques import field, localeng
+from enriques.clusters import cluster_to_json
 from enriques.field import generator, poly_to_json, ptrim, qscale
 from enriques.localeng import _chart_a
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def weight_list(k):
@@ -337,6 +341,12 @@ class TestCurvesThrough:
         assert digest.hexdigest() == ("2785073a25af740c418ed7acbc5e340f"
                                       "25ae86365bfee14bc9c23a20c3c11e1e")
 
+    def test_nullspace_is_exact_on_int_rows(self):
+        # the condition rows are ints; 1 / 3 must not become a float
+        basis = localeng._nullspace([{0: 3, 1: 1}], 2)
+        assert basis == [[Fraction(-1, 3), Fraction(1)]]
+        assert all(type(v) is Fraction for v in basis[0])
+
     def test_shared_component_is_rejected(self, monkeypatch):
         # a shared component is never separated: the recursion hits its
         # cap, and the certificate reads that as an infinite I_0
@@ -382,6 +392,20 @@ class TestPullback:
         f = LocalMap.from_polys(X ** 2, X * Y)
         with pytest.raises(ContractedCurvePresent):
             pullback_cluster(f, single_point(1), 0)
+
+    def test_slow_fuzz_draw(self, monkeypatch):
+        # a map pullback draw of the CLI fuzz test; f*K has 30 points, and
+        # it took 10-15 s (2-vCPU Xeon, Python 3.11.7) when the blowup
+        # recursion ran on Fraction coefficients
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        f = LocalMap.from_polys(X ** 3 * Y, Fraction(1, 2) * Y ** 3 + X)
+        start = time.perf_counter()
+        pb = pullback_cluster(f, chain_cluster([2, 2, 1]), 0)
+        elapsed = time.perf_counter() - start
+        golden = json.loads((GOLDEN / "pullback-x3y-chain221-seed0.json")
+                            .read_text())
+        assert cluster_to_json(pb) == golden
+        assert elapsed < 5.0
 
     def test_submultiplicative_strict(self):
         k = chain_cluster([2, 1])
@@ -455,6 +479,57 @@ class TestChartA:
         lowered = BiPoly(tw, {(i - m, j): v
                               for (i, j), v in composed.terms.items()})
         assert _chart_a(p, m, c) == lowered
+
+
+# moduli with rational coefficients, as split_directions adjoins them:
+# r^2 + r/3 - 1/2 over Q, and u^2 + (r/2) u - 1/3 over Q(r)
+Q_R = QQ.extend("r", (Fraction(-1, 2), Fraction(1, 3), Fraction(1)))
+Q_RU = Q_R.extend("u", ((Fraction(-1, 3),), (Fraction(0), Fraction(1, 2)),
+                        (Fraction(1),)))
+
+
+def tower_elements(tw):
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if not tw.levels:
+        return small
+    sub = tw.sub()
+    return st.lists(tower_elements(sub), max_size=len(tw.top_modulus) - 1
+                    ).map(lambda cs: ptrim(sub, cs))
+
+
+class TestChartInt:
+    """The integer chart core: a primitive integer polynomial that is the
+    substitution up to the rational scale it returns."""
+
+    @pytest.mark.parametrize("tw", [QQ, Q_R, Q_RU], ids=["d0", "d1", "d2"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_primitive_and_exact_up_to_scale(self, tw, data):
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            tower_elements(tw), min_size=1, max_size=6))
+        p = BiPoly(tw, terms)
+        if p.is_zero():
+            return
+        m = data.draw(st.integers(0, p.order()))
+        c = data.draw(tower_elements(tw))
+        ip, s0 = localeng._int_poly(tw, p.terms)
+        q, s = localeng._chart_int(ip, m, c)
+        ints = field.leaves(tw, list(q.terms.values()))
+        assert all(type(v) is int for v in ints)
+        assert math.gcd(*ints) == 1
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        composed = p.compose(x, x * (y + BiPoly.from_elem(tw, c)))
+        lowered = BiPoly(tw, {(i - m, j): v
+                              for (i, j), v in composed.terms.items()})
+        scaled = BiPoly(tw, {k: qscale(tw, v, s / s0)
+                             for k, v in q.terms.items()})
+        assert scaled == lowered
+        chart = _chart_a(p, m, c)
+        assert chart == lowered
+        assert all(type(v) is Fraction
+                   for v in field.leaves(tw, list(chart.terms.values())))
 
 
 def ids_weights_orbits(k):
