@@ -118,7 +118,8 @@ def validate_node_list(nodes):
         if n.second_proximity not in anc:
             out.append(f"IllegalSatellite: {n.id}")
     for n in nodes:
-        if n.parent is not None and n.parent in seen:
+        # a parent orbit below 1 is already a BadOrbit
+        if n.parent in seen and seen[n.parent].orbit >= 1:
             if n.orbit % seen[n.parent].orbit != 0:
                 out.append(f"OrbitNotMultipleOfParent: {n.id}")
     return out

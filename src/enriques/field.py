@@ -646,13 +646,9 @@ class BiPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        tw = self.tower
         out = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = add(tw, out.get(k, zero(tw)), mul(tw, a, b))
-        return BiPoly(tw, out)
+        _mul_into(self.tower, out, self.terms, other.terms)
+        return BiPoly(self.tower, out)
 
     __rmul__ = __mul__
 
@@ -702,20 +698,33 @@ class BiPoly:
         return BiPoly(tw, out)
 
     def compose(self, px, py):
-        """Substitute BiPolys for x and y."""
+        """Substitute BiPolys for x and y.
+
+        The terms of each y-power j are summed first, r_j = sum_i c_ij
+        px^i, so every py^j takes one product, and all of it accumulates
+        into one dict.  No zero or one is seeded with a ``Fraction``, so
+        polynomials with int leaves compose on ints at depth 0."""
         tw = self.tower
-        xpow = {0: BiPoly.const(1, tw)}
-        ypow = {0: BiPoly.const(1, tw)}
-
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
-        acc = BiPoly.zero(tw)
+        if px.tower != tw or py.tower != tw:
+            raise ValueError("tower mismatch")
+        rows = {}
         for (i, j), c in self.terms.items():
-            acc = acc + BiPoly.from_elem(tw, c) * power(xpow, px, i) * power(ypow, py, j)
-        return acc
+            rows.setdefault(j, []).append((i, c))
+        unit = {(0, 0): 1 if not tw.levels else one(tw)}
+        xpow, ypow = [unit], [unit]
+        for pows, base, n in ((xpow, px, self.deg_x()),
+                              (ypow, py, self.deg_y())):
+            for _ in range(n):
+                nxt = {}
+                _mul_into(tw, nxt, pows[-1], base.terms)
+                pows.append(nxt)
+        out = {}
+        for j, row in rows.items():
+            r = {}
+            for i, c in row:
+                _mul_into(tw, r, {(0, 0): c}, xpow[i])
+            _mul_into(tw, out, r, ypow[j])
+        return BiPoly(tw, out)
 
     def lift_to(self, tw_ext):
         return BiPoly(tw_ext, {k: lift(tw_ext, v) for k, v in self.terms.items()})
@@ -745,6 +754,22 @@ class BiPoly:
                 if not is_zero(tower, c):
                     terms[(i, j)] = c
         return cls(tower, terms)
+
+
+def _mul_into(tw, out, a, b):
+    """Add the product of the term dicts ``a`` and ``b`` into ``out``.
+    Sums start from the first product, so int leaves stay ints."""
+    if not tw.levels:
+        for (i1, j1), u in a.items():
+            for (i2, j2), v in b.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + u * v
+        return
+    for (i1, j1), u in a.items():
+        for (i2, j2), v in b.items():
+            k = (i1 + i2, j1 + j2)
+            p = mul(tw, u, v)
+            out[k] = add(tw, out[k], p) if k in out else p
 
 
 # -- (K[x])[y] helpers ------------------------------------------------

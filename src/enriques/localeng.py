@@ -356,12 +356,18 @@ def fixed_part(f):
 
 def base_points(f):
     """The weighted cluster of base points of the pencil of f."""
-    cluster, _ = _base_points_full(f)
-    return cluster
-
-
-def _base_points_full(f):
     contracted, (p1, p2) = fixed_part(f)
+    return _pencil_points(p1, p2, contracted)[0]
+
+
+def _pencil_points(p1, p2, contracted):
+    """(cluster, fmults): the weighted base points of the pencil (p1, p2),
+    with the multiplicity of the contracted curve at each (0 for None).
+
+    p1 and p2 are not made coprime here: ``base_points`` and
+    ``local_degree`` pass the quotients by their gcd, and
+    ``pullback_cluster`` a pair that shares no component through the
+    origin by construction."""
     if p1.order() < 1 or p2.order() < 1:
         return (WeightedMultiCluster([], {}), {})
     polys = (p1, p2) if contracted is None else (p1, p2, contracted.poly)
@@ -381,7 +387,8 @@ def _base_points_full(f):
 
 def local_degree(f):
     """deg_p(f) = sum over base points of orbit * (nu^2 + nu * mult(F))."""
-    cluster, fmults = _base_points_full(f)
+    contracted, (p1, p2) = fixed_part(f)
+    cluster, fmults = _pencil_points(p1, p2, contracted)
     total = 0
     for n in cluster.forest.nodes:
         nu = cluster.weights[n.id]
@@ -694,18 +701,50 @@ def _curves_through(k, seed):
 # ---------------------------------------------------------------------------
 
 def pullback_cluster(f, k, seed=0):
-    """f*(K): base points of (w o f, z o f) for certified curves w, z
-    through K.  Requires a finite germ (empty contracted curve)."""
+    """f*(K): base points of the pencil (w o f, z o f) for certified
+    curves w, z through K.  Requires a finite germ (empty contracted
+    curve).
+
+    ``fixed_part(f)`` is the finiteness check; the composed pair goes to
+    the pencil step without a gcd of its own.  A component C through the
+    origin of both w o f and z o f would map under f either onto a curve
+    germ lying on w = 0 and on z = 0, against I_0(w, z) = K^2 < infinity,
+    or onto the origin, which puts C inside f1 = f2 = 0 against finiteness.
+    A common factor missing the origin is a unit u at every point over
+    the origin: u(0) scales each tangent form and moves no order,
+    direction or unit, as a rational scale does in the recursion, so the
+    entries, ids and D5 splits are those of the reduced pair.  Were a shared component
+    left, the recursion would never separate it and would raise
+    ``BudgetExceeded`` at its cap, not return a wrong cluster.
+    """
     contracted, _ = fixed_part(f)
     if contracted is not None:
         raise ContractedCurvePresent(
             "pullback is only defined for finite map germs")
     if not k.forest.nodes:
         return WeightedMultiCluster([], {})
-    tw = f.f1.tower
-    # w and z are rational; read them over the tower of f
-    w, z = (BiPoly(tw, {m: from_rational(tw, c)
-                        for m, c in g.poly.terms.items()})
-            for g in curves_through(k, seed))
-    return base_points(LocalMap.from_polys(w.compose(f.f1.poly, f.f2.poly),
-                                           z.compose(f.f1.poly, f.f2.poly)))
+    f1, f2 = (_int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
+    w, z = (_compose_int(g.poly, f1, f2) for g in curves_through(k, seed))
+    return _pencil_points(w, z, None)[0]
+
+
+def _compose_int(w, f1, f2):
+    """w(f1, f2) times a positive rational, with int leaves, for rational
+    w and the map components as ``_int_poly`` pairs (F_i, n_i / d_i).
+
+    With w scaled to int coefficients c_ij, A = deg_x w and B = deg_y w,
+    n1^A n2^B w(f1, f2) is the sum of c_ij d1^i n1^(A-i) d2^j n2^(B-j)
+    F1^i F2^j, whose coefficients are integers; the blowup recursion
+    ignores the positive scale."""
+    (p1, s1), (p2, s2) = f1, f2
+    tw = p1.tower
+    # w is rational; read it over the tower of f
+    c, _ = _int_poly(tw, {m: from_rational(tw, v)
+                          for m, v in w.terms.items()})
+    a, b = c.deg_x(), c.deg_y()
+    n1, d1, n2, d2 = (s1.numerator, s1.denominator,
+                      s2.numerator, s2.denominator)
+    c = BiPoly(tw, {(i, j): qscale(tw, v, d1 ** i * n1 ** (a - i)
+                                   * d2 ** j * n2 ** (b - j))
+                    for (i, j), v in c.terms.items()})
+    return c.compose(p1, p2)

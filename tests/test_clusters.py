@@ -63,6 +63,11 @@ class TestValidate:
         nodes = [Node("a", "b"), Node("b", "a")]
         assert any(v.startswith("ParentCycle") for v in validate_forest(nodes))
 
+    def test_zero_orbit_parent(self):
+        # reported once, not a ZeroDivisionError in the divisibility check
+        nodes = [Node("p", orbit=0), Node("q", "p")]
+        assert validate_forest(nodes) == ["BadOrbit: p"]
+
 
 class TestExcesses:
     def test_single_point(self):

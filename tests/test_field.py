@@ -489,3 +489,46 @@ class TestGcdCertificate:
 
 def _no_content(tw, f):
     raise AssertionError("a content gcd ran")
+
+
+def sympy_expr(u):
+    """``u`` as a sympy expression in x and y."""
+    if u.tower.levels:
+        return sympy_poly(u).as_expr()
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * SYM_X ** i * SYM_Y ** j
+                       for (i, j), c in u.terms.items()))
+
+
+class TestCompose:
+    """BiPoly.compose, the reference of TestChartA and the route of the
+    pullback's composition, against sympy's substitution."""
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "sqrt2"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_sympy(self, tw, data):
+        p = data.draw(tower_bipolys(tw, 3))
+        px = data.draw(tower_bipolys(tw, 2))
+        py = data.draw(tower_bipolys(tw, 2))
+        want = sympy_expr(p).subs({SYM_X: sympy_expr(px),
+                                   SYM_Y: sympy_expr(py)}, simultaneous=True)
+        assert sympy.expand(sympy_expr(p.compose(px, py)) - want) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_int_leaves_stay_ints(self, data):
+        monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        p, px, py = (BiPoly(QQ, data.draw(st.dictionaries(
+            monos, st.integers(-9, 9), max_size=5))) for _ in range(3))
+        got = p.compose(px, py)
+        assert all(type(v) is int for v in got.terms.values())
+
+        def frac(u):
+            return BiPoly(QQ, {k: Fraction(v) for k, v in u.terms.items()})
+
+        assert got == frac(p).compose(frac(px), frac(py))
+
+    def test_tower_mismatch(self):
+        with pytest.raises(ValueError, match="tower mismatch"):
+            X.compose(X, BiPoly.variable("y", Q_S))

@@ -23,7 +23,8 @@ from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       strict_transform)
 from enriques import field, localeng
 from enriques.clusters import cluster_to_json
-from enriques.field import generator, poly_to_json, ptrim, qscale
+from enriques.field import (from_rational, generator, poly_to_json, ptrim,
+                            qscale)
 from enriques.localeng import _chart_a
 
 X = BiPoly.variable("x")
@@ -407,6 +408,45 @@ class TestPullback:
         assert cluster_to_json(pb) == golden
         assert elapsed < 5.0
 
+    def test_one_gcd_on_the_map(self, monkeypatch):
+        # fixed_part(f) is the only gcd; the composed pair has none
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        calls = []
+        gcd = field.poly_gcd
+
+        def counted(p, q):
+            calls.append((p, q))
+            return gcd(p, q)
+
+        monkeypatch.setattr(field, "poly_gcd", counted)
+        f = LocalMap.from_polys(X ** 3 * Y, Fraction(1, 2) * Y ** 3 + X)
+        pullback_cluster(f, chain_cluster([2, 1]), 0)
+        assert calls == [(f.f1.poly, f.f2.poly)]
+
+    @pytest.mark.parametrize("tower", ["QQ", "sqrt2"])
+    def test_pencil_ignores_unit_factor(self, tower):
+        # fixed_part would divide out u; the pencil step does not need it
+        tw = QQ if tower == "QQ" else Q_S
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        if tower == "QQ":
+            # the tangent cone y^2 - 2x^2 is one conjugate pair, orbit 2
+            p1 = y ** 2 - 2 * x ** 2 + x ** 3
+            p2 = y ** 2 - 2 * x ** 2 + y ** 3 + x ** 4
+            want = (["q001", "q002"], [2, 1], [1, 2])
+        else:
+            # the pair of TestModulusSplitInsideRecursion: a D5 split
+            s = BiPoly.from_elem(tw, generator(tw))
+            b = y ** 2 - 2 * x ** 2
+            p1, p2 = b + (y - s * x) ** 3, b + x ** 4
+            want = (["q001", "q003", "q005", "q004"], [2, 1, 1, 1],
+                    [1, 1, 1, 1])
+        u = 1 + x - 2 * y
+        assert field.poly_gcd(u * p1, u * p2) == field.monic_lex(u)
+        plain, _ = localeng._pencil_points(p1, p2, None)
+        scaled, _ = localeng._pencil_points(u * p1, u * p2, None)
+        assert ids_weights_orbits(plain) == want
+        assert cluster_to_json(scaled) == cluster_to_json(plain)
+
     def test_submultiplicative_strict(self):
         k = chain_cluster([2, 1])
         f = monomial_map(2, 3)
@@ -414,6 +454,50 @@ class TestPullback:
         deg = local_degree(f)
         assert self_intersection(pb) == deg * self_intersection(k)
         assert pb.size() < deg * k.size()
+
+
+def fraction_compose(w, f1, f2):
+    """w(f1, f2) term by term on Fractions: sums of products of powers."""
+    tw = f1.tower
+    acc = BiPoly.zero(tw)
+    for (i, j), c in w.terms.items():
+        c = BiPoly.from_elem(tw, from_rational(tw, c))
+        acc = acc + c * f1 ** i * f2 ** j
+    return acc
+
+
+class TestComposeInt:
+    """The pullback's integer composition is the Fraction composition up
+    to a positive rational scale."""
+
+    @pytest.mark.parametrize("tower", ["QQ", "sqrt2"])
+    def test_matches_fraction_compose(self, tower):
+        tw = QQ if tower == "QQ" else Q_S
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        if tower == "QQ":
+            f1, f2 = x ** 3 * y, Fraction(1, 2) * y ** 3 + x
+        else:
+            s = BiPoly.from_elem(tw, generator(tw))
+            f1 = (Fraction(1, 2) * y ** 3 + (Fraction(1, 2) - 2 * s) * x
+                  - 2 * x ** 2 * y ** 3)
+            f2 = (s - 2) * x ** 3 * y ** 2
+        ws = list(g.poly for g in curves_through(chain_cluster([2, 1]), 0))
+        ws.append(Fraction(1, 3) * X ** 2 - Fraction(5, 2) * Y
+                  + Fraction(7, 4) * X * Y + Fraction(1, 6) * Y ** 3)
+        forms = [localeng._int_poly(tw, g.terms) for g in (f1, f2)]
+        for w in ws:
+            got = localeng._compose_int(w, *forms)
+            want = fraction_compose(w, f1, f2)
+            ints = field.leaves(tw, list(got.terms.values()))
+            if not tw.levels:
+                assert all(type(v) is int for v in ints)
+            assert all(v == int(v) for v in ints)
+            key = next(iter(want.terms))
+            lam = (field.leaves(tw, [want.terms[key]])[0]
+                   / field.leaves(tw, [got.terms[key]])[0])
+            assert lam > 0
+            assert want == BiPoly(tw, {k: qscale(tw, v, lam)
+                                       for k, v in got.terms.items()})
 
 
 @st.composite
