@@ -36,7 +36,7 @@ from math import comb
 
 from . import field as F
 from .clusters import (Node, WeightedMultiCluster, cluster_to_json,
-                       self_intersection)
+                       self_intersection, virtual_codimension)
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, NonReducedGerm, RetryBudgetExceeded,
                      UnrealizableForest)
@@ -247,14 +247,15 @@ def _run_direction(tw, d, fn):
     return out
 
 
-def _blowups(tw, polys, step):
+def _blowups(tw, polys, step, cap=MAX_DEPTH):
     """Entries (id, parent, second, orbit and step's fields) of every
     point that ``step`` records, ancestor-first along each branch.
 
     Invariants the entry points rely on:
 
-    * the depth cap is checked before ``step``, so a germ needing more
-      than MAX_DEPTH blowups raises even when its last point would stop;
+    * the depth cap ``cap`` is checked before ``step``, so a germ needing
+      more than ``cap`` blowups raises even when its last point would
+      stop;
     * ids are drawn after ``step`` accepts a point and before its tangent
       cone is split, so a branch aborted by a modulus split consumes ids
       and the redone branches draw fresh ones;
@@ -268,9 +269,8 @@ def _blowups(tw, polys, step):
     ids = itertools.count(1)
 
     def rec(tw, polys, parent, second, markers, orbit, depth):
-        if depth > MAX_DEPTH:
-            raise BudgetExceeded(f"blowup recursion exceeded {MAX_DEPTH} "
-                                 "blowups")
+        if depth > cap:
+            raise BudgetExceeded(f"blowup recursion exceeded {cap} blowups")
         node = step(polys)
         if node is None:
             return []
@@ -475,23 +475,29 @@ def shared_cluster(a, b):
             _entries_to_cluster(entries, "mb"))
 
 
-def _shared_points(p, q):
+def _shared_points(p, q, cap=MAX_DEPTH):
     """``_blowups`` entries of the points p and q share, weighted "ma" and
     "mb" by their multiplicities.  A component through the origin that p
-    and q share is never separated, so then ``BudgetExceeded`` is raised."""
+    and q share is never separated, so then ``BudgetExceeded`` is raised
+    past ``cap`` blowups.
+
+    A point with a multiplicity 0 has no children, so the d ancestors of
+    a point at depth d all have both multiplicities >= 1, and the Noether
+    sum over the entries is already >= d: a caller that rejects any sum
+    above n loses no verdict with ``cap = n``."""
 
     def step(polys):
         m1, m2 = polys[0].order(), polys[1].order()
         return {"ma": m1, "mb": m2}, (m1, m2), 2
 
-    return _blowups(p.tower, (p, q), step)
+    return _blowups(p.tower, (p, q), step, cap)
 
 
 # ---------------------------------------------------------------------------
 # Curves through a cluster
 # ---------------------------------------------------------------------------
 
-def _cluster_conditions(k):
+def _cluster_conditions(k, D):
     """Linear conditions on a general degree-D polynomial for passing
     through the cluster, plus the direction assigned to each node."""
     forest = k.forest
@@ -503,7 +509,6 @@ def _cluster_conditions(k):
             raise HypothesisViolated("curves_through needs orbit-1 clusters")
         if k.weights[n.id] < 1:
             raise HypothesisViolated("curves_through needs weights >= 1")
-    D = 1 + sum(k.weights[n.id] for n in forest.nodes)
     monos = [(i, j) for i in range(D + 1) for j in range(D + 1 - i)]
     index = {m: c for c, m in enumerate(monos)}
     spoly = {m: {index[m]: 1} for m in monos}
@@ -566,7 +571,7 @@ def _cluster_conditions(k):
                 walk(out, cid, (nid, markers[1] if c == 0 else None))
 
     walk(spoly, roots[0], (None, None))
-    return D, monos, conditions, directions, roots[0]
+    return monos, conditions, directions, roots[0]
 
 
 def _nullspace(rows, ncols):
@@ -637,9 +642,21 @@ def curves_through(k, seed):
     (``_shared_points``); the points of K alone give K^2, so the sum is
     K^2 exactly when w and z share no further point.  A shared component
     through the origin makes I_0 infinite: the recursion never separates
-    it and stops at its blowup cap, and that is a rejection.  The cap
-    would also reject a pair whose only shared points are those of a
-    cluster deeper than MAX_DEPTH.
+    it and stops at its cap of min(MAX_DEPTH, K^2) blowups, and that is
+    a rejection.  The cap loses no verdict: a point at depth d has d
+    shared ancestors, so reaching depth K^2 + 1 already means I_0 > K^2.
+
+    The curves are drawn at the least degree that can certify and then
+    one degree higher at a time, up to D_top = 1 + sum nu
+    (``_curves_at_degree``, each degree seeded afresh).  The least degree
+    is the larger of two bounds: the least D with (D+1)(D+2)/2 >= c(K) + 2,
+    where the c(K) conditions (``virtual_codimension``) leave a pencil if
+    they are independent; and nu_O + nu_q for every point q on the root
+    O.  Below the latter, the line through O in q's direction meets every
+    curve of the system in nu_O + nu_q > D points, so by Bezout it is a
+    component of all of them and I_0 is infinite.  The draw at D_top is
+    the one of a fixed D_top, so every cluster that certifies there
+    still does, with the same errors when none does.
     """
     key = (json.dumps(cluster_to_json(k), sort_keys=True), seed)
     if key in _CURVES_CACHE:
@@ -651,14 +668,46 @@ def curves_through(k, seed):
     return result
 
 
+def _top_degree(k):
+    return 1 + sum(k.weights[n.id] for n in k.forest.nodes)
+
+
+def _least_degree(k):
+    """The foot of the degree ladder of ``curves_through``."""
+    c = virtual_codimension(k)
+    D = 0
+    while (D + 1) * (D + 2) < 2 * (c + 2):
+        D += 1
+    for r in k.forest.roots():
+        for q in k.forest.children[r]:
+            D = max(D, k.weights[r] + k.weights[q])
+    return D
+
+
 def _curves_through(k, seed):
-    D, monos, conditions, directions, root_id = _cluster_conditions(k)
+    top = _top_degree(k)
+    for D in range(_least_degree(k), top):
+        try:
+            return _curves_at_degree(k, seed, D)
+        except RetryBudgetExceeded:
+            pass
+    return _curves_at_degree(k, seed, top)
+
+
+def _curves_at_degree(k, seed, D):
+    """A certified pair drawn from the degree-D curves through K with a
+    fresh ``random.Random(seed)``, else ``RetryBudgetExceeded``.  Below
+    ``_top_degree(k)`` the first sample whose Noether run hits its cap
+    ends the degree: the system most likely has a fixed component, and
+    every further sample would pay for the cap again."""
+    monos, conditions, directions, root_id = _cluster_conditions(k, D)
     basis = _nullspace(conditions, len(monos))
     if len(basis) < 2:
         raise RetryBudgetExceeded(
             "linear system through the cluster has too few solutions")
     rng = random.Random(seed)
     k2 = self_intersection(k)
+    cap = min(MAX_DEPTH, k2)
 
     def sample():
         coeffs = [Fraction(rng.randint(-10, 10)) for _ in basis]
@@ -685,13 +734,15 @@ def _curves_through(k, seed):
             continue
         try:
             inter = sum(e["orbit"] * e["ma"] * e["mb"]
-                        for e in _shared_points(w, z))
+                        for e in _shared_points(w, z, cap))
         except BudgetExceeded:
             inter = math.inf
         if inter == k2:
             return Germ(w), Germ(z)
         last = (f"intersection {inter} != K^2 = {k2}; "
                 "members share an extra point")
+        if inter == math.inf and D < _top_degree(k):
+            break
     raise RetryBudgetExceeded(
         "no certified pair of curves through the cluster", certificate=last)
 

@@ -5,8 +5,11 @@ compares its stdout with ``tests/data/golden/<name>.txt``.  The germ and
 map examples also run on inputs over Q(s), s^2 = 2, so the tower
 arithmetic is pinned as well, and ``sweep klein-bound --kmax 12`` pins
 the Klein recursion beyond the range the cluster cross-check builds.
+Cases named in ``BOUNDS`` must also finish within their time bound.
 """
 
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -38,14 +41,27 @@ CASES = {
     "map-pullback": ["map", "pullback", _d("map.json"), _d("cluster.json")],
     "map-bp-tower": ["map", "bp", _d("map_tower.json")],
     "map-degree-tower": ["map", "degree", _d("map_tower.json")],
+    "map-pullback-tower-seed3": ["map", "pullback",
+                                 _d("map_tower_pullback.json"),
+                                 _d("cluster_two_on_root.json"),
+                                 "--seed", "3"],
     "config-kummer-2": ["config", "kummer", _d("config.json"), "--k", "2"],
     "config-verify-pullback-2": ["config", "verify-pullback",
                                  _d("config.json"), "--k", "2"],
 }
 
 
+# seconds; a map pullback over Q(s) whose curves through K were drawn
+# at degree 1 + sum of the weights took 57-65 s (2-vCPU Xeon, Python
+# 3.11.7), nearly all of it in the chart loop on w o f and z o f
+BOUNDS = {"map-pullback-tower-seed3": 15.0}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
+    start = time.perf_counter()
     res = CliRunner().invoke(main, CASES[name], catch_exceptions=False)
+    elapsed = time.perf_counter() - start
     assert res.exit_code == 0, res.stderr
     assert res.stdout == (GOLDEN / f"{name}.txt").read_text()
+    assert elapsed < BOUNDS.get(name, math.inf)

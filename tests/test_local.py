@@ -41,6 +41,23 @@ def satellite_count(k):
     return sum(1 for n in k.forest.nodes if n.second_proximity is not None)
 
 
+# the 18 clusters of the pullback grid: weights and satellites
+GRID = [([1], None), ([2], None), ([3], None),
+        ([1, 1], None), ([2, 1], None), ([2, 2], None),
+        ([3, 1], None), ([3, 2], None), ([3, 3], None),
+        ([1, 1, 1], None), ([2, 1, 1], None), ([2, 2, 2], None),
+        ([3, 2, 1], None), ([3, 3, 3], None), ([3, 2, 2], None),
+        ([2, 1, 1], {2: 0}), ([3, 2, 1], {2: 0}), ([3, 1, 1], {2: 0})]
+
+# the clusters whose drawn pairs are pinned: the grid and two deeper chains
+PINNED = GRID + [([5, 4, 3, 2, 1], None), ([3, 3, 1], None)]
+
+
+def grid_cluster(weights, sats):
+    return (single_point(weights[0]) if len(weights) == 1
+            else chain_cluster(weights, satellites=sats))
+
+
 class TestGermMult:
     def test_cusp(self):
         assert germ_mult(Germ(X ** 2 + Y ** 3)) == 2
@@ -316,29 +333,33 @@ class TestCurvesThrough:
 
     def test_drawn_pairs_are_pinned(self, monkeypatch):
         # the pairs drawn for the 18 clusters of the pullback grid and two
-        # deeper chains at seeds 0-7, hashed in that order; recorded while
-        # a resultant certified I_0 = K^2, so both certificates accept
-        # the same samples
-        grid = [([1], None), ([2], None), ([3], None),
-                ([1, 1], None), ([2, 1], None), ([2, 2], None),
-                ([3, 1], None), ([3, 2], None), ([3, 3], None),
-                ([1, 1, 1], None), ([2, 1, 1], None), ([2, 2, 2], None),
-                ([3, 2, 1], None), ([3, 3, 3], None), ([3, 2, 2], None),
-                ([2, 1, 1], {2: 0}), ([3, 2, 1], {2: 0}),
-                ([3, 1, 1], {2: 0}), ([5, 4, 3, 2, 1], None),
-                ([3, 3, 1], None)]
+        # deeper chains at seeds 0-7, hashed in that order; the resultant
+        # confirms the Noether certificate I_0 = K^2 at seed 0
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
         digest = hashlib.sha256()
-        for weights, sats in grid:
-            k = (single_point(weights[0]) if len(weights) == 1
-                 else chain_cluster(weights, satellites=sats))
+        for weights, sats in PINNED:
+            k = grid_cluster(weights, sats)
             for seed in range(8):
                 w, z = curves_through(k, seed)
                 digest.update(json.dumps([poly_to_json(w.poly),
                                           poly_to_json(z.poly)]).encode())
-                if seed == 0 and weights in ([2, 2], [3, 3, 1]):
+                if seed == 0:
                     assert (intersection_multiplicity(w, z)
                             == self_intersection(k))
+        assert digest.hexdigest() == ("84fe7d09803a98d01c3848c643885b65"
+                                      "28a35a73815e94102711701e2036c69f")
+
+    def test_top_degree_draws_are_unchanged(self):
+        # the pairs drawn at D_top = 1 + sum of the weights are the ones
+        # curves_through returned when it drew at D_top only
+        digest = hashlib.sha256()
+        for weights, sats in PINNED:
+            k = grid_cluster(weights, sats)
+            for seed in range(8):
+                w, z = localeng._curves_at_degree(k, seed,
+                                                  localeng._top_degree(k))
+                digest.update(json.dumps([poly_to_json(w.poly),
+                                          poly_to_json(z.poly)]).encode())
         assert digest.hexdigest() == ("2785073a25af740c418ed7acbc5e340f"
                                       "25ae86365bfee14bc9c23a20c3c11e1e")
 
@@ -355,7 +376,7 @@ class TestCurvesThrough:
         with pytest.raises(BudgetExceeded):
             localeng._shared_points(c * (Y - 2 * X), c * (Y + X))
 
-        def capped(p, q):
+        def capped(p, q, cap):
             raise BudgetExceeded("blowup recursion exceeded 64 blowups")
 
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
@@ -363,6 +384,75 @@ class TestCurvesThrough:
         with pytest.raises(RetryBudgetExceeded) as exc:
             curves_through(single_point(2), 0)
         assert exc.value.certificate.startswith("intersection inf != K^2 = 4")
+
+    def test_shared_component_stops_at_k2(self, monkeypatch):
+        # every curve of the system contains the line x = 0; the Noether
+        # run of each pair stops once its depth exceeds K^2 = 4, so it
+        # records K^2 + 1 points on that line, where both multiplicities
+        # are >= 1
+        conditions = localeng._cluster_conditions
+
+        def through_line(k, D):
+            monos, rows, directions, root = conditions(k, D)
+            rows = rows + [{c: 1} for c, (i, _) in enumerate(monos) if i == 0]
+            return monos, rows, directions, root
+
+        blowups = localeng._blowups
+        levels = []
+
+        def counted(tw, polys, step, cap=localeng.MAX_DEPTH):
+            levels.append(0)
+
+            def wrapped(ps):
+                node = step(ps)
+                if node is not None and min(node[1]) >= 1:
+                    levels[-1] += 1
+                return node
+
+            return blowups(tw, polys, wrapped, cap)
+
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        monkeypatch.setattr(localeng, "_cluster_conditions", through_line)
+        monkeypatch.setattr(localeng, "_blowups", counted)
+        with pytest.raises(RetryBudgetExceeded) as exc:
+            curves_through(single_point(2), 0)
+        assert exc.value.certificate.startswith("intersection inf != K^2 = 4")
+        assert levels and max(levels) == 5
+
+    def test_least_degree_pair(self):
+        # every grid cluster certifies at its least degree, below D_top
+        for weights, sats in GRID:
+            k = grid_cluster(weights, sats)
+            w, z = localeng._curves_through(k, 0)
+            degree = max(w.poly.total_degree(), z.poly.total_degree())
+            assert degree == localeng._least_degree(k)
+            assert degree < localeng._top_degree(k)
+
+    def test_root_line_bound(self):
+        # one degree below nu_O + nu_q, every curve through K contains the
+        # line through O in q's direction
+        seen = 0
+        for weights, sats in GRID:
+            k = grid_cluster(weights, sats)
+            root = k.forest.roots()[0]
+            for q in k.forest.children[root]:
+                D = k.weights[root] + k.weights[q] - 1
+                monos, rows, directions, _ = localeng._cluster_conditions(k, D)
+                for v in localeng._nullspace(rows, len(monos)):
+                    p = BiPoly(QQ, {m: c for m, c in zip(monos, v) if c})
+                    assert p.compose(X, directions[q] * X).is_zero()
+                    seen += 1
+        assert seen > 0
+
+
+def pullback_at_top(monkeypatch, f, k):
+    """f*(K) from the pair drawn at D_top = 1 + sum of the weights."""
+    monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+    with monkeypatch.context() as m:
+        m.setattr(localeng, "_curves_through", lambda k, seed:
+                  localeng._curves_at_degree(k, seed,
+                                             localeng._top_degree(k)))
+        return pullback_cluster(f, k, 0)
 
 
 class TestPullback:
@@ -407,6 +497,40 @@ class TestPullback:
                             .read_text())
         assert cluster_to_json(pb) == golden
         assert elapsed < 5.0
+
+    def test_slow_chain_222(self, monkeypatch):
+        # f*K has 30 points; it took 49-54 s (2-vCPU Xeon, Python 3.11.7)
+        # with w and z drawn at degree 7, the top of the degree ladder
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        f = LocalMap.from_polys(3 * X ** 3 * Y,
+                                Y ** 3 + 3 * X + Fraction(1, 2) * X * Y)
+        start = time.perf_counter()
+        pb = pullback_cluster(f, chain_cluster([2, 2, 2]), 1)
+        elapsed = time.perf_counter() - start
+        golden = json.loads((GOLDEN / "pullback-3x3y-chain222-seed1.json")
+                            .read_text())
+        assert cluster_to_json(pb) == golden
+        assert elapsed < 15.0
+
+    def test_pullback_does_not_depend_on_the_pair(self, monkeypatch):
+        # the pair drawn at the least degree and the one drawn at D_top
+        # give the same f*(K); the x^3 y map skips the four free
+        # three-point chains of weight sum >= 6, where its pullback from
+        # the D_top pair takes 2-10 s
+        x3y = LocalMap.from_polys(X ** 3 * Y, Fraction(1, 2) * Y ** 3 + X)
+        maps = [monomial_map(a, b) for a in range(1, 4) for b in range(a, 4)]
+        heavy = ([2, 2, 2], [3, 2, 1], [3, 3, 3], [3, 2, 2])
+        cases = 0
+        for weights, sats in GRID:
+            k = grid_cluster(weights, sats)
+            fs = maps + ([x3y] if sats or weights not in heavy else [])
+            for f in fs:
+                monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+                least = cluster_to_json(pullback_cluster(f, k, 0))
+                top = pullback_at_top(monkeypatch, f, k)
+                assert cluster_to_json(top) == least
+                cases += 1
+        assert cases == 18 * 6 + 14
 
     def test_one_gcd_on_the_map(self, monkeypatch):
         # fixed_part(f) is the only gcd; the composed pair has none
