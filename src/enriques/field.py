@@ -2,9 +2,9 @@
 
 Scalars live in towers of simple algebraic extensions of the rationals.
 An element of a tower with n levels is represented recursively: a
-``Fraction`` at depth 0, and at depth n a trimmed tuple of depth-(n-1)
-elements (the coefficients in the top variable, reduced modulo the top
-modulus; the empty tuple is zero).
+rational (an int or a ``Fraction``) at depth 0, and at depth n a trimmed
+tuple of depth-(n-1) elements (the coefficients in the top variable,
+reduced modulo the top modulus; the empty tuple is zero).
 
 Moduli are adjoined optimistically (dynamic evaluation): whenever an
 inversion discovers a zero divisor, a :class:`~enriques.errors.ModulusSplit`
@@ -15,6 +15,7 @@ non-trivial tower.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,12 +36,14 @@ class Tower:
 
     ``levels`` is a tuple of ``(var, modulus)`` pairs; each modulus is a
     monic squarefree dense coefficient tuple over the tower below it, of
-    degree >= 2.  The empty tower is QQ itself.
+    degree >= 2, with its integral leaves stored as ints.  The empty tower
+    is QQ itself.
 
     :meth:`extend` rejects a modulus that is untrimmed, of degree below 2
     or not monic, and every level is built through it (``split_tower``
-    only ever builds monic factors).  Arithmetic relies on this: reducing
-    modulo a tower modulus never inverts its leading coefficient.
+    only ever builds monic factors).  ``reduce_mod``, the reduction behind
+    every tower product, relies on this: it never inverts the leading
+    coefficient of a modulus.
     """
 
     levels: tuple = ()
@@ -50,7 +53,28 @@ class Tower:
         return len(self.levels)
 
     def sub(self):
-        return Tower(self.levels[:-1])
+        """The tower below the top level; requires at least one level."""
+        return self._reduction[0]
+
+    @functools.cached_property
+    def _reduction(self):
+        """``(sub, n, low)`` for ``reduce_mod``: the tower below, the degree
+        n of the top modulus and the pairs ``(i, -m_i)`` over its nonzero
+        coefficients below the top."""
+        s = Tower(self.levels[:-1])
+        m = self.top_modulus
+        low = tuple((i, neg(s, c)) for i, c in enumerate(m[:-1])
+                    if not is_zero(s, c))
+        return s, len(m) - 1, low
+
+    @functools.cached_property
+    def slots(self):
+        """The slots ``pack`` gives an element: the product of 2 deg M - 1
+        over the levels, the exponent ranges of a product of two reduced
+        elements."""
+        if not self.levels:
+            return 1
+        return self.sub().slots * (2 * len(self.top_modulus) - 3)
 
     @property
     def top_var(self):
@@ -69,7 +93,7 @@ class Tower:
             raise ValueError(f"modulus for {var!r} has degree below 2")
         if modulus[-1] != one(self):
             raise ValueError(f"modulus for {var!r} is not monic")
-        return Tower(self.levels + ((var, modulus),))
+        return Tower(self.levels + ((var, _int_leaves(self, modulus)),))
 
     @property
     def degree(self):
@@ -83,19 +107,24 @@ QQ = Tower()
 
 
 def is_zero(tw, a):
-    if not tw.levels:
-        return a == 0
-    return a == ()
+    return a == 0 if not tw.levels else a == ()
 
 
 def zero(tw):
-    return Fraction(0) if not tw.levels else ()
+    return 0 if not tw.levels else ()
 
 
 def one(tw):
+    return 1 if not tw.levels else (one(tw.sub()),)
+
+
+def _int_leaves(tw, f):
+    """The polynomial ``f`` over ``tw`` with its integral leaves as ints:
+    equal in value and hash, and cheaper to multiply and hash."""
     if not tw.levels:
-        return Fraction(1)
-    return (one(tw.sub()),)
+        return tuple(c.numerator if c.denominator == 1 else c for c in f)
+    s = tw.sub()
+    return tuple(_int_leaves(s, c) for c in f)
 
 
 def from_rational(tw, q):
@@ -129,7 +158,7 @@ def lift(tw, a):
 def generator(tw):
     """The class of the top variable of a non-trivial tower."""
     s = tw.sub()
-    return pmod(s, (zero(s), one(s)), tw.top_modulus)
+    return reduce_mod(tw, (zero(s), one(s)))
 
 
 def add(tw, a, b):
@@ -151,8 +180,23 @@ def sub(tw, a, b):
 def mul(tw, a, b):
     if not tw.levels:
         return a * b
-    s = tw.sub()
-    return pmod(s, pmul(s, a, b), tw.top_modulus)
+    return reduce_mod(tw, pmul(tw.sub(), a, b))
+
+
+def reduce_mod(tw, cs):
+    """The class of sum cs[e] t^e modulo the monic top modulus of ``tw``,
+    for any number of coefficients over the tower below: reduced and
+    trimmed.  Multiples of the modulus are added from the top coefficient
+    down, with no quotient and no inversion."""
+    s, n, low = tw._reduction
+    cs = list(cs)
+    for k in range(len(cs) - 1, n - 1, -1):
+        c = cs[k]
+        if not c:
+            continue
+        for i, m in low:
+            cs[k - n + i] = add(s, cs[k - n + i], mul(s, c, m))
+    return ptrim(s, cs[:n])
 
 
 def inv(tw, a):
@@ -161,22 +205,20 @@ def inv(tw, a):
             raise DivisionByZero("inverse of zero")
         return Fraction(1) / a
     s = tw.sub()
-    a = pmod(s, a, tw.top_modulus)
+    a = reduce_mod(tw, a)
     if not a:
         raise DivisionByZero("inverse of zero")
     g, u = _xgcd_against(s, a, tw.top_modulus)
     if pdeg(g) == 0:
         c = inv(s, g[0])
-        return pmod(s, pscale(s, u, c), tw.top_modulus)
+        return reduce_mod(tw, pscale(s, u, c))
     # g is a proper monic factor of the modulus (deg a < deg modulus)
     raise ModulusSplit(tw.top_var, g)
 
 
 def rereduce(tw_new, a):
     """Re-reduce an element after the top modulus shrank (tower split)."""
-    if not tw_new.levels:
-        return a
-    return pmod(tw_new.sub(), a, tw_new.top_modulus)
+    return reduce_mod(tw_new, a) if tw_new.levels else a
 
 
 def split_tower(tw, factor):
@@ -184,8 +226,8 @@ def split_tower(tw, factor):
     s = tw.sub()
     var = tw.top_var
     cofactor = pdiv_exact(s, tw.top_modulus, factor)
-    return (Tower(s.levels + ((var, factor),)),
-            Tower(s.levels + ((var, cofactor),)))
+    return tuple(Tower(s.levels + ((var, _int_leaves(s, m)),))
+                 for m in (factor, cofactor))
 
 
 def branched(tower, var, fn):
@@ -204,7 +246,7 @@ def branched(tower, var, fn):
 
 
 # ---------------------------------------------------------------------------
-# Integer leaves: elements scaled by one rational, and arithmetic on them
+# Integer leaves: elements scaled by one rational, and Kronecker packing
 # ---------------------------------------------------------------------------
 
 def leaves(tw, elems):
@@ -239,100 +281,41 @@ def int_scale(tw, elems):
     return _scale_leaves(tw, elems, den, num), Fraction(den, num)
 
 
-class IntTower:
-    """Arithmetic on elements of a tower with integer leaves, exact up to
-    one positive integer ``sigma`` fixed by the tower.
-
-    Each level's modulus M is scaled to integer leaves, mu M, and divides
-    by pseudo-division in exactly 2 deg M - 2 steps; so leaves stay
-    integers and every reduced result carries the same factor.  ``mul``
-    returns sigma a b and ``unpack`` sigma times the class of what it
-    reads.  At depth 0 sigma is 1 and both are exact.
-
-    ``pack`` is Kronecker substitution: the leaf of s_1^e_1 ... s_n^e_n
-    (levels bottom-up) goes to bit width * sum(e_i r_i), where r_i is the
-    product of 2 deg M_j - 1 over the levels j below i, the exponent
-    ranges of a product of two reduced elements.  So sums of products of
-    packed ints are the packed unreduced sums of products, while every
-    leaf of the result is below 2^(width - 1) in absolute value, and
-    ``unpack`` reads them back leaf by leaf.  At depth 0 packing is the
-    identity.
+def pack(tw, a, width):
+    """Kronecker substitution of an element with int leaves: the leaf of
+    s_1^e_1 ... s_n^e_n (levels bottom-up) goes to bit width * sum(e_i
+    r_i), where r_i is the ``slots`` of the tower below level i.  So sums
+    of products of packed ints are the packed unreduced sums of products,
+    which ``unpack`` reads back while every leaf of them is below
+    2^(width - 1) in absolute value.  At depth 0 packing is the identity.
     """
+    if not tw.levels:
+        return a
+    s = tw.sub()
+    step = width * s.slots
+    v = 0
+    for e, c in enumerate(a):
+        v += pack(s, c, width) << (e * step)
+    return v
 
-    def __init__(self, tw):
-        towers = [tw]
-        while towers[-1].levels:
-            towers.append(towers[-1].sub())
-        self.towers = towers[::-1]          # towers[i] has depth i
-        self.mods, self.sig, self.slots = [None], [1], [1]
-        for t in self.towers[1:]:
-            m, mu = int_scale(t.sub(), t.top_modulus)
-            self.mods.append((m[:-1], mu.numerator))
-            self.sig.append(self.sig[-1] ** (len(m) - 1)
-                            * mu.numerator ** (len(m) - 2))
-            self.slots.append(self.slots[-1] * (2 * len(m) - 3))
-        self.depth = len(self.towers) - 1
-        self.sigma = self.sig[-1]
-        self.one = int_scale(tw, [one(tw)])[0][0]
 
-    def _reduce(self, i, cs):
-        """sig[i] times the class of sum cs[e] t_i^e, for 2 deg M_i - 1
-        coefficients that are each sig[i - 1] times a reduced element."""
-        s = self.towers[i - 1]
-        low, mu = self.mods[i]
-        lam = self.sig[i - 1] * mu
-        while len(cs) > len(low):
-            top = cs.pop()
-            cs = [qscale(s, c, lam) for c in cs]
-            if is_zero(s, top):
-                continue
-            for j, m in enumerate(low):
-                e = len(cs) - len(low) + j
-                cs[e] = sub(s, cs[e], self._mul(i - 1, top, m))
-        return ptrim(s, cs)
-
-    def _mul(self, i, a, b):
-        if not i:
-            return a * b
-        s = self.towers[i - 1]
-        cs = [0 if not s.levels else ()] * (2 * len(self.mods[i][0]) - 1)
-        for x, u in enumerate(a):
-            for y, v in enumerate(b):
-                cs[x + y] = add(s, cs[x + y], self._mul(i - 1, u, v))
-        return self._reduce(i, cs)
-
-    def mul(self, a, b):
-        return self._mul(self.depth, a, b)
-
-    def _pack(self, i, a, width):
-        if not i:
-            return a
-        step = width * self.slots[i - 1]
-        v = 0
-        for e, c in enumerate(a):
-            v += self._pack(i - 1, c, width) << (e * step)
+def unpack(tw, v, width):
+    """The class of the packed unreduced element ``v``: its leaves read
+    back exactly, then reduced level by level by ``reduce_mod``."""
+    if not tw.levels:
         return v
-
-    def pack(self, a, width):
-        return self._pack(self.depth, a, width)
-
-    def _unpack(self, i, v, width):
-        if not i:
-            return v
-        step = width * self.slots[i - 1]
-        mask, half = (1 << step) - 1, 1 << (step - 1)
-        cs = []
-        for _ in range(2 * len(self.mods[i][0]) - 2):
-            low = v & mask
-            if low >= half:
-                low -= mask + 1
-            cs.append(self._unpack(i - 1, low, width))
-            v = (v - low) >> step
-        cs.append(self._unpack(i - 1, v, width))
-        return self._reduce(i, cs)
-
-    def unpack(self, v, width):
-        return self._unpack(self.depth, v, width)
+    s = tw.sub()
+    step = width * s.slots
+    mask, half = (1 << step) - 1, 1 << (step - 1)
+    cs = []
+    for _ in range(2 * len(tw.top_modulus) - 4):
+        low = v & mask
+        if low >= half:
+            low -= mask + 1
+        cs.append(unpack(s, low, width))
+        v = (v - low) >> step
+    cs.append(unpack(s, v, width))
+    return reduce_mod(tw, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +359,11 @@ def pscale(tw, f, c):
 def pmul(tw, f, g):
     if not f or not g:
         return ()
-    z = zero(tw)
-    out = [z] * (len(f) + len(g) - 1)
+    out = [zero(tw)] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if is_zero(tw, a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = add(tw, out[i + j], mul(tw, a, b))
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = add(tw, out[i + j], mul(tw, a, b))
     return ptrim(tw, out)
 
 
@@ -391,8 +372,9 @@ def pdivmod(tw, f, g):
 
     The remainder is reduced in place from the top coefficient down.  The
     leading coefficient of ``g`` is inverted only when it is not 1, so
-    reduction modulo a tower modulus (monic, checked in ``Tower.extend``)
-    never inverts; general divisions such as Euclid's do.
+    exact division by a monic factor (``pdiv_exact`` in ``split_tower``)
+    never inverts; general divisions such as Euclid's do.  Reduction
+    modulo a tower modulus is ``reduce_mod``.
     """
     g = ptrim(tw, g)
     if not g:
@@ -703,14 +685,15 @@ class BiPoly:
         The terms of each y-power j are summed first, r_j = sum_i c_ij
         px^i, so every py^j takes one product, and all of it accumulates
         into one dict.  No zero or one is seeded with a ``Fraction``, so
-        polynomials with int leaves compose on ints at depth 0."""
+        polynomials with int leaves compose on ints over every tower whose
+        moduli have int leaves."""
         tw = self.tower
         if px.tower != tw or py.tower != tw:
             raise ValueError("tower mismatch")
         rows = {}
         for (i, j), c in self.terms.items():
             rows.setdefault(j, []).append((i, c))
-        unit = {(0, 0): 1 if not tw.levels else one(tw)}
+        unit = {(0, 0): one(tw)}
         xpow, ypow = [unit], [unit]
         for pows, base, n in ((xpow, px, self.deg_x()),
                               (ypow, py, self.deg_y())):
@@ -883,7 +866,9 @@ def poly_gcd(p, q):
     f, g = p.to_yx(), q.to_yx()
     if _yx_deg(f) == 0 or _yx_deg(g) == 0:
         u, other = (f[0], g) if _yx_deg(f) == 0 else (g[0], f)
-        return monic_lex(BiPoly.from_yx(tw, (pgcd(tw, u, _yx_content(tw, other)),)))
+        # made monic first, so a zero divisor leading u raises ModulusSplit
+        return monic_lex(BiPoly.from_yx(
+            tw, (pgcd(tw, pmonic(tw, u), _yx_content(tw, other)),)))
     first = next(im for c in _x0s()
                  if (im := _image(tw, f, g, c)) is not None)
     if len(first) == 1:

@@ -115,12 +115,13 @@ def _chart_int(p, m, c):
     and a direction root c in p's tower; q has integer leaves with gcd 1.
 
     The term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m) y^k.  With
-    c = a/b and J = deg_y p, the weights C(j, k) a^(j-k) b^(J-j+k) are
-    integers up to one scale (``F.IntTower``), and they and each N are
-    packed into single ints, so the loop costs one int product and sum
-    per (term, k) at every tower depth; each output coefficient is
-    unpacked and reduced modulo the tower once.  The blowup recursion
-    reads only orders, tangent directions and whether leading
+    c = a/b, J = deg_y p and the powers a^e scaled by one rational ws to
+    integer leaves, the weights C(j, k) ws a^(j-k) b^(J-j+k) are integers,
+    and they and each N are packed into single ints (``F.pack``), so the
+    loop costs one int product and sum per (term, k) at every tower depth;
+    each output coefficient is unpacked and reduced modulo the tower once,
+    exactly, and the sum is ws b^J times the substitution.  The blowup
+    recursion reads only orders, tangent directions and whether leading
     coefficients are units, none of which a nonzero rational scale
     changes, so it keeps q alone.
 
@@ -130,18 +131,17 @@ def _chart_int(p, m, c):
     product and sum then costs the whole row).
     """
     tw = p.tower
-    it = F.IntTower(tw)
     (a,), q = F.int_scale(tw, [c])
     a, b = qscale(tw, a, q.denominator), q.numerator
     js = {j for _, j in p.terms}
     J = max(js, default=0)
-    apow = [it.one]                     # sigma^e a^e
+    apow = [F.one(tw)]
     for _ in range(J):
-        apow.append(it.mul(apow[-1], a))
-    sb = it.sigma * b
+        apow.append(F.mul(tw, apow[-1], a))
+    apow, ws = F.int_scale(tw, apow)
     pairs = [(j, k) for j in js for k in range(j + 1)
              if not is_zero(tw, apow[j - k])]
-    weights = [qscale(tw, apow[j - k], comb(j, k) * sb ** (J - j + k))
+    weights = [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
                for j, k in pairs]
     nbits, wbits = (max(map(abs, F.leaves(tw, elems)), default=0)
                     .bit_length() for elems in (p.terms.values(), weights))
@@ -151,19 +151,19 @@ def _chart_int(p, m, c):
     width = nbits + wbits + (len(p.terms) * tw.degree).bit_length() + 1
     rows = {j: [] for j in js}
     for (j, k), w in zip(pairs, weights):
-        rows[j].append((k, it.pack(w, width)))
+        rows[j].append((k, F.pack(tw, w, width)))
     out = {}
     for (i, j), n in p.terms.items():
         base = i + j - m
         if base < 0:
             raise ValueError("division exponent exceeds vanishing order")
-        n = it.pack(n, width)
+        n = F.pack(tw, n, width)
         for k, w in rows[j]:
             key = (base, k)
             out[key] = out.get(key, 0) + n * w
-    res, s = _int_poly(tw, {key: it.unpack(v, width)
+    res, s = _int_poly(tw, {key: F.unpack(tw, v, width)
                             for key, v in out.items()})
-    return res, 1 / (s * it.sigma * sb ** J)
+    return res, 1 / (s * ws * b ** J)
 
 
 def _chart_a(p, m, c):

@@ -6,19 +6,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
                       RetryBudgetExceeded, Tower, UniPoly, branched, field,
                       field_arith, poly_gcd, split_directions)
-from enriques.field import (IntTower, add, divides, elem_from_json,
-                            elem_to_json, exact_div, from_rational, generator,
-                            int_scale, inv, is_zero, monic_lex, mul, one,
-                            padd, pdivmod, pmul, poly_from_json, poly_to_json,
-                            ptrim, qscale, rereduce, resultant_y,
-                            tower_from_json, tower_to_json, uni_resultant,
-                            zero, _fresh_var, leaves)
+from enriques.field import (add, divides, elem_from_json, elem_to_json,
+                            exact_div, from_rational, generator, int_scale,
+                            inv, is_zero, monic_lex, mul, one, pack, padd,
+                            pdivmod, pmod, pmul, poly_from_json,
+                            poly_to_json, ptrim, qscale, reduce_mod,
+                            rereduce, resultant_y, tower_from_json,
+                            tower_to_json, uni_resultant, unpack, zero,
+                            _fresh_var, leaves)
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -284,7 +285,7 @@ def int_leaves(tw, a):
 
 
 class TestIntTower:
-    """Integer-leaf tower arithmetic, exact up to the tower's scale."""
+    """Tower arithmetic on integer leaves, and Kronecker packing."""
 
     @INT_TOWERS
     @settings(max_examples=30, deadline=None)
@@ -301,23 +302,39 @@ class TestIntTower:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_mul_and_packed_sums(self, tw, data):
-        it = IntTower(tw)
+        """Unpacking a sum of packed products is the sum of the products,
+        exactly, over integer and rational moduli."""
         pairs = data.draw(st.lists(st.tuples(elements(tw), elements(tw)),
                                    min_size=1, max_size=4))
         pairs = [tuple(int_scale(tw, ab)[0]) for ab in pairs]
-        for a, b in pairs:
-            prod = it.mul(a, b)
-            assert int_leaves(tw, prod)
-            assert prod == qscale(tw, mul(tw, a, b), it.sigma)
         bits = max(map(abs, leaves(tw, [v for ab in pairs for v in ab])),
                    default=0).bit_length()
         width = 2 * bits + (len(pairs) * tw.degree).bit_length() + 1
-        packed = sum(it.pack(a, width) * it.pack(b, width) for a, b in pairs)
+        packed = sum(pack(tw, a, width) * pack(tw, b, width)
+                     for a, b in pairs)
         want = functools.reduce(lambda acc, ab: add(tw, acc, mul(tw, *ab)),
                                 pairs, zero(tw))
-        got = it.unpack(packed, width)
-        assert int_leaves(tw, got)
-        assert got == qscale(tw, want, it.sigma)
+        assert unpack(tw, packed, width) == want
+
+    @pytest.mark.parametrize("tw", (Q_S, Q_ST, Q_R, Q_RU),
+                             ids=["d1", "d2", "d1-rational", "d2-rational"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_reduce_mod_is_pmod(self, tw, data):
+        """The one reduction against the general division, on unreduced
+        coefficient lists of any length."""
+        s = tw.sub()
+        cs = data.draw(st.lists(elements(s), max_size=3 * tw.degree))
+        assert reduce_mod(tw, cs) == pmod(s, ptrim(s, cs), tw.top_modulus)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mul_keeps_int_leaves(self, data):
+        a, b = (int_scale(Q_ST, [data.draw(elements(Q_ST))])[0][0]
+                for _ in range(2))
+        assert int_leaves(Q_ST, mul(Q_ST, a, b))
+        assert int_leaves(Q_ST, one(Q_ST))
+        assert int_leaves(Q_ST, generator(Q_ST))
 
 
 Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
@@ -371,6 +388,21 @@ def s_x_y():
     """The generator s of Q(s), s^2 = 2, and x, y, as BiPolys over it."""
     return (BiPoly.from_elem(Q_S, generator(Q_S)), BiPoly.variable("x", Q_S),
             BiPoly.variable("y", Q_S))
+
+
+class _Draws:
+    """Stands in for ``st.data()`` in an ``@example``: draws the given
+    values in order."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.drawn = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.drawn)
+
+    def __repr__(self):
+        return f"_Draws{self.values!r}"
 
 
 class TestGcdCertificate:
@@ -464,6 +496,9 @@ class TestGcdCertificate:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
+    @example(data=_Draws(BiPoly.const(1, Q_T),
+                         BiPoly.const(1, Q_T) + BiPoly.variable("y", Q_T),
+                         BiPoly.from_elem(Q_T, (1, 1))))
     def test_reducible_tower_answers_per_component(self, data):
         """Over Q(t), t^2 = 1 = Q x Q, poly_gcd either splits the modulus
         or answers with the gcd over Q at t = 1 and at t = -1."""

@@ -613,9 +613,7 @@ class TestComposeInt:
             got = localeng._compose_int(w, *forms)
             want = fraction_compose(w, f1, f2)
             ints = field.leaves(tw, list(got.terms.values()))
-            if not tw.levels:
-                assert all(type(v) is int for v in ints)
-            assert all(v == int(v) for v in ints)
+            assert all(type(v) is int for v in ints)
             key = next(iter(want.terms))
             lam = (field.leaves(tw, [want.terms[key]])[0]
                    / field.leaves(tw, [got.terms[key]])[0])
