@@ -464,9 +464,12 @@ def pderiv(tw, f):
 
 
 def peval(tw, f, x0):
+    """``f(x0)`` for a rational ``x0`` (an int or a ``Fraction``, not a
+    tower element): Horner, each step a ``qscale``, so no tower product.
+    Int leaves and an int ``x0`` give int leaves."""
     acc = zero(tw)
     for c in reversed(f):
-        acc = add(tw, mul(tw, acc, x0), c)
+        acc = add(tw, qscale(tw, acc, x0), c)
     return acc
 
 
@@ -814,10 +817,10 @@ def _gcd_qq(p, q):
 
 
 def _x0s():
-    """x0 = 1, -1, 2, -2, ...; not 0, where germs share y^k."""
+    """x0 = 1, -1, 2, -2, ... as ints; not 0, where germs share y^k."""
     for n in itertools.count(1):
-        yield Fraction(n)
-        yield Fraction(-n)
+        yield n
+        yield -n
 
 
 def _image(tw, f, g, c):
@@ -887,7 +890,7 @@ def poly_gcd(p, q):
         if imgs and len(im) < len(imgs[0]):
             pts, imgs = [], []
         pts.append(c)
-        imgs.append(pscale(tw, im, peval(tw, gamma, from_rational(tw, c))))
+        imgs.append(pscale(tw, im, peval(tw, gamma, c)))
         if len(imgs) == need:
             h, _ = _yx_primitive(tw, tuple(_lagrange(tw, pts, vs)
                                            for vs in zip(*imgs)))
@@ -965,9 +968,9 @@ def uni_resultant(tw, f, g):
 
 
 def _eval_x(tw, yx, c):
-    """Evaluate each x-coefficient at x = c, giving a dense poly in y."""
-    x0 = from_rational(tw, c)
-    return ptrim(tw, [peval(tw, row, x0) for row in yx])
+    """Evaluate each x-coefficient at the rational x = c, giving a dense
+    poly in y."""
+    return ptrim(tw, [peval(tw, row, c) for row in yx])
 
 
 def _resultant_y_qq(p, q):
@@ -986,8 +989,9 @@ def _resultant_y_qq(p, q):
 
 
 def resultant_y(p, q):
-    """Res_y(p, q) as a dense polynomial in x (evaluation/interpolation;
-    over the plain rationals it is delegated to sympy)."""
+    """Res_y(p, q) as a dense polynomial in x: evaluated at the int nodes
+    x0 = 0, 1, 2, ... where both lc_y survive and interpolated (over the
+    plain rationals it is delegated to sympy)."""
     tw = p.tower
     if not tw.levels:
         return _resultant_y_qq(p, q)
@@ -1005,11 +1009,11 @@ def resultant_y(p, q):
     bound = p.deg_x() * dyq + q.deg_x() * dyp
     pts, vals = [], []
     for c in itertools.count():
-        lcp = peval(tw, f[-1], from_rational(tw, c))
-        lcq = peval(tw, g[-1], from_rational(tw, c))
+        lcp = peval(tw, f[-1], c)
+        lcq = peval(tw, g[-1], c)
         if is_zero(tw, lcp) or is_zero(tw, lcq):
             continue
-        pts.append(Fraction(c))
+        pts.append(c)
         vals.append(uni_resultant(tw, _eval_x(tw, f, c), _eval_x(tw, g, c)))
         if len(pts) == bound + 1:
             break
@@ -1017,28 +1021,33 @@ def resultant_y(p, q):
 
 
 def _lagrange(tw, pts, vals):
-    n = len(pts)
-    acc = ()
-    for k in range(n):
-        denom = Fraction(1)
-        basis = (Fraction(1),)
-        for j in range(n):
-            if j == k:
-                continue
-            denom *= pts[k] - pts[j]
-            basis = _qmul(basis, (-pts[j], Fraction(1)))
-        scale = 1 / denom
-        term = ptrim(tw, [qscale(tw, vals[k], b * scale) for b in basis])
-        acc = padd(tw, acc, term)
-    return acc
-
-
-def _qmul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return tuple(out)
+    """The polynomial of degree < n over ``tw`` that takes ``vals[k]`` at
+    ``pts[k]``, for n distinct int nodes ``pts``: Lagrange's form in
+    O(n^2) operations (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 5.2).  M = prod (x - x_j) is formed once over the integers,
+    each basis numerator b_k = M / (x - x_k) by synthetic division, and
+    the sum of v_k b_k / d_k, d_k = prod_{j != k} (x_k - x_j), runs on the
+    int leaves v_k of the values over one common denominator, the lcm of
+    the d_k, scaled once at the end."""
+    m = [1]
+    for xj in pts:
+        m = [a - xj * b for a, b in zip([0] + m, m + [0])]
+    basis, dens = [], []
+    for xk in pts:
+        b = [m[-1]]
+        for c in reversed(m[1:-1]):
+            b.append(c + xk * b[-1])
+        basis.append(b[::-1])
+        dens.append(math.prod(xk - xj for xj in pts if xj != xk))
+    den = math.lcm(*dens)
+    ints, q = int_scale(tw, vals)
+    out = []
+    for i in range(len(pts)):
+        acc = zero(tw)
+        for v, b, d in zip(ints, basis, dens):
+            acc = add(tw, acc, qscale(tw, v, b[i] * den // d))
+        out.append(qscale(tw, acc, 1 / (q * den)))
+    return ptrim(tw, out)
 
 
 def order_in_x(tw, f):

@@ -1,12 +1,13 @@
 """Tower arithmetic, polynomial gcds, resultants and direction splitting."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
@@ -15,7 +16,7 @@ from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             exact_div, from_rational, generator, int_scale,
                             inv, is_zero, monic_lex, mul, one, pack, padd,
-                            pdivmod, pmod, pmul, poly_from_json,
+                            pdivmod, peval, pmod, pmul, poly_from_json,
                             poly_to_json, ptrim, qscale, reduce_mod,
                             rereduce, resultant_y, tower_from_json,
                             tower_to_json, uni_resultant, unpack, zero,
@@ -567,3 +568,95 @@ class TestCompose:
     def test_tower_mismatch(self):
         with pytest.raises(ValueError, match="tower mismatch"):
             X.compose(X, BiPoly.variable("y", Q_S))
+
+
+def lagrange_reference(tw, pts, vals):
+    """Lagrange's form with every basis polynomial rebuilt on Fractions, in
+    O(n^3) operations: an independent reference for ``field._lagrange``."""
+    def qmul(f, g):
+        out = [Fraction(0)] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return tuple(out)
+
+    acc = ()
+    for k in range(len(pts)):
+        denom, basis = Fraction(1), (Fraction(1),)
+        for j in range(len(pts)):
+            if j != k:
+                denom *= pts[k] - pts[j]
+                basis = qmul(basis, (-pts[j], Fraction(1)))
+        term = ptrim(tw, [qscale(tw, vals[k], b / denom) for b in basis])
+        acc = padd(tw, acc, term)
+    return acc
+
+
+@st.composite
+def nodes(draw, order):
+    """Distinct int nodes in a caller's order, some skipped: 0, 1, 2, ...
+    as ``resultant_y`` takes them, or 1, -1, 2, -2, ... as ``poly_gcd``
+    does."""
+    n = draw(st.integers(1, 9))
+    picks = sorted(draw(st.sets(st.integers(0, 3 * n), min_size=n,
+                                max_size=n)))
+    if order == "counted":
+        return picks
+    seq = list(itertools.islice(field._x0s(), 3 * n + 1))
+    return [seq[i] for i in picks]
+
+
+class TestLagrange:
+    """The O(n^2) integer interpolation of the tower gcd and resultant."""
+
+    @DEPTHS
+    @pytest.mark.parametrize("order", ["counted", "signed"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_interpolates(self, tw, order, data):
+        pts = data.draw(nodes(order))
+        vals = data.draw(st.lists(elements(tw), min_size=len(pts),
+                                  max_size=len(pts)))
+        got = field._lagrange(tw, pts, vals)
+        assert len(got) <= len(pts)
+        assert [peval(tw, got, x) for x in pts] == vals
+        assert got == lagrange_reference(tw, pts, vals)
+
+
+def at_x(tw, p, x0):
+    """``p(x0, y)`` as a dense polynomial in y, by tower products with
+    ``from_rational(tw, x0 ** i)``: independent of ``peval``."""
+    rows = {}
+    for (i, j), c in p.terms.items():
+        term = mul(tw, c, from_rational(tw, Fraction(x0) ** i))
+        rows[j] = add(tw, rows.get(j, zero(tw)), term)
+    return ptrim(tw, [rows.get(j, zero(tw)) for j in range(p.deg_y() + 1)])
+
+
+class TestTowerResultants:
+    """Res_y over Q(s) and Q(s, t) by evaluation and interpolation, and
+    the Horner by a rational under it."""
+
+    @pytest.mark.parametrize("tw", [Q_S, Q_ST], ids=["sqrt2", "depth2"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_specializes_off_the_nodes(self, tw, data):
+        p, q = (data.draw(tower_bipolys(tw, 3)) for _ in range(2))
+        assume(not p.is_zero() and not q.is_zero())
+        r = resultant_y(p, q)
+        for x0 in (Fraction(-3), Fraction(1, 2), Fraction(-7, 3)):
+            fp, fq = at_x(tw, p, x0), at_x(tw, q, x0)
+            # both lc_y survive at x0
+            if len(fp) == p.deg_y() + 1 and len(fq) == q.deg_y() + 1:
+                assert peval(tw, r, x0) == uni_resultant(tw, fp, fq)
+
+    @DEPTHS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), x0=small_q)
+    def test_peval_is_mul_horner(self, tw, data, x0):
+        f = ptrim(tw, data.draw(st.lists(elements(tw), max_size=5)))
+        acc = zero(tw)
+        for c in reversed(f):
+            acc = add(tw, mul(tw, acc, from_rational(tw, x0)), c)
+        assert peval(tw, f, x0) == acc
+        assert int_leaves(tw, peval(tw, int_scale(tw, f)[0], 3))
