@@ -281,6 +281,13 @@ def int_scale(tw, elems):
     return _scale_leaves(tw, elems, den, num), Fraction(den, num)
 
 
+def int_poly(tw, terms):
+    """``(q, s)``: the polynomial with these terms scaled by the positive
+    rational ``s`` to integer leaves with gcd 1."""
+    vals, s = int_scale(tw, list(terms.values()))
+    return BiPoly(tw, dict(zip(terms, vals))), s
+
+
 def pack(tw, a, width):
     """Kronecker substitution of an element with int leaves: the leaf of
     s_1^e_1 ... s_n^e_n (levels bottom-up) goes to bit width * sum(e_i
@@ -800,22 +807,6 @@ def monic_lex(p):
     return BiPoly(tw, {k: mul(tw, v, c) for k, v in p.terms.items()})
 
 
-_SYM_X, _SYM_Y = sympy.symbols("x y")
-
-
-def _gcd_qq(p, q):
-    """Bivariate gcd over the rationals, delegated to sympy's fast path."""
-    ps = sympy.Poly.from_dict(
-        {m: sympy.Rational(c) for m, c in p.terms.items()},
-        _SYM_X, _SYM_Y, domain="QQ")
-    qs = sympy.Poly.from_dict(
-        {m: sympy.Rational(c) for m, c in q.terms.items()},
-        _SYM_X, _SYM_Y, domain="QQ")
-    gs = ps.gcd(qs)
-    terms = {m: Fraction(c.p, c.q) for m, c in gs.terms()}
-    return monic_lex(BiPoly(QQ, terms))
-
-
 def _x0s():
     """x0 = 1, -1, 2, -2, ... as ints; not 0, where germs share y^k."""
     for n in itertools.count(1):
@@ -835,12 +826,14 @@ def _image(tw, f, g, c):
 def poly_gcd(p, q):
     """GCD in K[x, y], normalized monic-lex; divides both inputs exactly.
 
-    Over the rationals it is sympy's.  Over a tower it is Brown's
-    evaluation gcd in (K[x])[y] (JACM 18, 1971; for towers van Hoeij and
-    Monagan, ISSAC 2002).  Let h = gcd(f, g), of y-degree d.  At x0 with
-    lc_y(f)(x0) a unit, lc_y(h) | lc_y(f) keeps deg h(x0, y) = d, so the
-    image gcd(f(x0, y), g(x0, y)) has degree >= d, and = d only if it is
-    h(x0, y) made monic.  So the first image, of p and q, decides d = 0,
+    At every depth, the rationals being the tower of depth 0, it is
+    Brown's evaluation gcd in (K[x])[y] (JACM 18, 1971; for towers van
+    Hoeij and Monagan, ISSAC 2002), on p and q scaled to integer leaves
+    with gcd 1: a gcd ignores units, and the images at the int points x0
+    then start from int leaves.  Let h = gcd(f, g), of y-degree d.  At x0
+    with lc_y(f)(x0) a unit, lc_y(h) | lc_y(f) keeps deg h(x0, y) = d, so
+    the image gcd(f(x0, y), g(x0, y)) has degree >= d, and = d only if it
+    is h(x0, y) made monic.  So the first image, of p and q, decides d = 0,
     and h is then the content gcd in K[x].  Else f and g are made
     primitive.  If also lc_y(g)(x0) != 0, Res_y(f/h, g/h) specializes, so
     the degree is d unless x0 is one of the ``bad`` roots of lc_y(f)
@@ -864,8 +857,7 @@ def poly_gcd(p, q):
     tw = p.tower
     if tw != q.tower:
         raise ValueError("tower mismatch")
-    if not tw.levels:
-        return _gcd_qq(p, q)
+    p, q = int_poly(tw, p.terms)[0], int_poly(tw, q.terms)[0]
     f, g = p.to_yx(), q.to_yx()
     if _yx_deg(f) == 0 or _yx_deg(g) == 0:
         u, other = (f[0], g) if _yx_deg(f) == 0 else (g[0], f)
@@ -973,28 +965,13 @@ def _eval_x(tw, yx, c):
     return ptrim(tw, [peval(tw, row, c) for row in yx])
 
 
-def _resultant_y_qq(p, q):
-    # gens ordered (y, x): sympy's resultant eliminates the first gen
-    ps = sympy.Poly.from_dict(
-        {(j, i): sympy.Rational(c) for (i, j), c in p.terms.items()},
-        _SYM_Y, _SYM_X, domain="QQ")
-    qs = sympy.Poly.from_dict(
-        {(j, i): sympy.Rational(c) for (i, j), c in q.terms.items()},
-        _SYM_Y, _SYM_X, domain="QQ")
-    res = sympy.Poly(ps.resultant(qs), _SYM_X, domain="QQ")
-    out = [Fraction(0)] * (res.degree() + 1 if not res.is_zero else 0)
-    for (i,), c in res.terms():
-        out[i] = Fraction(c.p, c.q)
-    return ptrim(QQ, out)
-
-
 def resultant_y(p, q):
-    """Res_y(p, q) as a dense polynomial in x: evaluated at the int nodes
-    x0 = 0, 1, 2, ... where both lc_y survive and interpolated (over the
-    plain rationals it is delegated to sympy)."""
+    """Res_y(p, q) as a dense polynomial in x, at every depth: the
+    Sylvester resultants ``uni_resultant`` of p(x0, y) and q(x0, y) at
+    the int nodes x0 = 0, 1, 2, ... where both lc_y survive, interpolated.
+    It is () when p or q is zero or they share a factor of positive
+    y-degree."""
     tw = p.tower
-    if not tw.levels:
-        return _resultant_y_qq(p, q)
     f, g = p.to_yx(), q.to_yx()
     dyp, dyq = _yx_deg(f), _yx_deg(g)
     if dyp < 0 or dyq < 0:

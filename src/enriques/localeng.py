@@ -103,13 +103,6 @@ def monomial_map(a, b, tower=QQ):
 # Chart substitutions
 # ---------------------------------------------------------------------------
 
-def _int_poly(tw, terms):
-    """``(q, s)``: the polynomial with these terms scaled by the positive
-    rational ``s`` to integer leaves with gcd 1."""
-    vals, s = F.int_scale(tw, list(terms.values()))
-    return BiPoly(tw, dict(zip(terms, vals))), s
-
-
 def _chart_int(p, m, c):
     """``(q, s)`` with p(x, x(y+c)) / x^m = s q, for p with integer leaves
     and a direction root c in p's tower; q has integer leaves with gcd 1.
@@ -161,8 +154,8 @@ def _chart_int(p, m, c):
         for k, w in rows[j]:
             key = (base, k)
             out[key] = out.get(key, 0) + n * w
-    res, s = _int_poly(tw, {key: F.unpack(tw, v, width)
-                            for key, v in out.items()})
+    res, s = F.int_poly(tw, {key: F.unpack(tw, v, width)
+                              for key, v in out.items()})
     return res, 1 / (s * ws * b ** J)
 
 
@@ -170,7 +163,7 @@ def _chart_a(p, m, c):
     """p(x, x(y+c)) / x^m for a direction root c in p's tower: the
     integer core ``_chart_int`` on p scaled to integers, scaled back."""
     tw = p.tower
-    ip, s = _int_poly(tw, p.terms)
+    ip, s = F.int_poly(tw, p.terms)
     q, t = _chart_int(ip, m, c)
     return BiPoly(tw, {key: qscale(tw, v, t / s)
                        for key, v in q.terms.items()})
@@ -297,7 +290,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH):
                                orbit, depth + 1))
         return entries
 
-    polys = [_int_poly(tw, p.terms)[0] for p in polys]
+    polys = [F.int_poly(tw, p.terms)[0] for p in polys]
     return rec(tw, polys, None, None, (None, None), 1, 0)
 
 
@@ -625,7 +618,7 @@ def _verify_through(poly, k, directions, root_id):
                 return False
         return True
 
-    return walk(_int_poly(QQ, poly.terms)[0], root_id)
+    return walk(F.int_poly(QQ, poly.terms)[0], root_id)
 
 
 _CURVES_CACHE = {}
@@ -774,14 +767,14 @@ def pullback_cluster(f, k, seed=0):
             "pullback is only defined for finite map germs")
     if not k.forest.nodes:
         return WeightedMultiCluster([], {})
-    f1, f2 = (_int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
+    f1, f2 = (F.int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
     w, z = (_compose_int(g.poly, f1, f2) for g in curves_through(k, seed))
     return _pencil_points(w, z, None)[0]
 
 
 def _compose_int(w, f1, f2):
     """w(f1, f2) times a positive rational, with int leaves, for rational
-    w and the map components as ``_int_poly`` pairs (F_i, n_i / d_i).
+    w and the map components as ``F.int_poly`` pairs (F_i, n_i / d_i).
 
     With w scaled to int coefficients c_ij, A = deg_x w and B = deg_y w,
     n1^A n2^B w(f1, f2) is the sum of c_ij d1^i n1^(A-i) d2^j n2^(B-j)
@@ -790,8 +783,8 @@ def _compose_int(w, f1, f2):
     (p1, s1), (p2, s2) = f1, f2
     tw = p1.tower
     # w is rational; read it over the tower of f
-    c, _ = _int_poly(tw, {m: from_rational(tw, v)
-                          for m, v in w.terms.items()})
+    c, _ = F.int_poly(tw, {m: from_rational(tw, v)
+                            for m, v in w.terms.items()})
     a, b = c.deg_x(), c.deg_y()
     n1, d1, n2, d2 = (s1.numerator, s1.denominator,
                       s2.numerator, s2.denominator)

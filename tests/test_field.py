@@ -238,7 +238,15 @@ def elements(tw):
 
 
 def nonzero(tw):
-    return elements(tw).filter(lambda a: not is_zero(tw, a))
+    """Nonzero reduced elements.  Above depth 0 they are a nonzero top
+    coefficient over any lower ones, drawn without a filter: filtering
+    the zeros out of ``elements`` rejected too many draws at depth 2."""
+    if not tw.levels:
+        return small_q.filter(bool)
+    sub = tw.sub()
+    deg = len(tw.top_modulus) - 1
+    return st.tuples(st.lists(elements(sub), max_size=deg - 1),
+                     nonzero(sub)).map(lambda t: (*t[0], t[1]))
 
 
 @st.composite
@@ -357,9 +365,9 @@ SYM_X, SYM_Y = sympy.symbols("x y")
 @functools.cache
 def sympy_field(tw):
     """sympy's algebraic field for ``tw`` and the images of its levels."""
-    gens = {Q_S: [sympy.sqrt(2)], Q_CUBE: [sympy.root(2, 3)],
+    gens = {QQ: [], Q_S: [sympy.sqrt(2)], Q_CUBE: [sympy.root(2, 3)],
             Q_ST: [sympy.sqrt(2), sympy.sqrt(3)]}[tw]
-    dom = sympy.QQ.algebraic_field(*gens)
+    dom = sympy.QQ.algebraic_field(*gens) if gens else sympy.QQ
     return dom, [dom.from_sympy(a) for a in gens]
 
 
@@ -409,8 +417,8 @@ class _Draws:
 class TestGcdCertificate:
     """The tower gcd equals sympy's over the same algebraic field."""
 
-    @pytest.mark.parametrize("tw", [Q_S, Q_CUBE, Q_ST],
-                             ids=["sqrt2", "cubic", "depth2"])
+    @pytest.mark.parametrize("tw", [QQ, Q_S, Q_CUBE, Q_ST],
+                             ids=["QQ", "sqrt2", "cubic", "depth2"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_matches_sympy(self, tw, data):
@@ -633,11 +641,25 @@ def at_x(tw, p, x0):
     return ptrim(tw, [rows.get(j, zero(tw)) for j in range(p.deg_y() + 1)])
 
 
+def sylvester(f, g):
+    """The Sylvester determinant of the dense polynomials ``f`` and ``g``
+    in y (low -> high, entries sympy expressions or rationals), by sympy's
+    ``Matrix``: a reference for the value and sign of a resultant that is
+    independent of ``uni_resultant`` and of sympy's ``resultant``."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(reversed(f)) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (m - 1 - i)
+             for i in range(m)]
+    return sympy.Matrix(m + n, m + n,
+                        [sympy.sympify(v) for row in rows for v in row]).det()
+
+
 class TestTowerResultants:
-    """Res_y over Q(s) and Q(s, t) by evaluation and interpolation, and
+    """Res_y over Q, Q(s) and Q(s, t) by evaluation and interpolation, and
     the Horner by a rational under it."""
 
-    @pytest.mark.parametrize("tw", [Q_S, Q_ST], ids=["sqrt2", "depth2"])
+    @pytest.mark.parametrize("tw", [QQ, Q_S, Q_ST],
+                             ids=["QQ", "sqrt2", "depth2"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_specializes_off_the_nodes(self, tw, data):
@@ -648,7 +670,11 @@ class TestTowerResultants:
             fp, fq = at_x(tw, p, x0), at_x(tw, q, x0)
             # both lc_y survive at x0
             if len(fp) == p.deg_y() + 1 and len(fq) == q.deg_y() + 1:
-                assert peval(tw, r, x0) == uni_resultant(tw, fp, fq)
+                # over QQ the reference is sympy's, not the routine that
+                # evaluates the resultant at the nodes
+                want = (sylvester(fp, fq) if not tw.levels
+                        else uni_resultant(tw, fp, fq))
+                assert peval(tw, r, x0) == want
 
     @DEPTHS
     @settings(max_examples=30, deadline=None)
@@ -660,3 +686,44 @@ class TestTowerResultants:
             acc = add(tw, mul(tw, acc, from_rational(tw, x0)), c)
         assert peval(tw, f, x0) == acc
         assert int_leaves(tw, peval(tw, int_scale(tw, f)[0], 3))
+
+
+class _NoSympy:
+    def __getattr__(self, name):
+        raise AssertionError(f"sympy.{name} was used")
+
+
+class TestOverQ:
+    """Over Q, the tower of depth 0, gcd and Res_y take the tower route."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @example(data=_Draws(Y, Y ** 3 + 1))
+    def test_sign_is_sylvester(self, data):
+        p, q = (data.draw(tower_bipolys(QQ, 3)) for _ in range(2))
+        assume(not p.is_zero() and not q.is_zero())
+        r = resultant_y(p, q)
+        rs = resultant_y(p.lift_to(Q_S), q.lift_to(Q_S))
+        assert rs == tuple(field.lift(Q_S, c) for c in r)
+        want = sympy.expand(sylvester(
+            *(sympy.Poly(sympy_expr(u), SYM_Y).all_coeffs()[::-1]
+              for u in (p, q))))
+        got = sum((sympy.Rational(c.numerator, c.denominator) * SYM_X ** i
+                   for i, c in enumerate(r)), sympy.Integer(0))
+        assert sympy.expand(got - want) == 0
+
+    @pytest.mark.parametrize("p, q", [((X + Y) * (Y - 1), (X + Y) * Y),
+                                      (BiPoly.zero(), Y - X)],
+                             ids=["common-factor", "zero"])
+    def test_zero_resultant_is_empty(self, p, q):
+        assert resultant_y(p, q) == ()
+        assert resultant_y(q, p) == ()
+
+    def test_no_sympy(self, monkeypatch):
+        monkeypatch.setattr(field, "sympy", _NoSympy())
+        h = Y ** 2 - X ** 3
+        assert poly_gcd(h * (2 * Y + X), h * (Y - X) * 3) == h
+        assert poly_gcd(X ** 2 * Y, Fraction(1, 2) * X * Y ** 2) == X * Y
+        assert resultant_y(h, Y - X) == (0, 0, 1, -1)
+        with pytest.raises(AssertionError, match="sympy"):
+            split_directions(UniPoly(QQ, (2, 0, 1)))

@@ -608,7 +608,7 @@ class TestComposeInt:
         ws = list(g.poly for g in curves_through(chain_cluster([2, 1]), 0))
         ws.append(Fraction(1, 3) * X ** 2 - Fraction(5, 2) * Y
                   + Fraction(7, 4) * X * Y + Fraction(1, 6) * Y ** 3)
-        forms = [localeng._int_poly(tw, g.terms) for g in (f1, f2)]
+        forms = [field.int_poly(tw, g.terms) for g in (f1, f2)]
         for w in ws:
             got = localeng._compose_int(w, *forms)
             want = fraction_compose(w, f1, f2)
@@ -719,7 +719,7 @@ class TestChartInt:
             return
         m = data.draw(st.integers(0, p.order()))
         c = data.draw(tower_elements(tw))
-        ip, s0 = localeng._int_poly(tw, p.terms)
+        ip, s0 = field.int_poly(tw, p.terms)
         q, s = localeng._chart_int(ip, m, c)
         ints = field.leaves(tw, list(q.terms.values()))
         assert all(type(v) is int for v in ints)
