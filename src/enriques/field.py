@@ -210,15 +210,10 @@ def inv(tw, a):
         raise DivisionByZero("inverse of zero")
     g, u = _xgcd_against(s, a, tw.top_modulus)
     if pdeg(g) == 0:
-        c = inv(s, g[0])
-        return reduce_mod(tw, pscale(s, u, c))
+        # g is monic, so g = 1 and u a = 1 (mod the modulus)
+        return reduce_mod(tw, u)
     # g is a proper monic factor of the modulus (deg a < deg modulus)
     raise ModulusSplit(tw.top_var, g)
-
-
-def rereduce(tw_new, a):
-    """Re-reduce an element after the top modulus shrank (tower split)."""
-    return reduce_mod(tw_new, a) if tw_new.levels else a
 
 
 def split_tower(tw, factor):
@@ -750,14 +745,9 @@ class BiPoly:
 
 
 def _mul_into(tw, out, a, b):
-    """Add the product of the term dicts ``a`` and ``b`` into ``out``.
-    Sums start from the first product, so int leaves stay ints."""
-    if not tw.levels:
-        for (i1, j1), u in a.items():
-            for (i2, j2), v in b.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + u * v
-        return
+    """Add the product of the term dicts ``a`` and ``b`` into ``out``,
+    through ``mul`` and ``add`` at every depth.  Sums start from the first
+    product, so int leaves stay ints."""
     for (i1, j1), u in a.items():
         for (i2, j2), v in b.items():
             k = (i1 + i2, j1 + j2)
@@ -766,10 +756,6 @@ def _mul_into(tw, out, a, b):
 
 
 # -- (K[x])[y] helpers ------------------------------------------------
-
-def _yx_deg(f):
-    return len(f) - 1
-
 
 def _yx_trim(f):
     f = list(f)
@@ -834,10 +820,13 @@ def poly_gcd(p, q):
     with lc_y(f)(x0) a unit, lc_y(h) | lc_y(f) keeps deg h(x0, y) = d, so
     the image gcd(f(x0, y), g(x0, y)) has degree >= d, and = d only if it
     is h(x0, y) made monic.  So the first image, of p and q, decides d = 0,
-    and h is then the content gcd in K[x].  Else f and g are made
-    primitive.  If also lc_y(g)(x0) != 0, Res_y(f/h, g/h) specializes, so
-    the degree is d unless x0 is one of the ``bad`` roots of lc_y(f)
-    lc_y(g) Res_y(f/h, g/h).  Scaled by gamma(x0), where gamma =
+    and h is then the content gcd in K[x].  Inputs free of y take the same
+    route: a y-free f has the image f(x0), a unit made monic to 1, and
+    Euclid in the content gcd inverts the leading coefficient of every
+    row, so a zero divisor there raises ``ModulusSplit``.  Else f and g
+    are made primitive.  If also lc_y(g)(x0) != 0, Res_y(f/h, g/h)
+    specializes, so the degree is d unless x0 is one of the ``bad`` roots
+    of lc_y(f) lc_y(g) Res_y(f/h, g/h).  Scaled by gamma(x0), where gamma =
     gcd(lc_y f, lc_y g), images of degree d are those of gamma/lc_y(h) h,
     of x-degree below ``need``: interpolated, made primitive and dividing
     p and q, that is h.  A failed division means images of degree > d,
@@ -859,11 +848,6 @@ def poly_gcd(p, q):
         raise ValueError("tower mismatch")
     p, q = int_poly(tw, p.terms)[0], int_poly(tw, q.terms)[0]
     f, g = p.to_yx(), q.to_yx()
-    if _yx_deg(f) == 0 or _yx_deg(g) == 0:
-        u, other = (f[0], g) if _yx_deg(f) == 0 else (g[0], f)
-        # made monic first, so a zero divisor leading u raises ModulusSplit
-        return monic_lex(BiPoly.from_yx(
-            tw, (pgcd(tw, pmonic(tw, u), _yx_content(tw, other)),)))
     first = next(im for c in _x0s()
                  if (im := _image(tw, f, g, c)) is not None)
     if len(first) == 1:
@@ -873,7 +857,7 @@ def poly_gcd(p, q):
     gamma = pgcd(tw, f[-1], g[-1])
     dxf, dxg = (max(map(len, u)) - 1 for u in (f, g))
     need = len(gamma) + min(dxf, dxg)
-    bad = len(f[-1]) + len(g[-1]) - 2 + dxf * _yx_deg(g) + dxg * _yx_deg(f)
+    bad = len(f[-1]) + len(g[-1]) - 2 + dxf * pdeg(g) + dxg * pdeg(f)
     pts, imgs = [], []
     for c in itertools.islice(_x0s(), bad + need):
         im = _image(tw, f, g, c)
@@ -900,17 +884,17 @@ def exact_div(p, q):
         return p
     tw = p.tower
     f, g = list(p.to_yx()), q.to_yx()
-    if _yx_deg(g) == 0:
+    if pdeg(g) == 0:
         return BiPoly.from_yx(tw, tuple(pdiv_exact(tw, row, g[0]) for row in f))
-    quot = [()] * max(0, _yx_deg(f) - _yx_deg(g) + 1)
+    quot = [()] * max(0, pdeg(f) - pdeg(g) + 1)
     while _yx_trim(f):
         f = list(_yx_trim(f))
-        k = _yx_deg(f) - _yx_deg(g)
+        k = pdeg(f) - pdeg(g)
         if k < 0:
             raise ValueError("inexact bivariate division")
         qc = pdiv_exact(tw, f[-1], g[-1])
         quot[k] = qc
-        for i in range(_yx_deg(g) + 1):
+        for i in range(pdeg(g) + 1):
             f[k + i] = psub(tw, f[k + i], pmul(tw, qc, g[i]))
         f = f[:-1]
     return BiPoly.from_yx(tw, tuple(quot))
@@ -970,19 +954,13 @@ def resultant_y(p, q):
     Sylvester resultants ``uni_resultant`` of p(x0, y) and q(x0, y) at
     the int nodes x0 = 0, 1, 2, ... where both lc_y survive, interpolated.
     It is () when p or q is zero or they share a factor of positive
-    y-degree."""
+    y-degree.  A y-free operand a takes the same route: Res_y(a, q) is
+    a^(deg_y q), of x-degree deg_x a * deg_y q, the node bound."""
     tw = p.tower
     f, g = p.to_yx(), q.to_yx()
-    dyp, dyq = _yx_deg(f), _yx_deg(g)
+    dyp, dyq = pdeg(f), pdeg(g)
     if dyp < 0 or dyq < 0:
         return ()
-    if dyp == 0 or dyq == 0:
-        base = f[0] if dyp == 0 else g[0]
-        power = dyq if dyp == 0 else dyp
-        acc = (one(tw),)
-        for _ in range(power):
-            acc = pmul(tw, acc, base)
-        return acc
     bound = p.deg_x() * dyq + q.deg_x() * dyp
     pts, vals = [], []
     for c in itertools.count():

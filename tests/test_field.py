@@ -18,7 +18,7 @@ from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             inv, is_zero, monic_lex, mul, one, pack, padd,
                             pdivmod, peval, pmod, pmul, poly_from_json,
                             poly_to_json, ptrim, qscale, reduce_mod,
-                            rereduce, resultant_y, tower_from_json,
+                            resultant_y, tower_from_json,
                             tower_to_json, uni_resultant, unpack, zero,
                             _fresh_var, leaves)
 
@@ -56,7 +56,7 @@ class TestFieldArith:
         tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
 
         def job(t):
-            a = rereduce(t, (Fraction(-1), Fraction(1)))
+            a = reduce_mod(t, (Fraction(-1), Fraction(1)))
             if is_zero(t, a):
                 return None
             return inv(t, a)
@@ -278,6 +278,23 @@ class TestCoreProperties:
         a = data.draw(elements(tw))
         assert qscale(tw, a, q) == mul(tw, a, from_rational(tw, q))
 
+    @pytest.mark.parametrize("tw, a", [(Q_S, (1, 1)), (Q_ST, ((1,), (0, 1)))],
+                             ids=["1+s", "1+st"])
+    def test_inv_inverts_no_one(self, monkeypatch, tw, a):
+        # _xgcd_against returns a monic gcd, so the inverse of a unit is
+        # its Bezout cofactor, with no inversion of 1 at any depth below
+        ones = []
+        orig = field.inv
+
+        def spy(t, b):
+            if b == one(t):
+                ones.append(t.depth)
+            return orig(t, b)
+
+        monkeypatch.setattr(field, "inv", spy)
+        assert mul(tw, a, field.inv(tw, a)) == one(tw)
+        assert ones == []
+
 
 # moduli with rational, not integer, coefficients, as split_directions
 # adjoins them: r^2 + r/3 - 1/2 and u^2 + (r/2) u - 1/3
@@ -423,7 +440,8 @@ class TestGcdCertificate:
     @given(data=st.data())
     def test_matches_sympy(self, tw, data):
         h = data.draw(tower_bipolys(tw, 2, only_x=data.draw(st.booleans())))
-        a = data.draw(tower_bipolys(tw, 2))
+        # p = h a is free of y in some draws
+        a = data.draw(tower_bipolys(tw, 2, only_x=data.draw(st.booleans())))
         b = data.draw(tower_bipolys(tw, 2))
         p, q = h * a, h * b
         if p.is_zero() and q.is_zero():
@@ -663,7 +681,9 @@ class TestTowerResultants:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_specializes_off_the_nodes(self, tw, data):
-        p, q = (data.draw(tower_bipolys(tw, 3)) for _ in range(2))
+        # p is free of y in some draws
+        p = data.draw(tower_bipolys(tw, 3, only_x=data.draw(st.booleans())))
+        q = data.draw(tower_bipolys(tw, 3))
         assume(not p.is_zero() and not q.is_zero())
         r = resultant_y(p, q)
         for x0 in (Fraction(-3), Fraction(1, 2), Fraction(-7, 3)):
