@@ -135,7 +135,7 @@ def validate_forest(nodes):
 class WeightedMultiCluster:
     """A forest with an integer weight per node."""
 
-    def __init__(self, forest, weights, _allow_negative=False):
+    def __init__(self, forest, weights):
         if not isinstance(forest, EnriquesForest):
             forest = EnriquesForest(forest)
         self.forest = forest
@@ -143,7 +143,7 @@ class WeightedMultiCluster:
         for n in forest.nodes:
             if n.id not in self.weights:
                 raise ForestViolation(f"missing weight for {n.id}")
-            if not _allow_negative and self.weights[n.id] < 0:
+            if self.weights[n.id] < 0:
                 raise ForestViolation(f"negative weight at {n.id}")
         extra = set(self.weights) - set(forest.by_id)
         if extra:
@@ -167,8 +167,7 @@ class WeightedMultiCluster:
 
     def scale(self, m):
         return WeightedMultiCluster(
-            self.forest, {k: m * v for k, v in self.weights.items()},
-            _allow_negative=True)
+            self.forest, {k: m * v for k, v in self.weights.items()})
 
     def restrict(self, ids):
         nodes = [n for n in self.forest.nodes if n.id in ids]

@@ -170,31 +170,29 @@ def kummer_pullback(c, s, seed=0):
     coordinate vertex has one preimage with the cluster pulled back under
     (x^k, y^k); a point on a coordinate line has k preimages pulled back
     under (x^k, y); a coordinate vertex at a smooth point contributes one
-    ordinary point of multiplicity k.
+    ordinary point of multiplicity k.  A pullback under (x^k, y^b) with
+    (f*K)^2 != deg f K^2, deg f = k b, raises ``PlacementConflict``.
     """
     k = s.k
+
+    def pulled(cluster, b):
+        pb = pullback_cluster(monomial_map(k, b), cluster, seed)
+        if self_intersection(pb) != k * b * self_intersection(cluster):
+            raise PlacementConflict(
+                f"pullback square does not scale by deg f = {k * b}")
+        return pb
+
     new_sing = []
     for sp in c.sing:
         if sp.placement == GENERIC:
             new_sing.append(SingularSpec(sp.cluster, sp.count * k * k))
         elif sp.placement == VERTEX:
-            pb = pullback_cluster(monomial_map(k, k), sp.cluster, seed)
-            if self_intersection(pb) != k * k * self_intersection(sp.cluster):
-                raise PlacementConflict(
-                    "vertex pullback square does not scale by deg f = k^2")
-            new_sing.append(SingularSpec(pb, sp.count))
+            new_sing.append(SingularSpec(pulled(sp.cluster, k), sp.count))
         else:
-            pb = pullback_cluster(monomial_map(k, 1), sp.cluster, seed)
-            if self_intersection(pb) != k * self_intersection(sp.cluster):
-                raise PlacementConflict(
-                    "line pullback square does not scale by deg f = k")
-            new_sing.append(SingularSpec(pb, sp.count * k))
+            new_sing.append(SingularSpec(pulled(sp.cluster, 1), sp.count * k))
     if c.smooth_vertex_marks:
-        pb = pullback_cluster(monomial_map(k, k), single_point(1), seed)
-        if self_intersection(pb) != k * k:
-            raise PlacementConflict(
-                "smooth vertex pullback square is not k^2")
-        new_sing.append(SingularSpec(pb, c.smooth_vertex_marks))
+        new_sing.append(SingularSpec(pulled(single_point(1), k),
+                                     c.smooth_vertex_marks))
     return PlaneConfig(
         degree=k * c.degree,
         components=tuple((deg * k, cnt) for deg, cnt in c.components),

@@ -669,9 +669,6 @@ class BiPoly:
     def deg_y(self):
         return max((j for _, j in self.terms), default=-1)
 
-    def coeff(self, i, j):
-        return self.terms.get((i, j), zero(self.tower))
-
     def deriv(self, var):
         tw = self.tower
         out = {}
@@ -771,16 +768,11 @@ def _yx_content(tw, f):
     return c
 
 
-def _yx_scale_div(tw, f, c):
-    """Divide every x-coefficient exactly by the x-polynomial ``c``."""
-    return tuple(pdiv_exact(tw, row, c) for row in f)
-
-
 def _yx_primitive(tw, f):
     c = _yx_content(tw, f)
     if not c:
         return f, ()
-    return _yx_scale_div(tw, f, c), c
+    return tuple(pdiv_exact(tw, row, c) for row in f), c
 
 
 def monic_lex(p):
@@ -820,22 +812,22 @@ def poly_gcd(p, q):
     with lc_y(f)(x0) a unit, lc_y(h) | lc_y(f) keeps deg h(x0, y) = d, so
     the image gcd(f(x0, y), g(x0, y)) has degree >= d, and = d only if it
     is h(x0, y) made monic.  So the first image, of p and q, decides d = 0,
-    and h is then the content gcd in K[x].  Inputs free of y take the same
-    route: a y-free f has the image f(x0), a unit made monic to 1, and
-    Euclid in the content gcd inverts the leading coefficient of every
-    row, so a zero divisor there raises ``ModulusSplit``.  Else f and g
-    are made primitive.  If also lc_y(g)(x0) != 0, Res_y(f/h, g/h)
-    specializes, so the degree is d unless x0 is one of the ``bad`` roots
-    of lc_y(f) lc_y(g) Res_y(f/h, g/h).  Scaled by gamma(x0), where gamma =
-    gcd(lc_y f, lc_y g), images of degree d are those of gamma/lc_y(h) h,
-    of x-degree below ``need``: interpolated, made primitive and dividing
-    p and q, that is h.  A failed division means images of degree > d,
-    and a lower degree resets them.  Among bad + need points, need give
-    degree d, so the loop ends before ``RetryBudgetExceeded``.  Each
-    inversion is of a unit or raises ``ModulusSplit``, so over a product
-    of fields every step holds in each component: an image degree that
-    differs between components leaves a zero divisor leading Euclid,
-    which raises.
+    and h is then the content gcd in K[x], already monic from Euclid.
+    Inputs free of y take the same route: a y-free f has the image f(x0), a
+    unit made monic to 1, and Euclid in the content gcd inverts the leading
+    coefficient of every row, so a zero divisor there raises
+    ``ModulusSplit``.  Else f and g are made primitive.  If also
+    lc_y(g)(x0) != 0, Res_y(f/h, g/h) specializes, so the degree is d
+    unless x0 is one of the ``bad`` roots of lc_y(f) lc_y(g) Res_y(f/h,
+    g/h).  Scaled by gamma(x0), where gamma = gcd(lc_y f, lc_y g), images
+    of degree d are those of gamma/lc_y(h) h, of x-degree below ``need``:
+    interpolated, made primitive and dividing p and q, that is h.  A failed
+    division means images of degree > d, and a lower degree resets them.
+    Among bad + need points, need give degree d, so the loop ends before
+    ``RetryBudgetExceeded``.  Each inversion is of a unit or raises
+    ``ModulusSplit``, so over a product of fields every step holds in each
+    component: an image degree that differs between components leaves a
+    zero divisor leading Euclid, which raises.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
@@ -851,7 +843,7 @@ def poly_gcd(p, q):
     first = next(im for c in _x0s()
                  if (im := _image(tw, f, g, c)) is not None)
     if len(first) == 1:
-        return monic_lex(BiPoly.from_yx(tw, (_yx_content(tw, f + g),)))
+        return BiPoly.from_yx(tw, (_yx_content(tw, f + g),))
     f, fc = _yx_primitive(tw, f)
     g, gc = _yx_primitive(tw, g)
     gamma = pgcd(tw, f[-1], g[-1])

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -35,8 +34,8 @@ from fractions import Fraction
 from math import comb
 
 from . import field as F
-from .clusters import (Node, WeightedMultiCluster, cluster_to_json,
-                       self_intersection, virtual_codimension)
+from .clusters import (Node, WeightedMultiCluster, self_intersection,
+                       virtual_codimension)
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, NonReducedGerm, RetryBudgetExceeded,
                      UnrealizableForest)
@@ -201,15 +200,10 @@ def _form_t(p, n):
     Returns (coeffs, x_mult) or (None, None) when the form is zero.
     """
     tw = p.tower
-    cs = [zero(tw)] * (n + 1)
-    seen = False
-    for (i, j), c in p.terms.items():
-        if i + j == n:
-            cs[j] = c
-            seen = True
-    if not seen:
+    cs = F.ptrim(tw, [p.terms.get((n - j, j), zero(tw))
+                      for j in range(n + 1)])
+    if not cs:
         return None, None
-    cs = F.ptrim(tw, cs)
     return cs, n - pdeg(cs)
 
 
@@ -305,15 +299,10 @@ def _entries_to_cluster(entries, key="mult"):
 # ---------------------------------------------------------------------------
 
 def is_squarefree(p):
-    gx = p.deriv("x")
-    gy = p.deriv("y")
     d = p
-    if not gx.is_zero():
-        d = F.poly_gcd(d, gx)
-    if not gy.is_zero():
-        d = F.poly_gcd(d, gy)
-    if gx.is_zero() and gy.is_zero():
-        return p.total_degree() == 0
+    for g in (p.deriv("x"), p.deriv("y")):
+        if not g.is_zero():
+            d = F.poly_gcd(d, g)
     return d.total_degree() == 0
 
 
@@ -438,19 +427,13 @@ def _restrict_x0(tw, p):
 def _try_resultant_order(tw, qa, qb):
     ra = _restrict_x0(tw, qa)
     rb = _restrict_x0(tw, qb)
-    if not ra or not rb:
-        return None
     if pdeg(ra) != qa.deg_y() or pdeg(rb) != qb.deg_y():
         return None
     g = pgcd(tw, ra, rb)
     # the only allowed common zero on the axis is the origin: gcd = y^k
     if any(not is_zero(tw, c) for c in g[:-1]):
         return None
-    res = F.resultant_y(qa, qb)
-    k = F.order_in_x(tw, res)
-    if k is None:
-        return None
-    return k
+    return F.order_in_x(tw, F.resultant_y(qa, qb))
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +538,10 @@ def _cluster_conditions(k, D):
                 for (i, j), vec in sp.items():
                     if i + j < nu:
                         continue
-                    if c == 0:
-                        vec_add(out, (i + j - nu, j), vec, 1)
-                    else:
-                        for kk in range(j + 1):
-                            vec_add(out, (i + j - nu, kk), vec,
-                                    comb(j, kk) * c ** (j - kk))
+                    # at c = 0 only kk = j is nonzero: C(j, j) 0^0 = 1
+                    for kk in range(0 if c else j, j + 1):
+                        vec_add(out, (i + j - nu, kk), vec,
+                                comb(j, kk) * c ** (j - kk))
                 walk(out, cid, (nid, markers[1] if c == 0 else None))
 
     walk(spoly, roots[0], (None, None))
@@ -651,7 +632,7 @@ def curves_through(k, seed):
     the one of a fixed D_top, so every cluster that certifies there
     still does, with the same errors when none does.
     """
-    key = (json.dumps(cluster_to_json(k), sort_keys=True), seed)
+    key = (k.forest, tuple(k.weights[n.id] for n in k.forest.nodes), seed)
     if key in _CURVES_CACHE:
         return _CURVES_CACHE[key]
     result = _curves_through(k, seed)

@@ -131,6 +131,13 @@ class TestHilbertSamuel:
         with pytest.raises(InconsistentCluster):
             hilbert_samuel_check(k, 5)
 
+    def test_scale_keeps_weights_non_negative(self):
+        # hilbert_samuel_check scales by m >= 1 only; a negative multiple
+        # is no cluster
+        assert chain_cluster([3, 1]).scale(2) == chain_cluster([6, 2])
+        with pytest.raises(ForestViolation, match="negative weight"):
+            chain_cluster([3, 1]).scale(-1)
+
 
 class TestNoether:
     def test_diagonal(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from enriques import configs
 from enriques import (HypothesisViolated, KummerSpec, PlaneConfig,
                       PlacementConflict, SingularSpec, chain_cluster,
                       config_from_json, config_to_json, fermat, h_bound_gap,
@@ -133,6 +134,25 @@ class TestKummerTransport:
         assert got == want
         assert new.degree == 4 * k
         assert h_index(new) == {2: Fraction(-5, 3), 3: Fraction(-10, 7)}[k]
+
+    @pytest.mark.parametrize("placement, deg_f", [(VERTEX, 4), (LINE, 2),
+                                                  ("smooth vertex", 4)])
+    def test_square_must_scale_by_deg_f(self, monkeypatch, placement,
+                                        deg_f):
+        # a pulled-back cluster with (f*K)^2 != deg f K^2 is refused, for
+        # f = (x^2, y^2) at a vertex or a smooth vertex and (x^2, y) on a
+        # line
+        monkeypatch.setattr(configs, "pullback_cluster",
+                            lambda f, k, seed=0: single_point(1))
+        if placement == "smooth vertex":
+            c = PlaneConfig(degree=4, components=((4, 1),), sing=(),
+                            smooth_vertex_marks=1)
+        else:
+            c = PlaneConfig(degree=4, components=((4, 1),),
+                            sing=(SingularSpec(single_point(2), 1,
+                                               placement),))
+        with pytest.raises(PlacementConflict, match=f"deg f = {deg_f}$"):
+            kummer_pullback(c, KummerSpec(2))
 
 
 class TestTheoremB:

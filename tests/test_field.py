@@ -260,6 +260,20 @@ def divisions(draw, tw, monic):
 DEPTHS = pytest.mark.parametrize("tw", TOWERS, ids=["d0", "d1", "d2"])
 
 
+def spy_inversions_of_one(monkeypatch):
+    """The depths at which ``field.inv`` is asked to invert 1 from now on."""
+    ones = []
+    orig = field.inv
+
+    def spy(t, b):
+        if b == one(t):
+            ones.append(t.depth)
+        return orig(t, b)
+
+    monkeypatch.setattr(field, "inv", spy)
+    return ones
+
+
 class TestCoreProperties:
     @DEPTHS
     @pytest.mark.parametrize("monic", [True, False], ids=["monic", "general"])
@@ -283,16 +297,17 @@ class TestCoreProperties:
     def test_inv_inverts_no_one(self, monkeypatch, tw, a):
         # _xgcd_against returns a monic gcd, so the inverse of a unit is
         # its Bezout cofactor, with no inversion of 1 at any depth below
-        ones = []
-        orig = field.inv
-
-        def spy(t, b):
-            if b == one(t):
-                ones.append(t.depth)
-            return orig(t, b)
-
-        monkeypatch.setattr(field, "inv", spy)
+        ones = spy_inversions_of_one(monkeypatch)
         assert mul(tw, a, field.inv(tw, a)) == one(tw)
+        assert ones == []
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    def test_content_gcd_inverts_no_one(self, monkeypatch, tw):
+        # gcd(x^2, x y + x) = x is the content gcd in K[x], which Euclid
+        # already made monic: monic-lex then needs no inversion of 1
+        ones = spy_inversions_of_one(monkeypatch)
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        assert poly_gcd(x ** 2, x * y + x) == x
         assert ones == []
 
 

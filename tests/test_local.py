@@ -331,6 +331,30 @@ class TestCurvesThrough:
         assert ("old", 0) not in cache and ("old", 1) in cache
         assert list(cache.values())[-1] == pair
 
+    @pytest.mark.parametrize("a, b, shared", [
+        (([2, 1], None), ([2, 1], None), True),
+        (([2, 1], None), ([2, 2], None), False),
+        (([2, 1, 1], None), ([2, 1, 1], {2: 0}), False),
+    ], ids=["equal", "weights", "satellite"])
+    def test_cache_key(self, monkeypatch, a, b, shared):
+        # the key is the forest, the weights in node order and the seed:
+        # equal clusters built apart share one entry and one draw, and a
+        # change of weight or of proximity gets an entry of its own
+        runs = []
+        draw = localeng._curves_through
+
+        def counted(k, seed):
+            runs.append(k)
+            return draw(k, seed)
+
+        cache = {}
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", cache)
+        monkeypatch.setattr(localeng, "_curves_through", counted)
+        pa = curves_through(chain_cluster(*a), 0)
+        pb = curves_through(chain_cluster(*b), 0)
+        assert len(cache) == len(runs) == (1 if shared else 2)
+        assert (pa is pb) == shared
+
     def test_drawn_pairs_are_pinned(self, monkeypatch):
         # the pairs drawn for the 18 clusters of the pullback grid and two
         # deeper chains at seeds 0-7, hashed in that order; the resultant
