@@ -9,9 +9,9 @@ reduced modulo the top modulus; the empty tuple is zero).
 Moduli are adjoined optimistically (dynamic evaluation): whenever an
 inversion discovers a zero divisor, a :class:`~enriques.errors.ModulusSplit`
 carrying a proper factor is raised, and callers branch the tower.
-Irreducibility over the rationals itself is certified by full univariate
-factorization, so splits can only involve moduli adjoined over a
-non-trivial tower.
+Irreducibility over the rationals itself is certified (rational roots, and
+sympy's factorization for what they leave of degree >= 4), so splits can
+only involve moduli adjoined over a non-trivial tower.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 from .errors import DivisionByZero, ModulusSplit, RetryBudgetExceeded
 
@@ -1037,22 +1035,94 @@ def _fresh_var(tw):
                 if f"t{n}" not in used)
 
 
+# Rational roots are searched among the a/b with b | lc and a | c_0.  The
+# divisors come by trial division, and the candidates grow with the
+# divisor counts, so an input whose |lc| or |c_0| exceeds this goes whole
+# to sympy.
+_ROOT_SEARCH_MAX = 1 << 16
+
+
+def _divisors(n):
+    """The positive divisors of ``n >= 1``, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _divide_root(f, a, b):
+    """``f / (b t - a)`` for an int polynomial ``f`` (low -> high) and
+    ``b > 0``, or None when ``b t - a`` does not divide ``f`` over Z."""
+    q = [0] * (len(f) - 1)
+    c = 0
+    for i in range(len(f) - 1, 0, -1):
+        c, r = divmod(f[i] + a * c, b)
+        if r:
+            return None
+        q[i - 1] = c
+    return q if f[0] + a * c == 0 else None
+
+
+def _sympy_factors(f):
+    """sympy's factorization of the int polynomial ``f`` over QQ, as
+    (primitive int coefficients low -> high, multiplicity) pairs."""
+    import sympy
+    _, facs = sympy.Poly(f[::-1], sympy.Symbol("t"), domain="QQ").factor_list()
+    return [([int(c) for c in reversed(fac.all_coeffs())], m)
+            for fac, m in facs]
+
+
+def _factors_over_qq(coeffs):
+    """The irreducible factors over QQ of a nonzero polynomial, as
+    (primitive int coefficients with positive lead, multiplicity) pairs.
+
+    Rational roots are found by the rational-root theorem and divided out
+    exactly.  A leftover of degree 2 or 3 then has no rational root, which
+    certifies it irreducible; a leftover of degree >= 4 is split by Yun,
+    and only its squarefree factors of degree >= 4 reach sympy."""
+    f = int_scale(QQ, coeffs)[0]
+    if f[-1] < 0:
+        f = [-c for c in f]
+    k = next(i for i, c in enumerate(f) if c)
+    f = f[k:]
+    out = [([0, 1], k)] if k else []
+    if len(f) == 2:
+        return out + [(f, 1)]
+    if max(abs(f[0]), f[-1]) > _ROOT_SEARCH_MAX:
+        return out + _sympy_factors(f)
+    dens, nums = _divisors(f[-1]), _divisors(abs(f[0]))
+    roots = ((s * a, b) for b in dens for a in nums if math.gcd(a, b) == 1
+             for s in (1, -1))
+    for a, b in roots:
+        if len(f) < 3:
+            break
+        m = 0
+        while (q := _divide_root(f, a, b)) is not None:
+            f, m = q, m + 1
+        if m:
+            out.append(([-a, b], m))
+    if len(f) > 4:
+        for fac, m in _yun(QQ, tuple(f)):
+            fac = int_scale(QQ, fac)[0]
+            out += ([(fac, m)] if len(fac) <= 4 else
+                    [(g, m * n) for g, n in _sympy_factors(fac)])
+    elif len(f) > 1:
+        out.append((f, 1))
+    return out
+
+
 def _split_over_qq(coeffs):
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs])),
-                      t, domain="QQ")
-    _, factors = poly.factor_list()
+    """The directions of a nonzero polynomial over QQ as ``(tower, root,
+    orbit, multiplicity)``, in sympy's factor order: by length, then
+    multiplicity, then the primitive int coefficients from the top."""
     out = []
-    for fac, mult in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        lead = cs[-1]
-        cs = tuple(c / lead for c in cs)
-        deg = len(cs) - 1
-        if deg == 1:
-            out.append((QQ, -cs[0], 1, mult))
+    for f, mult in sorted(_factors_over_qq(coeffs),
+                          key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1])):
+        lead = f[-1]
+        if len(f) == 2:
+            out.append((QQ, Fraction(-f[0], lead), 1, mult))
         else:
+            cs = tuple(Fraction(c, lead) for c in f)
             tw = QQ.extend(_fresh_var(QQ), cs)
-            out.append((tw, generator(tw), deg, mult))
+            out.append((tw, generator(tw), len(f) - 1, mult))
     return out
 
 
@@ -1078,9 +1148,12 @@ def _yun(tw, f):
 def split_directions(p):
     """Split a univariate polynomial into roots with orbit sizes.
 
-    Over QQ the factorization is certified; over a non-trivial tower
-    squarefree factors of degree >= 2 are adjoined optimistically and any
-    later zero divisor raises ModulusSplit for the caller to branch on.
+    Over QQ the factorization is certified: rational roots come from the
+    rational-root theorem, a leftover factor of degree 2 or 3 with no
+    rational root is irreducible, and only a squarefree leftover of degree
+    >= 4 is factored by sympy.  Over a non-trivial tower squarefree factors
+    of degree >= 2 are adjoined optimistically and any later zero divisor
+    raises ModulusSplit for the caller to branch on.
     """
     if p.is_zero():
         raise ValueError("cannot split the zero polynomial")
@@ -1141,8 +1214,11 @@ def tower_to_json(tw):
 
 def tower_from_json(data):
     """Build a tower from JSON.  Every modulus passes ``Tower.extend``'s
-    checks, and the depth-1 one must be irreducible over QQ; deeper ones
-    are adjoined optimistically, as in ``split_directions``."""
+    checks, and the depth-1 one must be irreducible over QQ, certified as
+    in ``split_directions``: of degree 2 or 3, by having no rational root;
+    of degree >= 4, by having no rational root, being squarefree and
+    having no proper factor in sympy's factorization.  Deeper moduli are
+    adjoined optimistically."""
     tw = QQ
     for level in data.get("levels", []):
         modulus = tuple(elem_from_json(tw, c) for c in level["modulus"])

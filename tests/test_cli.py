@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from enriques.cli import main
 from enriques.clusters import cluster_to_json, single_point, chain_cluster
+from enriques import field
 from enriques.field import generator, poly_to_json, tower_to_json
 from enriques import QQ, BiPoly
 
@@ -206,6 +207,24 @@ class TestExitCodes:
         assert "ParseError" in res.stderr
         assert "reducible" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_reducible_quartic_modulus_exit_2(self, runner, tmp_path,
+                                              monkeypatch):
+        # t^4 + 4 = (t^2 + 2t + 2)(t^2 - 2t + 2) has no rational root, so
+        # the squarefree quartic is factored by sympy
+        seen = []
+        factor = field._sympy_factors
+        monkeypatch.setattr(field, "_sympy_factors",
+                            lambda f: seen.append(f) or factor(f))
+        tw = QQ.extend("t", (Fraction(4), 0, 0, 0, Fraction(1)))
+        gf = write(tmp_path, "g.json", {
+            "tower": tower_to_json(tw),
+            "poly": poly_to_json((Y - X) * (Y + X) + X ** 3)})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "reducible" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert seen == [[4, 0, 0, 0, 1]]
 
     def test_zero_denominator_exit_2(self, runner, tmp_path):
         gf = write(tmp_path, "g.json", {"vars": ["x", "y"], "terms": [

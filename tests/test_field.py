@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,6 +203,12 @@ class TestJson:
         data = poly_to_json(p)
         back = poly_from_json(tower_from_json(tower_to_json(tw)), data)
         assert back == p
+
+    def test_cubic_modulus_needs_no_sympy(self, monkeypatch):
+        # t^3 - 2 has no rational root, which certifies it irreducible
+        monkeypatch.setitem(sys.modules, "sympy", _NoSympy())
+        tw = QQ.extend("c", (Fraction(-2), 0, 0, Fraction(1)))
+        assert tower_from_json(tower_to_json(tw)) == tw
 
     def test_elem_roundtrip(self):
         tw = QQ.extend("t1", (Fraction(-2), Fraction(0), Fraction(1)))
@@ -755,10 +763,92 @@ class TestOverQ:
         assert resultant_y(q, p) == ()
 
     def test_no_sympy(self, monkeypatch):
-        monkeypatch.setattr(field, "sympy", _NoSympy())
+        # sympy is imported where it is used, so a stand-in in sys.modules
+        # catches every use
+        monkeypatch.setitem(sys.modules, "sympy", _NoSympy())
         h = Y ** 2 - X ** 3
         assert poly_gcd(h * (2 * Y + X), h * (Y - X) * 3) == h
         assert poly_gcd(X ** 2 * Y, Fraction(1, 2) * X * Y ** 2) == X * Y
         assert resultant_y(h, Y - X) == (0, 0, 1, -1)
+        # t^2 + 2 has no rational root, which certifies it irreducible
+        (d,) = split_directions(UniPoly(QQ, (2, 0, 1)))
+        assert (d.orbit, d.multiplicity) == (2, 1)
+        # (t - 1)(t^4 + 2): the squarefree quartic leftover goes to sympy
         with pytest.raises(AssertionError, match="sympy"):
-            split_directions(UniPoly(QQ, (2, 0, 1)))
+            split_directions(UniPoly(QQ, (-2, 2, 0, 0, -1, 1)))
+
+
+def sympy_split(coeffs):
+    """The directions of a polynomial over QQ from sympy's ``factor_list``
+    of the whole input: a reference apart from the rational-root route."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], t, domain="QQ")
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
+        cs = tuple(c / cs[-1] for c in cs)
+        if len(cs) == 2:
+            out.append((QQ, -cs[0], 1, mult))
+        else:
+            tw = QQ.extend(_fresh_var(QQ), cs)
+            out.append((tw, generator(tw), len(cs) - 1, mult))
+    return out
+
+
+def qq_product(factors):
+    """The product of ``(coefficients, multiplicity)`` pairs over QQ."""
+    out = (Fraction(1),)
+    for f, m in factors:
+        for _ in range(m):
+            out = pmul(QQ, out, f)
+    return out
+
+
+QUADRATIC = (Fraction(3), Fraction(1, 2), Fraction(1))    # no rational root
+
+
+@st.composite
+def qq_products(draw):
+    """Products of linear, quadratic and cubic factors with rational,
+    mostly non-integer, coefficients and multiplicities 1-3, of degree at
+    most 9."""
+    coef = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    factors, deg = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(1, 3))
+        m = draw(st.integers(1, 3))
+        if deg + d * m > 9:
+            break
+        lead = draw(coef.filter(bool))
+        factors.append((tuple(draw(coef) for _ in range(d)) + (lead,), m))
+        deg += d * m
+    return qq_product([((draw(coef.filter(bool)),), 1)] + factors)
+
+
+class TestSplitOverQ:
+    """The rational-root split over QQ equals sympy's factorization, in
+    sympy's order, which the seeded draws downstream depend on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=qq_products())
+    @example(coeffs=qq_product([(QUADRATIC, 2)]))
+    @example(coeffs=qq_product([(QUADRATIC, 3)]))
+    @example(coeffs=qq_product([(QUADRATIC, 3), ((Fraction(-1, 2), 1), 2)]))
+    def test_matches_sympy(self, coeffs):
+        got, want = field._split_over_qq(coeffs), sympy_split(coeffs)
+        assert got == want
+        assert [type(r) for _, r, _, _ in got] == [type(r) for _, r, _, _ in want]
+
+    def test_constant_has_no_directions(self):
+        assert split_directions(UniPoly(QQ, (Fraction(-3, 7),))) == []
+
+    def test_large_coefficients_are_bounded(self):
+        # (t - (2^61 - 1))(t^2 - (2^89 - 1)): divisors of the constant term
+        # are not enumerated
+        coeffs = qq_product([((Fraction(1 - 2 ** 61), Fraction(1)), 1),
+                             ((Fraction(1 - 2 ** 89), 0, Fraction(1)), 1)])
+        t0 = time.perf_counter()
+        got = field._split_over_qq(coeffs)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == sympy_split(coeffs)

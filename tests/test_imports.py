@@ -7,6 +7,10 @@ chain such as ``F.mul`` starts with a name, so it marks ``F`` as used.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -77,3 +81,37 @@ def unreferenced_private_names():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names() == []
+
+
+UNLOADED = """
+import sys
+from click.testing import CliRunner
+import enriques.cli
+from enriques import chain_cluster, field, monomial_map, pullback_cluster
+
+splits = []
+split = field._split_over_qq
+field._split_over_qq = lambda cs: splits.append(cs) or split(cs)
+pullback_cluster(monomial_map(2, 3), chain_cluster([3, 2, 1]), 0)
+res = CliRunner().invoke(enriques.cli.main,
+                         ["map", "pullback", sys.argv[1], sys.argv[2]])
+assert res.exit_code == 0, res.output
+assert splits, "no tangent form was split over Q"
+assert "sympy" not in sys.modules, "sympy was loaded"
+"""
+
+
+def test_sympy_stays_unloaded(tmp_path):
+    """Importing the CLI, a criterion-7 pullback and ``map pullback`` in a
+    fresh interpreter never load sympy: tangent forms over Q are split in
+    the package."""
+    from enriques import BiPoly, chain_cluster, cluster_to_json
+    from enriques.field import poly_to_json
+    x, y = BiPoly.variable("x"), BiPoly.variable("y")
+    mapfile, clusterfile = tmp_path / "map.json", tmp_path / "cluster.json"
+    mapfile.write_text(json.dumps({"f1": poly_to_json(x ** 2 + y ** 3),
+                                   "f2": poly_to_json(y ** 2 + 2 * x ** 3)}))
+    clusterfile.write_text(json.dumps(cluster_to_json(chain_cluster([2, 1]))))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", UNLOADED, str(mapfile),
+                    str(clusterfile)], env=env, check=True, timeout=120)
