@@ -6,12 +6,15 @@ rational (an int or a ``Fraction``) at depth 0, and at depth n a trimmed
 tuple of depth-(n-1) elements (the coefficients in the top variable,
 reduced modulo the top modulus; the empty tuple is zero).
 
-Moduli are adjoined optimistically (dynamic evaluation): whenever an
-inversion discovers a zero divisor, a :class:`~enriques.errors.ModulusSplit`
-carrying a proper factor is raised, and callers branch the tower.
-Irreducibility over the rationals itself is certified (rational roots, and
-sympy's factorization for what they leave of degree >= 4), so splits can
-only involve moduli adjoined over a non-trivial tower.
+Elements are reduced where they enter (``from_rational``, ``generator``,
+``elem_from_json``) and every operation keeps them so.  Moduli are
+adjoined optimistically (dynamic evaluation): whenever the extended Euclid
+of ``inv`` against a top modulus ends on a remainder of positive degree, a
+:class:`~enriques.errors.ModulusSplit` carrying that proper factor is
+raised, and callers branch the tower.  Irreducibility over the rationals
+itself is certified (rational roots, and sympy's factorization for what
+they leave of degree >= 4), so splits can only involve moduli adjoined
+over a non-trivial tower.
 """
 from __future__ import annotations
 
@@ -33,15 +36,15 @@ class Tower:
     """A stack of simple extensions of QQ.
 
     ``levels`` is a tuple of ``(var, modulus)`` pairs; each modulus is a
-    monic squarefree dense coefficient tuple over the tower below it, of
-    degree >= 2, with its integral leaves stored as ints.  The empty tower
-    is QQ itself.
+    monic squarefree dense coefficient tuple over the tower below it, with
+    its integral leaves stored as ints.  The empty tower is QQ itself.
 
     :meth:`extend` rejects a modulus that is untrimmed, of degree below 2
-    or not monic, and every level is built through it (``split_tower``
-    only ever builds monic factors).  ``reduce_mod``, the reduction behind
-    every tower product, relies on this: it never inverts the leading
-    coefficient of a modulus.
+    or not monic.  The one other builder of levels is ``split_tower``,
+    which replaces the top modulus by a monic proper factor and by its
+    cofactor, so those levels can have degree 1.  ``reduce_mod``, the
+    reduction behind every tower product, relies on every modulus being
+    monic: it never inverts the leading coefficient of a modulus.
     """
 
     levels: tuple = ()
@@ -198,20 +201,24 @@ def reduce_mod(tw, cs):
 
 
 def inv(tw, a):
+    """The inverse of a nonzero reduced element: in a tower, the Bezout
+    cofactor of ``a`` from extended Euclid against the top modulus, over
+    the constant last remainder.  A last remainder of positive degree is a
+    proper factor of the modulus: ``ModulusSplit`` carries it made monic."""
     if not tw.levels:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return Fraction(1) / a
-    s = tw.sub()
-    a = reduce_mod(tw, a)
     if not a:
         raise DivisionByZero("inverse of zero")
-    g, u = _xgcd_against(s, a, tw.top_modulus)
-    if pdeg(g) == 0:
-        # g is monic, so g = 1 and u a = 1 (mod the modulus)
-        return reduce_mod(tw, u)
-    # g is a proper monic factor of the modulus (deg a < deg modulus)
-    raise ModulusSplit(tw.top_var, g)
+    s = tw.sub()
+    r0, s0, r1, s1 = tw.top_modulus, (), a, (one(s),)
+    while r1:
+        q, r = pdivmod(s, r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, psub(s, s0, pmul(s, q, s1))
+    if pdeg(r0) == 0:
+        return reduce_mod(tw, pscale(s, s0, inv(s, r0[0])))
+    raise ModulusSplit(tw.top_var, pmonic(s, r0))
 
 
 def split_tower(tw, factor):
@@ -471,19 +478,6 @@ def peval(tw, f, x0):
     for c in reversed(f):
         acc = add(tw, qscale(tw, acc, x0), c)
     return acc
-
-
-def _xgcd_against(tw, a, m):
-    """Return (g, u) with g = gcd(a, m) monic and u*a = g (mod m)."""
-    r0, s0 = ptrim(tw, m), ()
-    r1, s1 = ptrim(tw, a), (one(tw),)
-    while r1:
-        q, r = pdivmod(tw, r0, r1)
-        r0, s0, r1, s1 = r1, s1, r, psub(tw, s0, pmul(tw, q, s1))
-    if not r0:
-        raise DivisionByZero("gcd of zero polynomials")
-    c = inv(tw, r0[-1])
-    return pscale(tw, r0, c), pscale(tw, s0, c)
 
 
 # ---------------------------------------------------------------------------
@@ -1109,23 +1103,6 @@ def _factors_over_qq(coeffs):
     return out
 
 
-def _split_over_qq(coeffs):
-    """The directions of a nonzero polynomial over QQ as ``(tower, root,
-    orbit, multiplicity)``, in sympy's factor order: by length, then
-    multiplicity, then the primitive int coefficients from the top."""
-    out = []
-    for f, mult in sorted(_factors_over_qq(coeffs),
-                          key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1])):
-        lead = f[-1]
-        if len(f) == 2:
-            out.append((QQ, Fraction(-f[0], lead), 1, mult))
-        else:
-            cs = tuple(Fraction(c, lead) for c in f)
-            tw = QQ.extend(_fresh_var(QQ), cs)
-            out.append((tw, generator(tw), len(f) - 1, mult))
-    return out
-
-
 def _yun(tw, f):
     """Squarefree decomposition over a tower: [(factor, multiplicity)]."""
     f = pmonic(tw, f)
@@ -1148,21 +1125,28 @@ def _yun(tw, f):
 def split_directions(p):
     """Split a univariate polynomial into roots with orbit sizes.
 
-    Over QQ the factorization is certified: rational roots come from the
-    rational-root theorem, a leftover factor of degree 2 or 3 with no
-    rational root is irreducible, and only a squarefree leftover of degree
-    >= 4 is factored by sympy.  Over a non-trivial tower squarefree factors
-    of degree >= 2 are adjoined optimistically and any later zero divisor
-    raises ModulusSplit for the caller to branch on.
+    One loop over (monic factor, multiplicity) pairs serves every depth: a
+    linear factor gives its root in the input tower, and a larger one a
+    fresh level whose generator is the root and whose degree is the orbit.
+    Over QQ the factors are ``_factors_over_qq``'s, irreducible, in
+    sympy's order (length, multiplicity, then the primitive int
+    coefficients from the top), which the seeded draws downstream depend
+    on.  Over a non-trivial tower they are ``_yun``'s squarefree factors,
+    adjoined optimistically: a later zero divisor raises ModulusSplit for
+    the caller to branch on.
     """
     if p.is_zero():
         raise ValueError("cannot split the zero polynomial")
     tw = p.tower
-    if not tw.levels:
-        return [Direction(t, r, o, m)
-                for t, r, o, m in _split_over_qq(p.coeffs)]
+    if tw.levels:
+        factors = _yun(tw, p.coeffs)
+    else:
+        factors = sorted(_factors_over_qq(p.coeffs),
+                         key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+        factors = [(tuple(Fraction(c, f[-1]) for c in f), m)
+                   for f, m in factors]
     out = []
-    for fac, mult in _yun(tw, p.coeffs):
+    for fac, mult in factors:
         if pdeg(fac) == 1:
             out.append(Direction(tw, neg(tw, fac[0]), 1, mult))
         else:
@@ -1199,7 +1183,7 @@ def elem_from_json(tw, data):
     if not tw.levels or data.get("ext") != tw.top_var:
         raise ValueError("element does not match tower")
     s = tw.sub()
-    return ptrim(s, [elem_from_json(s, c) for c in data["coeffs"]])
+    return reduce_mod(tw, [elem_from_json(s, c) for c in data["coeffs"]])
 
 
 def tower_to_json(tw):
@@ -1213,19 +1197,18 @@ def tower_to_json(tw):
 
 
 def tower_from_json(data):
-    """Build a tower from JSON.  Every modulus passes ``Tower.extend``'s
-    checks, and the depth-1 one must be irreducible over QQ, certified as
-    in ``split_directions``: of degree 2 or 3, by having no rational root;
-    of degree >= 4, by having no rational root, being squarefree and
-    having no proper factor in sympy's factorization.  Deeper moduli are
-    adjoined optimistically."""
+    """Build a tower from JSON.  Each modulus has its coefficients reduced
+    in the tower below and passes ``Tower.extend``'s checks, and the
+    depth-1 one must be irreducible over QQ: ``_factors_over_qq`` finds it
+    one factor of multiplicity 1.  Deeper moduli are adjoined
+    optimistically."""
     tw = QQ
     for level in data.get("levels", []):
         modulus = tuple(elem_from_json(tw, c) for c in level["modulus"])
         tw = tw.extend(level["var"], modulus)
         if tw.depth == 1:
-            factors = _split_over_qq(modulus)
-            if len(factors) != 1 or factors[0][3] != 1:
+            factors = _factors_over_qq(modulus)
+            if len(factors) != 1 or factors[0][1] != 1:
                 raise ValueError(f"modulus for {level['var']!r} is "
                                  "reducible over QQ")
     return tw

@@ -115,6 +115,27 @@ class TestGermAndMap:
         data = json.loads(res.output)
         assert sorted(nd["mult"] for nd in data["nodes"]) == [2, 2]
 
+    # s^2 - 2 written out: 0 in Q(s), s^2 = 2, once read
+    ZERO_IN_S = {"ext": "s", "coeffs": ["-2", "0", "1"]}
+    LEVEL_S = {"var": "s", "modulus": ["-2", "0", "1"]}
+
+    @pytest.mark.parametrize("levels, terms", [
+        ([LEVEL_S], [[0, 2, "1"], [3, 0, "-1"], [2, 0, ZERO_IN_S]]),
+        ([LEVEL_S], [[2, 0, "1"], [0, 2, "-1"], [0, 0, ZERO_IN_S]]),
+        ([LEVEL_S, {"var": "u", "modulus": [
+            "-3", "0", {"ext": "s", "coeffs": ["-1", "0", "1"]}]}],
+         [[0, 2, "1"], [3, 0, "-1"]])],
+        ids=["zero-x2-coefficient", "zero-constant-term", "unit-lead"])
+    def test_tower_elements_are_reduced(self, runner, tmp_path, levels,
+                                        terms):
+        # each germ is a cusp or a node with one point of multiplicity 2
+        gf = write(tmp_path, "g.json", {
+            "tower": {"levels": levels},
+            "poly": {"vars": ["x", "y"], "terms": terms}})
+        res = run(runner, ["germ", "mult-cluster", gf, "--format", "csv"])
+        assert res.exit_code == 0, res.stderr
+        assert res.output.splitlines()[1:] == ["q001,,,1,2"]
+
     def test_bp_and_degree(self, runner, tmp_path):
         mp = write(tmp_path, "m.json", {"f1": poly_to_json(X ** 2),
                                         "f2": poly_to_json(Y ** 3)})

@@ -12,13 +12,13 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from enriques import (QQ, BiPoly, FieldElement, ModulusSplit,
+from enriques import (QQ, BiPoly, Direction, FieldElement, ModulusSplit,
                       RetryBudgetExceeded, Tower, UniPoly, branched, field,
                       field_arith, poly_gcd, split_directions)
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             exact_div, from_rational, generator, int_scale,
-                            inv, is_zero, monic_lex, mul, one, pack, padd,
-                            pdivmod, peval, pmod, pmul, poly_from_json,
+                            inv, is_zero, monic_lex, mul, neg, one, pack,
+                            padd, pdivmod, peval, pmod, pmul, poly_from_json,
                             poly_to_json, ptrim, qscale, reduce_mod,
                             resultant_y, tower_from_json,
                             tower_to_json, uni_resultant, unpack, zero,
@@ -176,6 +176,19 @@ class TestSplitDirections:
         dirs = split_directions(UniPoly(QQ, cs))
         assert sum(d.orbit * d.multiplicity for d in dirs) == len(cs) - 1
 
+    def test_pinned_over_q_s(self):
+        # (t^2 - 3)^2 (t - s)(t^2 + 1) over Q(s), s^2 = 2: Yun's squarefree
+        # factors, the cubic (t - s)(t^2 + 1) adjoined optimistically and
+        # t^2 - 3 with multiplicity 2
+        s, o = generator(Q_S), one(Q_S)
+        f = qq_product([(((-3,), (), o), 2), ((neg(Q_S, s), o), 1),
+                        (((1,), (), o), 1)], Q_S)
+        cubic = Q_S.extend("t2", ((0, -1), (1,), (0, -1), (1,)))
+        quadratic = Q_S.extend("t2", ((-3,), (), (1,)))
+        assert split_directions(UniPoly(Q_S, f)) == [
+            Direction(cubic, ((), (1,)), 3, 1),
+            Direction(quadratic, ((), (1,)), 2, 2)]
+
 
 class TestFreshVar:
     def test_default_names(self):
@@ -209,6 +222,33 @@ class TestJson:
         monkeypatch.setitem(sys.modules, "sympy", _NoSympy())
         tw = QQ.extend("c", (Fraction(-2), 0, 0, Fraction(1)))
         assert tower_from_json(tower_to_json(tw)) == tw
+
+    @pytest.mark.parametrize("modulus, irreducible", [
+        ((-1, 0, 1), False), ((4, 0, 0, 0, 1), False),
+        ((1, 0, 2, 0, 1), False), ((-2, 0, 0, 1), True), ((1, 0, 1), True)],
+        ids=["t2-1", "t4+4", "(t2+1)^2", "t3-2", "t2+1"])
+    def test_depth_one_modulus_certified(self, monkeypatch, modulus,
+                                         irreducible):
+        # one Tower.extend per level: the certificate builds no tower
+        calls = []
+        extend = Tower.extend
+        monkeypatch.setattr(Tower, "extend", lambda tw, var, m: calls.append(
+            var) or extend(tw, var, m))
+        data = {"levels": [{"var": "t", "modulus": [f"{c}/1"
+                                                    for c in modulus]}]}
+        if irreducible:
+            assert tower_from_json(data).levels == (("t", modulus),)
+        else:
+            with pytest.raises(ValueError, match="reducible"):
+                tower_from_json(data)
+        assert calls == ["t"]
+
+    def test_elements_are_reduced(self):
+        # s^2 is 2 and s^2 - 2 is 0 in Q(s), also where they are read
+        s2 = {"ext": "s", "coeffs": ["0", "0", "1"]}
+        assert elem_from_json(Q_S, s2) == from_rational(Q_S, 2)
+        assert elem_from_json(Q_S, {"ext": "s",
+                                    "coeffs": ["-2", "0", "1"]}) == ()
 
     def test_elem_roundtrip(self):
         tw = QQ.extend("t1", (Fraction(-2), Fraction(0), Fraction(1)))
@@ -303,8 +343,9 @@ class TestCoreProperties:
     @pytest.mark.parametrize("tw, a", [(Q_S, (1, 1)), (Q_ST, ((1,), (0, 1)))],
                              ids=["1+s", "1+st"])
     def test_inv_inverts_no_one(self, monkeypatch, tw, a):
-        # _xgcd_against returns a monic gcd, so the inverse of a unit is
-        # its Bezout cofactor, with no inversion of 1 at any depth below
+        # the inverse of a unit is its Bezout cofactor scaled by the
+        # inverse of the constant last remainder (-1 for 1 + s, -5/2 for
+        # 1 + st), with no inversion of 1 at any depth below
         ones = spy_inversions_of_one(monkeypatch)
         assert mul(tw, a, field.inv(tw, a)) == one(tw)
         assert ones == []
@@ -796,12 +837,18 @@ def sympy_split(coeffs):
     return out
 
 
-def qq_product(factors):
-    """The product of ``(coefficients, multiplicity)`` pairs over QQ."""
-    out = (Fraction(1),)
+def split_over_qq(coeffs):
+    """``split_directions`` over QQ read as the tuples of ``sympy_split``."""
+    return [(d.tower, d.root, d.orbit, d.multiplicity)
+            for d in split_directions(UniPoly(QQ, coeffs))]
+
+
+def qq_product(factors, tw=QQ):
+    """The product of ``(coefficients, multiplicity)`` pairs over ``tw``."""
+    out = (from_rational(tw, 1),)
     for f, m in factors:
         for _ in range(m):
-            out = pmul(QQ, out, f)
+            out = pmul(tw, out, f)
     return out
 
 
@@ -836,7 +883,7 @@ class TestSplitOverQ:
     @example(coeffs=qq_product([(QUADRATIC, 3)]))
     @example(coeffs=qq_product([(QUADRATIC, 3), ((Fraction(-1, 2), 1), 2)]))
     def test_matches_sympy(self, coeffs):
-        got, want = field._split_over_qq(coeffs), sympy_split(coeffs)
+        got, want = split_over_qq(coeffs), sympy_split(coeffs)
         assert got == want
         assert [type(r) for _, r, _, _ in got] == [type(r) for _, r, _, _ in want]
 
@@ -849,6 +896,8 @@ class TestSplitOverQ:
         coeffs = qq_product([((Fraction(1 - 2 ** 61), Fraction(1)), 1),
                              ((Fraction(1 - 2 ** 89), 0, Fraction(1)), 1)])
         t0 = time.perf_counter()
-        got = field._split_over_qq(coeffs)
+        got = split_over_qq(coeffs)
         assert time.perf_counter() - t0 < 1.0
-        assert got == sympy_split(coeffs)
+        want = sympy_split(coeffs)
+        assert got == want
+        assert [type(r) for _, r, _, _ in got] == [type(r) for _, r, _, _ in want]

@@ -90,8 +90,8 @@ import enriques.cli
 from enriques import chain_cluster, field, monomial_map, pullback_cluster
 
 splits = []
-split = field._split_over_qq
-field._split_over_qq = lambda cs: splits.append(cs) or split(cs)
+factor = field._factors_over_qq
+field._factors_over_qq = lambda cs: splits.append(cs) or factor(cs)
 pullback_cluster(monomial_map(2, 3), chain_cluster([3, 2, 1]), 0)
 res = CliRunner().invoke(enriques.cli.main,
                          ["map", "pullback", sys.argv[1], sys.argv[2]])
