@@ -27,28 +27,21 @@ class EnriquesForest:
 
     def __init__(self, nodes):
         nodes = tuple(nodes)
-        violations = validate_node_list(nodes)
+        violations = validate_forest(nodes)
         if violations:
             raise ForestViolation("; ".join(violations))
         self.nodes = _canonical_order(nodes)
         self.by_id = {n.id: n for n in self.nodes}
         self.children = {n.id: [] for n in self.nodes}
-        self._satellites = {n.id: [] for n in self.nodes}
         for n in self.nodes:
             if n.parent is not None:
                 self.children[n.parent].append(n.id)
-            if n.second_proximity is not None:
-                self._satellites[n.second_proximity].append(n.id)
 
     def __eq__(self, other):
         return isinstance(other, EnriquesForest) and self.nodes == other.nodes
 
     def __hash__(self):
         return hash(self.nodes)
-
-    def proximate_to(self, nid):
-        """Nodes proximate to the given node: its children plus satellites."""
-        return list(self.children[nid]) + self._satellites[nid]
 
     def roots(self):
         return [n.id for n in self.nodes if n.parent is None]
@@ -70,8 +63,9 @@ def _canonical_order(nodes):
     return tuple(sorted(nodes, key=lambda n: (depths[n.id], n.id)))
 
 
-def validate_node_list(nodes):
-    """All EnriquesForest invariant violations for a raw node list."""
+def validate_forest(nodes):
+    """All EnriquesForest invariant violations of a node sequence, as
+    strings (empty iff valid)."""
     out = []
     seen = {}
     for n in nodes:
@@ -125,13 +119,6 @@ def validate_node_list(nodes):
     return out
 
 
-def validate_forest(nodes):
-    """Diagnostic entry point: list of violation strings (empty iff valid)."""
-    if isinstance(nodes, EnriquesForest):
-        return []
-    return validate_node_list(tuple(nodes))
-
-
 class WeightedMultiCluster:
     """A forest with an integer weight per node."""
 
@@ -176,23 +163,26 @@ class WeightedMultiCluster:
 
 
 def excesses(k):
-    """Proximity excess per node, orbit-relative.
+    """Proximity excess per node, orbit-relative: the weight of q minus
+    the weights of the points proximate to q.
 
-    A proximate point q' in an orbit of size o' contributes its weight
-    once per conjugate lying over each conjugate of q, i.e. with factor
-    o'/o_q; for legal forests this is a positive integer.
+    A point q' is proximate to its parent and to its second proximity,
+    the rule ``proximity_matrix`` states.  In an orbit of size o' it
+    contributes its weight once per conjugate lying over each conjugate
+    of q, i.e. with factor o'/o_q; for legal forests this is a positive
+    integer.
     """
     f = k.forest
-    out = {}
-    for n in f.nodes:
-        rho = Fraction(k.weights[n.id])
-        for cid in f.proximate_to(n.id):
-            c = f.by_id[cid]
-            rho -= Fraction(c.orbit, n.orbit) * k.weights[cid]
-        if rho.denominator != 1:
-            raise ForestViolation(f"non-integral excess at {n.id}")
-        out[n.id] = int(rho)
-    return out
+    rho = {n.id: Fraction(k.weights[n.id]) for n in f.nodes}
+    for c in f.nodes:
+        for nid in (c.parent, c.second_proximity):
+            if nid is not None:
+                rho[nid] -= (Fraction(c.orbit, f.by_id[nid].orbit)
+                             * k.weights[c.id])
+    for nid, v in rho.items():
+        if v.denominator != 1:
+            raise ForestViolation(f"non-integral excess at {nid}")
+    return {nid: int(v) for nid, v in rho.items()}
 
 
 def is_consistent(k):
@@ -212,7 +202,13 @@ def virtual_codimension(k):
 
 
 def hilbert_samuel_check(k, k_max):
-    """Codimension of m-fold multiples grows as K^2 m^2 / 2 + linear."""
+    """Codimension of m-fold multiples grows as K^2 m^2 / 2 + linear.
+
+    The codimension here is ``virtual_codimension``, and c(mK) - m^2 K^2/2
+    = m sum(o nu) / 2 for every cluster, so the second differences always
+    vanish and no input returns False: in effect this checks consistency
+    only.
+    """
     if not is_consistent(k):
         raise InconsistentCluster("cluster violates proximity inequalities")
     k2 = self_intersection(k)
@@ -314,7 +310,7 @@ def single_point(weight, orbit=1, nid="p"):
     return WeightedMultiCluster([Node(nid, orbit=orbit)], {nid: weight})
 
 
-def chain_cluster(weights, satellites=None, prefix="q", orbit=1):
+def chain_cluster(weights, satellites=None, orbit=1):
     """A totally ordered cluster q1 <- q2 <- ... with optional satellites.
 
     ``satellites`` maps node index (0-based) to the index of the strict
@@ -323,12 +319,12 @@ def chain_cluster(weights, satellites=None, prefix="q", orbit=1):
     satellites = satellites or {}
     nodes = []
     for i, _ in enumerate(weights):
-        nid = f"{prefix}{i + 1}"
-        parent = f"{prefix}{i}" if i > 0 else None
-        sp = f"{prefix}{satellites[i] + 1}" if i in satellites else None
+        nid = f"q{i + 1}"
+        parent = f"q{i}" if i > 0 else None
+        sp = f"q{satellites[i] + 1}" if i in satellites else None
         nodes.append(Node(nid, parent, sp, orbit))
     return WeightedMultiCluster(
-        nodes, {f"{prefix}{i + 1}": w for i, w in enumerate(weights)})
+        nodes, {f"q{i + 1}": w for i, w in enumerate(weights)})
 
 
 def disjoint_union(*clusters):

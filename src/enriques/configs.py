@@ -127,10 +127,7 @@ def wiman(vertex_triples=0):
     points as coordinate vertices."""
     if not 0 <= vertex_triples <= 3:
         raise PlacementConflict("at most three triple points can be vertices")
-    sing = []
-    if vertex_triples < 120:
-        sing.append(SingularSpec(single_point(3), 120 - vertex_triples,
-                                 GENERIC))
+    sing = [SingularSpec(single_point(3), 120 - vertex_triples, GENERIC)]
     if vertex_triples:
         sing.append(SingularSpec(single_point(3), vertex_triples, VERTEX))
     sing.append(SingularSpec(single_point(4), 45, GENERIC))

@@ -358,8 +358,6 @@ def psub(tw, f, g):
 
 
 def pscale(tw, f, c):
-    if is_zero(tw, c):
-        return ()
     return ptrim(tw, [mul(tw, a, c) for a in f])
 
 
@@ -481,7 +479,7 @@ def peval(tw, f, x0):
 
 
 # ---------------------------------------------------------------------------
-# Public element wrapper (API and JSON boundary)
+# Public element wrapper: operators on the elements of one tower
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -719,8 +717,6 @@ class BiPoly:
         for row in rows:
             dx = max(row, default=-1)
             out.append(ptrim(tw, [row.get(i, zero(tw)) for i in range(dx + 1)]))
-        while out and not out[-1]:
-            out.pop()
         return tuple(out)
 
     @classmethod
@@ -762,8 +758,6 @@ def _yx_content(tw, f):
 
 def _yx_primitive(tw, f):
     c = _yx_content(tw, f)
-    if not c:
-        return f, ()
     return tuple(pdiv_exact(tw, row, c) for row in f), c
 
 
@@ -989,13 +983,6 @@ def _lagrange(tw, pts, vals):
     return ptrim(tw, out)
 
 
-def order_in_x(tw, f):
-    for i, c in enumerate(f):
-        if not is_zero(tw, c):
-            return i
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Direction splitting
 # ---------------------------------------------------------------------------
@@ -1014,9 +1001,6 @@ class Direction:
 class UniPoly:
     tower: Tower
     coeffs: tuple
-
-    def degree(self):
-        return pdeg(self.coeffs)
 
     def is_zero(self):
         return not self.coeffs

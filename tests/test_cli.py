@@ -262,6 +262,36 @@ class TestExitCodes:
         assert "ParseError" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_zero_germ_exit_2(self, runner, tmp_path):
+        gf = write(tmp_path, "g.json", {"terms": []})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert "ParseError" in res.stderr and "zero polynomial" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    # consistent, valid forests that no chart of the blowups realizes
+    @pytest.mark.parametrize("cluster, message", [
+        (cluster_to_json(chain_cluster([4, 2, 1, 1], satellites={3: 0})),
+         "q4 is satellite to a point not on its chart"),
+        ({"nodes": [{"id": "p", "mult": 4},
+                    {"id": "q", "parent": "p", "mult": 2},
+                    {"id": "r1", "parent": "q", "second_proximity": "p",
+                     "mult": 1},
+                    {"id": "r2", "parent": "q", "second_proximity": "p",
+                     "mult": 1}]},
+         "two satellites at the same direction under q")],
+        ids=["off-chart", "same-direction"])
+    def test_unrealizable_forest_exit_1(self, runner, tmp_path, cluster,
+                                        message):
+        kf = write(tmp_path, "k.json", cluster)
+        res = run(runner, ["cluster", "check", kf, "--format", "json"])
+        assert json.loads(res.output)[0]["consistent"] is True
+        mp = write(tmp_path, "m.json", {"f1": poly_to_json(X),
+                                        "f2": poly_to_json(Y)})
+        res = run(runner, ["map", "pullback", mp, kf])
+        assert res.exit_code == 1
+        assert f"UnrealizableForest: {message}" in res.stderr
+
     @pytest.mark.parametrize("cmd", ["degree", "bp"])
     def test_non_dominant_map_exit_1(self, runner, tmp_path, cmd):
         mp = write(tmp_path, "m.json", {"f1": poly_to_json(X),
@@ -423,8 +453,16 @@ def clusters(draw):
     nodes = []
     for i in range(draw(st.integers(1, 3))):
         parent = draw(st.sampled_from([None] + [nd["id"] for nd in nodes]))
-        nodes.append({"id": f"q{i}", "parent": parent, "orbit": 1,
-                      "mult": draw(st.integers(0, 2))})
+        # a satellite is proximate to a strict ancestor of its parent
+        ancestors = []
+        cur = parent and nodes[int(parent[1:])]["parent"]
+        while cur is not None:
+            ancestors.append(cur)
+            cur = nodes[int(cur[1:])]["parent"]
+        nodes.append({"id": f"q{i}", "parent": parent,
+                      "second_proximity": draw(
+                          st.sampled_from([None] + ancestors)),
+                      "orbit": 1, "mult": draw(st.integers(0, 2))})
     return {"nodes": nodes}
 
 

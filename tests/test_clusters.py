@@ -63,6 +63,16 @@ class TestValidate:
         nodes = [Node("a", "b"), Node("b", "a")]
         assert any(v.startswith("ParentCycle") for v in validate_forest(nodes))
 
+    @pytest.mark.parametrize("nodes, want", [
+        ([Node("p"), Node("p")], ["DuplicateId: p"]),
+        ([Node("p", "p")], ["SelfParent: p", "ParentCycle: p"]),
+        ([Node("p", None, "p")], ["SatelliteRoot: p"]),
+        ([Node("p", orbit=2), Node("q", "p", orbit=3)],
+         ["OrbitNotMultipleOfParent: q"])],
+        ids=["duplicate", "self-parent", "satellite-root", "orbit"])
+    def test_violations(self, nodes, want):
+        assert validate_forest(nodes) == want
+
     def test_zero_orbit_parent(self):
         # reported once, not a ZeroDivisionError in the divisibility check
         nodes = [Node("p", orbit=0), Node("q", "p")]
@@ -263,6 +273,19 @@ class TestJson:
         k = chain_cluster([3, 2, 1], satellites={2: 0}, orbit=2)
         assert cluster_from_json(cluster_to_json(k)) == k
 
+    @pytest.mark.parametrize("nodes, weights, match", [
+        ([Node("p"), Node("q", "p")], {"p": 1}, "missing weight for q"),
+        ([Node("p")], {"p": 1, "r": 2}, r"unknown nodes \['r'\]"),
+        ([Node("p"), Node("p")], {"p": 1}, "DuplicateId: p")],
+        ids=["missing", "unknown", "invalid-forest"])
+    def test_bad_cluster_rejected(self, nodes, weights, match):
+        with pytest.raises(ForestViolation, match=match):
+            WeightedMultiCluster(nodes, weights)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ForestViolation):
             WeightedMultiCluster([Node("p")], {"p": -1})
+
+    def test_repr(self):
+        k = chain_cluster([2, 1], orbit=2)
+        assert repr(k) == "WeightedMultiCluster(q1:2x2, q2:1x2)"

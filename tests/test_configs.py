@@ -1,6 +1,7 @@
 """Plane configurations, Kummer transport and the Klein recursion."""
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,12 @@ class TestPlaneConfigInvariants:
         with pytest.raises(PlacementConflict):
             PlaneConfig(degree=3, components=((1, 3),),
                         sing=(SingularSpec(single_point(3), 2),))
+
+    def test_line_pair_budget_skips_infinitely_near_points(self):
+        # the budget counts ordinary points only; a chain cluster is not one
+        c = PlaneConfig(degree=3, components=((1, 3),),
+                        sing=(SingularSpec(chain_cluster([2, 1]), 5),))
+        assert mult_size(c) == 10
 
     def test_too_many_vertices(self):
         with pytest.raises(PlacementConflict):
@@ -206,6 +213,15 @@ class TestStrictGap:
         new, old_h, new_h = strict_gap_demo(wiman(), 2, "vertex")
         assert old_h == Fraction(-225, 67)
         assert new_h < old_h
+
+    def test_vertex_variant_tags_a_single_point_in_place(self):
+        # one of Wiman's triple points as a spec of its own, listed first
+        c = wiman()
+        triple = SingularSpec(single_point(3), 1)
+        split = replace(c, sing=(triple, replace(c.sing[0], count=119))
+                        + c.sing[1:])
+        assert (strict_gap_demo(split, 2, "vertex")[1:]
+                == strict_gap_demo(wiman(), 2, "vertex")[1:])
 
     def test_nonnegative_h_rejected(self):
         with pytest.raises(HypothesisViolated):

@@ -84,6 +84,21 @@ class TestFieldArith:
         assert (t + t - t).rep == t.rep
         assert (t - t).is_zero
 
+    def test_add_a_rational(self):
+        tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
+        t = fe(tw, generator(tw))
+        assert field_arith(t, 1, "add").rep == (Fraction(1), Fraction(1))
+
+
+class TestBiPolyValue:
+    def test_equal_to_a_constant(self):
+        assert X - X == 0 and X + 2 - X == 2 and X != 0
+        assert (X == "x") is False
+
+    def test_hash_and_repr(self):
+        assert hash(X * Y) == hash(Y * X)
+        assert repr(X - X) == "BiPoly(0)"
+
 
 class TestPolyGcd:
     def test_monomial_gcd(self):

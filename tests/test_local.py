@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       ContractedCurvePresent, Germ, HypothesisViolated,
                       LocalMap, NonReducedGerm, RetryBudgetExceeded,
-                      base_points, chain_cluster, curves_through, fixed_part,
-                      germ_mult, intersection_multiplicity, is_consistent,
-                      local_degree, map_multiplicity, monomial_map,
-                      mult_cluster, noether_intersection, pullback_cluster,
+                      WeightedMultiCluster, base_points, chain_cluster,
+                      curves_through, disjoint_union, fixed_part, germ_mult,
+                      intersection_multiplicity, is_consistent, local_degree,
+                      map_multiplicity, monomial_map, mult_cluster,
+                      noether_intersection, pullback_cluster,
                       self_intersection, shared_cluster, single_point,
                       strict_transform)
 from enriques import field, localeng
@@ -51,6 +52,16 @@ GRID = [([1], None), ([2], None), ([3], None),
 
 # the clusters whose drawn pairs are pinned: the grid and two deeper chains
 PINNED = GRID + [([5, 4, 3, 2, 1], None), ([3, 3, 1], None)]
+
+# chains whose last point is satellite at direction 0 of its chart (the
+# grid's satellites all sit at direction infinity), with the directions
+# of _cluster_conditions, the least and top degrees of the ladder and K^2
+DIRECTION_ZERO = [
+    (([3, 2, 1, 1], {2: 0, 3: 1}), {"q2": 1, "q3": "inf", "q4": 0},
+     5, 8, 15),
+    (([3, 3, 2, 1, 1], {3: 1, 4: 2}),
+     {"q2": 1, "q3": 1, "q4": "inf", "q5": 0}, 6, 11, 24),
+]
 
 
 def grid_cluster(weights, sats):
@@ -85,6 +96,10 @@ class TestStrictTransform:
     def test_smooth_stays_smooth(self):
         g = strict_transform(Germ(Y + X ** 2), BlowupChart("x"))
         assert g.poly == Y + X
+
+    def test_vertical_chart(self):
+        g = strict_transform(Germ(X ** 2 - Y ** 3), BlowupChart("y"))
+        assert g.poly == X ** 2 - Y
 
     def test_direction_shift(self):
         # branch along y = x: after moving the direction to the origin the
@@ -211,6 +226,12 @@ class TestBasePoints:
         assert nodes[2].second_proximity == nodes[0].id
         assert self_intersection(k) == 6
 
+    def test_unit_quotient(self):
+        # the fixed part x leaves y and 1 + y: no base point, degree 0
+        f = LocalMap.from_polys(X * Y, X * (1 + Y))
+        assert base_points(f).forest.nodes == ()
+        assert local_degree(f) == 0
+
     def test_consistency(self):
         for a, b in ((1, 1), (1, 4), (2, 2), (2, 3), (3, 4), (4, 4)):
             assert is_consistent(base_points(monomial_map(a, b)))
@@ -259,6 +280,12 @@ class TestIntersectionMultiplicity:
         with pytest.raises(RetryBudgetExceeded, match="first 12$"):
             intersection_multiplicity(Germ(Y ** 2 - X ** 3), Germ(Y - X ** 2))
         assert len(shears) == 12
+
+    def test_common_factor_off_the_origin(self):
+        # 1 + x is divided out before the resultant
+        a, b = Germ(Y * (1 + X)), Germ((Y - X ** 2) * (1 + X))
+        assert intersection_multiplicity(a, b) == 2
+        assert noether_intersection(*shared_cluster(a, b)) == 2
 
     def test_symmetry(self):
         pairs = [(Y - X ** 2, Y ** 3 - X ** 2), (X * Y, Y ** 2 - X ** 3),
@@ -317,6 +344,14 @@ class TestCurvesThrough:
     def test_orbit_rejected(self):
         with pytest.raises(HypothesisViolated):
             curves_through(single_point(2, orbit=2), 0)
+
+    @pytest.mark.parametrize("k, match", [
+        (chain_cluster([2, 0]), "weights >= 1"),
+        (disjoint_union(single_point(1), single_point(1)),
+         "single proper point")], ids=["zero-weight", "two-points"])
+    def test_hypotheses_rejected(self, k, match):
+        with pytest.raises(HypothesisViolated, match=match):
+            curves_through(k, 0)
 
     def test_deterministic(self):
         a = curves_through(chain_cluster([2, 2]), 3)
@@ -503,6 +538,10 @@ class TestPullback:
             assert weight_list(pb) == [2 * m]
             assert self_intersection(pb) == 4 * m * m
 
+    def test_empty_cluster(self):
+        empty = WeightedMultiCluster([], {})
+        assert pullback_cluster(monomial_map(2, 3), empty, 0) == empty
+
     def test_contracted_curve_rejected(self):
         f = LocalMap.from_polys(X ** 2, X * Y)
         with pytest.raises(ContractedCurvePresent):
@@ -602,6 +641,31 @@ class TestPullback:
         deg = local_degree(f)
         assert self_intersection(pb) == deg * self_intersection(k)
         assert pb.size() < deg * k.size()
+
+
+@pytest.mark.parametrize("chain, directions, least, top, k2", DIRECTION_ZERO,
+                         ids=["3211", "33211"])
+class TestDirectionZero:
+    def test_curves_through(self, monkeypatch, chain, directions, least,
+                            top, k2):
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        k = chain_cluster(*chain)
+        assert localeng._cluster_conditions(k, least)[2] == directions
+        assert (localeng._least_degree(k), localeng._top_degree(k)) == (
+            least, top)
+        w, z = curves_through(k, 0)
+        assert max(w.poly.total_degree(), z.poly.total_degree()) == least
+        assert self_intersection(k) == k2
+        assert intersection_multiplicity(w, z) == k2
+        assert noether_intersection(*shared_cluster(w, z)) == k2
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_pullback_laws(self, chain, directions, least, top, k2, a, b):
+        k, f = chain_cluster(*chain), monomial_map(a, b)
+        pb = pullback_cluster(f, k, 0)
+        deg = local_degree(f)
+        assert self_intersection(pb) == deg * k2
+        assert pb.size() <= deg * k.size()
 
 
 def fraction_compose(w, f1, f2):
