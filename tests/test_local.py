@@ -575,6 +575,21 @@ class TestPullback:
         assert cluster_to_json(pb) == golden
         assert elapsed < 15.0
 
+    def test_slow_fuzz_draw_222(self, monkeypatch):
+        # a map pullback draw of the CLI fuzz test over chains; it took
+        # 3.6-4.3 s (2-vCPU Xeon, Python 3.11.7), and its f*K is that of
+        # the 3x^3 y map at seed 1
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        f = LocalMap.from_polys(Fraction(1, 2) * Y ** 3 - 2 * X * Y + X,
+                                -2 * X ** 3 * Y ** 2 + X ** 3 * Y)
+        start = time.perf_counter()
+        pb = pullback_cluster(f, chain_cluster([2, 2, 2]), -1)
+        elapsed = time.perf_counter() - start
+        golden = json.loads((GOLDEN / "pullback-3x3y-chain222-seed1.json")
+                            .read_text())
+        assert cluster_to_json(pb) == golden
+        assert elapsed < 15.0
+
     def test_pullback_does_not_depend_on_the_pair(self, monkeypatch):
         # the pair drawn at the least degree and the one drawn at D_top
         # give the same f*(K); the x^3 y map skips the four free
