@@ -932,14 +932,20 @@ def resultant_y(p, q):
     Sylvester resultants ``uni_resultant`` of p(x0, y) and q(x0, y) at
     the int nodes x0 = 0, 1, 2, ... where both lc_y survive, interpolated.
     It is () when p or q is zero or they share a factor of positive
-    y-degree.  A y-free operand a takes the same route: Res_y(a, q) is
-    a^(deg_y q), of x-degree deg_x a * deg_y q, the node bound."""
+    y-degree.  The nodes number one more than a bound on deg_x Res_y,
+    the smaller of deg_x p deg_y q + deg_x q deg_y p and the Bezout bound
+    m n for total degrees m, n (Cox, Little and O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 8 sec. 7): with d = deg_y p, e = deg_y q, the
+    Sylvester entry in column c of p's row k has x-degree <= m - d + c - k
+    (n - e + c - l in q's row l), so each term of the determinant has
+    x-degree <= e m + d n - d e <= m n."""
     tw = p.tower
     f, g = p.to_yx(), q.to_yx()
     dyp, dyq = pdeg(f), pdeg(g)
     if dyp < 0 or dyq < 0:
         return ()
-    bound = p.deg_x() * dyq + q.deg_x() * dyp
+    bound = min(p.deg_x() * dyq + q.deg_x() * dyp,
+                p.total_degree() * q.total_degree())
     pts, vals = [], []
     for c in itertools.count():
         lcp = peval(tw, f[-1], c)

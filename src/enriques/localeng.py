@@ -21,7 +21,8 @@ and returns either None (no point recorded, stop) or a triple
 ``(fields, exps, span)``: the weights of the new point, the exceptional
 exponent divided out of each polynomial at the next blowup (None: the
 polynomial misses the point and is carried unchanged), and how many
-leading polynomials span the tangent cone.
+leading polynomials span the tangent cone.  ``_chart_int`` needs integer
+leaves with gcd 1: ``F.int_poly`` makes them on entry, and charts keep them.
 """
 from __future__ import annotations
 
@@ -104,18 +105,19 @@ def monomial_map(a, b, tower=QQ):
 
 def _chart_int(p, m, c):
     """``(q, s)`` with p(x, x(y+c)) / x^m = s q, for p with integer leaves
-    and a direction root c in p's tower; q has integer leaves with gcd 1.
+    with gcd 1 (module docstring) and a direction root c in p's tower; q
+    has integer leaves with gcd 1.  At c = 0, q is p relabelled and s = 1.
 
-    The term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m) y^k.  With
-    c = a/b, J = deg_y p and the powers a^e scaled by one rational ws to
-    integer leaves, the weights C(j, k) ws a^(j-k) b^(J-j+k) are integers,
-    and they and each N are packed into single ints (``F.pack``), so the
-    loop costs one int product and sum per (term, k) at every tower depth;
-    each output coefficient is unpacked and reduced modulo the tower once,
-    exactly, and the sum is ws b^J times the substitution.  The blowup
-    recursion reads only orders, tangent directions and whether leading
-    coefficients are units, none of which a nonzero rational scale
-    changes, so it keeps q alone.
+    Otherwise the term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m)
+    y^k.  With c = a/b, J = deg_y p and the powers a^e scaled by one
+    rational ws to integer leaves, the weights C(j, k) ws a^(j-k)
+    b^(J-j+k) are integers, and they and each N are packed into single
+    ints (``F.pack``), so the loop costs one int product and sum per
+    (term, k) at every tower depth; each output coefficient is unpacked
+    and reduced modulo the tower once, exactly, and the sum is ws b^J
+    times the substitution.  The blowup recursion reads only orders,
+    tangent directions and whether leading coefficients are units, none
+    of which a nonzero rational scale changes, so it keeps q alone.
 
     Two denser loops are slower here: a Taylor shift of each total-degree
     row (composed pullback polynomials have sparse rows), and packing the
@@ -123,6 +125,8 @@ def _chart_int(p, m, c):
     product and sum then costs the whole row).
     """
     tw = p.tower
+    if is_zero(tw, c):
+        return _relabel(p, m, "x"), 1
     (a,), q = F.int_scale(tw, [c])
     a, b = qscale(tw, a, q.denominator), q.numerator
     js = {j for _, j in p.terms}
@@ -168,13 +172,15 @@ def _chart_a(p, m, c):
                        for key, v in q.terms.items()})
 
 
-def _chart_b(p, m):
-    """p(xy, y) / y^m (the vertical direction); (i, j) -> (i, i + j - m)
-    is one-to-one, so each coefficient moves unchanged."""
+def _relabel(p, m, axis):
+    """p(x, xy) / x^m (axis "x", direction 0) or p(xy, y) / y^m (axis "y"):
+    (i, j) goes one-to-one to (i + j - m, j) or (i, i + j - m), so each
+    coefficient moves unchanged."""
     if any(i + j < m for i, j in p.terms):
         raise ValueError("division exponent exceeds vanishing order")
-    return BiPoly(p.tower, {(i, i + j - m): coef
-                            for (i, j), coef in p.terms.items()})
+    vertical = axis == "y"
+    return BiPoly(p.tower, {(i, i + j - m) if vertical else (i + j - m, j): n
+                            for (i, j), n in p.terms.items()})
 
 
 def germ_mult(g):
@@ -190,7 +196,7 @@ def strict_transform(g, chart):
             c = from_rational(chart.tower, c)
         return Germ(_chart_a(p, m, c))
     if chart.axis == "y":
-        return Germ(_chart_b(p, m))
+        return Germ(_relabel(p, m, "y"))
     raise ValueError("chart axis must be 'x' or 'y'")
 
 
@@ -273,7 +279,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH):
                            orbit * ofac, depth + 1)
             entries.extend(_run_direction(tw, d, go))
         if all(f is None or xm > 0 for f, xm in forms):
-            hs = [p if e is None else _chart_b(p, e)
+            hs = [p if e is None else _relabel(p, e, "y")
                   for p, e in zip(polys, exps)]
             entries.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
                                orbit, depth + 1))
@@ -583,10 +589,8 @@ def _verify_through(poly, k, directions, root_id):
             return False
         for cid in forest.children[nid]:
             dirc = directions[cid]
-            if dirc == INF_DIR:
-                hh = _chart_b(h, nu)
-            else:
-                hh, _ = _chart_int(h, nu, dirc)
+            hh = (_relabel(h, nu, "y") if dirc == INF_DIR
+                  else _chart_int(h, nu, dirc)[0])
             if not walk(hh, cid):
                 return False
         return True

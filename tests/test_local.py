@@ -821,7 +821,13 @@ class TestChartInt:
         if p.is_zero():
             return
         m = data.draw(st.integers(0, p.order()))
-        c = data.draw(tower_elements(tw))
+        # direction 0, the relabeling (x, xy), on every run
+        for c in (data.draw(tower_elements(tw)), field.zero(tw)):
+            self.check(p, m, c)
+
+    @staticmethod
+    def check(p, m, c):
+        tw = p.tower
         ip, s0 = field.int_poly(tw, p.terms)
         q, s = localeng._chart_int(ip, m, c)
         ints = field.leaves(tw, list(q.terms.values()))
@@ -839,6 +845,16 @@ class TestChartInt:
         assert chart == lowered
         assert all(type(v) is Fraction
                    for v in field.leaves(tw, list(chart.terms.values())))
+
+    @pytest.mark.parametrize("tw", [QQ, Q_R, Q_RU], ids=["d0", "d1", "d2"])
+    def test_zero_direction_past_the_order(self, tw):
+        # x^2 y + 3 x^3 has order 3; at c = 0 the term x^2 y would go to
+        # x^(2 + 1 - 4) y
+        p, _ = field.int_poly(tw, {(2, 1): from_rational(tw, 1),
+                                   (3, 0): from_rational(tw, 3)})
+        localeng._chart_int(p, 3, field.zero(tw))
+        with pytest.raises(ValueError):
+            localeng._chart_int(p, 4, field.zero(tw))
 
 
 def ids_weights_orbits(k):
