@@ -12,9 +12,9 @@ adjoined optimistically (dynamic evaluation): whenever the extended Euclid
 of ``inv`` against a top modulus ends on a remainder of positive degree, a
 :class:`~enriques.errors.ModulusSplit` carrying that proper factor is
 raised, and callers branch the tower.  Irreducibility over the rationals
-itself is certified (rational roots, and sympy's factorization for what
-they leave of degree >= 4), so splits can only involve moduli adjoined
-over a non-trivial tower.
+itself is certified (rational roots, then Yun's squarefree factors, and
+sympy's factorization for those the root search cannot certify), so
+splits can only involve moduli adjoined over a non-trivial tower.
 """
 from __future__ import annotations
 
@@ -431,16 +431,14 @@ def pgcd(tw, f, g):
 def _pgcd_qq(f, g):
     """Rational univariate gcd via the primitive PRS over the integers
     (avoids the coefficient blowup of naive Euclid over Fraction)."""
-    if not f:
-        return pmonic(QQ, g)
-    if not g:
-        return pmonic(QQ, f)
+    if not f or not g:
+        return pmonic(QQ, f or g)
     a, b = int_scale(QQ, f)[0], int_scale(QQ, g)[0]
     while b:
         # integer pseudo-remainder of a by b
         r = list(a)
         lb = b[-1]
-        while len(r) >= len(b) and any(r):
+        while True:
             while r and r[-1] == 0:
                 r.pop()
             if len(r) < len(b):
@@ -451,14 +449,9 @@ def _pgcd_qq(f, g):
             for i, bv in enumerate(b):
                 r[k + i] -= lr * bv
             r = r[:-1]
-        while r and r[-1] == 0:
-            r.pop()
-        if r:
-            cont = 0
-            for v in r:
-                cont = math.gcd(cont, v)
-            if cont > 1:
-                r = [v // cont for v in r]
+        cont = math.gcd(*r)
+        if cont > 1:
+            r = [v // cont for v in r]
         a, b = b, r
     lead = a[-1]
     return tuple(Fraction(v, lead) for v in a)
@@ -933,19 +926,19 @@ def resultant_y(p, q):
     the int nodes x0 = 0, 1, 2, ... where both lc_y survive, interpolated.
     It is () when p or q is zero or they share a factor of positive
     y-degree.  The nodes number one more than a bound on deg_x Res_y,
-    the smaller of deg_x p deg_y q + deg_x q deg_y p and the Bezout bound
-    m n for total degrees m, n (Cox, Little and O'Shea, Ideals, Varieties,
-    and Algorithms, ch. 8 sec. 7): with d = deg_y p, e = deg_y q, the
-    Sylvester entry in column c of p's row k has x-degree <= m - d + c - k
-    (n - e + c - l in q's row l), so each term of the determinant has
-    x-degree <= e m + d n - d e <= m n."""
+    the smaller of deg_x p e + deg_x q d and e m + d n - d e, for y-degrees
+    d = deg_y p, e = deg_y q and total degrees m, n: the Sylvester entry
+    in column c of p's row k has x-degree <= m - d + c - k (n - e + c - l
+    in q's row l), so each term of the determinant has x-degree
+    <= e m + d n - d e, which is at most the Bezout number m n (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 7)."""
     tw = p.tower
     f, g = p.to_yx(), q.to_yx()
     dyp, dyq = pdeg(f), pdeg(g)
     if dyp < 0 or dyq < 0:
         return ()
     bound = min(p.deg_x() * dyq + q.deg_x() * dyp,
-                p.total_degree() * q.total_degree())
+                dyq * p.total_degree() + dyp * q.total_degree() - dyp * dyq)
     pts, vals = [], []
     for c in itertools.count():
         lcp = peval(tw, f[-1], c)
@@ -1021,8 +1014,8 @@ def _fresh_var(tw):
 
 # Rational roots are searched among the a/b with b | lc and a | c_0.  The
 # divisors come by trial division, and the candidates grow with the
-# divisor counts, so an input whose |lc| or |c_0| exceeds this goes whole
-# to sympy.
+# divisor counts, so the search skips an input whose |lc| or |c_0| exceeds
+# this; its squarefree factors of degree 2 and 3 then go to sympy.
 _ROOT_SEARCH_MAX = 1 << 16
 
 
@@ -1046,50 +1039,51 @@ def _divide_root(f, a, b):
 
 
 def _sympy_factors(f):
-    """sympy's factorization of the int polynomial ``f`` over QQ, as
-    (primitive int coefficients low -> high, multiplicity) pairs."""
+    """sympy's irreducible factors over QQ of the squarefree int
+    polynomial ``f``, as primitive int coefficients low -> high."""
     import sympy
     _, facs = sympy.Poly(f[::-1], sympy.Symbol("t"), domain="QQ").factor_list()
-    return [([int(c) for c in reversed(fac.all_coeffs())], m)
-            for fac, m in facs]
+    return [[int(c) for c in reversed(fac.all_coeffs())] for fac, _ in facs]
 
 
 def _factors_over_qq(coeffs):
     """The irreducible factors over QQ of a nonzero polynomial, as
     (primitive int coefficients with positive lead, multiplicity) pairs.
 
-    Rational roots are found by the rational-root theorem and divided out
-    exactly.  A leftover of degree 2 or 3 then has no rational root, which
-    certifies it irreducible; a leftover of degree >= 4 is split by Yun,
-    and only its squarefree factors of degree >= 4 reach sympy."""
+    Rational roots are found by the rational-root theorem, when |lc| and
+    |c_0| are at most ``_ROOT_SEARCH_MAX``, and divided out exactly; Yun
+    splits what is left into squarefree factors, unless it is already
+    certified.  A factor of degree 2 or 3 that the search has seen has no
+    rational root, which certifies it irreducible; sympy factors one of
+    degree >= 4, or of degree 2 or 3 when the search was skipped."""
     f = int_scale(QQ, coeffs)[0]
     if f[-1] < 0:
         f = [-c for c in f]
     k = next(i for i, c in enumerate(f) if c)
     f = f[k:]
     out = [([0, 1], k)] if k else []
-    if len(f) == 2:
-        return out + [(f, 1)]
-    if max(abs(f[0]), f[-1]) > _ROOT_SEARCH_MAX:
-        return out + _sympy_factors(f)
-    dens, nums = _divisors(f[-1]), _divisors(abs(f[0]))
-    roots = ((s * a, b) for b in dens for a in nums if math.gcd(a, b) == 1
-             for s in (1, -1))
-    for a, b in roots:
-        if len(f) < 3:
-            break
-        m = 0
-        while (q := _divide_root(f, a, b)) is not None:
-            f, m = q, m + 1
-        if m:
-            out.append(([-a, b], m))
-    if len(f) > 4:
-        for fac, m in _yun(QQ, tuple(f)):
-            fac = int_scale(QQ, fac)[0]
-            out += ([(fac, m)] if len(fac) <= 4 else
-                    [(g, m * n) for g, n in _sympy_factors(fac)])
-    elif len(f) > 1:
-        out.append((f, 1))
+    searched = len(f) > 2 and max(abs(f[0]), f[-1]) <= _ROOT_SEARCH_MAX
+    if searched:
+        dens, nums = _divisors(f[-1]), _divisors(abs(f[0]))
+        roots = ((s * a, b) for b in dens for a in nums
+                 if math.gcd(a, b) == 1 for s in (1, -1))
+        for a, b in roots:
+            if len(f) < 3:
+                break
+            m = 0
+            while (q := _divide_root(f, a, b)) is not None:
+                f, m = q, m + 1
+            if m:
+                out.append(([-a, b], m))
+    # the package certifies a factor of at most ``cap`` coefficients:
+    # linear, or of degree 2 or 3 when the search found no root of it
+    cap = 4 if searched else 2
+    for fac, m in [(f, 1)] if len(f) <= cap else _yun(QQ, tuple(f)):
+        fac = int_scale(QQ, fac)[0]
+        if len(fac) > cap:
+            out += [(g, m) for g in _sympy_factors(fac)]
+        elif len(fac) > 1:
+            out.append((fac, m))
     return out
 
 

@@ -135,8 +135,7 @@ def _chart_int(p, m, c):
     for _ in range(J):
         apow.append(F.mul(tw, apow[-1], a))
     apow, ws = F.int_scale(tw, apow)
-    pairs = [(j, k) for j in js for k in range(j + 1)
-             if not is_zero(tw, apow[j - k])]
+    pairs = [(j, k) for j in js for k in range(j + 1)]
     weights = [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
                for j, k in pairs]
     nbits, wbits = (max(map(abs, F.leaves(tw, elems)), default=0)

@@ -775,6 +775,26 @@ class TestTowerResultants:
                         else uni_resultant(tw, fp, fq))
                 assert peval(tw, r, x0) == want
 
+    @pytest.mark.parametrize("p, q, nodes", [
+        (Y ** 2 - X ** 3, Y ** 3 - X ** 5, 14),
+        (Y ** 2 - X ** 3 + X ** 4, Y ** 2 - X ** 3 - X ** 5, 15),
+        (Y ** 4 - X ** 7, Y ** 3 - X ** 5 + X * Y ** 2, 30)],
+        ids=["cusps", "perturbed-cusps", "quartic-cubic"])
+    def test_nodes_at_the_degree_bound(self, monkeypatch, p, q, nodes):
+        # e m + d n - d e + 1 nodes (d, e the y-degrees, m, n the total
+        # degrees), fewer than deg_x p e + deg_x q d + 1 and m n + 1
+        points = []
+        lagrange = field._lagrange
+        monkeypatch.setattr(field, "_lagrange",
+                            lambda tw, pts, vals: points.append(len(pts))
+                            or lagrange(tw, pts, vals))
+        r = resultant_y(p, q)
+        assert points == [nodes]
+        want = sympy.resultant(sympy_expr(p), sympy_expr(q), SYM_Y)
+        got = sum((sympy.Rational(c.numerator, c.denominator) * SYM_X ** i
+                   for i, c in enumerate(r)), sympy.Integer(0))
+        assert sympy.expand(got - want) == 0
+
     @DEPTHS
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), x0=small_q)
@@ -829,6 +849,10 @@ class TestOverQ:
         # t^2 + 2 has no rational root, which certifies it irreducible
         (d,) = split_directions(UniPoly(QQ, (2, 0, 1)))
         assert (d.orbit, d.multiplicity) == (2, 1)
+        # (512 t + 1)^2: |lc| > 2^16 skips the root search, and Yun finds
+        # the linear factor
+        (d,) = split_directions(UniPoly(QQ, (1, 1024, 262144)))
+        assert (d.root, d.orbit, d.multiplicity) == (Fraction(-1, 512), 1, 2)
         # (t - 1)(t^4 + 2): the squarefree quartic leftover goes to sympy
         with pytest.raises(AssertionError, match="sympy"):
             split_directions(UniPoly(QQ, (-2, 2, 0, 0, -1, 1)))
@@ -897,6 +921,10 @@ class TestSplitOverQ:
     @example(coeffs=qq_product([(QUADRATIC, 2)]))
     @example(coeffs=qq_product([(QUADRATIC, 3)]))
     @example(coeffs=qq_product([(QUADRATIC, 3), ((Fraction(-1, 2), 1), 2)]))
+    # |c_0| = 2^34 skips the root search: Yun splits off (t - 2^17)^2 and
+    # sympy factors t^2 + 1
+    @example(coeffs=qq_product([((Fraction(-2 ** 17), Fraction(1)), 2),
+                                ((Fraction(1), Fraction(0), Fraction(1)), 1)]))
     def test_matches_sympy(self, coeffs):
         got, want = split_over_qq(coeffs), sympy_split(coeffs)
         assert got == want

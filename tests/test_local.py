@@ -514,6 +514,15 @@ def pullback_at_top(monkeypatch, f, k):
         return pullback_cluster(f, k, 0)
 
 
+def _spy_sympy_factors(monkeypatch):
+    """The list of inputs that ``field._sympy_factors`` is called on."""
+    seen = []
+    factor = field._sympy_factors
+    monkeypatch.setattr(field, "_sympy_factors",
+                        lambda f: seen.append(f) or factor(f))
+    return seen
+
+
 class TestPullback:
     def test_identity(self):
         k = chain_cluster([2, 1])
@@ -565,6 +574,7 @@ class TestPullback:
         # f*K has 30 points; it took 49-54 s (2-vCPU Xeon, Python 3.11.7)
         # with w and z drawn at degree 7, the top of the degree ladder
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        factored = _spy_sympy_factors(monkeypatch)
         f = LocalMap.from_polys(3 * X ** 3 * Y,
                                 Y ** 3 + 3 * X + Fraction(1, 2) * X * Y)
         start = time.perf_counter()
@@ -574,12 +584,16 @@ class TestPullback:
                             .read_text())
         assert cluster_to_json(pb) == golden
         assert elapsed < 15.0
+        # its tangent forms with |lc| > 2^16 are squares of linear forms,
+        # which Yun splits without sympy
+        assert factored == []
 
     def test_slow_fuzz_draw_222(self, monkeypatch):
         # a map pullback draw of the CLI fuzz test over chains; it took
         # 3.6-4.3 s (2-vCPU Xeon, Python 3.11.7), and its f*K is that of
         # the 3x^3 y map at seed 1
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        factored = _spy_sympy_factors(monkeypatch)
         f = LocalMap.from_polys(Fraction(1, 2) * Y ** 3 - 2 * X * Y + X,
                                 -2 * X ** 3 * Y ** 2 + X ** 3 * Y)
         start = time.perf_counter()
@@ -589,6 +603,7 @@ class TestPullback:
                             .read_text())
         assert cluster_to_json(pb) == golden
         assert elapsed < 15.0
+        assert factored == []
 
     def test_pullback_does_not_depend_on_the_pair(self, monkeypatch):
         # the pair drawn at the least degree and the one drawn at D_top
