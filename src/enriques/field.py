@@ -204,7 +204,13 @@ def inv(tw, a):
     """The inverse of a nonzero reduced element: in a tower, the Bezout
     cofactor of ``a`` from extended Euclid against the top modulus, over
     the constant last remainder.  A last remainder of positive degree is a
-    proper factor of the modulus: ``ModulusSplit`` carries it made monic."""
+    proper factor of the modulus: ``ModulusSplit`` carries it made monic.
+
+    A constant a = (a0,) is inverted one level down, (a0^-1,).  Euclid
+    would first invert that same a0 to divide the modulus by (a0,), which
+    leaves remainder 0, and then return the cofactor 1 over a0, inverting
+    a0 again: the same result and the same first failing inversion.  A
+    last remainder of 1 is not inverted: the cofactor is the inverse."""
     if not tw.levels:
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -212,13 +218,17 @@ def inv(tw, a):
     if not a:
         raise DivisionByZero("inverse of zero")
     s = tw.sub()
+    if len(a) == 1:
+        return (inv(s, a[0]),)
     r0, s0, r1, s1 = tw.top_modulus, (), a, (one(s),)
     while r1:
         q, r = pdivmod(s, r0, r1)
         r0, s0, r1, s1 = r1, s1, r, psub(s, s0, pmul(s, q, s1))
-    if pdeg(r0) == 0:
-        return reduce_mod(tw, pscale(s, s0, inv(s, r0[0])))
-    raise ModulusSplit(tw.top_var, pmonic(s, r0))
+    if pdeg(r0) > 0:
+        raise ModulusSplit(tw.top_var, pmonic(s, r0))
+    if r0[0] == one(s):
+        return reduce_mod(tw, s0)
+    return reduce_mod(tw, pscale(s, s0, inv(s, r0[0])))
 
 
 def split_tower(tw, factor):
@@ -378,8 +388,10 @@ def pdivmod(tw, f, g):
     The remainder is reduced in place from the top coefficient down.  The
     leading coefficient of ``g`` is inverted only when it is not 1, so
     exact division by a monic factor (``pdiv_exact`` in ``split_tower``)
-    never inverts; general divisions such as Euclid's do.  Reduction
-    modulo a tower modulus is ``reduce_mod``.
+    and ``pgcd``'s Euclid, whose divisors are monic, never invert.
+    ``inv``'s extended Euclid, ``uni_resultant`` and ``exact_div`` still
+    divide by divisors that need not be monic.  Reduction modulo a tower
+    modulus is ``reduce_mod``.
     """
     g = ptrim(tw, g)
     if not g:
@@ -420,12 +432,37 @@ def pmonic(tw, f):
 
 
 def pgcd(tw, f, g):
+    """The monic gcd of ``f`` and ``g``: ``_pgcd_qq`` over QQ, and in a
+    tower Euclid on monic divisors.
+
+    Each divisor is made monic once, by ``pmonic``, so ``pdivmod`` takes
+    its leading-1 path and never inverts, and the last divisor is the
+    monic gcd.  Plain Euclid divides by the remainders r_1, r_2, ... (r_0
+    = g, leads l_i) as they come and closes with ``pmonic``: it inverts
+    each l_i in ``pdivmod`` and the last one again.  The two agree.
+    Division by an associate leaves the same remainder, and scaling the
+    dividend scales it, so the divisors here are the r_i made monic, the
+    loop ends at the same step and the gcd is the same.  The remainder
+    made monic here is r_i over l_(i-2) (r_i itself for i <= 1), whose
+    lead is l_i times inverses already computed.  Over a product of fields
+    that is a zero divisor exactly when l_i is (a lead of 1 that either
+    side skips is a unit), so the first inversion that meets a zero
+    divisor comes at the same step.  Where the tower below is a field (at
+    depth 1, or over irreducible moduli), it raises ``ModulusSplit`` for
+    the same variable with the same factor: the monic generator of the
+    ideal (l_i, m) = (l_i u, m), for the top modulus m and a unit u.
+    Over a tower below that is not a field, inverting a unit can itself
+    meet a zero divisor there, depending on the element; this argument
+    does not cover that case."""
     f, g = ptrim(tw, f), ptrim(tw, g)
     if not tw.levels:
         return _pgcd_qq(f, g)
+    if not g:
+        return pmonic(tw, f)
+    g = pmonic(tw, g)
     while g:
-        f, g = g, pmod(tw, f, g)
-    return pmonic(tw, f)
+        f, g = g, pmonic(tw, pmod(tw, f, g))
+    return f
 
 
 def _pgcd_qq(f, g):
@@ -760,6 +797,8 @@ def monic_lex(p):
         return p
     tw = p.tower
     key = max(p.terms, key=lambda k: (k[1], k[0]))
+    if p.terms[key] == one(tw):
+        return p
     c = inv(tw, p.terms[key])
     return BiPoly(tw, {k: mul(tw, v, c) for k, v in p.terms.items()})
 

@@ -17,10 +17,10 @@ from enriques import (QQ, BiPoly, Direction, FieldElement, ModulusSplit,
                       field_arith, poly_gcd, split_directions)
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             exact_div, from_rational, generator, int_scale,
-                            inv, is_zero, monic_lex, mul, neg, one, pack,
-                            padd, pdivmod, peval, pmod, pmul, poly_from_json,
-                            poly_to_json, ptrim, qscale, reduce_mod,
-                            resultant_y, tower_from_json,
+                            inv, is_zero, lift, monic_lex, mul, neg, one,
+                            pack, padd, pdivmod, peval, pgcd, pmod, pmonic,
+                            pmul, poly_from_json, poly_to_json, ptrim,
+                            qscale, reduce_mod, resultant_y, tower_from_json,
                             tower_to_json, uni_resultant, unpack, zero,
                             _fresh_var, leaves)
 
@@ -47,12 +47,17 @@ class TestFieldArith:
         assert field_arith(a, b, "mul").rep == Fraction(1)
 
     def test_invert_zero_divisor_splits(self):
-        # t - 1 in Q[t]/(t^2 - 1) shares the factor t - 1 with the modulus
+        # t - 1 in Q[t]/(t^2 - 1) shares the factor t - 1 with the modulus;
+        # so does the constant t - 1 of Q(t)(u), u^2 = 2, which is
+        # inverted one level down
         tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
-        with pytest.raises(ModulusSplit) as exc:
-            inv(tw, (Fraction(-1), Fraction(1)))
-        assert exc.value.var == "t"
-        assert exc.value.factor == (Fraction(-1), Fraction(1))
+        tu = tw.extend("u", ((Fraction(-2),), (), (Fraction(1),)))
+        for t, a in ((tw, (Fraction(-1), Fraction(1))),
+                     (tu, ((Fraction(-1), Fraction(1)),))):
+            with pytest.raises(ModulusSplit) as exc:
+                inv(t, a)
+            assert exc.value.var == "t"
+            assert exc.value.factor == (Fraction(-1), Fraction(1))
 
     def test_branched_resolves_split(self):
         tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
@@ -355,12 +360,14 @@ class TestCoreProperties:
         a = data.draw(elements(tw))
         assert qscale(tw, a, q) == mul(tw, a, from_rational(tw, q))
 
-    @pytest.mark.parametrize("tw, a", [(Q_S, (1, 1)), (Q_ST, ((1,), (0, 1)))],
-                             ids=["1+s", "1+st"])
+    @pytest.mark.parametrize("tw, a", [
+        (Q_S, (1, 1)), (Q_ST, ((1,), (0, 1))),
+        (QQ.extend("s", (-3, 0, 1)), (-2, 1))], ids=["1+s", "1+st", "s-2"])
     def test_inv_inverts_no_one(self, monkeypatch, tw, a):
         # the inverse of a unit is its Bezout cofactor scaled by the
         # inverse of the constant last remainder (-1 for 1 + s, -5/2 for
-        # 1 + st), with no inversion of 1 at any depth below
+        # 1 + st), or the cofactor itself when that remainder is 1 (s - 2
+        # over s^2 = 3), with no inversion of 1 at any depth below
         ones = spy_inversions_of_one(monkeypatch)
         assert mul(tw, a, field.inv(tw, a)) == one(tw)
         assert ones == []
@@ -444,6 +451,71 @@ class TestIntTower:
 
 Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
 Q_T = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))  # Q x Q
+
+
+def euclid_reference(tw, f, g):
+    """Plain Euclid, dividing by each remainder as it comes, then the last
+    divisor made monic: the reference for ``pgcd`` in a tower."""
+    f, g = ptrim(tw, f), ptrim(tw, g)
+    while g:
+        f, g = g, pmod(tw, f, g)
+    return pmonic(tw, f)
+
+
+@st.composite
+def gcd_pairs(draw, tw):
+    """(f h, g h) for a division (f, g) and a common factor h, so that
+    Euclid often ends above degree 0."""
+    f, g = draw(divisions(tw, False))
+    h = draw(divisions(tw, False))[1]
+    return pmul(tw, f, h), pmul(tw, g, h)
+
+
+def gcd_or_split(tw, gcd, f, g):
+    try:
+        return "gcd", gcd(tw, f, g)
+    except ModulusSplit as e:
+        return "split", e.var, e.factor
+
+
+class TestTowerEuclid:
+    """``pgcd`` in a tower: Euclid on monic divisors."""
+
+    @pytest.mark.parametrize("tw", [Q_S, Q_ST], ids=["d1", "d2"])
+    def test_no_lead_inverted_twice(self, monkeypatch, tw):
+        # (x - a)(x - 1) and s (x - a)(x + 2), for a = s at depth 1 and
+        # a = t at depth 2: two Euclid steps, the last divisor -3 (x - a),
+        # which is not monic.  Plain Euclid inverts -3 in its last
+        # division and again to make the gcd monic.
+        a = generator(tw)
+        c = generator(tw) if tw == Q_S else lift(tw, generator(Q_S))
+        f = pmul(tw, (neg(tw, a), one(tw)), (from_rational(tw, -1), one(tw)))
+        g = pmul(tw, (neg(tw, mul(tw, c, a)), c),
+                 (from_rational(tw, 2), one(tw)))
+        seen = []
+        orig = field.inv
+        monkeypatch.setattr(field, "inv", lambda t, b: (
+            seen.append(b) if t == tw else None) or orig(t, b))
+        assert pgcd(tw, f, g) == (neg(tw, a), one(tw))
+        assert len(seen) == len(set(seen)) >= 2
+
+    @pytest.mark.parametrize("tw", [Q_S, Q_ST, Q_R, Q_RU],
+                             ids=["d1", "d2", "d1-rational", "d2-rational"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_plain_euclid(self, tw, data):
+        f, g = data.draw(gcd_pairs(tw))
+        assert pgcd(tw, f, g) == euclid_reference(tw, f, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fg=gcd_pairs(Q_T))
+    # x^3 + (1 + t) x + 1 mod x^2 has the zero divisor 1 + t as its lead
+    @example(fg=(((1,), (1, 1), (), (1,)), ((), (), (1,))))
+    def test_splits_as_plain_euclid(self, fg):
+        """Over Q(t), t^2 = 1 = Q x Q, both raise the same split or return
+        the same gcd."""
+        assert (gcd_or_split(Q_T, pgcd, *fg)
+                == gcd_or_split(Q_T, euclid_reference, *fg))
 
 
 @st.composite
