@@ -68,15 +68,6 @@ class Tower:
                     if not is_zero(s, c))
         return s, len(m) - 1, low
 
-    @functools.cached_property
-    def slots(self):
-        """The slots ``pack`` gives an element: the product of 2 deg M - 1
-        over the levels, the exponent ranges of a product of two reduced
-        elements."""
-        if not self.levels:
-            return 1
-        return self.sub().slots * (2 * len(self.top_modulus) - 3)
-
     @property
     def top_var(self):
         return self.levels[-1][0]
@@ -95,13 +86,6 @@ class Tower:
         if modulus[-1] != one(self):
             raise ValueError(f"modulus for {var!r} is not monic")
         return Tower(self.levels + ((var, _int_leaves(self, modulus)),))
-
-    @property
-    def degree(self):
-        d = 1
-        for _, m in self.levels:
-            d *= len(m) - 1
-        return d
 
 
 QQ = Tower()
@@ -256,7 +240,7 @@ def branched(tower, var, fn):
 
 
 # ---------------------------------------------------------------------------
-# Integer leaves: elements scaled by one rational, and Kronecker packing
+# Integer leaves: elements scaled by one rational
 # ---------------------------------------------------------------------------
 
 def leaves(tw, elems):
@@ -296,43 +280,6 @@ def int_poly(tw, terms):
     rational ``s`` to integer leaves with gcd 1."""
     vals, s = int_scale(tw, list(terms.values()))
     return BiPoly(tw, dict(zip(terms, vals))), s
-
-
-def pack(tw, a, width):
-    """Kronecker substitution of an element with int leaves: the leaf of
-    s_1^e_1 ... s_n^e_n (levels bottom-up) goes to bit width * sum(e_i
-    r_i), where r_i is the ``slots`` of the tower below level i.  So sums
-    of products of packed ints are the packed unreduced sums of products,
-    which ``unpack`` reads back while every leaf of them is below
-    2^(width - 1) in absolute value.  At depth 0 packing is the identity.
-    """
-    if not tw.levels:
-        return a
-    s = tw.sub()
-    step = width * s.slots
-    v = 0
-    for e, c in enumerate(a):
-        v += pack(s, c, width) << (e * step)
-    return v
-
-
-def unpack(tw, v, width):
-    """The class of the packed unreduced element ``v``: its leaves read
-    back exactly, then reduced level by level by ``reduce_mod``."""
-    if not tw.levels:
-        return v
-    s = tw.sub()
-    step = width * s.slots
-    mask, half = (1 << step) - 1, 1 << (step - 1)
-    cs = []
-    for _ in range(2 * len(tw.top_modulus) - 4):
-        low = v & mask
-        if low >= half:
-            low -= mask + 1
-        cs.append(unpack(s, low, width))
-        v = (v - low) >> step
-    cs.append(unpack(s, v, width))
-    return reduce_mod(tw, cs)
 
 
 # ---------------------------------------------------------------------------

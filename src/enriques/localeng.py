@@ -21,8 +21,8 @@ and returns either None (no point recorded, stop) or a triple
 ``(fields, exps, span)``: the weights of the new point, the exceptional
 exponent divided out of each polynomial at the next blowup (None: the
 polynomial misses the point and is carried unchanged), and how many
-leading polynomials span the tangent cone.  ``_chart_int`` needs integer
-leaves with gcd 1: ``F.int_poly`` makes them on entry, and charts keep them.
+leading polynomials span the tangent cone.  ``_chart_int`` works on integer
+leaves: ``F.int_poly`` makes them on entry, and charts keep them.
 """
 from __future__ import annotations
 
@@ -103,30 +103,28 @@ def monomial_map(a, b, tower=QQ):
 # Chart substitutions
 # ---------------------------------------------------------------------------
 
-def _chart_int(p, m, c):
+def _chart_int(p, m, c, top=math.inf):
     """``(q, s)`` with p(x, x(y+c)) / x^m = s q, for p with integer leaves
-    with gcd 1 (module docstring) and a direction root c in p's tower; q
-    has integer leaves with gcd 1.  At c = 0, q is p relabelled and s = 1.
+    and a direction root c in p's tower, keeping only the terms of total
+    degree at most ``top``.  q has integer leaves, with gcd 1 unless c = 0:
+    there q is p relabelled and s = 1.
 
     Otherwise the term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m)
     y^k.  With c = a/b, J = deg_y p and the powers a^e scaled by one
     rational ws to integer leaves, the weights C(j, k) ws a^(j-k)
-    b^(J-j+k) are integers, and they and each N are packed into single
-    ints (``F.pack``), so the loop costs one int product and sum per
-    (term, k) at every tower depth; each output coefficient is unpacked
-    and reduced modulo the tower once, exactly, and the sum is ws b^J
-    times the substitution.  The blowup recursion reads only orders,
-    tangent directions and whether leading coefficients are units, none
-    of which a nonzero rational scale changes, so it keeps q alone.
+    b^(J-j+k) are integers, and the sum of the products N times weight is
+    ws b^J times the substitution.  Within a term the output degree
+    i + j - m + k rises with k, so the loop stops at the first k past
+    ``top``.  The blowup recursion reads only orders, tangent directions
+    and whether leading coefficients are units, none of which a nonzero
+    rational scale changes, so it keeps q alone.
 
-    Two denser loops are slower here: a Taylor shift of each total-degree
-    row (composed pullback polynomials have sparse rows), and packing the
-    powers of y too, so that one product serves a term's row (every
-    product and sum then costs the whole row).
+    A Taylor shift of each total-degree row is slower here: composed
+    pullback polynomials have sparse rows.
     """
     tw = p.tower
     if is_zero(tw, c):
-        return _relabel(p, m, "x"), 1
+        return _relabel(p, m, "x", top), 1
     (a,), q = F.int_scale(tw, [c])
     a, b = qscale(tw, a, q.denominator), q.numerator
     js = {j for _, j in p.terms}
@@ -135,29 +133,20 @@ def _chart_int(p, m, c):
     for _ in range(J):
         apow.append(F.mul(tw, apow[-1], a))
     apow, ws = F.int_scale(tw, apow)
-    pairs = [(j, k) for j in js for k in range(j + 1)]
-    weights = [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
-               for j, k in pairs]
-    nbits, wbits = (max(map(abs, F.leaves(tw, elems)), default=0)
-                    .bit_length() for elems in (p.terms.values(), weights))
-    # a key gets at most one product per term, and a product adds at most
-    # tw.degree leaf products to each slot, so every leaf of a packed sum
-    # stays below 2^(width - 1) in absolute value
-    width = nbits + wbits + (len(p.terms) * tw.degree).bit_length() + 1
-    rows = {j: [] for j in js}
-    for (j, k), w in zip(pairs, weights):
-        rows[j].append((k, F.pack(tw, w, width)))
+    rows = {j: [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
+                for k in range(j + 1)] for j in js}
     out = {}
     for (i, j), n in p.terms.items():
         base = i + j - m
         if base < 0:
             raise ValueError("division exponent exceeds vanishing order")
-        n = F.pack(tw, n, width)
-        for k, w in rows[j]:
+        for k, w in enumerate(rows[j]):
+            if base + k > top:
+                break
             key = (base, k)
-            out[key] = out.get(key, 0) + n * w
-    res, s = F.int_poly(tw, {key: F.unpack(tw, v, width)
-                              for key, v in out.items()})
+            v = F.mul(tw, n, w)
+            out[key] = F.add(tw, out[key], v) if key in out else v
+    res, s = F.int_poly(tw, out)
     return res, 1 / (s * ws * b ** J)
 
 
@@ -171,15 +160,18 @@ def _chart_a(p, m, c):
                        for key, v in q.terms.items()})
 
 
-def _relabel(p, m, axis):
-    """p(x, xy) / x^m (axis "x", direction 0) or p(xy, y) / y^m (axis "y"):
-    (i, j) goes one-to-one to (i + j - m, j) or (i, i + j - m), so each
-    coefficient moves unchanged."""
+def _relabel(p, m, axis, top=math.inf):
+    """p(x, xy) / x^m (axis "x", direction 0) or p(xy, y) / y^m (axis "y"),
+    keeping only the terms of total degree at most ``top``: (i, j) goes
+    one-to-one to (i + j - m, j) or (i, i + j - m), so each coefficient
+    moves unchanged."""
     if any(i + j < m for i, j in p.terms):
         raise ValueError("division exponent exceeds vanishing order")
     vertical = axis == "y"
-    return BiPoly(p.tower, {(i, i + j - m) if vertical else (i + j - m, j): n
-                            for (i, j), n in p.terms.items()})
+    keys = (((i, i + j - m) if vertical else (i + j - m, j), n)
+            for (i, j), n in p.terms.items())
+    return BiPoly(p.tower, {key: n for key, n in keys
+                            if key[0] + key[1] <= top})
 
 
 def germ_mult(g):
@@ -232,7 +224,7 @@ def _run_direction(tw, d, fn):
     return out
 
 
-def _blowups(tw, polys, step, cap=MAX_DEPTH):
+def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
     """Entries (id, parent, second, orbit and step's fields) of every
     point that ``step`` records, ancestor-first along each branch.
 
@@ -250,16 +242,52 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH):
       divisible by x;
     * each branch returns its own entry list, so a branch that is redone
       leaves nothing behind.
+
+    A finite ``budget`` is for the pencil step of ``pullback_cluster``:
+    it bounds I_O(P1, P2) for the pair at the root O.  A recorded point of
+    weight nu = ``exps[0]`` passes its budget minus nu^2 to its children,
+    and each chart into a child drops the terms of total degree above the
+    child's budget.  The entries are still those of the untruncated run,
+    byte for byte.  Write I_p for the intersection number at p of the
+    untruncated transforms and b_p for p's budget.  Every held transform
+    is a rational multiple of the untruncated one with the terms of degree
+    above b_p dropped, and I_p <= b_p:
+
+    * every point visited is a base point, as both transforms pass
+      through it, so I_p >= ord P1 ord P2 >= nu^2 >= 1;
+    * Noether's formula for the nu-fold transforms (one of them is the
+      strict one) gives I_p = nu^2 + the sum of I_q over the points q on
+      the exceptional curve, so each child q has I_q <= b_p - nu^2 = b_q;
+      a budget below nu^2 contradicts this and raises ``BudgetExceeded``,
+      never truncates on;
+    * neither transform has order above b_p, as ord P1 <= ord P1 ord P2
+      <= I_p.  (So by Nakayama no term of order above b_p changes the
+      ideal (P1, P2), whose colength I_p puts m^(b_p) inside it.)  Hence
+      the held transforms have the untruncated orders and, up to the
+      rational multiple, every form of degree <= b_p, tangent forms
+      included; an empty one contradicts this and raises too;
+    * a chart divides by x^nu or y^nu and lowers total degrees by at most
+      nu, so a term of degree > b_p lands at degree >= b_p + 1 - nu > b_q,
+      since nu^2 - nu + 1 > 0: dropping the terms above b_q after the
+      chart gives the invariant at q;
+    * ``F.int_poly`` rescales by a rational only, which moves no order,
+      direction or unit, and ``ModulusSplit`` can come only from the
+      tangent forms; so the directions, ids and D5 splits are the same.
     """
     ids = itertools.count(1)
 
-    def rec(tw, polys, parent, second, markers, orbit, depth):
+    def rec(tw, polys, parent, second, markers, orbit, depth, budget):
         if depth > cap:
             raise BudgetExceeded(f"blowup recursion exceeded {cap} blowups")
+        if any(p.is_zero() for p in polys):
+            raise BudgetExceeded("a truncated transform is zero")
         node = step(polys)
         if node is None:
             return []
         fields, exps, span = node
+        budget -= exps[0] ** 2
+        if budget < 0:
+            raise BudgetExceeded("a point exceeds the colength budget")
         nid = f"q{next(ids):03d}"
         entries = [{"id": nid, "parent": parent, "second": second,
                     "orbit": orbit, **fields}]
@@ -271,21 +299,21 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH):
         for d in dirs:
             def go(t, root, ofac):
                 lifted = polys if t == tw else [p.lift_to(t) for p in polys]
-                hs = [p if e is None else _chart_int(p, e, root)[0]
+                hs = [p if e is None else _chart_int(p, e, root, budget)[0]
                       for p, e in zip(lifted, exps)]
                 child_second = markers[1] if is_zero(t, root) else None
                 return rec(t, hs, nid, child_second, (nid, child_second),
-                           orbit * ofac, depth + 1)
+                           orbit * ofac, depth + 1, budget)
             entries.extend(_run_direction(tw, d, go))
         if all(f is None or xm > 0 for f, xm in forms):
-            hs = [p if e is None else _relabel(p, e, "y")
+            hs = [p if e is None else _relabel(p, e, "y", budget)
                   for p, e in zip(polys, exps)]
             entries.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
-                               orbit, depth + 1))
+                               orbit, depth + 1, budget))
         return entries
 
     polys = [F.int_poly(tw, p.terms)[0] for p in polys]
-    return rec(tw, polys, None, None, (None, None), 1, 0)
+    return rec(tw, polys, None, None, (None, None), 1, 0, budget)
 
 
 def _entries_to_cluster(entries, key="mult"):
@@ -342,9 +370,11 @@ def base_points(f):
     return _pencil_points(p1, p2, contracted)[0]
 
 
-def _pencil_points(p1, p2, contracted):
+def _pencil_points(p1, p2, contracted, budget=math.inf):
     """(cluster, fmults): the weighted base points of the pencil (p1, p2),
     with the multiplicity of the contracted curve at each (0 for None).
+    A finite ``budget`` bounds I_0(p1, p2) and truncates the transforms
+    (``_blowups``).
 
     p1 and p2 are not made coprime here: ``base_points`` and
     ``local_degree`` pass the quotients by their gcd, and
@@ -362,7 +392,7 @@ def _pencil_points(p1, p2, contracted):
         exps = (nu, nu, fm or None)[:len(polys)]
         return {"mult": nu, "fmult": fm}, exps, 2
 
-    entries = _blowups(p1.tower, polys, step)
+    entries = _blowups(p1.tower, polys, step, budget=budget)
     fmults = {e["id"]: e["fmult"] for e in entries}
     return _entries_to_cluster(entries), fmults
 
@@ -734,6 +764,13 @@ def pullback_cluster(f, k, seed=0):
     entries, ids and D5 splits are those of the reduced pair.  Were a shared component
     left, the recursion would never separate it and would raise
     ``BudgetExceeded`` at its cap, not return a wrong cluster.
+
+    The pencil step runs with the budget B = tdeg f1 tdeg f2 K^2, which
+    bounds I_0(w o f, z o f) = deg f I_0(w, z) = deg f K^2, the law
+    (f*K)^2 = deg f K^2: deg f = I_0(r1, r2) for the quotients r1, r2 of
+    ``fixed_part``, at most tdeg r1 tdeg r2 <= tdeg f1 tdeg f2 by Bezout.
+    On monomial maps B is deg f K^2 exactly.  ``_blowups`` proves that the
+    budget changes no output.
     """
     contracted, _ = fixed_part(f)
     if contracted is not None:
@@ -743,7 +780,9 @@ def pullback_cluster(f, k, seed=0):
         return WeightedMultiCluster([], {})
     f1, f2 = (F.int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
     w, z = (_compose_int(g.poly, f1, f2) for g in curves_through(k, seed))
-    return _pencil_points(w, z, None)[0]
+    budget = (f1[0].total_degree() * f2[0].total_degree()
+              * self_intersection(k))
+    return _pencil_points(w, z, None, budget)[0]
 
 
 def _compose_int(w, f1, f2):

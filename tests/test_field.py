@@ -18,11 +18,11 @@ from enriques import (QQ, BiPoly, Direction, FieldElement, ModulusSplit,
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             exact_div, from_rational, generator, int_scale,
                             inv, is_zero, lift, monic_lex, mul, neg, one,
-                            pack, padd, pdivmod, peval, pgcd, pmod, pmonic,
-                            pmul, poly_from_json, poly_to_json, ptrim,
-                            qscale, reduce_mod, resultant_y, tower_from_json,
-                            tower_to_json, uni_resultant, unpack, zero,
-                            _fresh_var, leaves)
+                            padd, pdivmod, peval, pgcd, pmod, pmonic, pmul,
+                            poly_from_json, poly_to_json, ptrim, qscale,
+                            reduce_mod, resultant_y, tower_from_json,
+                            tower_to_json, uni_resultant, zero, _fresh_var,
+                            leaves)
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -397,7 +397,7 @@ def int_leaves(tw, a):
 
 
 class TestIntTower:
-    """Tower arithmetic on integer leaves, and Kronecker packing."""
+    """Tower arithmetic on integer leaves."""
 
     @INT_TOWERS
     @settings(max_examples=30, deadline=None)
@@ -410,24 +410,6 @@ class TestIntTower:
         assert ints == [qscale(tw, a, q) for a in elems]
         assert math.gcd(*leaves(tw, ints)) in (0, 1)
 
-    @INT_TOWERS
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_mul_and_packed_sums(self, tw, data):
-        """Unpacking a sum of packed products is the sum of the products,
-        exactly, over integer and rational moduli."""
-        pairs = data.draw(st.lists(st.tuples(elements(tw), elements(tw)),
-                                   min_size=1, max_size=4))
-        pairs = [tuple(int_scale(tw, ab)[0]) for ab in pairs]
-        bits = max(map(abs, leaves(tw, [v for ab in pairs for v in ab])),
-                   default=0).bit_length()
-        width = 2 * bits + (len(pairs) * tw.degree).bit_length() + 1
-        packed = sum(pack(tw, a, width) * pack(tw, b, width)
-                     for a, b in pairs)
-        want = functools.reduce(lambda acc, ab: add(tw, acc, mul(tw, *ab)),
-                                pairs, zero(tw))
-        assert unpack(tw, packed, width) == want
-
     @pytest.mark.parametrize("tw", (Q_S, Q_ST, Q_R, Q_RU),
                              ids=["d1", "d2", "d1-rational", "d2-rational"])
     @settings(max_examples=30, deadline=None)
@@ -436,7 +418,7 @@ class TestIntTower:
         """The one reduction against the general division, on unreduced
         coefficient lists of any length."""
         s = tw.sub()
-        cs = data.draw(st.lists(elements(s), max_size=3 * tw.degree))
+        cs = data.draw(st.lists(elements(s), max_size=3 * len(tw.top_modulus)))
         assert reduce_mod(tw, cs) == pmod(s, ptrim(s, cs), tw.top_modulus)
 
     @settings(max_examples=30, deadline=None)

@@ -53,7 +53,9 @@ CASES = {
 
 # seconds; a map pullback over Q(s) whose curves through K were drawn
 # at degree 1 + sum of the weights took 57-65 s (2-vCPU Xeon, Python
-# 3.11.7), nearly all of it in the chart loop on w o f and z o f
+# 3.11.7), nearly all of it in the chart loop on w o f and z o f; at the
+# least degree it took 3.4-4.0 s with untruncated transforms and
+# 0.64-0.70 s with the colength budget
 BOUNDS = {"map-pullback-tower-seed3": 15.0}
 
 

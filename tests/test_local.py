@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
@@ -559,7 +559,8 @@ class TestPullback:
     def test_slow_fuzz_draw(self, monkeypatch):
         # a map pullback draw of the CLI fuzz test; f*K has 30 points, and
         # it took 10-15 s (2-vCPU Xeon, Python 3.11.7) when the blowup
-        # recursion ran on Fraction coefficients
+        # recursion ran on Fraction coefficients, 0.21-0.24 s with
+        # untruncated transforms and 0.011 s with the colength budget
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
         f = LocalMap.from_polys(X ** 3 * Y, Fraction(1, 2) * Y ** 3 + X)
         start = time.perf_counter()
@@ -572,7 +573,9 @@ class TestPullback:
 
     def test_slow_chain_222(self, monkeypatch):
         # f*K has 30 points; it took 49-54 s (2-vCPU Xeon, Python 3.11.7)
-        # with w and z drawn at degree 7, the top of the degree ladder
+        # with w and z drawn at degree 7, the top of the degree ladder,
+        # 3.4-4.0 s at the least degree with untruncated transforms and
+        # 0.20-0.23 s with the colength budget
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
         factored = _spy_sympy_factors(monkeypatch)
         f = LocalMap.from_polys(3 * X ** 3 * Y,
@@ -590,10 +593,20 @@ class TestPullback:
 
     def test_slow_fuzz_draw_222(self, monkeypatch):
         # a map pullback draw of the CLI fuzz test over chains; it took
-        # 3.6-4.3 s (2-vCPU Xeon, Python 3.11.7), and its f*K is that of
-        # the 3x^3 y map at seed 1
+        # 3.3-4.3 s (2-vCPU Xeon, Python 3.11.7) with untruncated
+        # transforms and 0.33-0.37 s with the colength budget, and its f*K
+        # is that of the 3x^3 y map at seed 1
         monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
         factored = _spy_sympy_factors(monkeypatch)
+        degrees = []
+        chart = localeng._chart_int
+
+        def spied(*args):
+            q, s = chart(*args)
+            degrees.append(q.total_degree())
+            return q, s
+
+        monkeypatch.setattr(localeng, "_chart_int", spied)
         f = LocalMap.from_polys(Fraction(1, 2) * Y ** 3 - 2 * X * Y + X,
                                 -2 * X ** 3 * Y ** 2 + X ** 3 * Y)
         start = time.perf_counter()
@@ -604,26 +617,25 @@ class TestPullback:
         assert cluster_to_json(pb) == golden
         assert elapsed < 15.0
         assert factored == []
+        # the budget tdeg f1 tdeg f2 K^2 = 3 * 5 * 12 bounds every chart
+        # output; untruncated, they reach total degree 742
+        assert degrees and max(degrees) <= 180
 
     def test_pullback_does_not_depend_on_the_pair(self, monkeypatch):
         # the pair drawn at the least degree and the one drawn at D_top
-        # give the same f*(K); the x^3 y map skips the four free
-        # three-point chains of weight sum >= 6, where its pullback from
-        # the D_top pair takes 2-10 s
+        # give the same f*(K), on the six monomial maps and the x^3 y map
         x3y = LocalMap.from_polys(X ** 3 * Y, Fraction(1, 2) * Y ** 3 + X)
         maps = [monomial_map(a, b) for a in range(1, 4) for b in range(a, 4)]
-        heavy = ([2, 2, 2], [3, 2, 1], [3, 3, 3], [3, 2, 2])
         cases = 0
         for weights, sats in GRID:
             k = grid_cluster(weights, sats)
-            fs = maps + ([x3y] if sats or weights not in heavy else [])
-            for f in fs:
+            for f in maps + [x3y]:
                 monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
                 least = cluster_to_json(pullback_cluster(f, k, 0))
                 top = pullback_at_top(monkeypatch, f, k)
                 assert cluster_to_json(top) == least
                 cases += 1
-        assert cases == 18 * 6 + 14
+        assert cases == 18 * 7
 
     def test_one_gcd_on_the_map(self, monkeypatch):
         # fixed_part(f) is the only gcd; the composed pair has none
@@ -836,9 +848,14 @@ class TestChartInt:
         if p.is_zero():
             return
         m = data.draw(st.integers(0, p.order()))
+        top = data.draw(st.integers(0, 8))
         # direction 0, the relabeling (x, xy), on every run
         for c in (data.draw(tower_elements(tw)), field.zero(tw)):
             self.check(p, m, c)
+            self.check_truncated(p, m, c, top)
+        for axis in ("x", "y"):
+            whole = localeng._relabel(p, m, axis)
+            assert localeng._relabel(p, m, axis, top) == truncated(whole, top)
 
     @staticmethod
     def check(p, m, c):
@@ -861,6 +878,27 @@ class TestChartInt:
         assert all(type(v) is Fraction
                    for v in field.leaves(tw, list(chart.terms.values())))
 
+    @staticmethod
+    def check_truncated(p, m, c, top):
+        """The chart kept to total degree ``top`` is the whole chart with
+        the terms above ``top`` dropped, up to a rational scale."""
+        tw = p.tower
+        ip, _ = field.int_poly(tw, p.terms)
+        q, _ = localeng._chart_int(ip, m, c, top)
+        whole, _ = localeng._chart_int(ip, m, c)
+        assert all(type(v) is int
+                   for v in field.leaves(tw, list(q.terms.values())))
+        want = truncated(whole, top)
+        if want.is_zero():
+            assert q.is_zero()
+            return
+        key = next(iter(want.terms))
+        lam = next(a / b for a, b in zip(field.leaves(tw, [want.terms[key]]),
+                                         field.leaves(tw, [q.terms[key]]))
+                   if b)
+        assert want == BiPoly(tw, {k: qscale(tw, v, lam)
+                                   for k, v in q.terms.items()})
+
     @pytest.mark.parametrize("tw", [QQ, Q_R, Q_RU], ids=["d0", "d1", "d2"])
     def test_zero_direction_past_the_order(self, tw):
         # x^2 y + 3 x^3 has order 3; at c = 0 the term x^2 y would go to
@@ -870,6 +908,11 @@ class TestChartInt:
         localeng._chart_int(p, 3, field.zero(tw))
         with pytest.raises(ValueError):
             localeng._chart_int(p, 4, field.zero(tw))
+
+
+def truncated(p, top):
+    return BiPoly(p.tower, {k: v for k, v in p.terms.items()
+                            if k[0] + k[1] <= top})
 
 
 def ids_weights_orbits(k):
@@ -904,6 +947,64 @@ class TestBlowupBudget:
         assert size(65) == 65
         with pytest.raises(BudgetExceeded):
             size(66)
+
+
+COEFFS = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2),
+                          Fraction(3)])
+
+
+@st.composite
+def fuzz_maps(draw):
+    """A finite map drawn as the CLI fuzz test draws one, over Q or Q(s),
+    s^2 = 2: each component has one to three terms of degree <= 3 in x and
+    in y, none of them constant."""
+    tw = draw(st.sampled_from([QQ, Q_S]))
+    elem = (COEFFS if not tw.levels else
+            st.tuples(COEFFS, COEFFS | st.just(Fraction(0)))
+            .map(lambda ab: ptrim(QQ, ab)))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    f = LocalMap.from_polys(*(BiPoly(tw, draw(st.dictionaries(
+        exps, elem, min_size=1, max_size=3))) for _ in range(2)))
+    assume(fixed_part(f)[0] is None)
+    return f
+
+
+class TestColengthBudget:
+    """The pullback's pencil step truncates its transforms to the colength
+    left at each point, and its output is that of the untruncated run."""
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_pullback_matches_untruncated(self, data):
+        f = data.draw(fuzz_maps())
+        # the grid clusters with K^2 <= 6, where no untruncated run of a
+        # drawn map took much above 1 s
+        weights, sats = data.draw(st.sampled_from(
+            [(w, sats) for w, sats in GRID if sum(v * v for v in w) <= 6]))
+        k, seed = grid_cluster(weights, sats), data.draw(st.integers(-1, 3))
+        f1, f2 = (field.int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
+        w, z = (localeng._compose_int(g.poly, f1, f2)
+                for g in curves_through(k, seed))
+        assert (cluster_to_json(pullback_cluster(f, k, seed))
+                == cluster_to_json(localeng._pencil_points(w, z, None)[0]))
+
+    def test_budget_below_the_root_weight(self):
+        # the cusp pencil (y^2 - x^3, x^2) has one base point, nu = 2 and
+        # I_0 = 4
+        p1, p2 = Y ** 2 - X ** 3, X ** 2
+        k, _ = localeng._pencil_points(p1, p2, None, 4)
+        assert weight_list(k) == [2]
+        with pytest.raises(BudgetExceeded, match="colength"):
+            localeng._pencil_points(p1, p2, None, 3)
+
+    def test_transform_truncated_to_zero(self):
+        # (y, y - x^5) has five simple base points and I_0 = 5; with a
+        # budget of 1 the child keeps no term of degree <= 0
+        k, _ = localeng._pencil_points(Y, Y - X ** 5, None, 5)
+        assert weight_list(k) == [1] * 5
+        for budget in (1, 4):
+            with pytest.raises(BudgetExceeded, match="zero"):
+                localeng._pencil_points(Y, Y - X ** 5, None, budget)
 
 
 class TestModulusSplitInsideRecursion:
