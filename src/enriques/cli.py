@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import sys
@@ -43,11 +42,12 @@ def write(text, out):
         click.echo(text, nl=False)
 
 
-def render(rows, columns, fmt):
-    """The rows as a json, csv or markdown table."""
+def render(rows, fmt, columns=None):
+    """The rows as a json, csv or markdown table, whose columns are the
+    keys of the first row unless ``columns`` names them."""
+    columns = columns or list(rows[0])
     if fmt == "json":
-        return json.dumps([{c: r[c] for c in columns} for r in rows],
-                          indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -63,15 +63,15 @@ def render(rows, columns, fmt):
     return "\n".join(lines) + "\n"
 
 
-def emit(rows, columns, fmt, out):
-    write(render(rows, columns, fmt), out)
+def emit(rows, fmt, out):
+    write(render(rows, fmt), out)
 
 
 def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot parse {path}: {e}") from None
 
 
@@ -90,11 +90,14 @@ def parse_cluster(data):
         raise ParseError(f"malformed cluster: {e}") from None
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class Guarded(click.Group):
+    """The one error boundary: every command runs inside ``main.invoke``.
+    A parse error exits 2 and any other ``EnriquesError`` 1, each with
+    one line on stderr."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ParseError as e:
             click.echo(f"ParseError: {e}", err=True)
             sys.exit(2)
@@ -107,7 +110,6 @@ def guarded(fn):
         except EnriquesError as e:
             click.echo(f"{type(e).__name__}: {e}", err=True)
             sys.exit(1)
-    return wrapper
 
 
 FORMAT = click.option("--format", "fmt", default="md",
@@ -116,7 +118,12 @@ SEED = click.option("--seed", default=0, type=int, show_default=True)
 OUT = click.option("--out", default=None, type=click.Path())
 
 
-@click.group()
+def table_options(fn):
+    """--format, then --out."""
+    return FORMAT(OUT(fn))
+
+
+@click.group(cls=Guarded)
 def main():
     """Exact cluster calculus, ramified pullbacks and Harbourne constants."""
 
@@ -130,9 +137,7 @@ def cluster():
 
 @cluster.command("check")
 @click.argument("file", type=click.Path(exists=True))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def cluster_check(file, fmt, out):
     data = load_json(file)
     try:
@@ -145,37 +150,30 @@ def cluster_check(file, fmt, out):
             click.echo(v, err=True)
         sys.exit(1)
     k = parse_cluster(data)
-    rows = [{"size": k.size(), "consistent": CL.is_consistent(k),
-             "K2": CL.self_intersection(k), "provenance": "excesses"}]
-    emit(rows, ["size", "consistent", "K2", "provenance"], fmt, out)
+    emit([{"size": k.size(), "consistent": CL.is_consistent(k),
+           "K2": CL.self_intersection(k), "provenance": "excesses"}], fmt, out)
 
 
 @cluster.command("hc")
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--c2", required=True, type=int,
               help="self-intersection of the curve")
-@FORMAT
-@OUT
-@guarded
+@table_options
 def cluster_hc(file, c2, fmt, out):
     k = parse_cluster(load_json(file))
     h = CL.harbourne_constant(c2, k)
-    rows = [{"H": rat_str(h), "decimal": dec10(h),
-             "provenance": "harbourne_constant"}]
-    emit(rows, ["H", "decimal", "provenance"], fmt, out)
+    emit([{"H": rat_str(h), "decimal": dec10(h),
+           "provenance": "harbourne_constant"}], fmt, out)
 
 
 @cluster.command("codim")
 @click.argument("file", type=click.Path(exists=True))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def cluster_codim(file, fmt, out):
     k = parse_cluster(load_json(file))
     v = CL.virtual_codimension(k)
-    rows = [{"codim": rat_str(v), "decimal": dec10(v),
-             "provenance": "virtual_codimension"}]
-    emit(rows, ["codim", "decimal", "provenance"], fmt, out)
+    emit([{"codim": rat_str(v), "decimal": dec10(v),
+           "provenance": "virtual_codimension"}], fmt, out)
 
 
 # -- germ ---------------------------------------------------------------
@@ -194,7 +192,8 @@ def emit_cluster(k, fmt, out):
     if fmt == "json":
         write(json.dumps(CL.cluster_to_json(k), indent=2) + "\n", out)
     else:
-        emit(cluster_rows(k), CLUSTER_COLS, fmt, out)
+        # a smooth germ's cluster is empty, and its header still prints
+        write(render(cluster_rows(k), fmt, CLUSTER_COLS), out)
 
 
 def parse_germ(data):
@@ -211,9 +210,7 @@ def germ():
 
 @germ.command("mult-cluster")
 @click.argument("file", type=click.Path(exists=True))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def germ_mult_cluster(file, fmt, out):
     emit_cluster(L.mult_cluster(parse_germ(load_json(file))), fmt, out)
 
@@ -246,31 +243,24 @@ def map_():
 
 @map_.command("bp")
 @click.argument("file", type=click.Path(exists=True))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def map_bp(file, fmt, out):
     emit_cluster(L.base_points(parse_map(load_json(file))), fmt, out)
 
 
 @map_.command("degree")
 @click.argument("file", type=click.Path(exists=True))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def map_degree(file, fmt, out):
     d = L.local_degree(parse_map(load_json(file)))
-    emit([{"degree": d, "provenance": "local_degree"}],
-         ["degree", "provenance"], fmt, out)
+    emit([{"degree": d, "provenance": "local_degree"}], fmt, out)
 
 
 @map_.command("pullback")
 @click.argument("mapfile", type=click.Path(exists=True))
 @click.argument("clusterfile", type=click.Path(exists=True))
 @SEED
-@FORMAT
-@OUT
-@guarded
+@table_options
 def map_pullback(mapfile, clusterfile, seed, fmt, out):
     f = parse_map(load_json(mapfile))
     k = parse_cluster(load_json(clusterfile))
@@ -293,13 +283,11 @@ def config():
 
 @config.command("h-index")
 @click.argument("file", type=click.Path(exists=True))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def config_h_index(file, fmt, out):
     h = C.h_index(parse_config(load_json(file)))
     emit([{"h": rat_str(h), "decimal": dec10(h), "provenance": "h_index"}],
-         ["h", "decimal", "provenance"], fmt, out)
+         fmt, out)
 
 
 @config.command("kummer")
@@ -307,7 +295,6 @@ def config_h_index(file, fmt, out):
 @click.option("--k", required=True, type=click.IntRange(min=2))
 @SEED
 @OUT
-@guarded
 def config_kummer(file, k, seed, out):
     c = parse_config(load_json(file))
     new = C.kummer_pullback(c, C.KummerSpec(k), seed)
@@ -318,18 +305,14 @@ def config_kummer(file, k, seed, out):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--k", required=True, type=click.IntRange(min=2))
 @SEED
-@FORMAT
-@OUT
-@guarded
+@table_options
 def config_verify_pullback(file, k, seed, fmt, out):
     c = parse_config(load_json(file))
     lhs, rhs, strict = C.pullback_theorem_check(c, C.KummerSpec(k), seed)
     ok = lhs < rhs if strict else lhs <= rhs
-    rows = [{"lhs": rat_str(lhs), "rhs": rat_str(rhs),
-             "strict_expected": strict, "holds": ok,
-             "provenance": "pullback_theorem_check"}]
-    emit(rows, ["lhs", "rhs", "strict_expected", "holds", "provenance"],
-         fmt, out)
+    emit([{"lhs": rat_str(lhs), "rhs": rat_str(rhs),
+           "strict_expected": strict, "holds": ok,
+           "provenance": "pullback_theorem_check"}], fmt, out)
     if not ok:
         sys.exit(1)
 
@@ -346,11 +329,9 @@ GEN_TABLE = {
 
 def emit_config_row(name, cfg, fmt, out, config_out):
     h = C.h_index(cfg)
-    rows = [{"generator": name, "degree": cfg.degree,
-             "points": C.mult_size(cfg), "h": rat_str(h),
-             "decimal": dec10(h), "provenance": "h_index"}]
-    text = render(rows, ["generator", "degree", "points", "h", "decimal",
-                         "provenance"], fmt)
+    text = render([{"generator": name, "degree": cfg.degree,
+                    "points": C.mult_size(cfg), "h": rat_str(h),
+                    "decimal": dec10(h), "provenance": "h_index"}], fmt)
     # the config is written first, so a path that cannot be written
     # exits 2 before anything reaches stdout
     if config_out:
@@ -369,20 +350,16 @@ def gen():
 
 @gen.command("fermat")
 @click.option("--k", required=True, type=click.IntRange(min=2))
-@FORMAT
-@OUT
+@table_options
 @CONFIG_OUT
-@guarded
 def gen_fermat(k, fmt, out, config_out):
     emit_config_row(f"fermat-{k}", C.fermat(k), fmt, out, config_out)
 
 
 def _make_gen(name):
     @gen.command(name)
-    @FORMAT
-    @OUT
+    @table_options
     @CONFIG_OUT
-    @guarded
     def _cmd(fmt, out, config_out, _name=name):
         emit_config_row(_name, GEN_TABLE[_name](), fmt, out, config_out)
     return _cmd
@@ -403,24 +380,20 @@ def sweep():
 @click.option("--kmax", default=10, type=click.IntRange(min=2),
               show_default=True)
 @SEED
-@FORMAT
-@OUT
-@guarded
+@table_options
 def sweep_theorem_b(kmax, seed, fmt, out):
     rows = []
     for k in range(2, kmax + 1):
         h = C.theorem_b_family(k, seed)
         rows.append({"k": k, "h": rat_str(h), "decimal": dec10(h),
                      "provenance": "theorem_b_family"})
-    emit(rows, ["k", "h", "decimal", "provenance"], fmt, out)
+    emit(rows, fmt, out)
 
 
 @sweep.command("klein-bound")
 @click.option("--kmax", default=8, type=click.IntRange(min=2),
               show_default=True)
-@FORMAT
-@OUT
-@guarded
+@table_options
 def sweep_klein_bound(kmax, fmt, out):
     rows = []
     for k in range(2, kmax + 1):
@@ -436,9 +409,7 @@ def sweep_klein_bound(kmax, fmt, out):
             "discrepancy": rep["discrepancy"],
             "provenance": "klein_recursion vs klein_closed_forms",
         })
-    emit(rows, ["k", "K2", "size_bound", "h_bound", "decimal",
-                "K2_closed_form", "size_closed_form", "discrepancy",
-                "provenance"], fmt, out)
+    emit(rows, fmt, out)
 
 
 @sweep.command("h-bound")
@@ -446,9 +417,7 @@ def sweep_klein_bound(kmax, fmt, out):
               show_default=True)
 @click.option("--gen", "gen_name", default="wiman",
               type=click.Choice(sorted(GEN_TABLE)))
-@FORMAT
-@OUT
-@guarded
+@table_options
 def sweep_h_bound(kmax, gen_name, fmt, out):
     cfg = GEN_TABLE[gen_name]()
     rows = []
@@ -456,7 +425,7 @@ def sweep_h_bound(kmax, gen_name, fmt, out):
         value, limit = C.h_bound_gap(cfg, k)
         rows.append({"k": k, "value": rat_str(value), "decimal": dec10(value),
                      "limit": rat_str(limit), "provenance": "h_bound_gap"})
-    emit(rows, ["k", "value", "decimal", "limit", "provenance"], fmt, out)
+    emit(rows, fmt, out)
 
 
 if __name__ == "__main__":

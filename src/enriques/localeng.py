@@ -326,17 +326,23 @@ def _entries_to_cluster(entries, key="mult"):
 # Multiplicity cluster of a reduced germ
 # ---------------------------------------------------------------------------
 
-def is_squarefree(p):
+def _repeated_part(p):
+    """gcd(p, p_x, p_y): each repeated factor of p, one power lower."""
     d = p
     for g in (p.deriv("x"), p.deriv("y")):
         if not g.is_zero():
             d = F.poly_gcd(d, g)
-    return d.total_degree() == 0
+    return d
+
+
+def is_squarefree(p):
+    return _repeated_part(p).total_degree() == 0
 
 
 def mult_cluster(g):
-    """The cluster of all infinitely near points of multiplicity >= 2."""
-    if not is_squarefree(g.poly):
+    """The cluster of all infinitely near points of multiplicity >= 2.
+    A repeated factor that is a unit at the origin is ignored."""
+    if _repeated_part(g.poly).order() >= 1:
         raise NonReducedGerm("germ has a repeated factor")
 
     def step(polys):

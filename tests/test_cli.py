@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -135,6 +136,13 @@ class TestGermAndMap:
         res = run(runner, ["germ", "mult-cluster", gf, "--format", "csv"])
         assert res.exit_code == 0, res.stderr
         assert res.output.splitlines()[1:] == ["q001,,,1,2"]
+
+    def test_repeated_unit_factor_is_ignored(self, runner, tmp_path):
+        # (1 + x)^2 is a unit at the origin, so y (1 + x)^2 is reduced there
+        gf = write(tmp_path, "g.json", poly_to_json(Y * (1 + X) ** 2))
+        res = run(runner, ["germ", "mult-cluster", gf, "--format", "csv"])
+        assert res.exit_code == 0, res.stderr
+        assert res.output == "id,parent,second_proximity,orbit,mult\n"
 
     def test_bp_and_degree(self, runner, tmp_path):
         mp = write(tmp_path, "m.json", {"f1": poly_to_json(X ** 2),
@@ -411,6 +419,48 @@ class TestExitCodes:
             outs.append(res.output)
         assert outs[0] == outs[1]
         assert [nd["mult"] for nd in json.loads(outs[0])["nodes"]] == [3]
+
+
+# files that json.load cannot read: a syntax error, bytes that are not
+# UTF-8 (UnicodeDecodeError) and nesting past the recursion limit
+# (RecursionError)
+MALFORMED = {
+    "not-json": b"{not json",
+    "not-utf8": b"\xff\xfe{",
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def _leaves(cmd, path=()):
+    if not isinstance(cmd, click.Group):
+        yield path, cmd
+    for name in sorted(getattr(cmd, "commands", {})):
+        yield from _leaves(cmd.commands[name], path + (name,))
+
+
+FILE_COMMANDS = {" ".join(path): cmd for path, cmd in _leaves(main)
+                 if any(isinstance(p, click.Argument) for p in cmd.params)}
+
+
+class TestMalformedFiles:
+    def test_every_file_command_is_walked(self):
+        assert len(FILE_COMMANDS) == 10
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_parse_error_exit_2(self, runner, tmp_path, command, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MALFORMED[kind])
+        args = command.split()
+        for p in FILE_COMMANDS[command].params:
+            if isinstance(p, click.Argument):
+                args.append(str(bad))
+            elif p.required:
+                args += [p.opts[0], "2"]
+        res = run(runner, args)
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"ParseError: cannot parse {bad}: ")
+        assert res.stderr.count("\n") == 1
 
 
 # -- fuzzing: small well-formed JSON with at most one node replaced by junk --

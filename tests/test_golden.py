@@ -6,6 +6,7 @@ map examples also run on inputs over Q(s), s^2 = 2, so the tower
 arithmetic is pinned as well, and ``sweep klein-bound --kmax 12`` pins
 the Klein recursion beyond the range the cluster cross-check builds.
 Cases named in ``BOUNDS`` must also finish within their time bound.
+``help.txt`` holds the ``--help`` of every group and command.
 """
 
 import math
@@ -35,7 +36,14 @@ CASES = {
     "sweep-h-bound-wiman": ["sweep", "h-bound", "--gen", "wiman"],
     "cluster-check": ["cluster", "check", _d("cluster.json")],
     "cluster-hc-2025": ["cluster", "hc", _d("cluster.json"), "--c2", "2025"],
+    "cluster-codim": ["cluster", "codim", _d("cluster.json")],
     "germ-mult-cluster": ["germ", "mult-cluster", _d("germ.json")],
+    # a smooth germ has an empty cluster; its table header still prints
+    "germ-mult-cluster-smooth-md": ["germ", "mult-cluster",
+                                    _d("germ_smooth.json"), "--format", "md"],
+    "germ-mult-cluster-smooth-csv": ["germ", "mult-cluster",
+                                     _d("germ_smooth.json"), "--format",
+                                     "csv"],
     "map-bp": ["map", "bp", _d("map.json")],
     "map-degree": ["map", "degree", _d("map.json")],
     "map-pullback": ["map", "pullback", _d("map.json"), _d("cluster.json")],
@@ -48,6 +56,10 @@ CASES = {
     "config-kummer-2": ["config", "kummer", _d("config.json"), "--k", "2"],
     "config-verify-pullback-2": ["config", "verify-pullback",
                                  _d("config.json"), "--k", "2"],
+    "config-verify-pullback-2-csv": ["config", "verify-pullback",
+                                     _d("config.json"), "--k", "2",
+                                     "--format", "csv"],
+    "config-h-index": ["config", "h-index", _d("config.json")],
 }
 
 
@@ -67,3 +79,19 @@ def test_golden_output(name):
     assert res.exit_code == 0, res.stderr
     assert res.stdout == (GOLDEN / f"{name}.txt").read_text()
     assert elapsed < BOUNDS.get(name, math.inf)
+
+
+def _command_paths(cmd, path=()):
+    yield path
+    for name in sorted(getattr(cmd, "commands", {})):
+        yield from _command_paths(cmd.commands[name], path + (name,))
+
+
+def test_help_golden():
+    out = []
+    for path in _command_paths(main):
+        res = CliRunner().invoke(main, [*path, "--help"], terminal_width=80,
+                                 catch_exceptions=False)
+        assert res.exit_code == 0, res.stderr
+        out.append(f"$ enriques {' '.join(path + ('--help',))}\n{res.stdout}")
+    assert "\n".join(out) == (GOLDEN / "help.txt").read_text()

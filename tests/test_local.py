@@ -139,6 +139,16 @@ class TestMultCluster:
         with pytest.raises(NonReducedGerm):
             mult_cluster(Germ(X ** 2))
 
+    def test_repeated_unit_factor_is_ignored(self):
+        # (1 + x)^2 and (1 + x + y)^2 are units at the origin
+        assert weight_list(mult_cluster(Germ(Y * (1 + X) ** 2))) == []
+        k = mult_cluster(Germ((Y ** 2 - X ** 3) * (1 + X + Y) ** 2))
+        assert k.weights == {"q001": 2}
+
+    def test_repeated_factor_through_the_origin_rejected(self):
+        with pytest.raises(NonReducedGerm):
+            mult_cluster(Germ(X ** 2 * (Y - X ** 3) * (1 + Y) ** 2))
+
     def test_irrational_tangents_share_an_orbit(self):
         k = mult_cluster(Germ((Y ** 2 - 2 * X ** 2) * X))
         assert weight_list(k) == [3]
@@ -169,6 +179,24 @@ class TestMultCluster:
         start = time.perf_counter()
         assert localeng.is_squarefree(x * h * h * a) is False
         assert time.perf_counter() - start < 20
+
+    def test_tower_germ_with_squared_unit_factor(self):
+        # h of the test above has constant term 3, so x h^2 a is reduced at
+        # the origin and has the cluster of x a; x^2 a is not reduced there
+        tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
+        s = BiPoly.from_elem(tw, generator(tw))
+        x = BiPoly.variable("x", tw)
+        y = BiPoly.variable("y", tw)
+        h = s * x * y ** 2 + 2 * s * x ** 2 * y - (1 + s) * (x ** 3 + x * y) + 3
+        a = ((1 - s) * y ** 4 - (1 + 2 * s) * x * y ** 3 + (s - 1) * x ** 4
+             + (1 - 2 * s) * x ** 2 * y + 2 * s * x ** 3 + (3 + 2 * s) * x ** 2
+             + (s - 3) * x)
+        k = mult_cluster(Germ(x * a))
+        assert sorted(k.weights.values()) == [2, 2, 2, 2]
+        assert cluster_to_json(mult_cluster(Germ(x * h * h * a))) == (
+            cluster_to_json(k))
+        with pytest.raises(NonReducedGerm):
+            mult_cluster(Germ(x * x * a))
 
     def test_always_consistent(self):
         for p in (X * Y, Y ** 2 - X ** 3, Y ** 2 - X ** 5,
