@@ -139,6 +139,7 @@ def cluster():
 @click.argument("file", type=click.Path(exists=True))
 @table_options
 def cluster_check(file, fmt, out):
+    """Check the forest; print size, consistency and K^2."""
     data = load_json(file)
     try:
         nodes = [CL.node_from_json(nd) for nd in data["nodes"]]
@@ -160,6 +161,7 @@ def cluster_check(file, fmt, out):
               help="self-intersection of the curve")
 @table_options
 def cluster_hc(file, c2, fmt, out):
+    """Harbourne constant of a curve of self-intersection c2."""
     k = parse_cluster(load_json(file))
     h = CL.harbourne_constant(c2, k)
     emit([{"H": rat_str(h), "decimal": dec10(h),
@@ -170,6 +172,7 @@ def cluster_hc(file, c2, fmt, out):
 @click.argument("file", type=click.Path(exists=True))
 @table_options
 def cluster_codim(file, fmt, out):
+    """Virtual codimension of the cluster."""
     k = parse_cluster(load_json(file))
     v = CL.virtual_codimension(k)
     emit([{"codim": rat_str(v), "decimal": dec10(v),
@@ -179,10 +182,9 @@ def cluster_codim(file, fmt, out):
 # -- germ ---------------------------------------------------------------
 
 def cluster_rows(k):
-    return [{"id": n.id, "parent": n.parent or "",
-             "second_proximity": n.second_proximity or "",
-             "orbit": n.orbit, "mult": k.weights[n.id]}
-            for n in k.forest.nodes]
+    """``CL.cluster_to_json``'s nodes, with an empty cell for None."""
+    return [{key: "" if v is None else v for key, v in nd.items()}
+            for nd in CL.cluster_to_json(k)["nodes"]]
 
 
 CLUSTER_COLS = ["id", "parent", "second_proximity", "orbit", "mult"]
@@ -212,6 +214,7 @@ def germ():
 @click.argument("file", type=click.Path(exists=True))
 @table_options
 def germ_mult_cluster(file, fmt, out):
+    """Points of multiplicity >= 2 of the germ."""
     emit_cluster(L.mult_cluster(parse_germ(load_json(file))), fmt, out)
 
 
@@ -219,8 +222,8 @@ def germ_mult_cluster(file, fmt, out):
 
 def parse_map(data):
     """A map germ, which must be dominant: a Jacobian determinant that
-    vanishes identically is rejected here rather than in ``LocalMap``,
-    which the pullback also builds from large composed polynomials."""
+    vanishes identically is rejected here, where maps enter, and not in
+    ``LocalMap``, which also carries germ pairs that share a component."""
     try:
         f = L.LocalMap.from_polys(parse_poly(data["f1"]),
                                   parse_poly(data["f2"]))
@@ -245,6 +248,7 @@ def map_():
 @click.argument("file", type=click.Path(exists=True))
 @table_options
 def map_bp(file, fmt, out):
+    """Weighted base points of the map germ's pencil."""
     emit_cluster(L.base_points(parse_map(load_json(file))), fmt, out)
 
 
@@ -252,6 +256,7 @@ def map_bp(file, fmt, out):
 @click.argument("file", type=click.Path(exists=True))
 @table_options
 def map_degree(file, fmt, out):
+    """Local degree of the map germ."""
     d = L.local_degree(parse_map(load_json(file)))
     emit([{"degree": d, "provenance": "local_degree"}], fmt, out)
 
@@ -262,6 +267,7 @@ def map_degree(file, fmt, out):
 @SEED
 @table_options
 def map_pullback(mapfile, clusterfile, seed, fmt, out):
+    """Pullback cluster f*(K) of K under the map germ."""
     f = parse_map(load_json(mapfile))
     k = parse_cluster(load_json(clusterfile))
     emit_cluster(L.pullback_cluster(f, k, seed), fmt, out)
@@ -285,6 +291,7 @@ def config():
 @click.argument("file", type=click.Path(exists=True))
 @table_options
 def config_h_index(file, fmt, out):
+    """Harbourne index h of the configuration."""
     h = C.h_index(parse_config(load_json(file)))
     emit([{"h": rat_str(h), "decimal": dec10(h), "provenance": "h_index"}],
          fmt, out)
@@ -296,6 +303,7 @@ def config_h_index(file, fmt, out):
 @SEED
 @OUT
 def config_kummer(file, k, seed, out):
+    """Configuration pulled back by the degree-k^2 Kummer cover."""
     c = parse_config(load_json(file))
     new = C.kummer_pullback(c, C.KummerSpec(k), seed)
     write(json.dumps(C.config_to_json(new), indent=2) + "\n", out)
@@ -307,6 +315,7 @@ def config_kummer(file, k, seed, out):
 @SEED
 @table_options
 def config_verify_pullback(file, k, seed, fmt, out):
+    """Check H(f*C, f*K) against H(C, K) for the Kummer cover."""
     c = parse_config(load_json(file))
     lhs, rhs, strict = C.pullback_theorem_check(c, C.KummerSpec(k), seed)
     ok = lhs < rhs if strict else lhs <= rhs
@@ -353,11 +362,12 @@ def gen():
 @table_options
 @CONFIG_OUT
 def gen_fermat(k, fmt, out, config_out):
+    """Degree, points and h of the Fermat arrangement."""
     emit_config_row(f"fermat-{k}", C.fermat(k), fmt, out, config_out)
 
 
 def _make_gen(name):
-    @gen.command(name)
+    @gen.command(name, help=f"Degree, points and h of the {name} arrangement.")
     @table_options
     @CONFIG_OUT
     def _cmd(fmt, out, config_out, _name=name):
@@ -382,6 +392,7 @@ def sweep():
 @SEED
 @table_options
 def sweep_theorem_b(kmax, seed, fmt, out):
+    """h of the theorem-B family for k = 2 to kmax."""
     rows = []
     for k in range(2, kmax + 1):
         h = C.theorem_b_family(k, seed)
@@ -395,6 +406,7 @@ def sweep_theorem_b(kmax, seed, fmt, out):
               show_default=True)
 @table_options
 def sweep_klein_bound(kmax, fmt, out):
+    """Klein recursion against its closed forms, k = 2 to kmax."""
     rows = []
     for k in range(2, kmax + 1):
         rep = C.klein_report(k)
@@ -419,6 +431,7 @@ def sweep_klein_bound(kmax, fmt, out):
               type=click.Choice(sorted(GEN_TABLE)))
 @table_options
 def sweep_h_bound(kmax, gen_name, fmt, out):
+    """The h bound and its limit in k, for k = 2 to kmax."""
     cfg = GEN_TABLE[gen_name]()
     rows = []
     for k in range(2, kmax + 1):

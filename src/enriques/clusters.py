@@ -27,10 +27,10 @@ class EnriquesForest:
 
     def __init__(self, nodes):
         nodes = tuple(nodes)
-        violations = validate_forest(nodes)
+        violations, depth = _walk(nodes)
         if violations:
             raise ForestViolation("; ".join(violations))
-        self.nodes = _canonical_order(nodes)
+        self.nodes = tuple(sorted(nodes, key=lambda n: (depth[n.id], n.id)))
         self.by_id = {n.id: n for n in self.nodes}
         self.children = {n.id: [] for n in self.nodes}
         for n in self.nodes:
@@ -47,25 +47,14 @@ class EnriquesForest:
         return [n.id for n in self.nodes if n.parent is None]
 
 
-def _canonical_order(nodes):
-    by_id = {n.id: n for n in nodes}
-    depths = {n.id: 0 for n in nodes if n.parent is None}
-    for n in nodes:
-        path = []
-        cur = n.id
-        while cur not in depths:
-            path.append(cur)
-            cur = by_id[cur].parent
-        d = depths[cur]
-        for cid in reversed(path):
-            d += 1
-            depths[cid] = d
-    return tuple(sorted(nodes, key=lambda n: (depths[n.id], n.id)))
-
-
 def validate_forest(nodes):
     """All EnriquesForest invariant violations of a node sequence, as
     strings (empty iff valid)."""
+    return _walk(nodes)[0]
+
+
+def _walk(nodes):
+    """(``validate_forest``'s list, each node's depth from the same walk)."""
     out = []
     seen = {}
     for n in nodes:
@@ -80,20 +69,23 @@ def validate_forest(nodes):
         if n.parent == n.id:
             out.append(f"SelfParent: {n.id}")
     # acyclicity of parent edges (memoized so long chains stay linear)
-    acyclic = set()
+    depth = {}
     for n in nodes:
         path = []
         on_path = set()
         cur = n.id
-        while cur is not None and cur not in acyclic:
+        while cur is not None and cur not in depth:
             if cur in on_path:
                 out.append(f"ParentCycle: {n.id}")
-                return out
+                return out, depth
             path.append(cur)
             on_path.add(cur)
             nxt = seen[cur].parent if cur in seen else None
             cur = nxt if nxt in seen else None
-        acyclic.update(path)
+        d = depth[cur] if cur is not None else -1
+        for nid in reversed(path):
+            d += 1
+            depth[nid] = d
     for n in nodes:
         if n.second_proximity is None:
             continue
@@ -116,7 +108,7 @@ def validate_forest(nodes):
         if n.parent in seen and seen[n.parent].orbit >= 1:
             if n.orbit % seen[n.parent].orbit != 0:
                 out.append(f"OrbitNotMultipleOfParent: {n.id}")
-    return out
+    return out, depth
 
 
 class WeightedMultiCluster:
@@ -290,15 +282,12 @@ def proximity_matrix(forest):
     """(node order, P) with P[q][q] = 1 and P[q][p] = -1 for q proximate to p."""
     order = [n.id for n in forest.nodes]
     idx = {nid: i for i, nid in enumerate(order)}
-    n = len(order)
-    mat = [[0] * n for _ in range(n)]
-    for i, nid in enumerate(order):
+    mat = [[0] * len(order) for _ in order]
+    for i, node in enumerate(forest.nodes):
         mat[i][i] = 1
-        node = forest.by_id[nid]
-        if node.parent is not None:
-            mat[i][idx[node.parent]] = -1
-        if node.second_proximity is not None:
-            mat[i][idx[node.second_proximity]] = -1
+        for nid in (node.parent, node.second_proximity):
+            if nid is not None:
+                mat[i][idx[nid]] = -1
     return order, mat
 
 

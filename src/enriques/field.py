@@ -637,16 +637,14 @@ class BiPoly:
         return max((j for _, j in self.terms), default=-1)
 
     def deriv(self, var):
+        """d/dx or d/dy; each term moves one-to-one, so none are summed."""
+        if var not in ("x", "y"):
+            raise ValueError("variables are named 'x' and 'y'")
         tw = self.tower
-        out = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                out[(i - 1, j)] = add(tw, out.get((i - 1, j), zero(tw)),
-                                      qscale(tw, c, i))
-            elif var == "y" and j > 0:
-                out[(i, j - 1)] = add(tw, out.get((i, j - 1), zero(tw)),
-                                      qscale(tw, c, j))
-        return BiPoly(tw, out)
+        di, dj = (1, 0) if var == "x" else (0, 1)
+        return BiPoly(tw, {(i - di, j - dj): qscale(tw, c, i * di + j * dj)
+                           for (i, j), c in self.terms.items()
+                           if i * di + j * dj})
 
     def compose(self, px, py):
         """Substitute BiPolys for x and y.
@@ -1196,5 +1194,7 @@ def poly_from_json(tower, data):
         if not all(type(e) is int and e >= 0 for e in (i, j)):
             raise ValueError(f"exponents {i!r}, {j!r} are not non-negative "
                              "integers")
+        if (i, j) in terms:
+            raise ValueError(f"monomial x^{i} y^{j} appears twice")
         terms[(i, j)] = elem_from_json(tower, c)
     return BiPoly(tower, terms)

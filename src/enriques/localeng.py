@@ -17,11 +17,11 @@ the multiplicity cluster of a germ, the base points (and so the local
 degree) of a map germ, and the shared points of two germs (the shared
 cluster, and the certificate of the curves through a cluster).  Each entry
 point passes a ``step(polys)`` that reads the current strict transforms
-and returns either None (no point recorded, stop) or a triple
-``(fields, exps, span)``: the weights of the new point, the exceptional
+and returns either None (no point recorded, stop) or a pair
+``(fields, exps)``: the weights of the new point and the exceptional
 exponent divided out of each polynomial at the next blowup (None: the
-polynomial misses the point and is carried unchanged), and how many
-leading polynomials span the tangent cone.  ``_chart_int`` works on integer
+polynomial misses the point and is carried unchanged); the first two
+polynomials span the tangent cone.  ``_chart_int`` works on integer
 leaves: ``F.int_poly`` makes them on entry, and charts keep them.
 """
 from __future__ import annotations
@@ -74,7 +74,8 @@ class Germ:
 
 @dataclass(frozen=True)
 class LocalMap:
-    """A dominant map germ (f1, f2), both components non-invertible."""
+    """A map germ (f1, f2), both components non-invertible; dominance is
+    checked where maps enter, and germs sharing a component pass too."""
 
     f1: Germ
     f2: Germ
@@ -236,8 +237,8 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
     * ids are drawn after ``step`` accepts a point and before its tangent
       cone is split, so a branch aborted by a modulus split consumes ids
       and the redone branches draw fresh ones;
-    * the tangent cone is the first nonzero spanning form as it is, gcd'd
-      with the others in order (a single form is never made monic);
+    * the tangent cone is the first nonzero form of the first two
+      polynomials as it is, gcd'd with the other (one is never made monic);
     * the vertical direction is taken iff every spanning form is zero or
       divisible by x;
     * each branch returns its own entry list, so a branch that is redone
@@ -284,14 +285,14 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
         node = step(polys)
         if node is None:
             return []
-        fields, exps, span = node
+        fields, exps = node
         budget -= exps[0] ** 2
         if budget < 0:
             raise BudgetExceeded("a point exceeds the colength budget")
         nid = f"q{next(ids):03d}"
         entries = [{"id": nid, "parent": parent, "second": second,
                     "orbit": orbit, **fields}]
-        forms = [_form_t(p, e) for p, e in zip(polys[:span], exps)]
+        forms = [_form_t(p, e) for p, e in zip(polys[:2], exps)]
         tco = functools.reduce(lambda a, b: pgcd(tw, a, b),
                                [f for f, _ in forms if f is not None])
         # a constant tangent form has no finite direction
@@ -335,10 +336,6 @@ def _repeated_part(p):
     return d
 
 
-def is_squarefree(p):
-    return _repeated_part(p).total_degree() == 0
-
-
 def mult_cluster(g):
     """The cluster of all infinitely near points of multiplicity >= 2.
     A repeated factor that is a unit at the origin is ignored."""
@@ -347,7 +344,7 @@ def mult_cluster(g):
 
     def step(polys):
         m = polys[0].order()
-        return None if m < 2 else ({"mult": m}, (m,), 1)
+        return None if m < 2 else ({"mult": m}, (m,))
 
     return _entries_to_cluster(_blowups(g.tower, (g.poly,), step))
 
@@ -396,7 +393,7 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
         nu = min(polys[0].order(), polys[1].order())
         fm = polys[2].order() if len(polys) > 2 else 0
         exps = (nu, nu, fm or None)[:len(polys)]
-        return {"mult": nu, "fmult": fm}, exps, 2
+        return {"mult": nu, "fmult": fm}, exps
 
     entries = _blowups(p1.tower, polys, step, budget=budget)
     fmults = {e["id"]: e["fmult"] for e in entries}
@@ -428,16 +425,12 @@ def intersection_multiplicity(a, b):
     (u, 1) (at most d_a + d_b values) or the line x = u y meets a common
     zero off the origin (at most d_a d_b, Bezout); so past (d_a + 1)
     (d_b + 1) shears ``RetryBudgetExceeded`` is raised.  Infinity means a
-    common component through the origin.
+    common component through the origin (``fixed_part``'s contracted curve).
     """
     tw = a.tower
-    pa, pb = a.poly, b.poly
-    g = F.poly_gcd(pa, pb)
-    if g.total_degree() > 0:
-        if g.order() >= 1:
-            return math.inf
-        pa = F.exact_div(pa, g)
-        pb = F.exact_div(pb, g)
+    contracted, (pa, pb) = fixed_part(LocalMap(a, b))
+    if contracted is not None:
+        return math.inf
     x = BiPoly.variable("x", tw)
     y = BiPoly.variable("y", tw)
     shears = (pa.total_degree() + 1) * (pb.total_degree() + 1)
@@ -499,7 +492,7 @@ def _shared_points(p, q, cap=MAX_DEPTH):
 
     def step(polys):
         m1, m2 = polys[0].order(), polys[1].order()
-        return {"ma": m1, "mb": m2}, (m1, m2), 2
+        return {"ma": m1, "mb": m2}, (m1, m2)
 
     return _blowups(p.tower, (p, q), step, cap)
 
@@ -512,14 +505,6 @@ def _cluster_conditions(k, D):
     """Linear conditions on a general degree-D polynomial for passing
     through the cluster, plus the direction assigned to each node."""
     forest = k.forest
-    roots = forest.roots()
-    if len(roots) != 1:
-        raise HypothesisViolated("cluster must sit over a single proper point")
-    for n in forest.nodes:
-        if n.orbit != 1:
-            raise HypothesisViolated("curves_through needs orbit-1 clusters")
-        if k.weights[n.id] < 1:
-            raise HypothesisViolated("curves_through needs weights >= 1")
     monos = [(i, j) for i in range(D + 1) for j in range(D + 1 - i)]
     index = {m: c for c, m in enumerate(monos)}
     spoly = {m: {index[m]: 1} for m in monos}
@@ -577,8 +562,8 @@ def _cluster_conditions(k, D):
                                 comb(j, kk) * c ** (j - kk))
                 walk(out, cid, (nid, markers[1] if c == 0 else None))
 
-    walk(spoly, roots[0], (None, None))
-    return monos, conditions, directions, roots[0]
+    walk(spoly, forest.roots()[0], (None, None))
+    return monos, conditions, directions
 
 
 def _nullspace(rows, ncols):
@@ -615,7 +600,7 @@ def _nullspace(rows, ncols):
     return basis
 
 
-def _verify_through(poly, k, directions, root_id):
+def _verify_through(poly, k, directions):
     forest = k.forest
 
     def walk(h, nid):
@@ -630,7 +615,7 @@ def _verify_through(poly, k, directions, root_id):
                 return False
         return True
 
-    return walk(F.int_poly(QQ, poly.terms)[0], root_id)
+    return walk(F.int_poly(QQ, poly.terms)[0], forest.roots()[0])
 
 
 _CURVES_CACHE = {}
@@ -640,7 +625,8 @@ def curves_through(k, seed):
     """Two seeded germs with multiplicity exactly nu_q at every cluster
     point and no further common point, certified by the intersection
     number I_0(w, z) equalling K^2.  Results are memoized per (cluster,
-    seed), for the latest 1024 pairs.
+    seed), for the latest 1024 pairs.  K must sit over one proper point,
+    with orbit 1 and weights >= 1, checked here before the cache or any rung.
 
     Once both germs pass ``_verify_through``, I_0(w, z) is Noether's sum
     of orbit * e_w * e_z over the points w and z share
@@ -663,6 +649,13 @@ def curves_through(k, seed):
     the one of a fixed D_top, so every cluster that certifies there
     still does, with the same errors when none does.
     """
+    if len(k.forest.roots()) != 1:
+        raise HypothesisViolated("cluster must sit over a single proper point")
+    for n in k.forest.nodes:
+        if n.orbit != 1:
+            raise HypothesisViolated("curves_through needs orbit-1 clusters")
+        if k.weights[n.id] < 1:
+            raise HypothesisViolated("curves_through needs weights >= 1")
     key = (k.forest, tuple(k.weights[n.id] for n in k.forest.nodes), seed)
     if key in _CURVES_CACHE:
         return _CURVES_CACHE[key]
@@ -705,7 +698,7 @@ def _curves_at_degree(k, seed, D):
     ``_top_degree(k)`` the first sample whose Noether run hits its cap
     ends the degree: the system most likely has a fixed component, and
     every further sample would pay for the cap again."""
-    monos, conditions, directions, root_id = _cluster_conditions(k, D)
+    monos, conditions, directions = _cluster_conditions(k, D)
     # rank <= c(K) and (D+1)(D+2)/2 >= c(K) + 2 on every rung: nullity >= 2
     basis = _nullspace(conditions, len(monos))
     rng = random.Random(seed)
@@ -722,7 +715,7 @@ def _curves_at_degree(k, seed, D):
                 if val != 0:
                     m = monos[col]
                     terms[m] = terms.get(m, Fraction(0)) + cvec * val
-        return BiPoly(QQ, {m: v for m, v in terms.items() if v != 0})
+        return BiPoly(QQ, terms)
 
     last = None
     for _ in range(32):
@@ -731,8 +724,8 @@ def _curves_at_degree(k, seed, D):
         if w.is_zero() or z.is_zero():
             last = "sampled the zero polynomial"
             continue
-        if not (_verify_through(w, k, directions, root_id)
-                and _verify_through(z, k, directions, root_id)):
+        if not (_verify_through(w, k, directions)
+                and _verify_through(z, k, directions)):
             last = "sampled member has excess multiplicity at a cluster point"
             continue
         try:

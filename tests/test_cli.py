@@ -350,8 +350,10 @@ class TestExitCodes:
         assert "ParseError: malformed cluster" in res.stderr
 
     @pytest.mark.parametrize("term", [["a", 0, "1"], [-1, 3, "1"],
-                                      [1.0, 2, "1"], [True, 2, "1"]],
-                             ids=["str", "negative", "float", "bool"])
+                                      [1.0, 2, "1"], [True, 2, "1"],
+                                      [2, 0, "3"]],
+                             ids=["str", "negative", "float", "bool",
+                                  "repeated"])
     def test_bad_exponent_exit_2(self, runner, tmp_path, term):
         gf = write(tmp_path, "g.json", {"terms": [term, [2, 0, "1"]]})
         res = run(runner, ["germ", "mult-cluster", gf])
@@ -526,8 +528,10 @@ def polys(draw, towers=True):
     coeffs = (RATIONALS | st.builds(lambda a, b: {"ext": "s", "coeffs": [a, b]},
                                     RATIONALS, RATIONALS)
               if over_s else RATIONALS)
+    # a monomial listed twice is malformed, so a valid draw lists each once
     terms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                                    coeffs).map(list), min_size=1, max_size=3))
+                                    coeffs).map(list), min_size=1, max_size=3,
+                          unique_by=lambda t: tuple(t[:2])))
     return {"tower": S_TOWER, "poly": {"terms": terms}} if over_s else {
         "terms": terms}
 

@@ -104,6 +104,13 @@ class TestBiPolyValue:
         assert hash(X * Y) == hash(Y * X)
         assert repr(X - X) == "BiPoly(0)"
 
+    def test_deriv(self):
+        p = X ** 3 * Y ** 2 + 5 * Y + 7
+        assert p.deriv("x") == 3 * X ** 2 * Y ** 2
+        assert p.deriv("y") == 2 * X ** 3 * Y + 5
+        with pytest.raises(ValueError, match="named 'x' and 'y'"):
+            p.deriv("z")
+
 
 class TestPolyGcd:
     def test_monomial_gcd(self):

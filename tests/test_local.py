@@ -164,7 +164,7 @@ class TestMultCluster:
              - 2 * s * x ** 8 * y ** 3 + 6 * x ** 7 * y ** 3
              - 2 * s * x ** 6 * y ** 5 - 3 * s * x ** 11 + 2 * x ** 9 * y
              - 3 * s * x ** 8 * y)
-        assert localeng.is_squarefree(p) is False
+        assert localeng._repeated_part(p).total_degree() > 0
 
     def test_tower_germ_with_squared_factor_in_y(self):
         # x h^2 a: a primitive PRS in (K[x])[y] took over 90 s on it
@@ -177,7 +177,7 @@ class TestMultCluster:
              + (1 - 2 * s) * x ** 2 * y + 2 * s * x ** 3 + (3 + 2 * s) * x ** 2
              + (s - 3) * x)
         start = time.perf_counter()
-        assert localeng.is_squarefree(x * h * h * a) is False
+        assert localeng._repeated_part(x * h * h * a).total_degree() > 0
         assert time.perf_counter() - start < 20
 
     def test_tower_germ_with_squared_unit_factor(self):
@@ -376,7 +376,10 @@ class TestCurvesThrough:
     @pytest.mark.parametrize("k, match", [
         (chain_cluster([2, 0]), "weights >= 1"),
         (disjoint_union(single_point(1), single_point(1)),
-         "single proper point")], ids=["zero-weight", "two-points"])
+         "single proper point"),
+        # c(K) = 30 puts the least degree, 7, above D_top = 4
+        (single_point(3, orbit=5), "orbit-1")],
+        ids=["zero-weight", "two-points", "orbit-above-ladder"])
     def test_hypotheses_rejected(self, k, match):
         with pytest.raises(HypothesisViolated, match=match):
             curves_through(k, 0)
@@ -480,9 +483,9 @@ class TestCurvesThrough:
         conditions = localeng._cluster_conditions
 
         def through_line(k, D):
-            monos, rows, directions, root = conditions(k, D)
+            monos, rows, directions = conditions(k, D)
             rows = rows + [{c: 1} for c, (i, _) in enumerate(monos) if i == 0]
-            return monos, rows, directions, root
+            return monos, rows, directions
 
         blowups = localeng._blowups
         levels = []
@@ -524,7 +527,7 @@ class TestCurvesThrough:
             root = k.forest.roots()[0]
             for q in k.forest.children[root]:
                 D = k.weights[root] + k.weights[q] - 1
-                monos, rows, directions, _ = localeng._cluster_conditions(k, D)
+                monos, rows, directions = localeng._cluster_conditions(k, D)
                 for v in localeng._nullspace(rows, len(monos)):
                     p = BiPoly(QQ, {m: c for m, c in zip(monos, v) if c})
                     assert p.compose(X, directions[q] * X).is_zero()
