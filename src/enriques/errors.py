@@ -45,7 +45,9 @@ class NonReducedGerm(EnriquesError):
 
 
 class BudgetExceeded(EnriquesError):
-    """A blowup recursion exceeded its hard depth cap."""
+    """A blowup recursion ran past a bound: its hard depth cap, or, in a
+    run truncated to a colength budget, a point that exceeds the budget
+    or a truncated transform that is zero."""
 
 
 class RetryBudgetExceeded(EnriquesError):

@@ -38,8 +38,8 @@ from . import field as F
 from .clusters import (Node, WeightedMultiCluster, self_intersection,
                        virtual_codimension)
 from .errors import (BudgetExceeded, ContractedCurvePresent,
-                     HypothesisViolated, NonReducedGerm, RetryBudgetExceeded,
-                     UnrealizableForest)
+                     HypothesisViolated, ModulusSplit, NonReducedGerm,
+                     RetryBudgetExceeded, UnrealizableForest)
 from .field import (QQ, BiPoly, Tower, UniPoly, branched, from_rational,
                     generator, is_zero, pdeg, pgcd, qscale, split_directions,
                     zero)
@@ -336,17 +336,103 @@ def _repeated_part(p):
     return d
 
 
+def _rational(tw, a):
+    """Whether the nonzero tower element ``a`` lies in Q."""
+    while tw.levels:
+        if len(a) > 1:
+            return False
+        a, tw = a[0], tw.sub()
+    return True
+
+
+def _has_unit(tw, form):
+    """Check that a coefficient of the nonzero ``form`` is a unit of
+    ``tw``, which need not be a field: a rational one, else the first
+    that inverts.  When none inverts, the first ``ModulusSplit`` is
+    raised."""
+    if any(_rational(tw, c) for c in form):
+        return
+    split = None
+    for c in form:
+        try:
+            F.inv(tw, c)
+            return
+        except ModulusSplit as e:
+            split = split or e
+    raise split
+
+
 def mult_cluster(g):
     """The cluster of all infinitely near points of multiplicity >= 2.
-    A repeated factor that is a unit at the origin is ignored."""
-    if _repeated_part(g.poly).order() >= 1:
-        raise NonReducedGerm("germ has a repeated factor")
+    A repeated factor that is a unit at the origin is ignored.
+
+    The recursion itself certifies that the germ is reduced, with the
+    budget d(d - 1)/2 for p of total degree d; each recorded point of
+    multiplicity m spends m(m - 1)/2 of it (Fulton, *Algebraic Curves*,
+    ch. 7; Casas-Alvero, *Singularities of Plane Curves*):
+
+    * reduced at the origin: let q be the product of the irreducible
+      factors of p (over an algebraic closure) through the origin, each
+      once.  p/q is a unit there and at every point over it, so p and q
+      have the same multiplicities there.  q is a reduced curve of degree
+      e <= d with r <= e components, and its genus formula bounds the sum
+      of m(m - 1)/2 over the infinitely near points of the origin by
+      delta_0(q) <= (e - 1)(e - 2)/2 + r - 1 <= e(e - 1)/2 <= d(d - 1)/2.
+      The recursion records each conjugate orbit once, which only
+      undercounts, so it ends within the budget;
+    * a repeated factor h^2 with h(0) = 0 leaves multiplicity >= 2 at
+      every point of a branch of h, so the recursion never ends: it
+      spends the budget or hits the depth cap, each point costing >= 1.
+
+    So a recursion that ends proves p reduced at the origin, and then no
+    gcd runs.  ``_repeated_part`` runs once, at the first recorded point
+    past the budget or with a transform of total degree above 2d, or at
+    the depth cap: a repeated factor through the origin raises
+    ``NonReducedGerm``; otherwise the recursion goes on without the
+    budget, and a depth cap still raises.  The degree test only bounds
+    the cost: a chart can raise the degree at every blowup, so the
+    transforms along a repeated factor can grow until the budget runs
+    out, while a reduced germ's recursion mostly ends before they pass
+    2d.  Points of a branch that a modulus split aborts and redoes count
+    twice, which can only run the gcd.
+
+    Each step checks that the form of least degree m has a unit
+    coefficient (``_has_unit``): the input tower need not be a field, and
+    the levels adjoined for conjugate directions are adjoined
+    optimistically.  Every lower form is zero, so m is then the
+    multiplicity in every factor of the tower; otherwise the split is
+    raised, and dynamic evaluation redoes the branch in each factor.  A
+    level that factors could else read multiplicity 1 where a factor has
+    2, and end the recursion on a repeated factor.
+    """
+    p = g.poly
+    d = p.total_degree()
+    left = [d * (d - 1) // 2]
+
+    def certify():
+        if _repeated_part(p).order() >= 1:
+            raise NonReducedGerm("germ has a repeated factor") from None
+        left[0] = math.inf
 
     def step(polys):
-        m = polys[0].order()
-        return None if m < 2 else ({"mult": m}, (m,))
+        q = polys[0]
+        m = q.order()
+        if q.tower.levels:
+            _has_unit(q.tower, [c for (i, j), c in q.terms.items()
+                                if i + j == m])
+        if m < 2:
+            return None
+        left[0] -= m * (m - 1) // 2
+        if left[0] < math.inf and (left[0] < 0 or q.total_degree() > 2 * d):
+            certify()
+        return {"mult": m}, (m,)
 
-    return _entries_to_cluster(_blowups(g.tower, (g.poly,), step))
+    try:
+        return _entries_to_cluster(_blowups(g.tower, (p,), step))
+    except BudgetExceeded:
+        if left[0] < math.inf:
+            certify()
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, BlowupChart, BudgetExceeded,
                       ContractedCurvePresent, Germ, HypothesisViolated,
-                      LocalMap, NonReducedGerm, RetryBudgetExceeded,
-                      WeightedMultiCluster, base_points, chain_cluster,
-                      curves_through, disjoint_union, fixed_part, germ_mult,
-                      intersection_multiplicity, is_consistent, local_degree,
-                      map_multiplicity, monomial_map, mult_cluster,
-                      noether_intersection, pullback_cluster,
-                      self_intersection, shared_cluster, single_point,
-                      strict_transform)
+                      LocalMap, ModulusSplit, NonReducedGerm,
+                      RetryBudgetExceeded, WeightedMultiCluster, base_points,
+                      chain_cluster, curves_through, disjoint_union,
+                      fixed_part, germ_mult, intersection_multiplicity,
+                      is_consistent, local_degree, map_multiplicity,
+                      monomial_map, mult_cluster, noether_intersection,
+                      pullback_cluster, self_intersection, shared_cluster,
+                      single_point, strict_transform)
 from enriques import field, localeng
 from enriques.clusters import cluster_to_json
 from enriques.field import (from_rational, generator, poly_to_json, ptrim,
@@ -978,6 +978,215 @@ class TestBlowupBudget:
         assert size(65) == 65
         with pytest.raises(BudgetExceeded):
             size(66)
+
+
+@pytest.fixture
+def mult_spy(monkeypatch):
+    """Counts of the step calls of ``mult_cluster``'s recursion, of the
+    points it records, of its reducedness gcds and of D5 tower splits."""
+    seen = {"steps": 0, "points": 0, "gcds": 0, "splits": 0}
+    blowups, repeated = localeng._blowups, localeng._repeated_part
+    split = field.split_tower
+
+    def counted_blowups(tw, polys, step, *args, **kwargs):
+        def counted(ps):
+            seen["steps"] += 1
+            node = step(ps)
+            seen["points"] += node is not None
+            return node
+        return blowups(tw, polys, counted, *args, **kwargs)
+
+    def counted_repeated(p):
+        seen["gcds"] += 1
+        return repeated(p)
+
+    def counted_split(*args):
+        seen["splits"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(localeng, "_blowups", counted_blowups)
+    monkeypatch.setattr(localeng, "_repeated_part", counted_repeated)
+    monkeypatch.setattr(field, "split_tower", counted_split)
+    return seen
+
+
+def _s_germ():
+    """(y^2 - 2x^2)^2 + x^5 (y - s x) + y^7 over Q(s), s^2 = 2: the
+    direction u, u^2 = 2, is adjoined over Q(s), where u^2 - 2 splits."""
+    s = BiPoly.from_elem(Q_S, generator(Q_S))
+    x, y = BiPoly.variable("x", Q_S), BiPoly.variable("y", Q_S)
+    return (y ** 2 - 2 * x ** 2) ** 2 + x ** 5 * (y - s * x) + y ** 7
+
+
+class TestReducedCertificate:
+    """``mult_cluster`` certifies a germ reduced by its own recursion
+    ending, within the delta budget d(d - 1)/2 of total degree d; the gcd
+    runs once, only when the budget runs out, a transform passes degree
+    2d or the depth cap is hit.  Every multiplicity it reads has a unit
+    coefficient in its form, so a level that factors is split on."""
+
+    @pytest.mark.parametrize("p, weights", [
+        (Y ** 2 - X ** 3, [2]),
+        ((Y ** 2 - X ** 3) * (Y - X), [3]),
+        # d lines through the origin spend the whole budget at the root
+        (X * Y * (X + Y) * (X - Y), [4]),
+        (Y ** 2 - X ** 129, [2] * 64),
+    ], ids=["cusp", "cusp-line", "four-lines", "depth-64"])
+    def test_reduced_germ_runs_no_gcd(self, mult_spy, p, weights):
+        assert weight_list(mult_cluster(Germ(p))) == weights
+        assert mult_spy["gcds"] == 0
+
+    def test_reduced_germ_through_a_split_runs_no_gcd(self, mult_spy):
+        k = mult_cluster(Germ(_s_germ()))
+        assert ids_weights_orbits(k) == (["q001", "q003", "q004"], [4, 2, 2],
+                                         [1, 1, 1])
+        assert mult_spy["splits"] == 1
+        assert mult_spy["gcds"] == 0
+
+    def test_level_that_factors_is_split(self, mult_spy):
+        # the tangent cone (t - s)^2 (t + s)^2 adjoins u, u^2 = 2, over
+        # Q(s), where it factors; at u the node of the first two branches
+        # (u = s) and the smooth cusp transform y^2 + x (u = -s) make the
+        # linear form a zero divisor, not a multiplicity 1
+        s = BiPoly.from_elem(Q_S, generator(Q_S))
+        x, y = BiPoly.variable("x", Q_S), BiPoly.variable("y", Q_S)
+        cusp = (y + s * x) ** 2 + x ** 3
+        k = mult_cluster(Germ((y - s * x + x ** 2) * (y - s * x - x ** 2)
+                              * cusp))
+        # the same germ with s set to 1: over Q the tangent cone splits
+        rational = ((Y - X + X ** 2) * (Y - X - X ** 2)
+                    * ((Y + X) ** 2 + X ** 3))
+        assert cluster_to_json(k) == cluster_to_json(mult_cluster(
+            Germ(rational)))
+        assert weight_list(k) == [4, 2]
+        assert mult_spy["gcds"] == 0
+        assert mult_spy["splits"] >= 1
+        with pytest.raises(NonReducedGerm):
+            mult_cluster(Germ((y - s * x + x ** 2) ** 2 * cusp))
+
+    def test_grown_transform_runs_the_gcd_once(self, mult_spy):
+        # reduced, but a transform passes degree 2d = 10 at a recorded
+        # point: the gcd runs once and the recursion goes on
+        k = mult_cluster(Germ(X * (X - X ** 2 + X ** 4 - Y ** 4)))
+        assert weight_list(k) == [2, 2, 2, 2]
+        assert mult_spy["gcds"] == 1
+
+    @pytest.mark.parametrize("case", ["cube", "square-and-cusp",
+                                      "square-through-a-split"])
+    def test_non_reduced_path_is_bounded(self, mult_spy, case):
+        p = {"cube": (Y ** 2 - X ** 7) ** 3,
+             "square-and-cusp": (Y - X ** 11) ** 2 * (Y ** 3 - X ** 2),
+             "square-through-a-split": _s_germ() ** 2}[case]
+        d = p.total_degree()
+        with pytest.raises(NonReducedGerm):
+            mult_cluster(Germ(p))
+        assert mult_spy["gcds"] == 1
+        # every recorded point spends >= 1 of the budget, so the gcd runs
+        # by the (d(d - 1)/2 + 1)-th point at the latest
+        assert mult_spy["points"] < d * (d - 1) // 2 + 1
+        # the cube's transforms shrink, so it spends its budget of 210:
+        # weights 6, 6, 6 and then 3 cost 45 + 3 * 56 > 210 at the 59th
+        # point; the others' transforms pass degree 2d early
+        assert mult_spy["steps"] == {"cube": 59, "square-and-cusp": 17,
+                                     "square-through-a-split": 4}[case]
+        if case == "square-through-a-split":
+            assert mult_spy["splits"] == 1
+
+    def test_depth_cap_runs_the_gcd_and_still_raises(self, mult_spy):
+        # d = 131: the budget of 8515 outlasts the 64-blowup cap, and a
+        # reduced germ past the cap keeps its BudgetExceeded
+        with pytest.raises(BudgetExceeded):
+            mult_cluster(Germ(Y ** 2 - X ** 131))
+        assert mult_spy["steps"] == 65
+        assert mult_spy["gcds"] == 1
+
+    def test_depth_cap_on_a_repeated_factor_is_non_reduced(self, mult_spy):
+        # d = 24 >= 12: the budget of 276 outlasts the cap, and the
+        # transforms of (y - x^12)^2 never grow, so only the cap stops it
+        with pytest.raises(NonReducedGerm):
+            mult_cluster(Germ((Y - X ** 12) ** 2))
+        assert mult_spy["steps"] == 65
+        assert mult_spy["gcds"] == 1
+
+
+def random_germ(rng, tw, kind):
+    """A seeded germ over ``tw``: ``a``, ``h^2 a`` with h(0) = 0, or
+    ``u^2 a`` with u(0) != 0, for small random a, h and u."""
+    gens = [BiPoly.from_elem(tw, generator(tw))] if tw.levels else []
+
+    def coeff():
+        c = BiPoly.const(rng.choice([-2, -1, 1, 2, 3]), tw)
+        for g in gens:
+            c = c + rng.choice([-1, 0, 1, 2]) * g
+        return c if not c.is_zero() else BiPoly.const(1, tw)
+
+    def poly(n, deg, const):
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        p = coeff() if const else BiPoly.zero(tw)
+        for _ in range(n):
+            i = rng.randint(0, deg)
+            j = rng.randint(0 if i else 1, deg - i)
+            p = p + coeff() * x ** i * y ** j
+        return p
+
+    a = poly(rng.randint(2, 4), rng.randint(2, 4), False)
+    while a.is_zero():
+        a = poly(2, 3, False)
+    if kind == "reduced":
+        return a
+    h = poly(rng.randint(1, 2), rng.randint(1, 2), kind == "unit")
+    while h.total_degree() < 1:
+        h = poly(1, 2, kind == "unit")
+    return h * h * a
+
+
+class TestReducedCrossCheck:
+    """The reducedness gcd stays an independent check of the recursion's
+    certificate, over Q and Q(s), s^2 = 2."""
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    def test_non_reduced_iff_repeated_part_vanishes(self, tw):
+        rng = random.Random(26)
+        for kind in ("reduced", "origin", "unit") * 12:
+            p = random_germ(rng, tw, kind)
+            try:
+                k = mult_cluster(Germ(p))
+            except NonReducedGerm:
+                assert localeng._repeated_part(p).order() >= 1, p
+                continue
+            assert localeng._repeated_part(p).order() == 0, p
+            assert is_consistent(k)
+
+
+Q_T1 = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
+
+
+def at_t(p, v):
+    """p over Q(t), t^2 = 1, with t set to v = 1 or -1."""
+    return BiPoly(QQ, {key: sum((c * v ** k for k, c in enumerate(a)),
+                                Fraction(0))
+                       for key, a in p.terms.items()})
+
+
+class TestReducibleTower:
+    """Q(t), t^2 = 1, is Q x Q, not a field.  ``mult_cluster`` either
+    reports the split or returns the cluster of both factors: the germ's
+    cluster over Q at t = 1 and at t = -1."""
+
+    def test_cluster_matches_both_specializations(self):
+        rng = random.Random(26)
+        clusters = 0
+        for kind in ("reduced", "origin", "unit") * 30:
+            p = random_germ(rng, Q_T1, kind)
+            try:
+                got = cluster_to_json(mult_cluster(Germ(p)))
+            except (ModulusSplit, NonReducedGerm):
+                continue
+            clusters += 1
+            for v in (1, -1):
+                want = cluster_to_json(mult_cluster(Germ(at_t(p, v))))
+                assert got == want, (p, v)
+        assert clusters >= 10
 
 
 COEFFS = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2),
