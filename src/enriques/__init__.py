@@ -7,8 +7,8 @@ from .errors import (BudgetExceeded, ContractedCurvePresent, DivisionByZero,
                      HypothesisViolated, InconsistentCluster, ModulusSplit,
                      NonReducedGerm, ParseError, PlacementConflict,
                      RetryBudgetExceeded, UnrealizableForest)
-from .field import (QQ, BiPoly, Direction, FieldElement, Tower, UniPoly,
-                    branched, field_arith, poly_gcd, split_directions)
+from .field import (QQ, BiPoly, Direction, Tower, branched, poly_gcd,
+                    split_directions)
 from .clusters import (EnriquesForest, Node, WeightedMultiCluster,
                        chain_cluster, cluster_from_json, cluster_to_json,
                        disjoint_union, excesses, h_passing_bound,
@@ -16,11 +16,10 @@ from .clusters import (EnriquesForest, Node, WeightedMultiCluster,
                        is_consistent, noether_intersection, proximity_matrix,
                        remark_h4_monotone, self_intersection, single_point,
                        validate_forest, virtual_codimension)
-from .localeng import (BlowupChart, Germ, LocalMap, base_points,
-                       curves_through, fixed_part, germ_mult,
-                       intersection_multiplicity, local_degree,
+from .localeng import (Germ, LocalMap, base_points, curves_through,
+                       fixed_part, intersection_multiplicity, local_degree,
                        map_multiplicity, monomial_map, mult_cluster,
-                       pullback_cluster, shared_cluster, strict_transform)
+                       pullback_cluster, shared_cluster)
 from .configs import (KleinState, KummerSpec, PlaneConfig, SingularSpec,
                       config_from_json, config_to_json, fermat, h_bound_gap,
                       h_index, klein_closed_forms, klein_lines, klein_polars,

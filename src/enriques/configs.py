@@ -22,6 +22,7 @@ from .localeng import monomial_map, pullback_cluster
 GENERIC = "generic"
 VERTEX = "vertex"
 LINE = "line"
+PLACEMENTS = (GENERIC, VERTEX, LINE)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class PlaneConfig:
 
     def __post_init__(self):
         for s in self.sing:
-            if s.placement not in (GENERIC, VERTEX, LINE):
+            if s.placement not in PLACEMENTS:
                 raise PlacementConflict(f"unknown placement {s.placement!r}")
             if s.count < 1:
                 raise PlacementConflict("singular spec with count < 1")
@@ -388,10 +389,17 @@ def config_to_json(c):
     }
 
 
+def _placement_from_json(s):
+    placement = s.get("placement", GENERIC)
+    if placement not in PLACEMENTS:
+        raise ValueError(f"unknown placement {placement!r}")
+    return placement
+
+
 def config_from_json(data):
     sing = tuple(SingularSpec(cluster_from_json(s["cluster"]),
                               json_int(s["count"], "count"),
-                              s.get("placement", GENERIC))
+                              _placement_from_json(s))
                  for s in data["sing"])
     comps = tuple((json_int(cp["deg"], "deg", 1),
                    json_int(cp["count"], "count", 1))

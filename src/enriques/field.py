@@ -456,60 +456,6 @@ def peval(tw, f, x0):
 
 
 # ---------------------------------------------------------------------------
-# Public element wrapper: operators on the elements of one tower
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    tower: Tower
-    rep: object
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower != self.tower:
-                raise ValueError("tower mismatch")
-            return other.rep
-        return from_rational(self.tower, other)
-
-    def __add__(self, other):
-        return FieldElement(self.tower, add(self.tower, self.rep, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.tower, neg(self.tower, self.rep))
-
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def _wrap(self, other):
-        return FieldElement(self.tower, self._coerce(other))
-
-    def __mul__(self, other):
-        return FieldElement(self.tower, mul(self.tower, self.rep, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return FieldElement(self.tower, inv(self.tower, self.rep))
-
-    @property
-    def is_zero(self):
-        return is_zero(self.tower, self.rep)
-
-
-def field_arith(a, b, op):
-    """add / mul / invert on FieldElements (invert ignores ``b``)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # Bivariate polynomials
 # ---------------------------------------------------------------------------
 
@@ -980,15 +926,6 @@ class Direction:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class UniPoly:
-    tower: Tower
-    coeffs: tuple
-
-    def is_zero(self):
-        return not self.coeffs
-
-
 def _fresh_var(tw):
     """The first ``t<n>``, n >= depth + 1, that no level of ``tw`` uses."""
     used = {v for v, _ in tw.levels}
@@ -1090,8 +1027,9 @@ def _yun(tw, f):
     return out
 
 
-def split_directions(p):
-    """Split a univariate polynomial into roots with orbit sizes.
+def split_directions(tw, coeffs):
+    """Split a univariate polynomial over ``tw`` (coefficients low -> high)
+    into roots with orbit sizes.
 
     One loop over (monic factor, multiplicity) pairs serves every depth: a
     linear factor gives its root in the input tower, and a larger one a
@@ -1103,13 +1041,12 @@ def split_directions(p):
     adjoined optimistically: a later zero divisor raises ModulusSplit for
     the caller to branch on.
     """
-    if p.is_zero():
+    if not coeffs:
         raise ValueError("cannot split the zero polynomial")
-    tw = p.tower
     if tw.levels:
-        factors = _yun(tw, p.coeffs)
+        factors = _yun(tw, coeffs)
     else:
-        factors = sorted(_factors_over_qq(p.coeffs),
+        factors = sorted(_factors_over_qq(coeffs),
                          key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
         factors = [(tuple(Fraction(c, f[-1]) for c in f), m)
                    for f, m in factors]

@@ -40,9 +40,8 @@ from .clusters import (Node, WeightedMultiCluster, self_intersection,
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, ModulusSplit, NonReducedGerm,
                      RetryBudgetExceeded, UnrealizableForest)
-from .field import (QQ, BiPoly, Tower, UniPoly, branched, from_rational,
-                    generator, is_zero, pdeg, pgcd, qscale, split_directions,
-                    zero)
+from .field import (QQ, BiPoly, branched, from_rational, generator, is_zero,
+                    pdeg, pgcd, qscale, split_directions, zero)
 
 MAX_DEPTH = 64
 INF_DIR = "inf"
@@ -85,15 +84,6 @@ class LocalMap:
         return cls(Germ(p1), Germ(p2))
 
 
-@dataclass(frozen=True)
-class BlowupChart:
-    """One blowup chart: axis 'x' is (x, x(y+c)), axis 'y' is (xy, y)."""
-
-    axis: str = "x"
-    direction: object = Fraction(0)
-    tower: Tower = QQ
-
-
 def monomial_map(a, b, tower=QQ):
     x = BiPoly.variable("x", tower)
     y = BiPoly.variable("y", tower)
@@ -105,27 +95,27 @@ def monomial_map(a, b, tower=QQ):
 # ---------------------------------------------------------------------------
 
 def _chart_int(p, m, c, top=math.inf):
-    """``(q, s)`` with p(x, x(y+c)) / x^m = s q, for p with integer leaves
-    and a direction root c in p's tower, keeping only the terms of total
-    degree at most ``top``.  q has integer leaves, with gcd 1 unless c = 0:
-    there q is p relabelled and s = 1.
+    """A positive rational multiple q of p(x, x(y+c)) / x^m, for p with
+    integer leaves and a direction root c in p's tower, keeping only the
+    terms of total degree at most ``top``.  q has integer leaves, with gcd
+    1 unless c = 0: there q is p relabelled.
 
     Otherwise the term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m)
     y^k.  With c = a/b, J = deg_y p and the powers a^e scaled by one
-    rational ws to integer leaves, the weights C(j, k) ws a^(j-k)
-    b^(J-j+k) are integers, and the sum of the products N times weight is
-    ws b^J times the substitution.  Within a term the output degree
-    i + j - m + k rises with k, so the loop stops at the first k past
-    ``top``.  The blowup recursion reads only orders, tangent directions
-    and whether leading coefficients are units, none of which a nonzero
-    rational scale changes, so it keeps q alone.
+    positive rational to integer leaves, the weights C(j, k) a^(j-k)
+    b^(J-j+k) so scaled are integers, and the sum of the products N times
+    weight is a positive multiple of the substitution.  Within a term the
+    output degree i + j - m + k rises with k, so the loop stops at the
+    first k past ``top``.  The blowup recursion reads only orders, tangent
+    directions and whether leading coefficients are units, none of which a
+    nonzero rational scale changes.
 
     A Taylor shift of each total-degree row is slower here: composed
     pullback polynomials have sparse rows.
     """
     tw = p.tower
     if is_zero(tw, c):
-        return _relabel(p, m, "x", top), 1
+        return _relabel(p, m, "x", top)
     (a,), q = F.int_scale(tw, [c])
     a, b = qscale(tw, a, q.denominator), q.numerator
     js = {j for _, j in p.terms}
@@ -133,7 +123,7 @@ def _chart_int(p, m, c, top=math.inf):
     apow = [F.one(tw)]
     for _ in range(J):
         apow.append(F.mul(tw, apow[-1], a))
-    apow, ws = F.int_scale(tw, apow)
+    apow = F.int_scale(tw, apow)[0]
     rows = {j: [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
                 for k in range(j + 1)] for j in js}
     out = {}
@@ -147,18 +137,7 @@ def _chart_int(p, m, c, top=math.inf):
             key = (base, k)
             v = F.mul(tw, n, w)
             out[key] = F.add(tw, out[key], v) if key in out else v
-    res, s = F.int_poly(tw, out)
-    return res, 1 / (s * ws * b ** J)
-
-
-def _chart_a(p, m, c):
-    """p(x, x(y+c)) / x^m for a direction root c in p's tower: the
-    integer core ``_chart_int`` on p scaled to integers, scaled back."""
-    tw = p.tower
-    ip, s = F.int_poly(tw, p.terms)
-    q, t = _chart_int(ip, m, c)
-    return BiPoly(tw, {key: qscale(tw, v, t / s)
-                       for key, v in q.terms.items()})
+    return F.int_poly(tw, out)[0]
 
 
 def _relabel(p, m, axis, top=math.inf):
@@ -173,23 +152,6 @@ def _relabel(p, m, axis, top=math.inf):
             for (i, j), n in p.terms.items())
     return BiPoly(p.tower, {key: n for key, n in keys
                             if key[0] + key[1] <= top})
-
-
-def germ_mult(g):
-    return g.order()
-
-
-def strict_transform(g, chart):
-    m = g.order()
-    p = g.poly if chart.tower == g.tower else g.poly.lift_to(chart.tower)
-    if chart.axis == "x":
-        c = chart.direction
-        if isinstance(c, (int, Fraction)):
-            c = from_rational(chart.tower, c)
-        return Germ(_chart_a(p, m, c))
-    if chart.axis == "y":
-        return Germ(_relabel(p, m, "y"))
-    raise ValueError("chart axis must be 'x' or 'y'")
 
 
 def _form_t(p, n):
@@ -296,11 +258,11 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
         tco = functools.reduce(lambda a, b: pgcd(tw, a, b),
                                [f for f, _ in forms if f is not None])
         # a constant tangent form has no finite direction
-        dirs = split_directions(UniPoly(tw, tco)) if pdeg(tco) > 0 else []
+        dirs = split_directions(tw, tco) if pdeg(tco) > 0 else []
         for d in dirs:
             def go(t, root, ofac):
                 lifted = polys if t == tw else [p.lift_to(t) for p in polys]
-                hs = [p if e is None else _chart_int(p, e, root, budget)[0]
+                hs = [p if e is None else _chart_int(p, e, root, budget)
                       for p, e in zip(lifted, exps)]
                 child_second = markers[1] if is_zero(t, root) else None
                 return rec(t, hs, nid, child_second, (nid, child_second),
@@ -696,7 +658,7 @@ def _verify_through(poly, k, directions):
         for cid in forest.children[nid]:
             dirc = directions[cid]
             hh = (_relabel(h, nu, "y") if dirc == INF_DIR
-                  else _chart_int(h, nu, dirc)[0])
+                  else _chart_int(h, nu, dirc))
             if not walk(hh, cid):
                 return False
         return True

@@ -393,6 +393,19 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert f"ParseError: malformed config: {field} must be >=" in res.stderr
 
+    @pytest.mark.parametrize("placement", ["nowhere", 5])
+    @pytest.mark.parametrize("cmd", [["h-index"], ["kummer", "--k", "2"]],
+                             ids=lambda c: c[0])
+    def test_unknown_placement_exit_2(self, runner, tmp_path, placement, cmd):
+        # malformed input, as a non-integer count is: not a domain error
+        data = json.loads((DATA / "config.json").read_text())
+        data["sing"][1]["placement"] = placement
+        cf = write(tmp_path, "c.json", data)
+        res = run(runner, ["config", cmd[0], cf] + cmd[1:])
+        assert res.exit_code == 2
+        assert res.stderr == ("ParseError: malformed config: unknown "
+                              f"placement {placement!r}\n")
+
     @pytest.mark.parametrize("option,target", [
         ("--out", "missing/x.md"), ("--out", ""),
         ("--config-out", "missing/c.json")],

@@ -12,9 +12,9 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from enriques import (QQ, BiPoly, Direction, FieldElement, ModulusSplit,
-                      RetryBudgetExceeded, Tower, UniPoly, branched, field,
-                      field_arith, poly_gcd, split_directions)
+from enriques import (QQ, BiPoly, Direction, ModulusSplit,
+                      RetryBudgetExceeded, Tower, branched, field, poly_gcd,
+                      split_directions)
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             exact_div, from_rational, generator, int_scale,
                             inv, is_zero, lift, monic_lex, mul, neg, one,
@@ -28,23 +28,17 @@ X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
 
 
-def fe(tw, rep):
-    return FieldElement(tw, rep)
-
-
 class TestFieldArith:
     def test_invert_sqrt2(self):
         # invert(t) in Q[t]/(t^2 - 2) is t/2
         tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
-        t = fe(tw, generator(tw))
-        r = field_arith(t, None, "invert")
-        assert r.rep == (Fraction(0), Fraction(1, 2))
-        assert (t * r).rep == one(tw)
+        t = generator(tw)
+        r = inv(tw, t)
+        assert r == (Fraction(0), Fraction(1, 2))
+        assert mul(tw, t, r) == one(tw)
 
     def test_mul_inverse_pair(self):
-        a = fe(QQ, Fraction(1, 3))
-        b = fe(QQ, Fraction(3))
-        assert field_arith(a, b, "mul").rep == Fraction(1)
+        assert mul(QQ, Fraction(1, 3), Fraction(3)) == Fraction(1)
 
     def test_invert_zero_divisor_splits(self):
         # t - 1 in Q[t]/(t^2 - 1) shares the factor t - 1 with the modulus;
@@ -85,14 +79,15 @@ class TestFieldArith:
 
     def test_add_sub(self):
         tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
-        t = fe(tw, generator(tw))
-        assert (t + t - t).rep == t.rep
-        assert (t - t).is_zero
+        t = generator(tw)
+        assert add(tw, add(tw, t, t), neg(tw, t)) == t
+        assert is_zero(tw, add(tw, t, neg(tw, t)))
 
     def test_add_a_rational(self):
         tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
-        t = fe(tw, generator(tw))
-        assert field_arith(t, 1, "add").rep == (Fraction(1), Fraction(1))
+        t = generator(tw)
+        assert (add(tw, t, from_rational(tw, 1))
+                == (Fraction(1), Fraction(1)))
 
 
 class TestBiPolyValue:
@@ -173,21 +168,21 @@ class TestResultants:
 
 class TestSplitDirections:
     def test_cube_roots_of_unity(self):
-        p = UniPoly(QQ, (Fraction(-1), Fraction(0), Fraction(0), Fraction(1)))
-        dirs = split_directions(p)
+        p = (Fraction(-1), Fraction(0), Fraction(0), Fraction(1))
+        dirs = split_directions(QQ, p)
         assert sorted((d.orbit, d.multiplicity) for d in dirs) == [(1, 1), (2, 1)]
         rational = next(d for d in dirs if d.orbit == 1)
         assert rational.root == Fraction(1)
 
     def test_repeated_rational_root(self):
-        p = UniPoly(QQ, (Fraction(0), Fraction(0), Fraction(1)))  # y^2
-        dirs = split_directions(p)
+        p = (Fraction(0), Fraction(0), Fraction(1))  # y^2
+        dirs = split_directions(QQ, p)
         assert len(dirs) == 1
         assert (dirs[0].root, dirs[0].orbit, dirs[0].multiplicity) == (Fraction(0), 1, 2)
 
     def test_irrational_pair(self):
-        p = UniPoly(QQ, (Fraction(-2), Fraction(0), Fraction(1)))  # y^2 - 2
-        dirs = split_directions(p)
+        p = (Fraction(-2), Fraction(0), Fraction(1))  # y^2 - 2
+        dirs = split_directions(QQ, p)
         assert len(dirs) == 1
         assert dirs[0].orbit == 2 and dirs[0].multiplicity == 1
         assert dirs[0].tower.levels  # got extended
@@ -200,7 +195,7 @@ class TestSplitDirections:
             cs = cs[:-1]
         if len(cs) < 2:
             return
-        dirs = split_directions(UniPoly(QQ, cs))
+        dirs = split_directions(QQ, cs)
         assert sum(d.orbit * d.multiplicity for d in dirs) == len(cs) - 1
 
     def test_pinned_over_q_s(self):
@@ -212,7 +207,7 @@ class TestSplitDirections:
                         (((1,), (), o), 1)], Q_S)
         cubic = Q_S.extend("t2", ((0, -1), (1,), (0, -1), (1,)))
         quadratic = Q_S.extend("t2", ((-3,), (), (1,)))
-        assert split_directions(UniPoly(Q_S, f)) == [
+        assert split_directions(Q_S, f) == [
             Direction(cubic, ((), (1,)), 3, 1),
             Direction(quadratic, ((), (1,)), 2, 2)]
 
@@ -289,8 +284,7 @@ class TestInvertProperty:
     def test_inverse_identity(self, q):
         if q == 0:
             return
-        a = fe(QQ, Fraction(q))
-        assert (a * a.inverse()).rep == Fraction(1)
+        assert mul(QQ, q, inv(QQ, q)) == Fraction(1)
 
 
 # Q, Q(s) with s^2 = 2, and Q(s)(t) with t^2 = 3: fields, so every nonzero
@@ -908,15 +902,15 @@ class TestOverQ:
         assert poly_gcd(X ** 2 * Y, Fraction(1, 2) * X * Y ** 2) == X * Y
         assert resultant_y(h, Y - X) == (0, 0, 1, -1)
         # t^2 + 2 has no rational root, which certifies it irreducible
-        (d,) = split_directions(UniPoly(QQ, (2, 0, 1)))
+        (d,) = split_directions(QQ, (2, 0, 1))
         assert (d.orbit, d.multiplicity) == (2, 1)
         # (512 t + 1)^2: |lc| > 2^16 skips the root search, and Yun finds
         # the linear factor
-        (d,) = split_directions(UniPoly(QQ, (1, 1024, 262144)))
+        (d,) = split_directions(QQ, (1, 1024, 262144))
         assert (d.root, d.orbit, d.multiplicity) == (Fraction(-1, 512), 1, 2)
         # (t - 1)(t^4 + 2): the squarefree quartic leftover goes to sympy
         with pytest.raises(AssertionError, match="sympy"):
-            split_directions(UniPoly(QQ, (-2, 2, 0, 0, -1, 1)))
+            split_directions(QQ, (-2, 2, 0, 0, -1, 1))
 
 
 def sympy_split(coeffs):
@@ -940,7 +934,7 @@ def sympy_split(coeffs):
 def split_over_qq(coeffs):
     """``split_directions`` over QQ read as the tuples of ``sympy_split``."""
     return [(d.tower, d.root, d.orbit, d.multiplicity)
-            for d in split_directions(UniPoly(QQ, coeffs))]
+            for d in split_directions(QQ, coeffs)]
 
 
 def qq_product(factors, tw=QQ):
@@ -992,7 +986,7 @@ class TestSplitOverQ:
         assert [type(r) for _, r, _, _ in got] == [type(r) for _, r, _, _ in want]
 
     def test_constant_has_no_directions(self):
-        assert split_directions(UniPoly(QQ, (Fraction(-3, 7),))) == []
+        assert split_directions(QQ, (Fraction(-3, 7),)) == []
 
     def test_large_coefficients_are_bounded(self):
         # (t - (2^61 - 1))(t^2 - (2^89 - 1)): divisors of the constant term

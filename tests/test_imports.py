@@ -115,3 +115,34 @@ def test_sympy_stays_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     subprocess.run([sys.executable, "-c", UNLOADED, str(mapfile),
                     str(clusterfile)], env=env, check=True, timeout=120)
+
+
+# the package's public names; a change to the API shows as a diff here
+PUBLIC_NAMES = [
+    "BiPoly", "BudgetExceeded", "ContractedCurvePresent", "Direction",
+    "DivisionByZero", "EmptyCluster", "EnriquesError", "EnriquesForest",
+    "ForestViolation", "Germ", "HypothesisViolated", "InconsistentCluster",
+    "KleinState", "KummerSpec", "LocalMap", "ModulusSplit", "Node",
+    "NonReducedGerm", "ParseError", "PlacementConflict", "PlaneConfig",
+    "QQ", "RetryBudgetExceeded", "SingularSpec", "Tower",
+    "UnrealizableForest", "WeightedMultiCluster", "base_points",
+    "branched", "chain_cluster", "cluster_from_json", "cluster_to_json",
+    "clusters", "config_from_json", "config_to_json", "configs",
+    "curves_through", "disjoint_union", "errors", "excesses", "fermat",
+    "field", "fixed_part", "h_bound_gap", "h_index", "h_passing_bound",
+    "harbourne_constant", "hilbert_samuel_check",
+    "intersection_multiplicity", "is_consistent", "klein_S_cluster",
+    "klein_closed_forms", "klein_lines", "klein_polars", "klein_recursion",
+    "klein_report", "klein_state", "kummer_pullback", "local_degree",
+    "localeng", "map_multiplicity", "monomial_map", "mult_cluster",
+    "noether_intersection", "poly_gcd", "proximity_matrix",
+    "pullback_cluster", "pullback_theorem_check", "remark_h4_monotone",
+    "self_intersection", "shared_cluster", "single_point",
+    "split_directions", "strict_gap_demo", "theorem_b_family", "triangle",
+    "validate_forest", "virtual_codimension", "wiman",
+]
+
+
+def test_public_names():
+    import enriques
+    assert sorted(enriques.__all__) == PUBLIC_NAMES
