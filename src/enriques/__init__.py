@@ -7,8 +7,7 @@ from .errors import (BudgetExceeded, ContractedCurvePresent, DivisionByZero,
                      HypothesisViolated, InconsistentCluster, ModulusSplit,
                      NonReducedGerm, ParseError, PlacementConflict,
                      RetryBudgetExceeded, UnrealizableForest)
-from .field import (QQ, BiPoly, Direction, Tower, branched, poly_gcd,
-                    split_directions)
+from .field import QQ, BiPoly, Tower, branched, poly_gcd, split_directions
 from .clusters import (EnriquesForest, Node, WeightedMultiCluster,
                        chain_cluster, cluster_from_json, cluster_to_json,
                        disjoint_union, excesses, h_passing_bound,
@@ -20,7 +19,7 @@ from .localeng import (Germ, LocalMap, base_points, curves_through,
                        fixed_part, intersection_multiplicity, local_degree,
                        map_multiplicity, monomial_map, mult_cluster,
                        pullback_cluster, shared_cluster)
-from .configs import (KleinState, KummerSpec, PlaneConfig, SingularSpec,
+from .configs import (KummerSpec, PlaneConfig, SingularSpec,
                       config_from_json, config_to_json, fermat, h_bound_gap,
                       h_index, klein_closed_forms, klein_lines, klein_polars,
                       klein_recursion, klein_report, klein_S_cluster,

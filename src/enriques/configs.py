@@ -278,22 +278,6 @@ def h_bound_gap(c, k):
 # Klein configurations and the recursion of section 3.3
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KleinState:
-    """Exact per-family bookkeeping for the cluster K_k: label, total
-    square, and the submultiplicativity bound on the point count."""
-    k: int
-    families: tuple  # of (label, square, size_bound)
-
-    @property
-    def square(self):
-        return sum(sq for _, sq, _ in self.families)
-
-    @property
-    def size_bound(self):
-        return sum(sz for _, _, sz in self.families)
-
-
 def _s_runs(level):
     """The runs (weight, count) of S_{p,level} at one of the 42 base points:
     weights level+1, level, then 4 * 3^(level-m-1) points of weight m for
@@ -326,6 +310,8 @@ def klein_T_square():
 
 
 def klein_state(k):
+    """The families of the cluster K_k as (label, square, size bound)
+    triples; the size bound bounds the point count by submultiplicativity."""
     if k < 2:
         raise ValueError("the recursion starts at k = 2")
     families = [("S_k", 42 * _s_square(k), 42 * _s_size(k))]
@@ -337,16 +323,16 @@ def klein_state(k):
     families.append((f"f^{k - 1}* T",
                      9 ** (k - 1) * klein_T_square(),
                      9 ** (k - 1) * 441))
-    return KleinState(k, tuple(families))
+    return tuple(families)
 
 
 def klein_recursion(k):
     """(K2, size bound, h bound) for the cluster K_k from the component
     recursion: squares and size bounds scale by 9 per pullback, and the
     split at the 42 base points multiplies the S-families by 6."""
-    st = klein_state(k)
-    k2 = st.square
-    size = st.size_bound
+    families = klein_state(k)
+    k2 = sum(sq for _, sq, _ in families)
+    size = sum(sz for _, _, sz in families)
     degree = 21 * 3 ** k
     return k2, size, Fraction(degree * degree - k2, size)
 
@@ -398,7 +384,7 @@ def _placement_from_json(s):
 
 def config_from_json(data):
     sing = tuple(SingularSpec(cluster_from_json(s["cluster"]),
-                              json_int(s["count"], "count"),
+                              json_int(s["count"], "count", 1),
                               _placement_from_json(s))
                  for s in data["sing"])
     comps = tuple((json_int(cp["deg"], "deg", 1),

@@ -785,8 +785,6 @@ def exact_div(p, q):
         return p
     tw = p.tower
     f, g = list(p.to_yx()), q.to_yx()
-    if pdeg(g) == 0:
-        return BiPoly.from_yx(tw, tuple(pdiv_exact(tw, row, g[0]) for row in f))
     quot = [()] * max(0, pdeg(f) - pdeg(g) + 1)
     while _yx_trim(f):
         f = list(_yx_trim(f))
@@ -916,16 +914,6 @@ def _lagrange(tw, pts, vals):
 # Direction splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Direction:
-    """One tangent direction: a root (in a possibly extended tower), the
-    size of its conjugacy orbit, and its multiplicity in the input."""
-    tower: Tower
-    root: object
-    orbit: int
-    multiplicity: int
-
-
 def _fresh_var(tw):
     """The first ``t<n>``, n >= depth + 1, that no level of ``tw`` uses."""
     used = {v for v, _ in tw.levels}
@@ -1029,11 +1017,11 @@ def _yun(tw, f):
 
 def split_directions(tw, coeffs):
     """Split a univariate polynomial over ``tw`` (coefficients low -> high)
-    into roots with orbit sizes.
+    into (tower, root) pairs, one per distinct factor.
 
     One loop over (monic factor, multiplicity) pairs serves every depth: a
-    linear factor gives its root in the input tower, and a larger one a
-    fresh level whose generator is the root and whose degree is the orbit.
+    linear factor gives its root in ``tw``, and a larger one a fresh level
+    whose generator is the root; the level's degree is the orbit size.
     Over QQ the factors are ``_factors_over_qq``'s, irreducible, in
     sympy's order (length, multiplicity, then the primitive int
     coefficients from the top), which the seeded draws downstream depend
@@ -1051,12 +1039,12 @@ def split_directions(tw, coeffs):
         factors = [(tuple(Fraction(c, f[-1]) for c in f), m)
                    for f, m in factors]
     out = []
-    for fac, mult in factors:
+    for fac, _ in factors:
         if pdeg(fac) == 1:
-            out.append(Direction(tw, neg(tw, fac[0]), 1, mult))
+            out.append((tw, neg(tw, fac[0])))
         else:
             ext = tw.extend(_fresh_var(tw), fac)
-            out.append(Direction(ext, generator(ext), pdeg(fac), mult))
+            out.append((ext, generator(ext)))
     return out
 
 

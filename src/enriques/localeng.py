@@ -167,26 +167,6 @@ def _form_t(p, n):
     return cs, n - pdeg(cs)
 
 
-# ---------------------------------------------------------------------------
-# Direction iteration with branch handling
-# ---------------------------------------------------------------------------
-
-def _run_direction(tw, d, fn):
-    """Run ``fn(tower, root, orbit_factor)`` across the branches of one
-    tangent direction, collecting the per-branch node lists."""
-    if d.tower == tw:
-        return fn(tw, d.root, 1)
-    var = d.tower.top_var
-
-    def on_branch(t):
-        return fn(t, generator(t), len(t.top_modulus) - 1)
-
-    out = []
-    for _, res in branched(d.tower, var, on_branch):
-        out.extend(res)
-    return out
-
-
 def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
     """Entries (id, parent, second, orbit and step's fields) of every
     point that ``step`` records, ancestor-first along each branch.
@@ -259,15 +239,24 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
                                [f for f, _ in forms if f is not None])
         # a constant tangent form has no finite direction
         dirs = split_directions(tw, tco) if pdeg(tco) > 0 else []
-        for d in dirs:
-            def go(t, root, ofac):
-                lifted = polys if t == tw else [p.lift_to(t) for p in polys]
-                hs = [p if e is None else _chart_int(p, e, root, budget)
-                      for p, e in zip(lifted, exps)]
-                child_second = markers[1] if is_zero(t, root) else None
-                return rec(t, hs, nid, child_second, (nid, child_second),
-                           orbit * ofac, depth + 1, budget)
-            entries.extend(_run_direction(tw, d, go))
+
+        def go(t, root, ofac):
+            lifted = polys if t == tw else [p.lift_to(t) for p in polys]
+            hs = [p if e is None else _chart_int(p, e, root, budget)
+                  for p, e in zip(lifted, exps)]
+            child_second = markers[1] if is_zero(t, root) else None
+            return rec(t, hs, nid, child_second, (nid, child_second),
+                       orbit * ofac, depth + 1, budget)
+
+        for ext, root in dirs:
+            if ext == tw:
+                entries.extend(go(tw, root, 1))
+                continue
+            # a new level runs on each D5 branch of its modulus; the
+            # modulus a branch ends with gives the orbit size
+            for _, res in branched(ext, ext.top_var, lambda t: go(
+                    t, generator(t), len(t.top_modulus) - 1)):
+                entries.extend(res)
         if all(f is None or xm > 0 for f, xm in forms):
             hs = [p if e is None else _relabel(p, e, "y", budget)
                   for p, e in zip(polys, exps)]

@@ -377,14 +377,18 @@ class TestExitCodes:
         assert "Invalid value for '--kmax'" in res.stderr
 
     @pytest.mark.parametrize("field, value", [
-        ("degree", -6), ("deg", -1), ("count", 0),
+        ("degree", -6), ("deg", -1), ("count", 0), ("sing.count", 0),
         ("smooth_vertex_marks", -2)])
     @pytest.mark.parametrize("cmd", [["h-index"], ["kummer", "--k", "2"]],
                              ids=lambda c: c[0])
     def test_bad_config_number_exit_2(self, runner, tmp_path, field, value,
                                       cmd):
         data = json.loads((DATA / "config.json").read_text())
-        if field in ("deg", "count"):
+        if field == "sing.count":
+            # a singular spec's count is read as a component's is
+            field = "count"
+            data["sing"][0][field] = value
+        elif field in ("deg", "count"):
             data["components"][0][field] = value
         else:
             data[field] = value

@@ -289,8 +289,7 @@ class TestKlein:
             assert h == Fraction(-(1283 * 9 ** k - 81), 410 * 9 ** k)
 
     def test_s1x_square(self):
-        st = klein_state(2)
-        fam = dict((label, sq) for label, sq, _ in st.families)
+        fam = dict((label, sq) for label, sq, _ in klein_state(2))
         assert fam["f^0* S_1^X"] == 6 * 42 * 4  # 1008
 
     def test_closed_forms_disagree(self):

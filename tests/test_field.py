@@ -12,7 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from enriques import (QQ, BiPoly, Direction, ModulusSplit,
+from enriques import (QQ, BiPoly, ModulusSplit,
                       RetryBudgetExceeded, Tower, branched, field, poly_gcd,
                       split_directions)
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
@@ -132,6 +132,14 @@ class TestPolyGcd:
         p = (X ** 2 + 3 * Y) * (Y - X)
         assert exact_div(p, Y - X) == X ** 2 + 3 * Y
 
+    def test_exact_div_by_y_free_divisor(self):
+        p = (X + 1) * (Y ** 2 + X)
+        assert exact_div(p, X + 1) == Y ** 2 + X
+        # X + 2 divides no coefficient of y, so the division is inexact
+        with pytest.raises(ValueError):
+            exact_div(p, X + 2)
+        assert divides(X + 1, p) and not divides(X + 2, p)
+
     def test_gcd_over_extension(self):
         tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
         t = BiPoly.from_elem(tw, generator(tw))
@@ -166,26 +174,35 @@ class TestResultants:
         assert first2 == 2
 
 
+def orbit(tw, ext):
+    """The orbit size of a root in ``ext`` split from a polynomial over
+    ``tw``: 1 for a root in ``tw``, else the adjoined level's degree."""
+    return 1 if ext == tw else len(ext.top_modulus) - 1
+
+
 class TestSplitDirections:
+    """``split_directions`` gives (tower, root) pairs; the multiplicities
+    are those of the factorizations it splits, ``_factors_over_qq`` over
+    QQ and ``_yun`` over a tower."""
+
     def test_cube_roots_of_unity(self):
         p = (Fraction(-1), Fraction(0), Fraction(0), Fraction(1))
         dirs = split_directions(QQ, p)
-        assert sorted((d.orbit, d.multiplicity) for d in dirs) == [(1, 1), (2, 1)]
-        rational = next(d for d in dirs if d.orbit == 1)
-        assert rational.root == Fraction(1)
+        assert [orbit(QQ, t) for t, _ in dirs] == [1, 2]
+        assert dirs[0] == (QQ, Fraction(1))
+        assert field._factors_over_qq(p) == [([-1, 1], 1), ([1, 1, 1], 1)]
 
     def test_repeated_rational_root(self):
         p = (Fraction(0), Fraction(0), Fraction(1))  # y^2
-        dirs = split_directions(QQ, p)
-        assert len(dirs) == 1
-        assert (dirs[0].root, dirs[0].orbit, dirs[0].multiplicity) == (Fraction(0), 1, 2)
+        assert split_directions(QQ, p) == [(QQ, Fraction(0))]
+        assert field._factors_over_qq(p) == [([0, 1], 2)]
 
     def test_irrational_pair(self):
         p = (Fraction(-2), Fraction(0), Fraction(1))  # y^2 - 2
-        dirs = split_directions(QQ, p)
-        assert len(dirs) == 1
-        assert dirs[0].orbit == 2 and dirs[0].multiplicity == 1
-        assert dirs[0].tower.levels  # got extended
+        ((tw, root),) = split_directions(QQ, p)
+        assert tw.levels and root == generator(tw)  # got extended
+        assert orbit(QQ, tw) == 2
+        assert field._factors_over_qq(p) == [([-2, 0, 1], 1)]
 
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -195,8 +212,11 @@ class TestSplitDirections:
             cs = cs[:-1]
         if len(cs) < 2:
             return
-        dirs = split_directions(QQ, cs)
-        assert sum(d.orbit * d.multiplicity for d in dirs) == len(cs) - 1
+        factors = field._factors_over_qq(cs)
+        assert sum((len(f) - 1) * m for f, m in factors) == len(cs) - 1
+        # one direction per factor, its orbit the factor's degree
+        assert (sorted(orbit(QQ, t) for t, _ in split_directions(QQ, cs))
+                == sorted(len(f) - 1 for f, _ in factors))
 
     def test_pinned_over_q_s(self):
         # (t^2 - 3)^2 (t - s)(t^2 + 1) over Q(s), s^2 = 2: Yun's squarefree
@@ -207,9 +227,9 @@ class TestSplitDirections:
                         (((1,), (), o), 1)], Q_S)
         cubic = Q_S.extend("t2", ((0, -1), (1,), (0, -1), (1,)))
         quadratic = Q_S.extend("t2", ((-3,), (), (1,)))
-        assert split_directions(Q_S, f) == [
-            Direction(cubic, ((), (1,)), 3, 1),
-            Direction(quadratic, ((), (1,)), 2, 2)]
+        assert split_directions(Q_S, f) == [(cubic, ((), (1,))),
+                                            (quadratic, ((), (1,)))]
+        assert [m for _, m in field._yun(Q_S, f)] == [1, 2]
 
 
 class TestFreshVar:
@@ -902,12 +922,14 @@ class TestOverQ:
         assert poly_gcd(X ** 2 * Y, Fraction(1, 2) * X * Y ** 2) == X * Y
         assert resultant_y(h, Y - X) == (0, 0, 1, -1)
         # t^2 + 2 has no rational root, which certifies it irreducible
-        (d,) = split_directions(QQ, (2, 0, 1))
-        assert (d.orbit, d.multiplicity) == (2, 1)
+        ((tw, _),) = split_directions(QQ, (2, 0, 1))
+        assert orbit(QQ, tw) == 2
+        assert field._factors_over_qq((2, 0, 1)) == [([2, 0, 1], 1)]
         # (512 t + 1)^2: |lc| > 2^16 skips the root search, and Yun finds
         # the linear factor
-        (d,) = split_directions(QQ, (1, 1024, 262144))
-        assert (d.root, d.orbit, d.multiplicity) == (Fraction(-1, 512), 1, 2)
+        assert split_directions(QQ, (1, 1024, 262144)) == [
+            (QQ, Fraction(-1, 512))]
+        assert field._factors_over_qq((1, 1024, 262144)) == [([1, 512], 2)]
         # (t - 1)(t^4 + 2): the squarefree quartic leftover goes to sympy
         with pytest.raises(AssertionError, match="sympy"):
             split_directions(QQ, (-2, 2, 0, 0, -1, 1))
@@ -915,26 +937,29 @@ class TestOverQ:
 
 def sympy_split(coeffs):
     """The directions of a polynomial over QQ from sympy's ``factor_list``
-    of the whole input: a reference apart from the rational-root route."""
+    of the whole input, a reference apart from the rational-root route:
+    (tower, root) pairs, and the sorted (monic factor, multiplicity)
+    pairs."""
     t = sympy.Symbol("t")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], t, domain="QQ")
-    out = []
+    dirs, factors = [], []
     for fac, mult in poly.factor_list()[1]:
         cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
         cs = tuple(c / cs[-1] for c in cs)
+        factors.append((cs, mult))
         if len(cs) == 2:
-            out.append((QQ, -cs[0], 1, mult))
+            dirs.append((QQ, -cs[0]))
         else:
             tw = QQ.extend(_fresh_var(QQ), cs)
-            out.append((tw, generator(tw), len(cs) - 1, mult))
-    return out
+            dirs.append((tw, generator(tw)))
+    return dirs, sorted(factors)
 
 
-def split_over_qq(coeffs):
-    """``split_directions`` over QQ read as the tuples of ``sympy_split``."""
-    return [(d.tower, d.root, d.orbit, d.multiplicity)
-            for d in split_directions(QQ, coeffs)]
+def monic_factors_over_qq(coeffs):
+    """``_factors_over_qq`` read as the factors of ``sympy_split``."""
+    return sorted((tuple(Fraction(c, f[-1]) for c in f), m)
+                  for f, m in field._factors_over_qq(coeffs))
 
 
 def qq_product(factors, tw=QQ):
@@ -981,9 +1006,11 @@ class TestSplitOverQ:
     @example(coeffs=qq_product([((Fraction(-2 ** 17), Fraction(1)), 2),
                                 ((Fraction(1), Fraction(0), Fraction(1)), 1)]))
     def test_matches_sympy(self, coeffs):
-        got, want = split_over_qq(coeffs), sympy_split(coeffs)
+        got = split_directions(QQ, coeffs)
+        want, factors = sympy_split(coeffs)
         assert got == want
-        assert [type(r) for _, r, _, _ in got] == [type(r) for _, r, _, _ in want]
+        assert [type(r) for _, r in got] == [type(r) for _, r in want]
+        assert monic_factors_over_qq(coeffs) == factors
 
     def test_constant_has_no_directions(self):
         assert split_directions(QQ, (Fraction(-3, 7),)) == []
@@ -994,8 +1021,9 @@ class TestSplitOverQ:
         coeffs = qq_product([((Fraction(1 - 2 ** 61), Fraction(1)), 1),
                              ((Fraction(1 - 2 ** 89), 0, Fraction(1)), 1)])
         t0 = time.perf_counter()
-        got = split_over_qq(coeffs)
+        got = split_directions(QQ, coeffs)
         assert time.perf_counter() - t0 < 1.0
-        want = sympy_split(coeffs)
+        want, factors = sympy_split(coeffs)
         assert got == want
-        assert [type(r) for _, r, _, _ in got] == [type(r) for _, r, _, _ in want]
+        assert monic_factors_over_qq(coeffs) == factors
+        assert [type(r) for _, r in got] == [type(r) for _, r in want]

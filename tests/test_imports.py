@@ -1,5 +1,6 @@
-"""Every name that a module of the package imports is used there, and
-every private module-level name is used somewhere in the package.
+"""Every name that a module of the package imports is used there, every
+private module-level name is used somewhere in the package, and every
+field of a dataclass is read somewhere in it.
 
 No linter is needed: each module is parsed with ``ast`` and the names
 bound by its imports are compared with the names it reads.  An attribute
@@ -83,6 +84,32 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names() == []
 
 
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for dec in cls.decorator_list
+               for d in [dec.func if isinstance(dec, ast.Call) else dec])
+
+
+def unread_dataclass_fields():
+    """Fields of a ``@dataclass`` in src/ whose name no attribute read in
+    src/ carries (so ``n.orbit`` reads every field named ``orbit``)."""
+    trees = [(p.name, ast.parse(p.read_text()))
+             for p in sorted(SRC.glob("*.py"))]
+    read = {n.attr for _, tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}:{cls.name}.{stmt.target.id}"
+            for module, tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_no_unread_dataclass_fields():
+    assert unread_dataclass_fields() == []
+
+
 UNLOADED = """
 import sys
 from click.testing import CliRunner
@@ -119,10 +146,10 @@ def test_sympy_stays_unloaded(tmp_path):
 
 # the package's public names; a change to the API shows as a diff here
 PUBLIC_NAMES = [
-    "BiPoly", "BudgetExceeded", "ContractedCurvePresent", "Direction",
-    "DivisionByZero", "EmptyCluster", "EnriquesError", "EnriquesForest",
-    "ForestViolation", "Germ", "HypothesisViolated", "InconsistentCluster",
-    "KleinState", "KummerSpec", "LocalMap", "ModulusSplit", "Node",
+    "BiPoly", "BudgetExceeded", "ContractedCurvePresent", "DivisionByZero",
+    "EmptyCluster", "EnriquesError", "EnriquesForest", "ForestViolation",
+    "Germ", "HypothesisViolated", "InconsistentCluster", "KummerSpec",
+    "LocalMap", "ModulusSplit", "Node",
     "NonReducedGerm", "ParseError", "PlacementConflict", "PlaneConfig",
     "QQ", "RetryBudgetExceeded", "SingularSpec", "Tower",
     "UnrealizableForest", "WeightedMultiCluster", "base_points",
