@@ -14,12 +14,7 @@ from . import configs as C
 from . import clusters as CL
 from . import localeng as L
 from .errors import EnriquesError, HypothesisViolated, ModulusSplit, ParseError
-from .field import poly_from_json, tower_from_json
-
-
-def rat_str(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+from .field import poly_from_json, rat_str, tower_from_json
 
 
 def dec10(q):

@@ -161,20 +161,16 @@ def excesses(k):
     A point q' is proximate to its parent and to its second proximity,
     the rule ``proximity_matrix`` states.  In an orbit of size o' it
     contributes its weight once per conjugate lying over each conjugate
-    of q, i.e. with factor o'/o_q; for legal forests this is a positive
-    integer.
+    of q, i.e. with factor o'/o_q, an integer: ``EnriquesForest`` makes
+    each orbit a multiple of its parent's, and q is an ancestor.
     """
     f = k.forest
-    rho = {n.id: Fraction(k.weights[n.id]) for n in f.nodes}
+    rho = {n.id: k.weights[n.id] for n in f.nodes}
     for c in f.nodes:
         for nid in (c.parent, c.second_proximity):
             if nid is not None:
-                rho[nid] -= (Fraction(c.orbit, f.by_id[nid].orbit)
-                             * k.weights[c.id])
-    for nid, v in rho.items():
-        if v.denominator != 1:
-            raise ForestViolation(f"non-integral excess at {nid}")
-    return {nid: int(v) for nid, v in rho.items()}
+                rho[nid] -= c.orbit // f.by_id[nid].orbit * k.weights[c.id]
+    return rho
 
 
 def is_consistent(k):
@@ -186,11 +182,8 @@ def self_intersection(k):
 
 
 def virtual_codimension(k):
-    total = Fraction(0)
-    for n in k.forest.nodes:
-        v = k.weights[n.id]
-        total += Fraction(n.orbit * v * (v + 1), 2)
-    return total
+    w = k.weights
+    return sum(n.orbit * w[n.id] * (w[n.id] + 1) // 2 for n in k.forest.nodes)
 
 
 def hilbert_samuel_check(k, k_max):

@@ -53,10 +53,10 @@ class PlaneConfig:
 
     def __post_init__(self):
         for s in self.sing:
-            if s.placement not in PLACEMENTS:
-                raise PlacementConflict(f"unknown placement {s.placement!r}")
             if s.count < 1:
-                raise PlacementConflict("singular spec with count < 1")
+                raise ValueError(f"count must be >= 1, not {s.count}")
+            if s.placement not in PLACEMENTS:
+                raise ValueError(f"unknown placement {s.placement!r}")
         vertices = (sum(s.count for s in self.sing if s.placement == VERTEX)
                     + self.smooth_vertex_marks)
         if vertices > 3:
@@ -200,8 +200,6 @@ def kummer_pullback(c, s, seed=0):
 def theorem_b_family(k, seed=0):
     """h of the Kummer pullback of Wiman's arrangement with three of the
     triple points placed at the coordinate vertices."""
-    if k < 2:
-        raise ValueError("family starts at k = 2")
     return h_index(kummer_pullback(wiman(vertex_triples=3), KummerSpec(k),
                                    seed))
 
@@ -295,18 +293,10 @@ def klein_S_cluster(k):
     return chain_cluster([w for w, n in _s_runs(k) for _ in range(n)])
 
 
-def _s_square(level):
-    """Sum of squared weights of S_{p,level} at one point."""
-    return sum(n * w * w for w, n in _s_runs(level))
-
-
-def _s_size(level):
-    return sum(n for _, n in _s_runs(level))
-
-
-def klein_T_square():
-    """T = 252 triple + 189 quadruple points of the polar configuration."""
-    return 252 * 9 + 189 * 16
+def _s_sums(level):
+    """(sum of squared weights, point count) of S_{p,level} at one point."""
+    runs = _s_runs(level)
+    return sum(n * w * w for w, n in runs), sum(n for _, n in runs)
 
 
 def klein_state(k):
@@ -314,14 +304,15 @@ def klein_state(k):
     triples; the size bound bounds the point count by submultiplicativity."""
     if k < 2:
         raise ValueError("the recursion starts at k = 2")
-    families = [("S_k", 42 * _s_square(k), 42 * _s_size(k))]
+    square, size = _s_sums(k)
+    families = [("S_k", 42 * square, 42 * size)]
     for level in range(k - 1, 0, -1):
         j = k - 1 - level
-        families.append((f"f^{j}* S_{level}^X",
-                         9 ** j * 6 * 42 * _s_square(level),
-                         9 ** j * 6 * 42 * _s_size(level)))
-    families.append((f"f^{k - 1}* T",
-                     9 ** (k - 1) * klein_T_square(),
+        square, size = _s_sums(level)
+        families.append((f"f^{j}* S_{level}^X", 9 ** j * 6 * 42 * square,
+                         9 ** j * 6 * 42 * size))
+    # T = 252 triple + 189 quadruple points of the polar configuration
+    families.append((f"f^{k - 1}* T", 9 ** (k - 1) * (252 * 9 + 189 * 16),
                      9 ** (k - 1) * 441))
     return tuple(families)
 
@@ -375,17 +366,10 @@ def config_to_json(c):
     }
 
 
-def _placement_from_json(s):
-    placement = s.get("placement", GENERIC)
-    if placement not in PLACEMENTS:
-        raise ValueError(f"unknown placement {placement!r}")
-    return placement
-
-
 def config_from_json(data):
     sing = tuple(SingularSpec(cluster_from_json(s["cluster"]),
-                              json_int(s["count"], "count", 1),
-                              _placement_from_json(s))
+                              json_int(s["count"], "count"),
+                              s.get("placement", GENERIC))
                  for s in data["sing"])
     comps = tuple((json_int(cp["deg"], "deg", 1),
                    json_int(cp["count"], "count", 1))

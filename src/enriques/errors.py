@@ -53,10 +53,6 @@ class BudgetExceeded(EnriquesError):
 class RetryBudgetExceeded(EnriquesError):
     """Seeded sampling failed to produce a certified witness in time."""
 
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
 
 class ContractedCurvePresent(EnriquesError):
     """Pullback requested for a map germ that contracts a curve."""

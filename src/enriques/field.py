@@ -1052,7 +1052,8 @@ def split_directions(tw, coeffs):
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _frac_to_json(q):
+def rat_str(q):
+    """A Fraction or int ``q`` as the text ``p/q`` (``n/1`` for an int)."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -1065,7 +1066,7 @@ def _frac_from_json(s):
 
 def elem_to_json(tw, a):
     if not tw.levels:
-        return _frac_to_json(a)
+        return rat_str(a)
     s = tw.sub()
     return {"ext": tw.top_var, "coeffs": [elem_to_json(s, c) for c in a]}
 

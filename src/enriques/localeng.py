@@ -508,9 +508,8 @@ def _try_resultant_order(tw, qa, qb):
 def shared_cluster(a, b):
     """Clusters of the common infinitely near points of two coprime germs,
     weighted by each germ's multiplicities, over one shared forest."""
-    g = F.poly_gcd(a.poly, b.poly)
-    if g.order() >= 1:
-        raise ValueError("germs share a component through the origin")
+    if fixed_part(LocalMap(a, b))[0] is not None:
+        raise HypothesisViolated("germs share a component through the origin")
     entries = _shared_points(a.poly, b.poly)
     return (_entries_to_cluster(entries, "ma"),
             _entries_to_cluster(entries, "mb"))
@@ -777,7 +776,7 @@ def _curves_at_degree(k, seed, D):
         if inter == math.inf and D < _top_degree(k):
             break
     raise RetryBudgetExceeded(
-        "no certified pair of curves through the cluster", certificate=last)
+        f"no certified pair of curves through the cluster: {last}")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,19 @@ class TestExcesses:
         k = chain_cluster([1, 1, 1], satellites={2: 0})
         assert excesses(k) == {"q1": -1, "q2": 0, "q3": 1}
 
+    @pytest.mark.parametrize("root, want", [(9, 1), (7, -1)])
+    def test_mixed_orbits(self, root, want):
+        # s (orbit 4) lies over q (orbit 2) over p (orbit 1) and is also
+        # proximate to p: factors 4/2 at q and 2/1, 4/1 at p
+        nodes = [Node("p"), Node("q", "p", orbit=2),
+                 Node("s", "q", "p", orbit=4)]
+        k = WeightedMultiCluster(nodes, {"p": root, "q": 2, "s": 1})
+        got = excesses(k)
+        assert got == {"p": want, "q": 0, "s": 1}
+        assert all(type(v) is int for v in got.values())
+        assert is_consistent(k) == (want >= 0)
+        assert virtual_codimension(k) == root * (root + 1) // 2 + 6 + 4
+
 
 class TestConsistency:
     def test_single_point(self):

@@ -15,7 +15,7 @@ from enriques import (HypothesisViolated, KummerSpec, PlaneConfig,
                       klein_state, kummer_pullback, pullback_theorem_check,
                       self_intersection, single_point, strict_gap_demo,
                       theorem_b_family, triangle, wiman)
-from enriques.configs import (GENERIC, LINE, VERTEX, _s_size, _s_square,
+from enriques.configs import (GENERIC, LINE, VERTEX, _s_sums,
                               mult_size, sigma_m2)
 
 
@@ -80,6 +80,16 @@ class TestPlaneConfigInvariants:
         with pytest.raises(PlacementConflict):
             PlaneConfig(degree=4, components=((1, 4),),
                         sing=(SingularSpec(single_point(2), 4, VERTEX),))
+
+    @pytest.mark.parametrize("spec, text", [
+        (SingularSpec(single_point(2), 1, "nowhere"),
+         "unknown placement 'nowhere'"),
+        (SingularSpec(single_point(2), 0), "count must be >= 1, not 0"),
+    ], ids=["placement", "count"])
+    def test_malformed_spec_is_value_error(self, spec, text):
+        # the one home of these rules, read by config_from_json as well
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            PlaneConfig(degree=2, components=((2, 1),), sing=(spec,))
 
     def test_kummer_spec_floor(self):
         with pytest.raises(ValueError):
@@ -266,11 +276,10 @@ class TestKlein:
             assert is_consistent(c)
 
     def test_s_runs_match_built_cluster(self):
-        assert (_s_square(1), _s_size(1)) == (4, 1)
+        assert _s_sums(1) == (4, 1)
         for level in range(2, 9):
             c = klein_S_cluster(level)
-            assert _s_square(level) == self_intersection(c)
-            assert _s_size(level) == c.size()
+            assert _s_sums(level) == (self_intersection(c), c.size())
 
     def test_report_far_out_is_fast(self):
         start = time.perf_counter()

@@ -1,6 +1,6 @@
 """Every name that a module of the package imports is used there, every
 private module-level name is used somewhere in the package, and every
-field of a dataclass is read somewhere in it.
+field of a dataclass or attribute of an error is read somewhere in it.
 
 No linter is needed: each module is parsed with ``ast`` and the names
 bound by its imports are compared with the names it reads.  An attribute
@@ -90,13 +90,19 @@ def _is_dataclass(cls):
                for d in [dec.func if isinstance(dec, ast.Call) else dec])
 
 
+def attribute_reads():
+    """Every attribute name that src/ reads."""
+    return {n.attr for p in SRC.glob("*.py")
+            for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_dataclass_fields():
     """Fields of a ``@dataclass`` in src/ whose name no attribute read in
     src/ carries (so ``n.orbit`` reads every field named ``orbit``)."""
     trees = [(p.name, ast.parse(p.read_text()))
              for p in sorted(SRC.glob("*.py"))]
-    read = {n.attr for _, tree in trees for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read = attribute_reads()
     return [f"{module}:{cls.name}.{stmt.target.id}"
             for module, tree in trees for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
@@ -108,6 +114,23 @@ def unread_dataclass_fields():
 
 def test_no_unread_dataclass_fields():
     assert unread_dataclass_fields() == []
+
+
+def unread_error_attributes():
+    """Attributes that a class in errors.py sets on ``self`` and that no
+    attribute read in src/ carries (``e.var`` reads every ``var``)."""
+    read = attribute_reads()
+    errors = ast.parse((SRC / "errors.py").read_text())
+    return [f"{cls.name}.{n.attr}"
+            for cls in errors.body if isinstance(cls, ast.ClassDef)
+            for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+            and n.attr not in read]
+
+
+def test_no_unread_error_attributes():
+    assert unread_error_attributes() == []
 
 
 UNLOADED = """
