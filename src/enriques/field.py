@@ -187,14 +187,28 @@ def reduce_mod(tw, cs):
 def inv(tw, a):
     """The inverse of a nonzero reduced element: in a tower, the Bezout
     cofactor of ``a`` from extended Euclid against the top modulus, over
-    the constant last remainder.  A last remainder of positive degree is a
-    proper factor of the modulus: ``ModulusSplit`` carries it made monic.
+    the first constant remainder.  A zero remainder after one of positive
+    degree r0 means r0 is a proper factor of the modulus: ``ModulusSplit``
+    carries it made monic.
 
-    A constant a = (a0,) is inverted one level down, (a0^-1,).  Euclid
-    would first invert that same a0 to divide the modulus by (a0,), which
-    leaves remainder 0, and then return the cofactor 1 over a0, inverting
-    a0 again: the same result and the same first failing inversion.  A
-    last remainder of 1 is not inverted: the cofactor is the inverse."""
+    This inverts exactly the elements plain Euclid inverts, in the same
+    order, so it returns the same value, or raises the same split for the
+    same variable and factor, at every depth, also over a tower below
+    that is not a field.  Plain Euclid runs until the remainder is zero,
+    dividing by each remainder in ``pdivmod`` (inverting its lead when
+    that is not 1), and closes by inverting the constant last divisor r:
+
+    * a constant a = (a0,) is inverted one level down, (a0^-1,).  Euclid
+      would first invert a0 to divide the modulus by (a0,), which leaves
+      remainder 0, and then invert a0 again for the cofactor 1 over a0;
+    * the loop here stops at the first remainder of length <= 1.  Empty,
+      it is the zero remainder of plain Euclid.  A constant (r,) is the
+      last divisor of plain Euclid, whose one more division inverts r
+      (when r is not 1) and leaves 0, and whose close inverts r again;
+      here r is inverted once, and not at all when it is 1.
+
+    The norm formula (a0 - a1 m1 - a1 t) / N, with one inversion, is
+    exact only when the tower below is a field, so it is not used."""
     if not tw.levels:
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -205,14 +219,14 @@ def inv(tw, a):
     if len(a) == 1:
         return (inv(s, a[0]),)
     r0, s0, r1, s1 = tw.top_modulus, (), a, (one(s),)
-    while r1:
+    while len(r1) > 1:
         q, r = pdivmod(s, r0, r1)
         r0, s0, r1, s1 = r1, s1, r, psub(s, s0, pmul(s, q, s1))
-    if pdeg(r0) > 0:
+    if not r1:
         raise ModulusSplit(tw.top_var, pmonic(s, r0))
-    if r0[0] == one(s):
-        return reduce_mod(tw, s0)
-    return reduce_mod(tw, pscale(s, s0, inv(s, r0[0])))
+    if r1[0] == one(s):
+        return reduce_mod(tw, s1)
+    return reduce_mod(tw, pscale(s, s1, inv(s, r1[0])))
 
 
 def split_tower(tw, factor):

@@ -188,21 +188,30 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
 
     A finite ``budget`` is for the pencil step of ``pullback_cluster``:
     it bounds I_O(P1, P2) for the pair at the root O.  A recorded point of
-    weight nu = ``exps[0]`` passes its budget minus nu^2 to its children,
-    and each chart into a child drops the terms of total degree above the
-    child's budget.  The entries are still those of the untruncated run,
-    byte for byte.  Write I_p for the intersection number at p of the
-    untruncated transforms and b_p for p's budget.  Every held transform
-    is a rational multiple of the untruncated one with the terms of degree
-    above b_p dropped, and I_p <= b_p:
+    weight nu = ``exps[0]`` keeps ``left``, its budget minus nu^2, and
+    takes its children in turn.  A child of orbit ofac times the point's
+    gets the budget left // ofac.  After each direction, all the D5
+    branches of its level together, ``left`` drops by the sum of orbit_e
+    nu_e^2 // orbit over the entries it returned; the vertical child gets
+    what is left.  Each chart into a child drops the terms of total degree
+    above the child's budget.  The entries are still those of the
+    untruncated run, byte for byte.  Write I_p for the intersection number
+    at p of the untruncated transforms and b_p for p's budget.  Every held
+    transform is a rational multiple of the untruncated one with the terms
+    of degree above b_p dropped, and I_p <= b_p:
 
     * every point visited is a base point, as both transforms pass
       through it, so I_p >= ord P1 ord P2 >= nu^2 >= 1;
     * Noether's formula for the nu-fold transforms (one of them is the
       strict one) gives I_p = nu^2 + the sum of I_q over the points q on
-      the exceptional curve, so each child q has I_q <= b_p - nu^2 = b_q;
-      a budget below nu^2 contradicts this and raises ``BudgetExceeded``,
-      never truncates on;
+      the exceptional curve.  Over the closure a child q stands for r_q =
+      ofac conjugate points, which have equal I, so I_p = nu^2 + the sum
+      of r_q I_q over the children.  Below an earlier child q' the same
+      formula gives r_q' I_q' >= the sum of orbit_e nu_e^2 / orbit over
+      the entries e it returned, and r_q' I_q' is an integer, so it is at
+      least the floor taken here.  So r_q I_q <= left, and I_q <= left //
+      r_q = b_q <= b_p - nu^2; a budget below nu^2 contradicts this and
+      raises ``BudgetExceeded``, never truncates on;
     * neither transform has order above b_p, as ord P1 <= ord P1 ord P2
       <= I_p.  (So by Nakayama no term of order above b_p changes the
       ideal (P1, P2), whose colength I_p puts m^(b_p) inside it.)  Hence
@@ -218,6 +227,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
       tangent forms; so the directions, ids and D5 splits are the same.
     """
     ids = itertools.count(1)
+    nus = {}
 
     def rec(tw, polys, parent, second, markers, orbit, depth, budget):
         if depth > cap:
@@ -228,10 +238,11 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
         if node is None:
             return []
         fields, exps = node
-        budget -= exps[0] ** 2
-        if budget < 0:
+        left = budget - exps[0] ** 2
+        if left < 0:
             raise BudgetExceeded("a point exceeds the colength budget")
         nid = f"q{next(ids):03d}"
+        nus[nid] = exps[0]
         entries = [{"id": nid, "parent": parent, "second": second,
                     "orbit": orbit, **fields}]
         forms = [_form_t(p, e) for p, e in zip(polys[:2], exps)]
@@ -242,26 +253,28 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
 
         def go(t, root, ofac):
             lifted = polys if t == tw else [p.lift_to(t) for p in polys]
-            hs = [p if e is None else _chart_int(p, e, root, budget)
+            top = left // ofac if left < math.inf else left
+            hs = [p if e is None else _chart_int(p, e, root, top)
                   for p, e in zip(lifted, exps)]
             child_second = markers[1] if is_zero(t, root) else None
             return rec(t, hs, nid, child_second, (nid, child_second),
-                       orbit * ofac, depth + 1, budget)
+                       orbit * ofac, depth + 1, top)
 
         for ext, root in dirs:
             if ext == tw:
-                entries.extend(go(tw, root, 1))
-                continue
-            # a new level runs on each D5 branch of its modulus; the
-            # modulus a branch ends with gives the orbit size
-            for _, res in branched(ext, ext.top_var, lambda t: go(
-                    t, generator(t), len(t.top_modulus) - 1)):
-                entries.extend(res)
+                res = go(tw, root, 1)
+            else:
+                # a new level runs on each D5 branch of its modulus; the
+                # modulus a branch ends with gives the orbit size
+                res = [e for _, r in branched(ext, ext.top_var, lambda t: go(
+                    t, generator(t), len(t.top_modulus) - 1)) for e in r]
+            entries.extend(res)
+            left -= sum(e["orbit"] * nus[e["id"]] ** 2 for e in res) // orbit
         if all(f is None or xm > 0 for f, xm in forms):
-            hs = [p if e is None else _relabel(p, e, "y", budget)
+            hs = [p if e is None else _relabel(p, e, "y", left)
                   for p, e in zip(polys, exps)]
             entries.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
-                               orbit, depth + 1, budget))
+                               orbit, depth + 1, left))
         return entries
 
     polys = [F.int_poly(tw, p.terms)[0] for p in polys]

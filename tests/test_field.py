@@ -481,6 +481,53 @@ def gcd_or_split(tw, gcd, f, g):
         return "split", e.var, e.factor
 
 
+def plain_inv(tw, a):
+    """Plain extended Euclid against the top modulus until the remainder
+    is zero, then the cofactor over the constant last divisor: the
+    reference for ``inv``.  It inverts one level down through
+    ``field.inv``, directly and in ``pdivmod`` and ``pmonic``."""
+    if not tw.levels:
+        return inv(tw, a)
+    s = tw.sub()
+    if len(a) == 1:
+        return (field.inv(s, a[0]),)
+    r0, s0, r1, s1 = tw.top_modulus, (), a, (one(s),)
+    while r1:
+        q, r = pdivmod(s, r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, field.psub(s, s0, pmul(s, q, s1))
+    if len(r0) > 1:
+        raise ModulusSplit(tw.top_var, pmonic(s, r0))
+    if r0[0] == one(s):
+        return reduce_mod(tw, s0)
+    return reduce_mod(tw, field.pscale(s, s0, field.inv(s, r0[0])))
+
+
+def spy_inverted(monkeypatch, inverse):
+    """Route every ``field.inv`` call, the recursive ones too, through
+    ``inverse``; returns the list of (depth, element) it is asked for."""
+    seen = []
+
+    def spy(t, b):
+        seen.append((t.depth, b))
+        return inverse(t, b)
+
+    monkeypatch.setattr(field, "inv", spy)
+    return seen
+
+
+def inverse_or_split(tw, a):
+    try:
+        return "inverse", field.inv(tw, a)
+    except ModulusSplit as e:
+        return "split", e.var, e.factor
+
+
+# u^2 = t over Q(t), t^2 = 1, is u^2 = 1 on one factor of Q x Q and
+# u^2 = -1 on the other; c^3 = c t is c (c^2 - t), reducible on both
+Q_TU = Q_T.extend("u", ((Fraction(0), Fraction(-1)), (), (Fraction(1),)))
+Q_TC = Q_T.extend("c", ((), (Fraction(0), Fraction(-1)), (), (Fraction(1),)))
+
+
 class TestTowerEuclid:
     """``pgcd`` in a tower: Euclid on monic divisors."""
 
@@ -519,6 +566,37 @@ class TestTowerEuclid:
         the same gcd."""
         assert (gcd_or_split(Q_T, pgcd, *fg)
                 == gcd_or_split(Q_T, euclid_reference, *fg))
+
+    @pytest.mark.parametrize("tw", [Q_S, Q_ST, Q_R, Q_RU, Q_T, Q_TU, Q_CUBE,
+                                    Q_TC],
+                             ids=["d1", "d2", "d1-rational", "d2-rational",
+                                  "d1-split", "d2-over-split", "d1-cubic",
+                                  "d2-cubic-over-split"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_inv_matches_plain_euclid(self, tw, data):
+        """The same inverse or the same split, with the same distinct
+        elements inverted in the same order at every depth."""
+        a = data.draw(nonzero(tw))
+        with pytest.MonkeyPatch.context() as mp:
+            want_seen = spy_inverted(mp, plain_inv)
+            want = inverse_or_split(tw, a)
+        with pytest.MonkeyPatch.context() as mp:
+            got_seen = spy_inverted(mp, inv)
+            got = inverse_or_split(tw, a)
+        assert got == want
+        assert list(dict.fromkeys(got_seen)) == list(dict.fromkeys(want_seen))
+
+    def test_inv_inverts_each_element_once(self, monkeypatch):
+        # 1 + s t over Q(s)(t), s^2 = 2 and t^2 = 3: the top step inverts
+        # s (whose own last remainder is -2) and then the last remainder
+        # -5/2, which plain Euclid inverts twice, in its last division and
+        # at its close
+        a = ((1,), (0, 1))
+        seen = spy_inverted(monkeypatch, inv)
+        assert mul(Q_ST, a, field.inv(Q_ST, a)) == one(Q_ST)
+        assert (2, a) in seen and (1, (Fraction(-5, 2),)) in seen
+        assert len(seen) == len(set(seen))
 
 
 @st.composite

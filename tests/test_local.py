@@ -1270,6 +1270,30 @@ class TestColengthBudget:
         assert (cluster_to_json(pullback_cluster(f, k, seed))
                 == cluster_to_json(localeng._pencil_points(w, z, None)[0]))
 
+    def test_siblings_spend_the_budget(self, monkeypatch):
+        # (x^3, y^3)*[3, 3, 3] has budget 9 * 27 = 243 and a root of
+        # weight 9, then an orbit-1 chain of six points of weight 3 and an
+        # orbit-2 chain over an adjoined level; the orbit-2 branch gets
+        # (243 - 81 - 6 * 9) // 2 = 54, not 243 - 81 = 162
+        f, k = monomial_map(3, 3), chain_cluster([3, 3, 3])
+        f1, f2 = (field.int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
+        w, z = (localeng._compose_int(g.poly, f1, f2)
+                for g in curves_through(k, 0))
+        want = cluster_to_json(localeng._pencil_points(w, z, None)[0])
+        tops = []
+        chart = localeng._chart_int
+
+        def spy(p, m, c, top=math.inf):
+            if p.tower.depth:
+                tops.append(top)
+            return chart(p, m, c, top)
+
+        monkeypatch.setattr(localeng, "_chart_int", spy)
+        got = pullback_cluster(f, k, 0)
+        assert cluster_to_json(got) == want
+        assert sorted(n.orbit for n in got.forest.nodes) == [1] * 7 + [2] * 6
+        assert 0 < len(tops) and max(tops) <= 54
+
     def test_budget_below_the_root_weight(self):
         # the cusp pencil (y^2 - x^3, x^2) has one base point, nu = 2 and
         # I_0 = 4
