@@ -40,11 +40,15 @@ class Tower:
     its integral leaves stored as ints.  The empty tower is QQ itself.
 
     :meth:`extend` rejects a modulus that is untrimmed, of degree below 2
-    or not monic.  The one other builder of levels is ``split_tower``,
-    which replaces the top modulus by a monic proper factor and by its
-    cofactor, so those levels can have degree 1.  ``reduce_mod``, the
-    reduction behind every tower product, relies on every modulus being
-    monic: it never inverts the leading coefficient of a modulus.
+    or not monic, or that has a coefficient that is not a trimmed, reduced
+    element of the tower below: ``mul`` by a constant scales the other
+    operand without reducing it, so ``reduce_mod``'s products by modulus
+    coefficients need those reduced.  The one other builder of levels is
+    ``split_tower``, which replaces the top modulus by a monic proper
+    factor and by its cofactor, so those levels can have degree 1.
+    ``reduce_mod``, the reduction behind every tower product, relies on
+    every modulus being monic: it never inverts the leading coefficient
+    of a modulus.
     """
 
     levels: tuple = ()
@@ -79,6 +83,9 @@ class Tower:
     def extend(self, var, modulus):
         if any(v == var for v, _ in self.levels):
             raise ValueError(f"variable {var!r} already used in tower")
+        if not all(_is_reduced(self, c) for c in modulus):
+            raise ValueError(f"modulus for {var!r} has a coefficient that is "
+                             "not a trimmed, reduced element of the tower")
         if modulus and is_zero(self, modulus[-1]):
             raise ValueError(f"modulus for {var!r} has a trailing zero")
         if len(modulus) < 3:
@@ -101,6 +108,18 @@ def zero(tw):
 
 def one(tw):
     return 1 if not tw.levels else (one(tw.sub()),)
+
+
+def _is_reduced(tw, a):
+    """Whether ``a`` is an element of ``tw`` in the form every operation
+    keeps: a rational at depth 0, above it a trimmed tuple of fewer
+    coefficients than the top modulus degree, each reduced below."""
+    if not tw.levels:
+        return isinstance(a, (int, Fraction))
+    s, n, _ = tw._reduction
+    return (isinstance(a, tuple) and len(a) <= n
+            and not (a and is_zero(s, a[-1]))
+            and all(_is_reduced(s, c) for c in a))
 
 
 def _int_leaves(tw, f):
@@ -163,8 +182,23 @@ def sub(tw, a, b):
 
 
 def mul(tw, a, b):
+    """The product of two reduced elements.
+
+    An operand of length <= 1 is zero or a constant (c,) from the level
+    below, and the product is then the other operand b scaled by c
+    coefficient by coefficient (``pscale``), with no ``pmul`` and no
+    ``reduce_mod``.  It is the same element: ``pmul((c,), b)`` has the
+    one product c b_j at index j, and b is reduced, so that list is
+    shorter than the modulus degree n and ``reduce_mod`` only trims it.
+    The trim stays, as over a level that is not a field c times the top
+    coefficient of b can be zero.  No inversion is added or dropped, so
+    values and splits, and with them every output, stay the same."""
     if not tw.levels:
         return a * b
+    if len(b) < len(a):
+        a, b = b, a
+    if len(a) <= 1:
+        return pscale(tw.sub(), b, a[0]) if a else ()
     return reduce_mod(tw, pmul(tw.sub(), a, b))
 
 
@@ -333,14 +367,26 @@ def pscale(tw, f, c):
 
 
 def pmul(tw, f, g):
-    if not f or not g:
-        return ()
-    out = [zero(tw)] * (len(f) + len(g) - 1)
+    """The product of two polynomials, over the coefficient pairs that
+    are both nonzero.
+
+    A zero coefficient on either side adds only zero products, so every
+    sum keeps its value, and an index that no pair reaches is zero.  Each
+    sum starts from its first product, as in ``_mul_into``, not from
+    ``zero(tw)``, so int leaves stay ints.  A skipped ``Fraction`` zero
+    can leave an int where the full sum had an integral ``Fraction``;
+    the two are equal, hash alike and print alike (``rat_str``), so
+    outputs stay byte-identical."""
+    out = [None] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = add(tw, out[i + j], mul(tw, a, b))
-    return ptrim(tw, out)
+                if b:
+                    p = mul(tw, a, b)
+                    c = out[i + j]
+                    out[i + j] = p if c is None else add(tw, c, p)
+    z = zero(tw)
+    return ptrim(tw, [z if c is None else c for c in out])
 
 
 def pdivmod(tw, f, g):

@@ -83,6 +83,17 @@ class TestFieldArith:
         assert add(tw, add(tw, t, t), neg(tw, t)) == t
         assert is_zero(tw, add(tw, t, neg(tw, t)))
 
+    @pytest.mark.parametrize("modulus", [
+        ((-1, 0), (), (1,)), ((0, 0, 1), (), (1,)), ((-1,), (0.5,), (1,))],
+        ids=["untrimmed", "unreduced", "float-leaf"])
+    def test_extend_rejects_unreduced_coefficients(self, modulus):
+        # (-1, 0) has a trailing zero and (0, 0, 1) is t^2, not reduced
+        # modulo t^2 - 1; both were accepted, and inv(u) over the first
+        # raised DivisionByZero although u^2 = 1
+        tw = QQ.extend("t", (-1, 0, 1))
+        with pytest.raises(ValueError, match="reduced element"):
+            tw.extend("u", modulus)
+
     def test_add_a_rational(self):
         tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
         t = generator(tw)
@@ -417,6 +428,11 @@ def int_leaves(tw, a):
     return all(type(v) is int for v in leaves(tw, [a]))
 
 
+def int_const(tw, k):
+    """The int ``k`` as an element of ``tw``, with an int leaf."""
+    return k if not tw.levels else lift(tw, int_const(tw.sub(), k))
+
+
 class TestIntTower:
     """Tower arithmetic on integer leaves."""
 
@@ -450,6 +466,20 @@ class TestIntTower:
         assert int_leaves(Q_ST, mul(Q_ST, a, b))
         assert int_leaves(Q_ST, one(Q_ST))
         assert int_leaves(Q_ST, generator(Q_ST))
+
+    @INT_TOWERS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_products_keep_int_leaves(self, tw, data):
+        """Sums start from their first product, not from a zero, so int
+        leaves stay ints: in ``pmul`` over a tower with int moduli, and in
+        a product by an int, which reduces nothing, over any tower."""
+        vals = int_scale(tw, [data.draw(elements(tw)) for _ in range(4)])[0]
+        if tw in (QQ, Q_ST):
+            assert all(int_leaves(tw, c) for c in pmul(tw, vals[:2], vals[2:]))
+        k = int_const(tw, data.draw(st.integers(-5, 5)))
+        assert int_leaves(tw, mul(tw, k, vals[0]))
+        assert int_leaves(tw, mul(tw, vals[0], k))
 
 
 Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
@@ -597,6 +627,61 @@ class TestTowerEuclid:
         assert mul(Q_ST, a, field.inv(Q_ST, a)) == one(Q_ST)
         assert (2, a) in seen and (1, (Fraction(-5, 2),)) in seen
         assert len(seen) == len(set(seen))
+
+
+def schoolbook_mul(tw, a, b):
+    """Every coefficient pair multiplied into sums seeded at zero, then
+    ``reduce_mod``: the reference for ``mul``.  Its reduction multiplies
+    one level down through ``mul``, which the depth-1 cases check against
+    plain rational products."""
+    if not tw.levels:
+        return a * b
+    s = tw.sub()
+    out = [zero(s)] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = add(s, out[i + j], schoolbook_mul(s, u, v))
+    return reduce_mod(tw, out)
+
+
+class TestSparseMul:
+    """``mul`` scales by a constant operand without reducing, and ``pmul``
+    multiplies only the nonzero coefficient pairs."""
+
+    @pytest.mark.parametrize("tw", [Q_S, Q_ST, Q_T, Q_TU, Q_CUBE],
+                             ids=["d1", "d2", "d1-split", "d2-over-split",
+                                  "d1-cubic"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_schoolbook(self, tw, data):
+        a, b = data.draw(elements(tw)), data.draw(elements(tw))
+        assert mul(tw, a, b) == schoolbook_mul(tw, a, b)
+        assert mul(tw, a[:1], b) == schoolbook_mul(tw, a[:1], b)
+
+    @pytest.mark.parametrize("a, b, want", [
+        (((1, 1),), ((1,), (1, -1)), ((1, 1),)),
+        (((), (1, 1)), ((), (1, -1)), ())], ids=["constant", "dense"])
+    def test_vanishing_top_is_trimmed(self, a, b, want):
+        # over Q(t)(u), t^2 = 1: (1 + t)(1 + (1 - t) u) = 1 + t and
+        # (1 + t) u (1 - t) u = 0, as (1 + t)(1 - t) = 1 - t^2 = 0
+        for x, y in ((a, b), (b, a)):
+            assert mul(Q_TU, x, y) == want == schoolbook_mul(Q_TU, x, y)
+
+    @pytest.mark.parametrize("tw, a, b, depths", [
+        (Q_S, (3,), (1, 2), []),
+        (Q_ST, ((1, 1),), ((1,), (3,)), []),
+        (Q_ST, ((1, 1),), ((1,), (0, 1)), [1])],
+        ids=["d1", "d2", "d2-dense-below"])
+    def test_constant_operand_reduces_nothing(self, monkeypatch, tw, a, b,
+                                              depths):
+        # (1 + s)(1 + s t) reduces only s (1 + s), one level down
+        want = schoolbook_mul(tw, a, b)
+        seen = []
+        orig = field.reduce_mod
+        monkeypatch.setattr(field, "reduce_mod", lambda t, cs: (
+            seen.append(t.depth) or orig(t, cs)))
+        assert mul(tw, a, b) == want == mul(tw, b, a)
+        assert seen == depths * 2
 
 
 @st.composite
