@@ -363,7 +363,10 @@ def psub(tw, f, g):
 
 
 def pscale(tw, f, c):
-    return ptrim(tw, [mul(tw, a, c) for a in f])
+    """f times the constant c.  A zero coefficient is kept as it is, with
+    no product: as in ``pmul``, an int 0 may stand where the product was a
+    ``Fraction`` 0, and the two are equal and print alike."""
+    return ptrim(tw, [mul(tw, a, c) if a else a for a in f])
 
 
 def pmul(tw, f, g):

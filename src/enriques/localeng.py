@@ -616,6 +616,17 @@ def _cluster_conditions(k, D):
 
 
 def _nullspace(rows, ncols):
+    """A basis of the rational solutions of the int rows, one vector of
+    ``Fraction``s per free column: 1 there, 0 at the other free columns
+    and minus the reduced row echelon entries at the pivots.
+
+    Gauss-Jordan runs over ZZ: each pivot row is made primitive, each
+    elimination is p row_r - c row_pivot, and each changed row is made
+    primitive again, so no ``Fraction`` is built in the loop.  A pivot
+    row then reads p at its pivot column, 0 at the others and a at a
+    free column; the echelon entry a / p is the one division of each
+    basis entry.  The reduced row echelon form is unique, so the basis
+    does not depend on the pivot rows chosen."""
     mat = [[r.get(c, 0) for c in range(ncols)] for r in rows]
     pivots = []
     rank = 0
@@ -628,25 +639,33 @@ def _nullspace(rows, ncols):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                fac = mat[r][col]
-                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[rank])]
+        prow = mat[rank] = _primitive(mat[rank])
+        p = prow[col]
+        for r, row in enumerate(mat):
+            fac = row[col]
+            if r != rank and fac != 0:
+                mat[r] = _primitive([p * a - fac * b
+                                     for a, b in zip(row, prow)])
         pivots.append(col)
         rank += 1
         if rank == len(mat):
             break
     free = [c for c in range(ncols) if c not in pivots]
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(mat, pivots):
+            if row[fc] != 0:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
 
 
 def _verify_through(poly, k, directions):
@@ -750,21 +769,24 @@ def _curves_at_degree(k, seed, D):
     monos, conditions, directions = _cluster_conditions(k, D)
     # rank <= c(K) and (D+1)(D+2)/2 >= c(K) + 2 on every rung: nullity >= 2
     basis = _nullspace(conditions, len(monos))
+    # the basis as sparse int rows over one common denominator: a member
+    # sums on ints and divides once per term, into the same Fractions
+    den = math.lcm(*(v.denominator for b in basis for v in b))
+    rows = [[(monos[col], v.numerator * (den // v.denominator))
+             for col, v in enumerate(b) if v != 0] for b in basis]
     rng = random.Random(seed)
     k2 = self_intersection(k)
     cap = min(MAX_DEPTH, k2)
 
     def sample():
-        coeffs = [Fraction(rng.randint(-10, 10)) for _ in basis]
-        terms = {}
-        for cvec, b in zip(coeffs, basis):
+        coeffs = [rng.randint(-10, 10) for _ in basis]
+        sums = {}
+        for cvec, row in zip(coeffs, rows):
             if cvec == 0:
                 continue
-            for col, val in enumerate(b):
-                if val != 0:
-                    m = monos[col]
-                    terms[m] = terms.get(m, Fraction(0)) + cvec * val
-        return BiPoly(QQ, terms)
+            for m, val in row:
+                sums[m] = sums.get(m, 0) + cvec * val
+        return BiPoly(QQ, {m: Fraction(s, den) for m, s in sums.items()})
 
     last = None
     for _ in range(32):

@@ -53,6 +53,12 @@ CASES = {
                                  _d("map_tower_pullback.json"),
                                  _d("cluster_two_on_root.json"),
                                  "--seed", "3"],
+    # the slowest op of the pullback grid: a curves-cache miss on the free
+    # chain [3, 3, 3] and an orbit-2 branch of the cube roots of unity
+    "map-pullback-cubes-chain333-seed7": ["map", "pullback",
+                                          _d("map_cubes.json"),
+                                          _d("chain_333.json"),
+                                          "--seed", "7"],
     "config-kummer-2": ["config", "kummer", _d("config.json"), "--k", "2"],
     "config-verify-pullback-2": ["config", "verify-pullback",
                                  _d("config.json"), "--k", "2"],

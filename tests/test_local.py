@@ -353,6 +353,59 @@ class TestSharedCluster:
             shared_cluster(Germ(X * Y), Germ(X * (X + Y)))
 
 
+def nullspace_oracle(rows, ncols):
+    """Gauss-Jordan over Q on ``Fraction``s: the reference basis that
+    ``localeng._nullspace``, which eliminates over ZZ, must match."""
+    mat = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = Fraction(1) / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                fac = mat[r][col]
+                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -mat[r][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def int_row_sets(draw):
+    """Sparse non-negative int rows as ``_cluster_conditions`` builds
+    them, with empty and all-zero rows, and some row repeated or scaled,
+    so that sets of full rank and rank-deficient sets both occur."""
+    ncols = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(0, 12),
+                          max_size=ncols)
+    rows = draw(st.lists(row, max_size=9))
+    if rows and draw(st.booleans()):
+        again = draw(st.sampled_from(rows))
+        scale = draw(st.integers(1, 4))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    {c: scale * v for c, v in again.items()})
+    return rows, ncols
+
+
 class TestCurvesThrough:
     def test_simple_point(self):
         w, z = curves_through(single_point(1), 0)
@@ -463,6 +516,16 @@ class TestCurvesThrough:
         basis = localeng._nullspace([{0: 3, 1: 1}], 2)
         assert basis == [[Fraction(-1, 3), Fraction(1)]]
         assert all(type(v) is Fraction for v in basis[0])
+
+    @given(int_row_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_nullspace_matches_fraction_oracle(self, case):
+        # Gauss-Jordan over ZZ and over Q reach the one reduced row echelon
+        # form, so the bases are equal entry for entry, all Fractions
+        rows, ncols = case
+        basis = localeng._nullspace(rows, ncols)
+        assert basis == nullspace_oracle(rows, ncols)
+        assert all(type(v) is Fraction for b in basis for v in b)
 
     def test_shared_component_is_rejected(self, monkeypatch):
         # a shared component is never separated: the recursion hits its
