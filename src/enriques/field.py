@@ -72,6 +72,11 @@ class Tower:
                     if not is_zero(s, c))
         return s, len(m) - 1, low
 
+    @functools.cached_property
+    def _one(self):
+        """The unit of a non-trivial tower, built once for ``one``."""
+        return (one(self.sub()),)
+
     @property
     def top_var(self):
         return self.levels[-1][0]
@@ -99,7 +104,9 @@ QQ = Tower()
 
 
 def is_zero(tw, a):
-    return a == 0 if not tw.levels else a == ()
+    """An element is zero exactly when it is falsy, at every depth: 0 or
+    ``Fraction(0)`` at depth 0, the empty tuple above it."""
+    return not a
 
 
 def zero(tw):
@@ -107,7 +114,7 @@ def zero(tw):
 
 
 def one(tw):
-    return 1 if not tw.levels else (one(tw.sub()),)
+    return 1 if not tw.levels else tw._one
 
 
 def _is_reduced(tw, a):
@@ -308,11 +315,25 @@ def _scale_leaves(tw, elems, den, num):
     return [tuple(_scale_leaves(s, a, den, num)) for a in elems]
 
 
+_ONE = Fraction(1)
+
+
 def int_scale(tw, elems):
     """``(ints, q)``: ``ints[i] = q * elems[i]`` for the one positive
     rational ``q`` that makes all their leaves integers with gcd 1 (q = 1
-    when every element is zero).  Leaves may be ints or Fractions."""
+    when every element is zero).  Leaves may be ints or Fractions.
+
+    When every leaf is an int, their gcd g alone gives q = 1 / g: for
+    g <= 1 the elements come back as they are, with one shared q = 1, so
+    primitive integer data is neither read through ``Fraction`` nor
+    rebuilt.  An integral ``Fraction`` leaf takes the general route,
+    which returns it as an int."""
     vals = leaves(tw, elems)
+    if all(type(v) is int for v in vals):
+        g = math.gcd(*vals)
+        if g <= 1:
+            return list(elems), _ONE
+        return _scale_leaves(tw, elems, 1, g), Fraction(1, g)
     den = math.lcm(*(v.denominator for v in vals))
     num = 0
     for v in vals:
@@ -335,10 +356,14 @@ def int_poly(tw, terms):
 # ---------------------------------------------------------------------------
 
 def ptrim(tw, cs):
-    cs = list(cs)
-    while cs and is_zero(tw, cs[-1]):
-        cs.pop()
-    return tuple(cs)
+    """``cs`` without its trailing zeros, as a tuple; a tuple that ends
+    on a nonzero coefficient is returned as it is."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    if n == len(cs) and type(cs) is tuple:
+        return cs
+    return tuple(cs[:n])
 
 
 def pdeg(f):
@@ -409,12 +434,12 @@ def pdivmod(tw, f, g):
     dg = len(g) - 1
     lc = g[-1]
     invlc = None if lc == one(tw) else inv(tw, lc)
-    low = [(i, b) for i, b in enumerate(g[:-1]) if not is_zero(tw, b)]
+    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
     r = list(f)
     q = [zero(tw)] * max(0, len(r) - dg)
     for k in range(len(q) - 1, -1, -1):
         c = r[k + dg]
-        if is_zero(tw, c):
+        if not c:
             continue
         if invlc is not None:
             c = mul(tw, c, invlc)
@@ -533,7 +558,7 @@ class BiPoly:
 
     def __init__(self, tower, terms):
         self.tower = tower
-        self.terms = {k: v for k, v in terms.items() if not is_zero(tower, v)}
+        self.terms = {k: v for k, v in terms.items() if v}
 
     # -- constructors -------------------------------------------------
     @classmethod

@@ -94,21 +94,47 @@ def monomial_map(a, b, tower=QQ):
 # Chart substitutions
 # ---------------------------------------------------------------------------
 
-def _chart_int(p, m, c, top=math.inf):
+def _chart_rows(tw, c, js):
+    """The weight rows of the chart at a nonzero root c, for the y-degrees
+    ``js``: row j holds the integer weights C(j, k) a^(j-k) b^(J-j+k),
+    k = 0..j, with c = a/b, J = max js and the powers a^e scaled by one
+    positive rational to integer leaves."""
+    (a,), q = F.int_scale(tw, [c])
+    a, b = qscale(tw, a, q.denominator), q.numerator
+    J = max(js, default=0)
+    apow = [F.one(tw)]
+    for _ in range(J):
+        apow.append(F.mul(tw, apow[-1], a))
+    apow = F.int_scale(tw, apow)[0]
+    return {j: [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
+                for k in range(j + 1)] for j in js}
+
+
+def _chart_int(p, m, c, top=math.inf, rows=None):
     """A positive rational multiple q of p(x, x(y+c)) / x^m, for p with
     integer leaves and a direction root c in p's tower, keeping only the
     terms of total degree at most ``top``.  q has integer leaves, with gcd
     1 unless c = 0: there q is p relabelled.
 
     Otherwise the term N x^i y^j gives N C(j, k) c^(j-k) to x^(i+j-m)
-    y^k.  With c = a/b, J = deg_y p and the powers a^e scaled by one
-    positive rational to integer leaves, the weights C(j, k) a^(j-k)
-    b^(J-j+k) so scaled are integers, and the sum of the products N times
-    weight is a positive multiple of the substitution.  Within a term the
-    output degree i + j - m + k rises with k, so the loop stops at the
-    first k past ``top``.  The blowup recursion reads only orders, tangent
-    directions and whether leading coefficients are units, none of which a
-    nonzero rational scale changes.
+    y^k.  The weights ``_chart_rows`` at c are integers, and the sum of
+    the products N times weight is a positive multiple of the
+    substitution.  Within a term the output degree i + j - m + k rises
+    with k, so the loop stops at the first k past ``top``.  The blowup
+    recursion reads only orders, tangent directions and whether leading
+    coefficients are units, none of which a nonzero rational scale
+    changes.
+
+    ``rows`` is a table at c built for any set of y-degrees that holds
+    p's, such as the union over the polynomials one blowup step charts;
+    without it the table is built for p's own.  The chart is the same
+    either way.  A table for a larger J scales every weight by the same
+    positive rational: b^(J - J_p), times the change of the common scale
+    of the powers a^e, which are the same positive multiples of a^e.  So
+    the sum is scaled by that factor too, and ``F.int_poly``, whose
+    primitive positive integer form is unique, divides it out.  The loop
+    runs over p's terms and k in the same order, so the output terms are
+    inserted in the same order.
 
     A Taylor shift of each total-degree row is slower here: composed
     pullback polynomials have sparse rows.
@@ -116,16 +142,8 @@ def _chart_int(p, m, c, top=math.inf):
     tw = p.tower
     if is_zero(tw, c):
         return _relabel(p, m, "x", top)
-    (a,), q = F.int_scale(tw, [c])
-    a, b = qscale(tw, a, q.denominator), q.numerator
-    js = {j for _, j in p.terms}
-    J = max(js, default=0)
-    apow = [F.one(tw)]
-    for _ in range(J):
-        apow.append(F.mul(tw, apow[-1], a))
-    apow = F.int_scale(tw, apow)[0]
-    rows = {j: [qscale(tw, apow[j - k], comb(j, k) * b ** (J - j + k))
-                for k in range(j + 1)] for j in js}
+    if rows is None:
+        rows = _chart_rows(tw, c, {j for _, j in p.terms})
     out = {}
     for (i, j), n in p.terms.items():
         base = i + j - m
@@ -254,7 +272,11 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
         def go(t, root, ofac):
             lifted = polys if t == tw else [p.lift_to(t) for p in polys]
             top = left // ofac if left < math.inf else left
-            hs = [p if e is None else _chart_int(p, e, root, top)
+            # one weight table at the root serves every chart of the step
+            rows = None if is_zero(t, root) else _chart_rows(t, root, {
+                j for p, e in zip(lifted, exps) if e is not None
+                for _, j in p.terms})
+            hs = [p if e is None else _chart_int(p, e, root, top, rows)
                   for p, e in zip(lifted, exps)]
             child_second = markers[1] if is_zero(t, root) else None
             return rec(t, hs, nid, child_second, (nid, child_second),
@@ -476,17 +498,28 @@ def intersection_multiplicity(a, b):
     zero off the origin (at most d_a d_b, Bezout); so past (d_a + 1)
     (d_b + 1) shears ``RetryBudgetExceeded`` is raised.  Infinity means a
     common component through the origin (``fixed_part``'s contracted curve).
+
+    The coprime pair is scaled once to primitive integer leaves
+    (``F.int_poly``), and the shears keep them so.  Nothing read here
+    moves: Res_y(l p, m q) = l^(deg_y q) m^(deg_y p) Res_y(p, q) for
+    nonzero rationals l and m, so ord_x is the same; ``pgcd`` returns the
+    monic gcd; and a nonzero rational is a unit at every depth, so no zero
+    test, inversion or ``ModulusSplit`` changes.
     """
     tw = a.tower
-    contracted, (pa, pb) = fixed_part(LocalMap(a, b))
+    contracted, pair = fixed_part(LocalMap(a, b))
     if contracted is not None:
         return math.inf
-    x = BiPoly.variable("x", tw)
+    pa, pb = (F.int_poly(tw, p.terms)[0] for p in pair)
     y = BiPoly.variable("y", tw)
     shears = (pa.total_degree() + 1) * (pb.total_degree() + 1)
     for u in range(shears):
-        qa = pa.compose(x + u * y, y) if u else pa
-        qb = pb.compose(x + u * y, y) if u else pb
+        qa, qb = pa, pb
+        if u:
+            # x + u y, with the int u as its leaf
+            sx = BiPoly(tw, {(1, 0): F.one(tw),
+                             (0, 1): qscale(tw, F.one(tw), u)})
+            qa, qb = pa.compose(sx, y), pb.compose(sx, y)
         res = _try_resultant_order(tw, qa, qb)
         if res is not None:
             return res

@@ -424,6 +424,32 @@ INT_TOWERS = pytest.mark.parametrize(
                                       "d2-rational"])
 
 
+def leaf_elements(tw, leaf):
+    """Reduced elements whose leaves are drawn from ``leaf``."""
+    if not tw.levels:
+        return leaf
+    sub = tw.sub()
+    return st.lists(leaf_elements(sub, leaf),
+                    max_size=len(tw.top_modulus) - 1).map(
+        lambda cs: ptrim(sub, cs))
+
+
+def int_scale_oracle(tw, elems):
+    """``int_scale`` as it was before its all-int route: the lcm of the
+    denominators and the gcd of the scaled numerators, read from every
+    leaf, with every element rebuilt."""
+    def scaled(t, elems, den, num):
+        if not t.levels:
+            return [v.numerator * (den // v.denominator) // num
+                    for v in elems]
+        return [tuple(scaled(t.sub(), a, den, num)) for a in elems]
+
+    vals = leaves(tw, elems)
+    den = math.lcm(*(v.denominator for v in vals))
+    num = math.gcd(*(v.numerator * (den // v.denominator) for v in vals)) or 1
+    return scaled(tw, elems, den, num), Fraction(den, num)
+
+
 def int_leaves(tw, a):
     return all(type(v) is int for v in leaves(tw, [a]))
 
@@ -446,6 +472,45 @@ class TestIntTower:
         assert all(int_leaves(tw, a) for a in ints)
         assert ints == [qscale(tw, a, q) for a in elems]
         assert math.gcd(*leaves(tw, ints)) in (0, 1)
+
+    @DEPTHS
+    @pytest.mark.parametrize("kind", ["int", "fraction", "integral", "mixed"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_int_scale_is_the_general_route(self, tw, kind, data):
+        """The all-int route returns what the route over ``Fraction``
+        leaves, kept here as the oracle, returns: equal elements, equal
+        scale, and int leaves."""
+        ints_ = st.integers(-5, 5)
+        leaf = {"int": ints_, "fraction": small_q,
+                "integral": ints_.map(Fraction),
+                "mixed": st.one_of(ints_, small_q, ints_.map(Fraction))}[kind]
+        g = data.draw(st.sampled_from([1, 2, 6]))
+        elems = [qscale(tw, a, g)
+                 for a in data.draw(st.lists(leaf_elements(tw, leaf),
+                                             max_size=4))]
+        ints, q = int_scale(tw, elems)
+        want, want_q = int_scale_oracle(tw, elems)
+        assert ints == want and q == want_q
+        assert all(type(v) is int for v in leaves(tw, ints))
+        vals = leaves(tw, elems)
+        if all(type(v) is int for v in vals) and math.gcd(*vals) <= 1:
+            assert ints == elems and q == 1
+
+    @pytest.mark.parametrize("tw, elems, want, q", [
+        (QQ, [], [], 1),
+        (Q_S, [(), ()], [(), ()], 1),
+        (QQ, [0, 3, -2], [0, 3, -2], 1),
+        (QQ, [0, 4, -6], [0, 2, -3], Fraction(1, 2)),
+        (Q_S, [(Fraction(4), Fraction(-6))], [(2, -3)], Fraction(1, 2)),
+        (Q_ST, [((6,), (0, -4)), ()], [((3,), (0, -2)), ()], Fraction(1, 2)),
+        (Q_S, [(Fraction(1, 2), 1)], [(1, 2)], 2),
+    ], ids=["empty", "zeros", "primitive", "gcd-2", "integral-fractions",
+            "d2-gcd-2", "fraction"])
+    def test_int_scale_cases(self, tw, elems, want, q):
+        ints, got_q = int_scale(tw, elems)
+        assert (ints, got_q) == (want, q)
+        assert all(type(v) is int for v in leaves(tw, ints))
 
     @pytest.mark.parametrize("tw", (Q_S, Q_ST, Q_R, Q_RU),
                              ids=["d1", "d2", "d1-rational", "d2-rational"])

@@ -321,6 +321,39 @@ class TestIntersectionMultiplicity:
             assert (intersection_multiplicity(Germ(p), Germ(q))
                     == intersection_multiplicity(Germ(q), Germ(p)))
 
+    @pytest.mark.parametrize("tower, pair, want, shears", [
+        ("QQ", "sheared", 2, 3), ("QQ", "rational", 5, 1),
+        ("Q(s)", "sheared", 4, 2), ("Q(s)", "rational", 5, 1)])
+    def test_rational_scales(self, monkeypatch, tower, pair, want, shears):
+        # the pair is scaled to primitive integer leaves before the shears,
+        # so a rational multiple of either germ gives the same order and
+        # takes the same shears; the sheared pairs have lc_y = x, which
+        # vanishes at x = 0, so u >= 1
+        tw = QQ if tower == "QQ" else Q_S
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        s = (BiPoly.from_elem(tw, generator(tw)) if tw.levels
+             else BiPoly.const(1, tw))
+        a, b = {"sheared": (y ** 2 - 2 * x ** 2 if tw.levels else y - x ** 2,
+                            x * y ** 2 + y - s * x ** (1 if tw.levels else 3)),
+                "rational": (x * y + y ** 3 - x ** 4,
+                             x * y ** 2 - Fraction(1, 2) * x ** 2
+                             + s * y ** 3)}[pair]
+        tried = []
+        orig = localeng._try_resultant_order
+
+        def spy(t, qa, qb):
+            tried.append(qa)
+            return orig(t, qa, qb)
+
+        monkeypatch.setattr(localeng, "_try_resultant_order", spy)
+        for la, lb in [(1, 1), (Fraction(3, 2), 1), (1, -5),
+                       (Fraction(3, 2), -5), (-5, Fraction(3, 2))]:
+            tried.clear()
+            assert intersection_multiplicity(Germ(la * a), Germ(lb * b)) == want
+            # the same shears u = 0, ..., shears - 1 are tried
+            assert len(tried) == shears
+        assert noether_intersection(*shared_cluster(Germ(a), Germ(b))) == want
+
 
 class TestSharedCluster:
     def test_tangent_conics(self):
@@ -986,6 +1019,39 @@ class TestChartInt:
         assert want == BiPoly(tw, {k: qscale(tw, v, lam)
                                    for k, v in q.terms.items()})
 
+    @pytest.mark.parametrize("tw", [QQ, Q_S, Q_RU], ids=["d0", "d1", "d2"])
+    @pytest.mark.parametrize("root", ["0", "1", "-1", "1/2", "generator",
+                                      "other"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_table_of_a_larger_sibling(self, tw, root, data):
+        """A chart made with the weight table of a blowup step, built for
+        a sibling of larger y-degree too, is the chart made alone, term
+        for term and in the same order."""
+        if root == "generator" and not tw.levels:
+            return
+        c = {"generator": lambda: generator(tw),
+             "other": lambda: other_root(tw)}.get(
+                 root, lambda: from_rational(tw, Fraction(root)))()
+        p, sibling = (BiPoly(tw, data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            tower_elements(tw), min_size=1, max_size=6))) for _ in range(2))
+        if p.is_zero():
+            return
+        # a new term lifts the sibling's y-degree past p's
+        J = max(p.deg_y(), sibling.deg_y()) + data.draw(st.integers(1, 3))
+        sibling = sibling + BiPoly(tw, {(0, J): field.one(tw)})
+        polys = [field.int_poly(tw, q.terms)[0] for q in (p, sibling)]
+        p = polys[0]
+        m = data.draw(st.integers(0, p.order()))
+        top = data.draw(st.one_of(st.just(math.inf), st.integers(0, 8)))
+        rows = localeng._chart_rows(tw, c, {j for q in polys for _, j in q.terms})
+        alone = localeng._chart_int(p, m, c, top)
+        shared = localeng._chart_int(p, m, c, top, rows)
+        assert list(shared.terms.items()) == list(alone.terms.items())
+        assert all(type(v) is int
+                   for v in field.leaves(tw, list(shared.terms.values())))
+
     @pytest.mark.parametrize("tw", [QQ, Q_R, Q_RU], ids=["d0", "d1", "d2"])
     def test_zero_direction_past_the_order(self, tw):
         # x^2 y + 3 x^3 has order 3; at c = 0 the term x^2 y would go to
@@ -995,6 +1061,19 @@ class TestChartInt:
         localeng._chart_int(p, 3, field.zero(tw))
         with pytest.raises(ValueError):
             localeng._chart_int(p, 4, field.zero(tw))
+
+
+def other_root(tw):
+    """A root that is not the generator: -2/3 over Q, 1 - 2/3 s over a
+    quadratic level and 1/2 + r u over Q(r)(u)."""
+    if not tw.levels:
+        return Fraction(-2, 3)
+    if tw.depth == 1:
+        return field.add(tw, field.one(tw),
+                         qscale(tw, generator(tw), Fraction(-2, 3)))
+    r = field.lift(tw, generator(tw.sub()))
+    return field.add(tw, from_rational(tw, Fraction(1, 2)),
+                     field.mul(tw, r, generator(tw)))
 
 
 def truncated(p, top):
@@ -1346,10 +1425,10 @@ class TestColengthBudget:
         tops = []
         chart = localeng._chart_int
 
-        def spy(p, m, c, top=math.inf):
+        def spy(p, m, c, top=math.inf, rows=None):
             if p.tower.depth:
                 tops.append(top)
-            return chart(p, m, c, top)
+            return chart(p, m, c, top, rows)
 
         monkeypatch.setattr(localeng, "_chart_int", spy)
         got = pullback_cluster(f, k, 0)
