@@ -4,16 +4,14 @@ curve configurations."""
 
 from .errors import (BudgetExceeded, ContractedCurvePresent, DivisionByZero,
                      EmptyCluster, EnriquesError, ForestViolation,
-                     HypothesisViolated, InconsistentCluster, ModulusSplit,
-                     NonReducedGerm, ParseError, PlacementConflict,
-                     RetryBudgetExceeded, UnrealizableForest)
+                     HypothesisViolated, ModulusSplit, NonReducedGerm,
+                     ParseError, PlacementConflict, RetryBudgetExceeded,
+                     UnrealizableForest)
 from .field import QQ, BiPoly, Tower, branched, poly_gcd, split_directions
 from .clusters import (EnriquesForest, Node, WeightedMultiCluster,
                        chain_cluster, cluster_from_json, cluster_to_json,
-                       disjoint_union, excesses, h_passing_bound,
-                       harbourne_constant, hilbert_samuel_check,
-                       is_consistent, noether_intersection, proximity_matrix,
-                       remark_h4_monotone, self_intersection, single_point,
+                       excesses, harbourne_constant, is_consistent,
+                       noether_intersection, self_intersection, single_point,
                        validate_forest, virtual_codimension)
 from .localeng import (Germ, LocalMap, base_points, curves_through,
                        fixed_part, intersection_multiplicity, local_degree,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyCluster, ForestViolation, InconsistentCluster
+from .errors import EmptyCluster, ForestViolation
 
 
 @dataclass(frozen=True)
@@ -144,22 +144,13 @@ class WeightedMultiCluster:
         """|K|: number of points counted with orbit size (weight-0 included)."""
         return sum(n.orbit for n in self.forest.nodes)
 
-    def scale(self, m):
-        return WeightedMultiCluster(
-            self.forest, {k: m * v for k, v in self.weights.items()})
-
-    def restrict(self, ids):
-        nodes = [n for n in self.forest.nodes if n.id in ids]
-        return WeightedMultiCluster(
-            EnriquesForest(nodes), {i: self.weights[i] for i in ids})
-
 
 def excesses(k):
     """Proximity excess per node, orbit-relative: the weight of q minus
     the weights of the points proximate to q.
 
-    A point q' is proximate to its parent and to its second proximity,
-    the rule ``proximity_matrix`` states.  In an orbit of size o' it
+    A point q' is proximate to q when q is its parent or its second
+    proximity, and to no other point.  In an orbit of size o' it
     contributes its weight once per conjugate lying over each conjugate
     of q, i.e. with factor o'/o_q, an integer: ``EnriquesForest`` makes
     each orbit a multiple of its parent's, and q is an ancestor.
@@ -186,25 +177,6 @@ def virtual_codimension(k):
     return sum(n.orbit * w[n.id] * (w[n.id] + 1) // 2 for n in k.forest.nodes)
 
 
-def hilbert_samuel_check(k, k_max):
-    """Codimension of m-fold multiples grows as K^2 m^2 / 2 + linear.
-
-    The codimension here is ``virtual_codimension``, and c(mK) - m^2 K^2/2
-    = m sum(o nu) / 2 for every cluster, so the second differences always
-    vanish and no input returns False: in effect this checks consistency
-    only.
-    """
-    if not is_consistent(k):
-        raise InconsistentCluster("cluster violates proximity inequalities")
-    k2 = self_intersection(k)
-    vals = [virtual_codimension(k.scale(m)) - Fraction(k2 * m * m, 2)
-            for m in range(1, k_max + 1)]
-    for i in range(len(vals) - 2):
-        if vals[i + 2] - 2 * vals[i + 1] + vals[i] != 0:
-            return False
-    return True
-
-
 def noether_intersection(a, b):
     """Sum of orbit * nu * mu over shared nodes (missing weights are 0)."""
     total = 0
@@ -219,69 +191,6 @@ def harbourne_constant(c_self_int, mults):
     if n < 1:
         raise EmptyCluster("Harbourne constant needs at least one point")
     return Fraction(c_self_int - self_intersection(mults), n)
-
-
-def h_passing_bound(c_self_int, k):
-    if not is_consistent(k):
-        raise InconsistentCluster("cluster violates proximity inequalities")
-    return harbourne_constant(c_self_int, k)
-
-
-def remark_h4_monotone(c_self_int, k, full):
-    """Single-step monotonicity of H along extensions from k to full.
-
-    Walks every predecessor-closed subset between k's support and full's,
-    and checks that whenever H >= -4 at a subset, adding one more point
-    of full (weight >= 2 required outside k) does not increase H.
-    """
-    base = frozenset(k.forest.by_id)
-    target = set(full.forest.by_id)
-    if not base <= target:
-        raise ForestViolation("k is not a sub-forest of full")
-    for nid in target - base:
-        if full.weights[nid] < 2:
-            raise ForestViolation(f"extension weight < 2 at {nid}")
-    for nid in base:
-        if full.weights[nid] != k.weights[nid]:
-            raise ForestViolation(f"weight mismatch at {nid}")
-
-    def h_of(subset):
-        return harbourne_constant(c_self_int, full.restrict(subset))
-
-    seen = set()
-    stack = [base]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        h_cur = h_of(cur)
-        for nid in target - cur:
-            parent = full.forest.by_id[nid].parent
-            if parent is not None and parent not in cur:
-                continue
-            nxt = cur | {nid}
-            if h_cur >= -4 and h_of(nxt) > h_cur:
-                return False
-            stack.append(nxt)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Proximity matrix
-# ---------------------------------------------------------------------------
-
-def proximity_matrix(forest):
-    """(node order, P) with P[q][q] = 1 and P[q][p] = -1 for q proximate to p."""
-    order = [n.id for n in forest.nodes]
-    idx = {nid: i for i, nid in enumerate(order)}
-    mat = [[0] * len(order) for _ in order]
-    for i, node in enumerate(forest.nodes):
-        mat[i][i] = 1
-        for nid in (node.parent, node.second_proximity):
-            if nid is not None:
-                mat[i][idx[nid]] = -1
-    return order, mat
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +216,6 @@ def chain_cluster(weights, satellites=None, orbit=1):
         nodes.append(Node(nid, parent, sp, orbit))
     return WeightedMultiCluster(
         nodes, {f"q{i + 1}": w for i, w in enumerate(weights)})
-
-
-def disjoint_union(*clusters):
-    """Multi-cluster union of clusters with disjoint node ids."""
-    nodes, weights = [], {}
-    for i, c in enumerate(clusters):
-        for n in c.forest.nodes:
-            nid = f"c{i}_{n.id}"
-            nodes.append(Node(nid,
-                              f"c{i}_{n.parent}" if n.parent else None,
-                              f"c{i}_{n.second_proximity}" if n.second_proximity else None,
-                              n.orbit))
-            weights[nid] = c.weights[n.id]
-    return WeightedMultiCluster(nodes, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ class UnrealizableForest(EnriquesError):
     """Forest proximities cannot be realized by an actual blowup sequence."""
 
 
-class InconsistentCluster(EnriquesError):
-    """A weighted cluster violates the proximity inequalities."""
-
-
 class EmptyCluster(EnriquesError):
     """An operation needing at least one cluster point got none."""
 

@@ -751,13 +751,6 @@ def _mul_into(tw, out, a, b):
 
 # -- (K[x])[y] helpers ------------------------------------------------
 
-def _yx_trim(f):
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
-    return tuple(f)
-
-
 def _yx_content(tw, f):
     c = ()
     for row in f:
@@ -874,8 +867,7 @@ def exact_div(p, q):
     tw = p.tower
     f, g = list(p.to_yx()), q.to_yx()
     quot = [()] * max(0, pdeg(f) - pdeg(g) + 1)
-    while _yx_trim(f):
-        f = list(_yx_trim(f))
+    while f := list(ptrim(tw, f)):
         k = pdeg(f) - pdeg(g)
         if k < 0:
             raise ValueError("inexact bivariate division")
@@ -1146,6 +1138,11 @@ def rat_str(q):
 
 
 def _frac_from_json(s):
+    """The rational ``p/q`` that ``s`` spells.  ``Fraction`` also reads
+    a decimal exponent, and ``1e999999999`` would build its power of ten
+    in full, so a string with one is rejected."""
+    if "e" in s or "E" in s:
+        raise ValueError(f"coefficient {s!r} has an exponent")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -1186,6 +1183,8 @@ def tower_from_json(data):
     optimistically."""
     tw = QQ
     for level in data.get("levels", []):
+        if not isinstance(level["var"], str):
+            raise TypeError(f"level name {level['var']!r} is not a string")
         modulus = tuple(elem_from_json(tw, c) for c in level["modulus"])
         tw = tw.extend(level["var"], modulus)
         if tw.depth == 1:

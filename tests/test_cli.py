@@ -360,6 +360,22 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "ParseError: malformed polynomial" in res.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (["germ", "mult-cluster", "germ_exponent_coefficient.json"],
+         "coefficient '1e999999999' has an exponent"),
+        (["map", "pullback", "map_tower_list_name.json",
+          "cluster_two_on_root.json", "--seed", "3"],
+         "level name ['s'] is not a string")],
+        ids=["exponent-coefficient", "list-level-name"])
+    def test_malformed_tower_input_exit_2(self, runner, args, message):
+        # Fraction reads "1e999999999" and builds 10^999999999 in full; a
+        # list level name is unhashable where a fresh level is named
+        res = run(runner, [str(DATA / a) if a.endswith(".json") else a
+                           for a in args])
+        assert res.exit_code == 2
+        assert res.stderr == f"ParseError: malformed polynomial: {message}\n"
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("cmd", [["gen", "fermat"], ["config", "kummer"],
                                      ["config", "verify-pullback"]],
                              ids=lambda c: c[-1])

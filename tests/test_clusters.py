@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques import (EmptyCluster, EnriquesForest, ForestViolation,
-                      InconsistentCluster, Node, WeightedMultiCluster,
-                      chain_cluster, cluster_from_json, cluster_to_json,
-                      disjoint_union, excesses, h_passing_bound,
-                      harbourne_constant, hilbert_samuel_check, is_consistent,
-                      noether_intersection, proximity_matrix,
-                      remark_h4_monotone, self_intersection, single_point,
-                      validate_forest, virtual_codimension)
+from enriques import (EmptyCluster, EnriquesForest, ForestViolation, Node,
+                      WeightedMultiCluster, chain_cluster, cluster_from_json,
+                      cluster_to_json, excesses, harbourne_constant,
+                      is_consistent, noether_intersection, self_intersection,
+                      single_point, validate_forest, virtual_codimension)
 
 
 @st.composite
@@ -123,7 +120,8 @@ class TestSelfIntersection:
         assert self_intersection(single_point(5)) == 25
 
     def test_klein_t_family(self):
-        t = disjoint_union(single_point(3, orbit=252), single_point(4, orbit=189))
+        t = WeightedMultiCluster([Node("a", orbit=252), Node("b", orbit=189)],
+                                 {"a": 3, "b": 4})
         assert self_intersection(t) == 5292
 
     def test_orbit(self):
@@ -140,26 +138,6 @@ class TestCodimension:
     def test_empty(self):
         k = WeightedMultiCluster(EnriquesForest(()), {})
         assert virtual_codimension(k) == 0
-
-
-class TestHilbertSamuel:
-    def test_single_weight_two(self):
-        assert hilbert_samuel_check(single_point(2), 5)
-
-    def test_chain(self):
-        assert hilbert_samuel_check(chain_cluster([3, 1]), 5)
-
-    def test_inconsistent(self):
-        k = chain_cluster([1, 1, 1], satellites={2: 0})
-        with pytest.raises(InconsistentCluster):
-            hilbert_samuel_check(k, 5)
-
-    def test_scale_keeps_weights_non_negative(self):
-        # hilbert_samuel_check scales by m >= 1 only; a negative multiple
-        # is no cluster
-        assert chain_cluster([3, 1]).scale(2) == chain_cluster([6, 2])
-        with pytest.raises(ForestViolation, match="negative weight"):
-            chain_cluster([3, 1]).scale(-1)
 
 
 class TestNoether:
@@ -183,9 +161,9 @@ class TestHarbourne:
         assert harbourne_constant(9, single_point(3)) == 0
 
     def test_wiman_numbers(self):
-        k = disjoint_union(single_point(3, orbit=120),
-                           single_point(4, orbit=45),
-                           single_point(5, orbit=36))
+        k = WeightedMultiCluster(
+            [Node("a", orbit=120), Node("b", orbit=45), Node("c", orbit=36)],
+            {"a": 3, "b": 4, "c": 5})
         assert k.size() == 201
         assert harbourne_constant(2025, k) == Fraction(-225, 67)
 
@@ -198,88 +176,11 @@ class TestHarbourne:
             harbourne_constant(1, k)
 
 
-class TestHPassing:
-    def test_triple(self):
-        assert h_passing_bound(9, single_point(3)) == 0
-
-    def test_unit(self):
-        assert h_passing_bound(0, single_point(1)) == -1
-
-    def test_inconsistent(self):
-        with pytest.raises(InconsistentCluster):
-            h_passing_bound(1, chain_cluster([1, 1, 1], satellites={2: 0}))
-
-
-class TestRemarkH4:
-    def test_equal_clusters_vacuous(self):
-        k = single_point(3)
-        assert remark_h4_monotone(9, k, k)
-
-    def test_one_extension(self):
-        k = single_point(3, nid="a")
-        full = disjoint_union(single_point(3), single_point(2))
-        base = full.restrict({"c0_p"})
-        assert remark_h4_monotone(9, base, full)
-
-    def test_below_minus_four_vacuous(self):
-        full = disjoint_union(single_point(3), single_point(2))
-        base = full.restrict({"c0_p"})
-        assert remark_h4_monotone(4, base, full)  # H = -5 at the base
-
-
-class TestProximityMatrix:
-    def test_satellite_rows(self):
-        k = chain_cluster([2, 1, 1], satellites={2: 0})
-        order, mat = proximity_matrix(k.forest)
-        assert order == ["q1", "q2", "q3"]
-        assert mat == [[1, 0, 0], [-1, 1, 0], [-1, -1, 1]]
-
-    @given(small_clusters())
-    @settings(max_examples=80, deadline=None)
-    def test_shape_properties(self, k):
-        order, mat = proximity_matrix(k.forest)
-        idx = {nid: i for i, nid in enumerate(order)}
-        for i, row in enumerate(mat):
-            assert row[i] == 1
-            assert all(row[j] == 0 for j in range(i + 1, len(row)))
-            assert sum(1 for v in row if v == -1) <= 2
-        # ancestor-first: parents precede children
-        for n in k.forest.nodes:
-            if n.parent is not None:
-                assert idx[n.parent] < idx[n.id]
-
-    @given(small_clusters())
-    @settings(max_examples=60, deadline=None)
-    def test_gram_bookkeeping(self, k):
-        # solving P^T u = v and contracting with P P^T recovers sum(v^2)
-        order, mat = proximity_matrix(k.forest)
-        n = len(order)
-        v = [Fraction(k.weights[nid]) for nid in order]
-        # back-substitute the upper-triangular system P^T u = v
-        u = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            u[i] = v[i] - sum(mat[j][i] * u[j] for j in range(i + 1, n))
-        total = sum(
-            u[i] * sum(mat[i][t] * mat[j][t] for t in range(n)) * u[j]
-            for i in range(n) for j in range(n))
-        assert total == self_intersection(k)
-
-
 class TestProperties:
     @given(small_clusters())
     @settings(max_examples=80, deadline=None)
     def test_noether_diagonal(self, k):
         assert noether_intersection(k, k) == self_intersection(k)
-
-    @given(small_clusters(max_nodes=6), st.integers(-20, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_remark_h4_always_holds(self, full, c2):
-        roots = {n.id for n in full.forest.nodes if n.parent is None}
-        if any(full.weights[nid] < 2 for nid in set(full.forest.by_id) - roots):
-            return
-        base = full.restrict(roots)
-        assert remark_h4_monotone(c2, base, full)
-
 
 class TestJson:
     def test_roundtrip(self):
@@ -289,8 +190,11 @@ class TestJson:
     @pytest.mark.parametrize("nodes, weights, match", [
         ([Node("p"), Node("q", "p")], {"p": 1}, "missing weight for q"),
         ([Node("p")], {"p": 1, "r": 2}, r"unknown nodes \['r'\]"),
-        ([Node("p"), Node("p")], {"p": 1}, "DuplicateId: p")],
-        ids=["missing", "unknown", "invalid-forest"])
+        ([Node("p"), Node("p")], {"p": 1}, "DuplicateId: p"),
+        # a negative multiple of a cluster is no cluster
+        ([Node("p"), Node("q", "p")], {"p": -3, "q": -1},
+         "negative weight at p")],
+        ids=["missing", "unknown", "invalid-forest", "negative-multiple"])
     def test_bad_cluster_rejected(self, nodes, weights, match):
         with pytest.raises(ForestViolation, match=match):
             WeightedMultiCluster(nodes, weights)

@@ -133,6 +133,23 @@ def test_no_unread_error_attributes():
     assert unread_error_attributes() == []
 
 
+def unraised_error_classes():
+    """Classes in errors.py, past the base ``EnriquesError``, that no
+    ``raise`` statement in src/ names."""
+    raised = {n.id for p in SRC.glob("*.py")
+              for r in ast.walk(ast.parse(p.read_text()))
+              if isinstance(r, ast.Raise) and r.exc is not None
+              for n in ast.walk(r.exc) if isinstance(n, ast.Name)}
+    errors = ast.parse((SRC / "errors.py").read_text())
+    return [cls.name for cls in errors.body
+            if isinstance(cls, ast.ClassDef)
+            and cls.name != "EnriquesError" and cls.name not in raised]
+
+
+def test_no_unraised_error_classes():
+    assert unraised_error_classes() == []
+
+
 UNLOADED = """
 import sys
 from click.testing import CliRunner
@@ -171,22 +188,22 @@ def test_sympy_stays_unloaded(tmp_path):
 PUBLIC_NAMES = [
     "BiPoly", "BudgetExceeded", "ContractedCurvePresent", "DivisionByZero",
     "EmptyCluster", "EnriquesError", "EnriquesForest", "ForestViolation",
-    "Germ", "HypothesisViolated", "InconsistentCluster", "KummerSpec",
+    "Germ", "HypothesisViolated", "KummerSpec",
     "LocalMap", "ModulusSplit", "Node",
     "NonReducedGerm", "ParseError", "PlacementConflict", "PlaneConfig",
     "QQ", "RetryBudgetExceeded", "SingularSpec", "Tower",
     "UnrealizableForest", "WeightedMultiCluster", "base_points",
     "branched", "chain_cluster", "cluster_from_json", "cluster_to_json",
     "clusters", "config_from_json", "config_to_json", "configs",
-    "curves_through", "disjoint_union", "errors", "excesses", "fermat",
-    "field", "fixed_part", "h_bound_gap", "h_index", "h_passing_bound",
-    "harbourne_constant", "hilbert_samuel_check",
+    "curves_through", "errors", "excesses", "fermat",
+    "field", "fixed_part", "h_bound_gap", "h_index",
+    "harbourne_constant",
     "intersection_multiplicity", "is_consistent", "klein_S_cluster",
     "klein_closed_forms", "klein_lines", "klein_polars", "klein_recursion",
     "klein_report", "klein_state", "kummer_pullback", "local_degree",
     "localeng", "map_multiplicity", "monomial_map", "mult_cluster",
-    "noether_intersection", "poly_gcd", "proximity_matrix",
-    "pullback_cluster", "pullback_theorem_check", "remark_h4_monotone",
+    "noether_intersection", "poly_gcd",
+    "pullback_cluster", "pullback_theorem_check",
     "self_intersection", "shared_cluster", "single_point",
     "split_directions", "strict_gap_demo", "theorem_b_family", "triangle",
     "validate_forest", "virtual_codimension", "wiman",

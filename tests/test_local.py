@@ -13,14 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, BudgetExceeded, ContractedCurvePresent,
-                      Germ, HypothesisViolated, LocalMap, ModulusSplit,
+                      Germ, HypothesisViolated, LocalMap, ModulusSplit, Node,
                       NonReducedGerm, RetryBudgetExceeded,
                       WeightedMultiCluster, base_points, chain_cluster,
-                      curves_through, disjoint_union, fixed_part,
+                      curves_through, fixed_part,
                       intersection_multiplicity, is_consistent, local_degree,
                       map_multiplicity, monomial_map, mult_cluster,
                       noether_intersection, pullback_cluster,
-                      self_intersection, shared_cluster, single_point)
+                      self_intersection, shared_cluster, single_point,
+                      virtual_codimension)
 from enriques import field, localeng
 from enriques.clusters import cluster_to_json
 from enriques.field import (from_rational, generator, poly_to_json, ptrim,
@@ -439,6 +440,26 @@ def int_row_sets(draw):
     return rows, ncols
 
 
+@st.composite
+def consistent_chains(draw):
+    """Consistent single-root orbit-1 chains of 1 to 5 points with
+    weights 1 to 4.  Point i may be satellite to point i - 2, or to the
+    point its parent is satellite to: the two exceptional curves through
+    its parent, so every proximity drawn is realizable."""
+    n = draw(st.integers(1, 5))
+    satellites = {}
+    for i in range(2, n):
+        choices = [i - 2]
+        if i - 1 in satellites:
+            choices.append(satellites[i - 1])
+        if draw(st.booleans()):
+            satellites[i] = draw(st.sampled_from(choices))
+    k = chain_cluster(draw(st.lists(st.integers(1, 4), min_size=n,
+                                    max_size=n)), satellites)
+    assume(is_consistent(k))
+    return k
+
+
 class TestCurvesThrough:
     def test_simple_point(self):
         w, z = curves_through(single_point(1), 0)
@@ -466,7 +487,7 @@ class TestCurvesThrough:
 
     @pytest.mark.parametrize("k, match", [
         (chain_cluster([2, 0]), "weights >= 1"),
-        (disjoint_union(single_point(1), single_point(1)),
+        (WeightedMultiCluster([Node("a"), Node("b")], {"a": 1, "b": 1}),
          "single proper point"),
         # c(K) = 30 puts the least degree, 7, above D_top = 4
         (single_point(3, orbit=5), "orbit-1")],
@@ -634,6 +655,17 @@ class TestCurvesThrough:
                     assert p.compose(X, directions[q] * X).is_zero()
                     seen += 1
         assert seen > 0
+
+    @given(consistent_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_conditions_rank_is_virtual_codimension(self, k):
+        # the complete ideal of a consistent cluster has colength
+        # c(K) = sum nu (nu + 1) / 2, so the curves of degree D_top
+        # through K meet exactly c(K) independent conditions
+        D = localeng._top_degree(k)
+        monos, rows, _ = localeng._cluster_conditions(k, D)
+        rank = len(monos) - len(localeng._nullspace(rows, len(monos)))
+        assert rank == virtual_codimension(k)
 
 
 def pullback_at_top(monkeypatch, f, k):
