@@ -1,6 +1,7 @@
 """Command line interface: exact tables and verification certificates."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -70,19 +71,28 @@ def load_json(path):
         raise ParseError(f"cannot parse {path}: {e}") from None
 
 
-def parse_poly(data):
+@contextlib.contextmanager
+def malformed(what):
+    """The one rule for malformed input, around each parser: a missing
+    key, a value of the wrong type or out of range, or a document nested
+    past the recursion limit, such as a tower of hundreds of levels, is
+    a ``ParseError("malformed <what>: ...")``."""
     try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as e:
+        raise ParseError(f"malformed {what}: {e}") from None
+
+
+def parse_poly(data):
+    with malformed("polynomial"):
         tower = tower_from_json(data.get("tower", {"levels": []}))
         return poly_from_json(tower, data["poly"] if "poly" in data else data)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed polynomial: {e}") from None
 
 
 def parse_cluster(data):
-    try:
+    with malformed("cluster"):
         return CL.cluster_from_json(data)
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"malformed cluster: {e}") from None
 
 
 class Guarded(click.Group):
@@ -135,17 +145,7 @@ def cluster():
 @table_options
 def cluster_check(file, fmt, out):
     """Check the forest; print size, consistency and K^2."""
-    data = load_json(file)
-    try:
-        nodes = [CL.node_from_json(nd) for nd in data["nodes"]]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"malformed cluster: {e}") from None
-    violations = CL.validate_forest(nodes)
-    if violations:
-        for v in violations:
-            click.echo(v, err=True)
-        sys.exit(1)
-    k = parse_cluster(data)
+    k = parse_cluster(load_json(file))
     emit([{"size": k.size(), "consistent": CL.is_consistent(k),
            "K2": CL.self_intersection(k), "provenance": "excesses"}], fmt, out)
 
@@ -194,10 +194,8 @@ def emit_cluster(k, fmt, out):
 
 
 def parse_germ(data):
-    try:
+    with malformed("germ"):
         return L.Germ(parse_poly(data))
-    except ValueError as e:
-        raise ParseError(f"malformed germ: {e}") from None
 
 
 @main.group()
@@ -219,11 +217,9 @@ def parse_map(data):
     """A map germ, which must be dominant: a Jacobian determinant that
     vanishes identically is rejected here, where maps enter, and not in
     ``LocalMap``, which also carries germ pairs that share a component."""
-    try:
+    with malformed("map"):
         f = L.LocalMap.from_polys(parse_poly(data["f1"]),
                                   parse_poly(data["f2"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed map: {e}") from None
     p1, p2 = f.f1.poly, f.f2.poly
     if p1.tower != p2.tower:
         raise ParseError("malformed map: f1 and f2 are over different towers")
@@ -271,10 +267,8 @@ def map_pullback(mapfile, clusterfile, seed, fmt, out):
 # -- config ---------------------------------------------------------------
 
 def parse_config(data):
-    try:
+    with malformed("config"):
         return C.config_from_json(data)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed config: {e}") from None
 
 
 @main.group()

@@ -251,7 +251,10 @@ def node_from_json(nd):
 
 
 def cluster_from_json(data):
+    """A cluster from JSON.  The forest is built before any weight is
+    read, so a forest violation is reported ahead of a malformed weight."""
     nodes = [node_from_json(nd) for nd in data["nodes"]]
+    forest = EnriquesForest(nodes)
     weights = {n.id: json_int(nd["mult"], "mult")
                for n, nd in zip(nodes, data["nodes"])}
-    return WeightedMultiCluster(nodes, weights)
+    return WeightedMultiCluster(forest, weights)

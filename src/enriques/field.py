@@ -4,7 +4,8 @@ Scalars live in towers of simple algebraic extensions of the rationals.
 An element of a tower with n levels is represented recursively: a
 rational (an int or a ``Fraction``) at depth 0, and at depth n a trimmed
 tuple of depth-(n-1) elements (the coefficients in the top variable,
-reduced modulo the top modulus; the empty tuple is zero).
+reduced modulo the top modulus; the empty tuple is zero).  So an element
+is zero exactly when it is falsy, at every depth.
 
 Elements are reduced where they enter (``from_rational``, ``generator``,
 ``elem_from_json``) and every operation keeps them so.  Moduli are
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,8 +70,7 @@ class Tower:
         coefficients below the top."""
         s = Tower(self.levels[:-1])
         m = self.top_modulus
-        low = tuple((i, neg(s, c)) for i, c in enumerate(m[:-1])
-                    if not is_zero(s, c))
+        low = tuple((i, neg(s, c)) for i, c in enumerate(m[:-1]) if c)
         return s, len(m) - 1, low
 
     @functools.cached_property
@@ -91,7 +92,7 @@ class Tower:
         if not all(_is_reduced(self, c) for c in modulus):
             raise ValueError(f"modulus for {var!r} has a coefficient that is "
                              "not a trimmed, reduced element of the tower")
-        if modulus and is_zero(self, modulus[-1]):
+        if modulus and not modulus[-1]:
             raise ValueError(f"modulus for {var!r} has a trailing zero")
         if len(modulus) < 3:
             raise ValueError(f"modulus for {var!r} has degree below 2")
@@ -101,12 +102,6 @@ class Tower:
 
 
 QQ = Tower()
-
-
-def is_zero(tw, a):
-    """An element is zero exactly when it is falsy, at every depth: 0 or
-    ``Fraction(0)`` at depth 0, the empty tuple above it."""
-    return not a
 
 
 def zero(tw):
@@ -125,7 +120,7 @@ def _is_reduced(tw, a):
         return isinstance(a, (int, Fraction))
     s, n, _ = tw._reduction
     return (isinstance(a, tuple) and len(a) <= n
-            and not (a and is_zero(s, a[-1]))
+            and not (a and not a[-1])
             and all(_is_reduced(s, c) for c in a))
 
 
@@ -159,11 +154,6 @@ def qscale(tw, a, q):
         return ()
     s = tw.sub()
     return tuple(qscale(s, c, q) for c in a)
-
-
-def lift(tw, a):
-    """Regard an element of ``tw.sub()`` as an element of ``tw``."""
-    return () if is_zero(tw.sub(), a) else (a,)
 
 
 def generator(tw):
@@ -577,10 +567,6 @@ class BiPoly:
             return cls(tower, {(0, 1): one(tower)})
         raise ValueError("variables are named 'x' and 'y'")
 
-    @classmethod
-    def from_elem(cls, tower, elem):
-        return cls(tower, {(0, 0): elem})
-
     # -- basics --------------------------------------------------------
     def is_zero(self):
         return not self.terms
@@ -599,10 +585,8 @@ class BiPoly:
     def __repr__(self):
         if not self.terms:
             return "BiPoly(0)"
-        bits = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = "".join(s for s, e in (("x", i), ("y", j)) for s in [s * 0 or f"{s}^{e}" if e > 1 else (s if e == 1 else "")] if s)
-            bits.append(f"({c!r}){mono}" if mono else f"({c!r})")
+        bits = [f"({c!r})" + _power("x", i) + _power("y", j)
+                for (i, j), c in sorted(self.terms.items())]
         return "BiPoly(" + " + ".join(bits) + ")"
 
     def _coerce(self, other):
@@ -711,7 +695,9 @@ class BiPoly:
         return BiPoly(tw, out)
 
     def lift_to(self, tw_ext):
-        return BiPoly(tw_ext, {k: lift(tw_ext, v) for k, v in self.terms.items()})
+        """The polynomial over ``tw_ext``, one level above its tower; terms
+        are never zero, so each coefficient c becomes the constant (c,)."""
+        return BiPoly(tw_ext, {k: (v,) for k, v in self.terms.items()})
 
     # -- conversions to (K[x])[y] -------------------------------------
     def to_yx(self):
@@ -733,9 +719,14 @@ class BiPoly:
         terms = {}
         for j, row in enumerate(yx):
             for i, c in enumerate(row):
-                if not is_zero(tower, c):
+                if c:
                     terms[(i, j)] = c
         return cls(tower, terms)
+
+
+def _power(var, e):
+    """``var^e`` as ``__repr__`` writes it: empty at e = 0, ``var`` at 1."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
 def _mul_into(tw, out, a, b):
@@ -951,7 +942,7 @@ def resultant_y(p, q):
     for c in itertools.count():
         lcp = peval(tw, f[-1], c)
         lcq = peval(tw, g[-1], c)
-        if is_zero(tw, lcp) or is_zero(tw, lcq):
+        if not lcp or not lcq:
             continue
         pts.append(c)
         vals.append(uni_resultant(tw, _eval_x(tw, f, c), _eval_x(tw, g, c)))
@@ -1137,14 +1128,20 @@ def rat_str(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _frac_from_json(s):
-    """The rational ``p/q`` that ``s`` spells.  ``Fraction`` also reads
-    a decimal exponent, and ``1e999999999`` would build its power of ten
-    in full, so a string with one is rejected."""
-    if "e" in s or "E" in s:
-        raise ValueError(f"coefficient {s!r} has an exponent")
+    """The rational ``p/q`` that ``s`` spells: an optional ``-``, digits,
+    then optionally ``/`` and digits, with a nonzero denominator.  The
+    rest of ``Fraction``'s grammar is rejected, decimals, signs, spaces
+    and underscores, and with it the decimal exponent, so ``1e999999999``
+    never builds its power of ten."""
+    m = _RATIONAL.fullmatch(s)
+    if not m:
+        raise ValueError(f"coefficient {s!r} is not p/q")
     try:
-        return Fraction(s)
+        return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"coefficient {s!r} has a zero denominator") from None
 

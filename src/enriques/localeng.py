@@ -40,8 +40,8 @@ from .clusters import (Node, WeightedMultiCluster, self_intersection,
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, ModulusSplit, NonReducedGerm,
                      RetryBudgetExceeded, UnrealizableForest)
-from .field import (QQ, BiPoly, branched, from_rational, generator, is_zero,
-                    pdeg, pgcd, qscale, split_directions, zero)
+from .field import (QQ, BiPoly, branched, from_rational, generator, pdeg,
+                    pgcd, qscale, split_directions, zero)
 
 MAX_DEPTH = 64
 INF_DIR = "inf"
@@ -140,7 +140,7 @@ def _chart_int(p, m, c, top=math.inf, rows=None):
     pullback polynomials have sparse rows.
     """
     tw = p.tower
-    if is_zero(tw, c):
+    if not c:
         return _relabel(p, m, "x", top)
     if rows is None:
         rows = _chart_rows(tw, c, {j for _, j in p.terms})
@@ -273,12 +273,12 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
             lifted = polys if t == tw else [p.lift_to(t) for p in polys]
             top = left // ofac if left < math.inf else left
             # one weight table at the root serves every chart of the step
-            rows = None if is_zero(t, root) else _chart_rows(t, root, {
+            rows = None if not root else _chart_rows(t, root, {
                 j for p, e in zip(lifted, exps) if e is not None
                 for _, j in p.terms})
             hs = [p if e is None else _chart_int(p, e, root, top, rows)
                   for p, e in zip(lifted, exps)]
-            child_second = markers[1] if is_zero(t, root) else None
+            child_second = None if root else markers[1]
             return rec(t, hs, nid, child_second, (nid, child_second),
                        orbit * ofac, depth + 1, top)
 
@@ -540,11 +540,10 @@ def _try_resultant_order(tw, qa, qb):
         return None
     g = pgcd(tw, ra, rb)
     # the only allowed common zero on the axis is the origin: gcd = y^k
-    if any(not is_zero(tw, c) for c in g[:-1]):
+    if any(g[:-1]):
         return None
     # qa and qb are coprime, so Res_y(qa, qb) is not zero
-    return next(i for i, c in enumerate(F.resultant_y(qa, qb))
-                if not is_zero(tw, c))
+    return next(i for i, c in enumerate(F.resultant_y(qa, qb)) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +648,19 @@ def _cluster_conditions(k, D):
 
 
 def _nullspace(rows, ncols):
-    """A basis of the rational solutions of the int rows, one vector of
-    ``Fraction``s per free column: 1 there, 0 at the other free columns
-    and minus the reduced row echelon entries at the pivots.
+    """A basis of the rational solutions of the int rows, as ``(den,
+    basis)``: one vector per free column, a sparse list of ``(column,
+    int)`` pairs in column order that reads, over the common denominator
+    ``den``, 1 at that free column, 0 at the other free columns and minus
+    the reduced row echelon entries at the pivots.
 
     Gauss-Jordan runs over ZZ: each pivot row is made primitive, each
     elimination is p row_r - c row_pivot, and each changed row is made
-    primitive again, so no ``Fraction`` is built in the loop.  A pivot
-    row then reads p at its pivot column, 0 at the others and a at a
-    free column; the echelon entry a / p is the one division of each
-    basis entry.  The reduced row echelon form is unique, so the basis
-    does not depend on the pivot rows chosen."""
+    primitive again, so no ``Fraction`` is built.  A pivot row then reads
+    p at its pivot column, 0 at the others and a at a free column, so the
+    echelon entry is a / p, and ``den``, the lcm of the |p|, clears every
+    one.  The reduced row echelon form is unique, so the basis does not
+    depend on the pivot rows chosen."""
     mat = [[r.get(c, 0) for c in range(ncols)] for r in rows]
     pivots = []
     rank = 0
@@ -683,17 +684,13 @@ def _nullspace(rows, ncols):
         rank += 1
         if rank == len(mat):
             break
-    free = [c for c in range(ncols) if c not in pivots]
-    zero, one = Fraction(0), Fraction(1)
+    den = math.lcm(*(row[pc] for row, pc in zip(mat, pivots)))
     basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(mat, pivots):
-            if row[fc] != 0:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [(pc, -row[fc] * (den // row[pc]))
+             for row, pc in zip(mat, pivots) if row[fc] != 0]
+        basis.append(sorted(v + [(fc, den)]))
+    return den, basis
 
 
 def _primitive(row):
@@ -801,12 +798,8 @@ def _curves_at_degree(k, seed, D):
     every further sample would pay for the cap again."""
     monos, conditions, directions = _cluster_conditions(k, D)
     # rank <= c(K) and (D+1)(D+2)/2 >= c(K) + 2 on every rung: nullity >= 2
-    basis = _nullspace(conditions, len(monos))
-    # the basis as sparse int rows over one common denominator: a member
-    # sums on ints and divides once per term, into the same Fractions
-    den = math.lcm(*(v.denominator for b in basis for v in b))
-    rows = [[(monos[col], v.numerator * (den // v.denominator))
-             for col, v in enumerate(b) if v != 0] for b in basis]
+    # a member sums the int rows and divides once per term by den
+    den, basis = _nullspace(conditions, len(monos))
     rng = random.Random(seed)
     k2 = self_intersection(k)
     cap = min(MAX_DEPTH, k2)
@@ -814,12 +807,13 @@ def _curves_at_degree(k, seed, D):
     def sample():
         coeffs = [rng.randint(-10, 10) for _ in basis]
         sums = {}
-        for cvec, row in zip(coeffs, rows):
+        for cvec, row in zip(coeffs, basis):
             if cvec == 0:
                 continue
-            for m, val in row:
-                sums[m] = sums.get(m, 0) + cvec * val
-        return BiPoly(QQ, {m: Fraction(s, den) for m, s in sums.items()})
+            for col, val in row:
+                sums[col] = sums.get(col, 0) + cvec * val
+        return BiPoly(QQ, {monos[col]: Fraction(s, den)
+                           for col, s in sums.items()})
 
     last = None
     for _ in range(32):

@@ -94,7 +94,18 @@ class TestClusterCommands:
             "weights": {"p": 1, "q": 1, "r": 1}})
         res = run(runner, ["cluster", "check", bad])
         assert res.exit_code == 1
-        assert "DuplicateProximity" in res.stderr
+        assert res.stderr == "ForestViolation: DuplicateProximity: r\n"
+
+    @pytest.mark.parametrize("cmd", [["check"], ["hc", "--c2", "4"],
+                                     ["codim"]], ids=lambda c: c[0])
+    def test_forest_violation_before_weights(self, runner, tmp_path, cmd):
+        # the forest is read before the weights, so a forest that breaks
+        # an invariant is reported even where a weight is malformed
+        kf = write(tmp_path, "k.json", {"nodes": [
+            {"id": "p", "mult": 1}, {"id": "q", "parent": "r", "mult": "x"}]})
+        res = run(runner, ["cluster", cmd[0], kf] + cmd[1:])
+        assert res.exit_code == 1
+        assert res.stderr == "ForestViolation: MissingParent: q\n"
 
     def test_hc(self, runner, tmp_path):
         kf = write(tmp_path, "k.json", cluster_to_json(single_point(3)))
@@ -227,7 +238,7 @@ class TestExitCodes:
         tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
         x = BiPoly.variable("x", tw)
         y = BiPoly.variable("y", tw)
-        t = BiPoly.from_elem(tw, generator(tw))
+        t = BiPoly(tw, {(0, 0): generator(tw)})
         gf = write(tmp_path, "g.json", {
             "tower": tower_to_json(tw),
             "poly": poly_to_json((y - t * x) * (y - x) + x ** 3)})
@@ -254,6 +265,34 @@ class TestExitCodes:
         assert "reducible" in res.stderr
         assert "Traceback" not in res.stderr
         assert seen == [[4, 0, 0, 0, 1]]
+
+    @pytest.mark.parametrize("coeff", ["0.5", "1_000", " 3 ", "+3", "1e5",
+                                       "1/-2", "", "١"])
+    def test_coefficient_outside_p_q_exit_2(self, runner, tmp_path, coeff):
+        # README's grammar: an optional -, digits, optionally / and digits
+        gf = write(tmp_path, "g.json", {"terms": [[0, 2, "1"],
+                                                  [3, 0, coeff]]})
+        res = run(runner, ["germ", "mult-cluster", gf])
+        assert res.exit_code == 2
+        assert res.stderr == ("ParseError: malformed polynomial: "
+                              f"coefficient {coeff!r} is not p/q\n")
+
+    @pytest.mark.parametrize("args", [
+        ["germ", "mult-cluster"], ["map", "bp"]], ids=lambda a: a[0])
+    def test_deep_tower_exit_2(self, runner, tmp_path, args):
+        # 200 levels, s0^2 = 2 and then s_i^2 = 3: reading the tower
+        # recurses past the interpreter's limit
+        path = DATA / "germ_deep_tower.json"
+        if args[0] == "map":
+            tower = json.loads(path.read_text())["tower"]
+            path = write(tmp_path, "m.json", {
+                "f1": {"tower": tower, "poly": poly_to_json(X ** 2)},
+                "f2": {"tower": tower, "poly": poly_to_json(Y ** 2)}})
+        res = run(runner, args + [str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("ParseError: malformed polynomial: ")
+        assert res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
 
     def test_zero_denominator_exit_2(self, runner, tmp_path):
         gf = write(tmp_path, "g.json", {"vars": ["x", "y"], "terms": [
@@ -315,8 +354,8 @@ class TestExitCodes:
         tw = s_tw.extend("u", ((Fraction(-2),), (), (Fraction(1),)))
         x = BiPoly.variable("x", tw)
         y = BiPoly.variable("y", tw)
-        u = BiPoly.from_elem(tw, generator(tw))
-        s = BiPoly.from_elem(tw, (generator(s_tw),))
+        u = BiPoly(tw, {(0, 0): generator(tw)})
+        s = BiPoly(tw, {(0, 0): (generator(s_tw),)})
         gf = write(tmp_path, "g.json", {
             "tower": tower_to_json(tw),
             "poly": poly_to_json((y - u * x) * (y - s * x) + x ** 3)})
@@ -362,7 +401,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, message", [
         (["germ", "mult-cluster", "germ_exponent_coefficient.json"],
-         "coefficient '1e999999999' has an exponent"),
+         "coefficient '1e999999999' is not p/q"),
         (["map", "pullback", "map_tower_list_name.json",
           "cluster_two_on_root.json", "--seed", "3"],
          "level name ['s'] is not a string")],

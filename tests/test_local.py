@@ -156,7 +156,7 @@ class TestMultCluster:
     def test_tower_germ_with_repeated_x_factor(self):
         # this germ spent most of a minute in a primitive PRS of poly_gcd
         tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
-        s = BiPoly.from_elem(tw, generator(tw))
+        s = BiPoly(tw, {(0, 0): generator(tw)})
         x = BiPoly.variable("x", tw)
         y = BiPoly.variable("y", tw)
         p = (-2 * x ** 4 * y ** 5 - 3 * x ** 9 + s * x ** 7 * y
@@ -169,7 +169,7 @@ class TestMultCluster:
     def test_tower_germ_with_squared_factor_in_y(self):
         # x h^2 a: a primitive PRS in (K[x])[y] took over 90 s on it
         tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
-        s = BiPoly.from_elem(tw, generator(tw))
+        s = BiPoly(tw, {(0, 0): generator(tw)})
         x = BiPoly.variable("x", tw)
         y = BiPoly.variable("y", tw)
         h = s * x * y ** 2 + 2 * s * x ** 2 * y - (1 + s) * (x ** 3 + x * y) + 3
@@ -184,7 +184,7 @@ class TestMultCluster:
         # h of the test above has constant term 3, so x h^2 a is reduced at
         # the origin and has the cluster of x a; x^2 a is not reduced there
         tw = QQ.extend("s", (Fraction(-2), Fraction(0), Fraction(1)))
-        s = BiPoly.from_elem(tw, generator(tw))
+        s = BiPoly(tw, {(0, 0): generator(tw)})
         x = BiPoly.variable("x", tw)
         y = BiPoly.variable("y", tw)
         h = s * x * y ** 2 + 2 * s * x ** 2 * y - (1 + s) * (x ** 3 + x * y) + 3
@@ -332,7 +332,7 @@ class TestIntersectionMultiplicity:
         # vanishes at x = 0, so u >= 1
         tw = QQ if tower == "QQ" else Q_S
         x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
-        s = (BiPoly.from_elem(tw, generator(tw)) if tw.levels
+        s = (BiPoly(tw, {(0, 0): generator(tw)}) if tw.levels
              else BiPoly.const(1, tw))
         a, b = {"sheared": (y ** 2 - 2 * x ** 2 if tw.levels else y - x ** 2,
                             x * y ** 2 + y - s * x ** (1 if tw.levels else 3)),
@@ -566,20 +566,31 @@ class TestCurvesThrough:
                                       "25ae86365bfee14bc9c23a20c3c11e1e")
 
     def test_nullspace_is_exact_on_int_rows(self):
-        # the condition rows are ints; 1 / 3 must not become a float
-        basis = localeng._nullspace([{0: 3, 1: 1}], 2)
-        assert basis == [[Fraction(-1, 3), Fraction(1)]]
-        assert all(type(v) is Fraction for v in basis[0])
+        # the condition rows are ints; -1 / 3 is the int -1 over den 3,
+        # never a float
+        den, basis = localeng._nullspace([{0: 3, 1: 1}], 2)
+        assert (den, basis) == (3, [[(0, -1), (1, 3)]])
+        assert all(type(v) is int for _, v in basis[0])
 
     @given(int_row_sets())
     @settings(max_examples=200, deadline=None)
     def test_nullspace_matches_fraction_oracle(self, case):
         # Gauss-Jordan over ZZ and over Q reach the one reduced row echelon
-        # form, so the bases are equal entry for entry, all Fractions
+        # form, so the bases are equal entry for entry: sparse nonzero ints
+        # in column order over one positive denominator
         rows, ncols = case
-        basis = localeng._nullspace(rows, ncols)
-        assert basis == nullspace_oracle(rows, ncols)
-        assert all(type(v) is Fraction for b in basis for v in b)
+        den, basis = localeng._nullspace(rows, ncols)
+        assert type(den) is int and den > 0
+        for b in basis:
+            assert [c for c, _ in b] == sorted({c for c, _ in b})
+            assert all(type(v) is int and v != 0 for _, v in b)
+        dense = []
+        for b in basis:
+            v = [Fraction(0)] * ncols
+            for c, a in b:
+                v[c] = Fraction(a, den)
+            dense.append(v)
+        assert dense == nullspace_oracle(rows, ncols)
 
     def test_shared_component_is_rejected(self, monkeypatch):
         # a shared component is never separated: the recursion hits its
@@ -650,8 +661,10 @@ class TestCurvesThrough:
             for q in k.forest.children[root]:
                 D = k.weights[root] + k.weights[q] - 1
                 monos, rows, directions = localeng._cluster_conditions(k, D)
-                for v in localeng._nullspace(rows, len(monos)):
-                    p = BiPoly(QQ, {m: c for m, c in zip(monos, v) if c})
+                den, basis = localeng._nullspace(rows, len(monos))
+                for v in basis:
+                    p = BiPoly(QQ, {monos[c]: Fraction(a, den)
+                                    for c, a in v})
                     assert p.compose(X, directions[q] * X).is_zero()
                     seen += 1
         assert seen > 0
@@ -664,7 +677,7 @@ class TestCurvesThrough:
         # through K meet exactly c(K) independent conditions
         D = localeng._top_degree(k)
         monos, rows, _ = localeng._cluster_conditions(k, D)
-        rank = len(monos) - len(localeng._nullspace(rows, len(monos)))
+        rank = len(monos) - len(localeng._nullspace(rows, len(monos))[1])
         assert rank == virtual_codimension(k)
 
 
@@ -828,7 +841,7 @@ class TestPullback:
             want = (["q001", "q002"], [2, 1], [1, 2])
         else:
             # the pair of TestModulusSplitInsideRecursion: a D5 split
-            s = BiPoly.from_elem(tw, generator(tw))
+            s = BiPoly(tw, {(0, 0): generator(tw)})
             b = y ** 2 - 2 * x ** 2
             p1, p2 = b + (y - s * x) ** 3, b + x ** 4
             want = (["q001", "q003", "q005", "q004"], [2, 1, 1, 1],
@@ -879,7 +892,7 @@ def fraction_compose(w, f1, f2):
     tw = f1.tower
     acc = BiPoly.zero(tw)
     for (i, j), c in w.terms.items():
-        c = BiPoly.from_elem(tw, from_rational(tw, c))
+        c = BiPoly(tw, {(0, 0): from_rational(tw, c)})
         acc = acc + c * f1 ** i * f2 ** j
     return acc
 
@@ -895,7 +908,7 @@ class TestComposeInt:
         if tower == "QQ":
             f1, f2 = x ** 3 * y, Fraction(1, 2) * y ** 3 + x
         else:
-            s = BiPoly.from_elem(tw, generator(tw))
+            s = BiPoly(tw, {(0, 0): generator(tw)})
             f1 = (Fraction(1, 2) * y ** 3 + (Fraction(1, 2) - 2 * s) * x
                   - 2 * x ** 2 * y ** 3)
             f2 = (s - 2) * x ** 3 * y ** 2
@@ -1025,7 +1038,7 @@ class TestChartInt:
         assert math.gcd(*ints) == 1
         x = BiPoly.variable("x", tw)
         y = BiPoly.variable("y", tw)
-        composed = p.compose(x, x * (y + BiPoly.from_elem(tw, c)))
+        composed = p.compose(x, x * (y + BiPoly(tw, {(0, 0): c})))
         lowered = BiPoly(tw, {(i - m, j): v
                               for (i, j), v in composed.terms.items()})
         assert q == field.int_poly(tw, lowered.terms)[0]
@@ -1103,7 +1116,7 @@ def other_root(tw):
     if tw.depth == 1:
         return field.add(tw, field.one(tw),
                          qscale(tw, generator(tw), Fraction(-2, 3)))
-    r = field.lift(tw, generator(tw.sub()))
+    r = (generator(tw.sub()),)
     return field.add(tw, from_rational(tw, Fraction(1, 2)),
                      field.mul(tw, r, generator(tw)))
 
@@ -1180,7 +1193,7 @@ def mult_spy(monkeypatch):
 def _s_germ():
     """(y^2 - 2x^2)^2 + x^5 (y - s x) + y^7 over Q(s), s^2 = 2: the
     direction u, u^2 = 2, is adjoined over Q(s), where u^2 - 2 splits."""
-    s = BiPoly.from_elem(Q_S, generator(Q_S))
+    s = BiPoly(Q_S, {(0, 0): generator(Q_S)})
     x, y = BiPoly.variable("x", Q_S), BiPoly.variable("y", Q_S)
     return (y ** 2 - 2 * x ** 2) ** 2 + x ** 5 * (y - s * x) + y ** 7
 
@@ -1215,7 +1228,7 @@ class TestReducedCertificate:
         # Q(s), where it factors; at u the node of the first two branches
         # (u = s) and the smooth cusp transform y^2 + x (u = -s) make the
         # linear form a zero divisor, not a multiplicity 1
-        s = BiPoly.from_elem(Q_S, generator(Q_S))
+        s = BiPoly(Q_S, {(0, 0): generator(Q_S)})
         x, y = BiPoly.variable("x", Q_S), BiPoly.variable("y", Q_S)
         cusp = (y + s * x) ** 2 + x ** 3
         k = mult_cluster(Germ((y - s * x + x ** 2) * (y - s * x - x ** 2)
@@ -1279,7 +1292,7 @@ class TestReducedCertificate:
 def random_germ(rng, tw, kind):
     """A seeded germ over ``tw``: ``a``, ``h^2 a`` with h(0) = 0, or
     ``u^2 a`` with u(0) != 0, for small random a, h and u."""
-    gens = [BiPoly.from_elem(tw, generator(tw))] if tw.levels else []
+    gens = [BiPoly(tw, {(0, 0): generator(tw)})] if tw.levels else []
 
     def coeff():
         c = BiPoly.const(rng.choice([-2, -1, 1, 2, 3]), tw)
@@ -1497,7 +1510,7 @@ class TestModulusSplitInsideRecursion:
     def setup_method(self):
         x = BiPoly.variable("x", Q_S)
         y = BiPoly.variable("y", Q_S)
-        s = BiPoly.from_elem(Q_S, generator(Q_S))
+        s = BiPoly(Q_S, {(0, 0): generator(Q_S)})
         self.x, self.y, self.s = x, y, s
         self.B = y ** 2 - 2 * x ** 2
 
