@@ -74,9 +74,9 @@ def load_json(path):
 @contextlib.contextmanager
 def malformed(what):
     """The one rule for malformed input, around each parser: a missing
-    key, a value of the wrong type or out of range, or a document nested
-    past the recursion limit, such as a tower of hundreds of levels, is
-    a ``ParseError("malformed <what>: ...")``."""
+    key, a value of the wrong type or out of range, such as a tower of
+    more than ``field.MAX_LEVELS`` levels, or a document nested past the
+    recursion limit, is a ``ParseError("malformed <what>: ...")``."""
     try:
         yield
     except (AttributeError, KeyError, TypeError, ValueError,

@@ -671,10 +671,23 @@ class BiPoly:
         px^i, so every py^j takes one product, and all of it accumulates
         into one dict.  No zero or one is seeded with a ``Fraction``, so
         polynomials with int leaves compose on ints over every tower whose
-        moduli have int leaves."""
+        moduli have int leaves.
+
+        A monomial map px = x^p1 y^q1, py = x^p2 y^q2, both with
+        coefficient 1 and p1 q2 != p2 q1, moves each term c x^i y^j to
+        c x^(p1 i + p2 j) y^(q1 i + q2 j) with c unchanged.  The exponent
+        map has determinant p1 q2 - p2 q1 != 0, so it is injective: no two
+        terms meet, and the sums below would only have multiplied c by
+        1."""
         tw = self.tower
         if px.tower != tw or py.tower != tw:
             raise ValueError("tower mismatch")
+        if len(px.terms) == len(py.terms) == 1:
+            ((p1, q1), cx), = px.terms.items()
+            ((p2, q2), cy), = py.terms.items()
+            if cx == cy == one(tw) and p1 * q2 != p2 * q1:
+                return BiPoly(tw, {(p1 * i + p2 * j, q1 * i + q2 * j): c
+                                   for (i, j), c in self.terms.items()})
         rows = {}
         for (i, j), c in self.terms.items():
             rows.setdefault(j, []).append((i, c))
@@ -785,9 +798,10 @@ def _image(tw, f, g, c):
 def poly_gcd(p, q):
     """GCD in K[x, y], normalized monic-lex; divides both inputs exactly.
 
-    At every depth, the rationals being the tower of depth 0, it is
-    Brown's evaluation gcd in (K[x])[y] (JACM 18, 1971; for towers van
-    Hoeij and Monagan, ISSAC 2002), on p and q scaled to integer leaves
+    Except for a one-term input over QQ (below), at every depth, the
+    rationals being the tower of depth 0, it is Brown's evaluation gcd
+    in (K[x])[y] (JACM 18, 1971; for towers van Hoeij and Monagan,
+    ISSAC 2002), on p and q scaled to integer leaves
     with gcd 1: a gcd ignores units, and the images at the int points x0
     then start from int leaves.  Let h = gcd(f, g), of y-degree d.  At x0
     with lc_y(f)(x0) a unit, lc_y(h) | lc_y(f) keeps deg h(x0, y) = d, so
@@ -809,6 +823,15 @@ def poly_gcd(p, q):
     ``ModulusSplit``, so over a product of fields every step holds in each
     component: an image degree that differs between components leaves a
     zero divisor leading Euclid, which raises.
+
+    Over QQ an input with one term, say p = c x^a y^b, takes no images:
+    the gcd is x^min i y^min j, the minima over the exponents of both
+    inputs, with coefficient 1.  In the UFD QQ[x, y] the divisors of p
+    are the units times x^a' y^b' with a' <= a and b' <= b, and x^a' y^b'
+    divides q exactly when a' and b' are at most the least x- and
+    y-exponents of q's terms.  Over a tower a coefficient of q can be a
+    zero divisor, so the x-order of q can differ between components, and
+    towers keep Brown's route.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
@@ -819,6 +842,10 @@ def poly_gcd(p, q):
     tw = p.tower
     if tw != q.tower:
         raise ValueError("tower mismatch")
+    if not tw.levels and 1 in (len(p.terms), len(q.terms)):
+        exps = [*p.terms, *q.terms]
+        return BiPoly(tw, {(min(i for i, _ in exps),
+                            min(j for _, j in exps)): 1})
     p, q = int_poly(tw, p.terms)[0], int_poly(tw, q.terms)[0]
     f, g = p.to_yx(), q.to_yx()
     first = next(im for c in _x0s()
@@ -1099,9 +1126,23 @@ def split_directions(tw, coeffs):
     on.  Over a non-trivial tower they are ``_yun``'s squarefree factors,
     adjoined optimistically: a later zero divisor raises ModulusSplit for
     the caller to branch on.
+
+    The input is trimmed first.  A power c t^k, k >= 1, is split with no
+    factorization into its one direction 0, with the root the loop below
+    gives (``from_rational(tw, 0)``, a ``Fraction`` over QQ): over QQ for
+    any c != 0, as t is its one irreducible factor; over a tower only for
+    c = 1.  There Yun on t^k returns [(t, k)] and inverts only the
+    rationals k, k - 1, ..., 2 (the lead of k t^(k-1), then the constants
+    c of its loop), units at every depth, so no ``ModulusSplit`` is lost.
+    For c != 1 ``_yun``'s ``pmonic`` inverts c, a dynamic-evaluation test
+    that may split, so that input keeps the general route.
     """
+    coeffs = ptrim(tw, coeffs)
     if not coeffs:
         raise ValueError("cannot split the zero polynomial")
+    if len(coeffs) > 1 and not any(coeffs[:-1]) and (
+            not tw.levels or coeffs[-1] == one(tw)):
+        return [(tw, from_rational(tw, 0))]
     if tw.levels:
         factors = _yun(tw, coeffs)
     else:
@@ -1172,14 +1213,28 @@ def tower_to_json(tw):
     return {"levels": out}
 
 
+MAX_LEVELS = 64
+
+
 def tower_from_json(data):
     """Build a tower from JSON.  Each modulus has its coefficients reduced
     in the tower below and passes ``Tower.extend``'s checks, and the
     depth-1 one must be irreducible over QQ: ``_factors_over_qq`` finds it
     one factor of multiplicity 1.  Deeper moduli are adjoined
-    optimistically."""
+    optimistically.
+
+    At most ``MAX_LEVELS`` levels are read, so a deeper tower is a
+    ValueError whatever the caller's stack.  Elements recurse once per
+    level: the germ y^2 - 3x^2 + x^5 over 64 levels, with one more
+    adjoined for its tangent form, runs within a recursion limit of 350
+    frames, which leaves the default limit of 1000 room for the levels
+    the engine adjoins, one per irrational direction it splits."""
+    levels = data.get("levels", [])
+    if len(levels) > MAX_LEVELS:
+        raise ValueError(f"tower of {len(levels)} levels; at most "
+                         f"{MAX_LEVELS} are read")
     tw = QQ
-    for level in data.get("levels", []):
+    for level in levels:
         if not isinstance(level["var"], str):
             raise TypeError(f"level name {level['var']!r} is not a string")
         modulus = tuple(elem_from_json(tw, c) for c in level["modulus"])

@@ -850,6 +850,13 @@ def pullback_cluster(f, k, seed=0):
     curves w, z through K.  Requires a finite germ (empty contracted
     curve).
 
+    K is read without positions, so it is placed as
+    ``_cluster_conditions`` places it: at each point the i-th free child
+    sits at chart direction i (i = 1, 2, ...), and each satellite at
+    direction 0 or infinity, on the chart line y = 0 or x = 0 that is the
+    exceptional curve of the other point it is proximate to.  f*(K) is
+    the pullback of K in that position.
+
     ``fixed_part(f)`` is the finiteness check; the composed pair goes to
     the pencil step without a gcd of its own.  A component C through the
     origin of both w o f and z o f would map under f either onto a curve

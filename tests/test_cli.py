@@ -1,6 +1,9 @@
 """End-to-end CLI checks: formats, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,8 +283,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["germ", "mult-cluster"], ["map", "bp"]], ids=lambda a: a[0])
     def test_deep_tower_exit_2(self, runner, tmp_path, args):
-        # 200 levels, s0^2 = 2 and then s_i^2 = 3: reading the tower
-        # recurses past the interpreter's limit
+        # 200 levels, s0^2 = 2 and then s_i^2 = 3: more than the
+        # field.MAX_LEVELS that a tower may have
         path = DATA / "germ_deep_tower.json"
         if args[0] == "map":
             tower = json.loads(path.read_text())["tower"]
@@ -293,6 +296,38 @@ class TestExitCodes:
         assert res.stderr.startswith("ParseError: malformed polynomial: ")
         assert res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("script", [False, True],
+                             ids=["runner", "console-script"])
+    def test_tower_depth_cap(self, runner, tmp_path, script):
+        # s0^2 = 2, then s_i^2 = 3, under y^2 - 3x^2 + x^5, whose tangent
+        # form the engine adjoins as one more level: field.MAX_LEVELS
+        # levels answer as two do, one more is a parse error, the same
+        # verdict from a fresh interpreter and from CliRunner's deeper
+        # stack
+        def invoke(n):
+            levels = [{"var": f"s{i}", "modulus": [f"-{2 if i == 0 else 3}",
+                                                   "0", "1"]}
+                      for i in range(n)]
+            path = write(tmp_path, f"g{n}.json", {
+                "tower": {"levels": levels},
+                "poly": poly_to_json(Y ** 2 - 3 * X ** 2 + X ** 5)})
+            if not script:
+                res = run(runner, ["germ", "mult-cluster", path])
+                return res.exit_code, res.stdout, res.stderr
+            env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+            res = subprocess.run(
+                [sys.executable, "-c", "from enriques.cli import main; main()",
+                 "germ", "mult-cluster", path],
+                env=env, capture_output=True, text=True, timeout=120)
+            return res.returncode, res.stdout, res.stderr
+
+        cap = field.MAX_LEVELS
+        code, out, _ = invoke(cap)
+        assert (code, out) == (0, invoke(2)[1])
+        assert invoke(cap + 1) == (2, "", (
+            f"ParseError: malformed polynomial: tower of {cap + 1} levels; "
+            f"at most {cap} are read\n"))
 
     def test_zero_denominator_exit_2(self, runner, tmp_path):
         gf = write(tmp_path, "g.json", {"vars": ["x", "y"], "terms": [

@@ -1264,3 +1264,110 @@ class TestSplitOverQ:
         assert got == want
         assert monic_factors_over_qq(coeffs) == factors
         assert [type(r) for _, r in got] == [type(r) for _, r in want]
+
+
+def compose_reference(p, px, py):
+    """The sum of c px^i py^j over the terms c x^i y^j of ``p``, built with
+    ``__pow__`` and ``__mul__``: the reference for ``BiPoly.compose``."""
+    acc = BiPoly.zero(p.tower)
+    for (i, j), c in p.terms.items():
+        acc = acc + BiPoly(p.tower, {(0, 0): c}) * px ** i * py ** j
+    return acc
+
+
+def _no_call(*args):
+    raise AssertionError("the general route ran")
+
+
+class TestExponentRoutes:
+    """Inputs whose answer the exponents decide: t^k splits into the one
+    direction 0, a gcd over QQ with a one-term input is a monomial, and a
+    monomial map moves each term to one new exponent."""
+
+    @DEPTHS
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 6), data=st.data())
+    def test_power_of_t_is_yuns_split(self, tw, k, data):
+        # over QQ any nonzero lead, over a tower the lead 1
+        lead = data.draw(nonzero(QQ)) if not tw.levels else one(tw)
+        f = (zero(tw),) * k + (lead,)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "_yun", _no_call)
+            mp.setattr(field, "_factors_over_qq", _no_call)
+            got = split_directions(tw, f)
+        if tw.levels:
+            assert field._yun(tw, f) == [((zero(tw), one(tw)), k)]
+        else:
+            assert field._factors_over_qq(f) == [([0, 1], k)]
+        assert got == [(tw, from_rational(tw, 0))]
+        assert type(got[0][1]) is type(from_rational(tw, 0))
+
+    @DEPTHS
+    def test_input_is_trimmed(self, tw):
+        # (0, 0) raised StopIteration, and (0, 1, 0) ZeroDivisionError over
+        # QQ and DivisionByZero over Q(s), before the input was trimmed
+        z, o = zero(tw), one(tw)
+        with pytest.raises(ValueError, match="cannot split the zero"):
+            split_directions(tw, (z, z))
+        assert split_directions(tw, (z, o, z)) == split_directions(
+            tw, (z, o)) == [(tw, from_rational(tw, 0))]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_divisor_lead_still_splits(self, k):
+        # (1 + t) t^k over Q(t), t^2 = 1: 1 + t is a zero divisor, and
+        # Yun's pmonic, which inverts it, splits the modulus
+        with pytest.raises(ModulusSplit) as exc:
+            split_directions(Q_T, ((),) * k + ((1, 1),))
+        assert exc.value.var == "t"
+
+    def test_unit_lead_over_a_tower_keeps_yun(self, monkeypatch):
+        # s t^2 over Q(s): the lead is inverted, so Yun runs
+        calls = []
+        yun = field._yun
+        monkeypatch.setattr(field, "_yun", lambda tw, f: (
+            calls.append(f) or yun(tw, f)))
+        assert split_directions(Q_S, ((), (), generator(Q_S))) == [(Q_S, ())]
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(0, 4), j=st.integers(0, 4),
+           c=small_q.filter(bool), data=st.data())
+    def test_gcd_with_one_term(self, i, j, c, data):
+        p = BiPoly(QQ, {(i, j): c})
+        q = data.draw(tower_bipolys(QQ, 4))
+        for a, b in ((p, q), (q, p)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(field, "_image", _no_call)
+                g = poly_gcd(a, b)
+            assert sympy_poly(g) == sympy_gcd(a, b)
+            assert divides(g, p) and divides(g, q)
+
+    @DEPTHS
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_monomial_map(self, tw, data):
+        p = data.draw(tower_bipolys(tw, 3))
+        p1, q1, p2, q2 = (data.draw(st.integers(0, 3)) for _ in range(4))
+        assume(p1 * q2 != p2 * q1)
+        px, py = BiPoly(tw, {(p1, q1): one(tw)}), BiPoly(tw, {(p2, q2): one(tw)})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "_mul_into", _no_call)
+            got = p.compose(px, py)
+        assert got == compose_reference(p, px, py)
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    @pytest.mark.parametrize("kind", ["x-x", "two-x"])
+    def test_other_maps_take_the_general_route(self, monkeypatch, tw, kind):
+        # (x, x) is not injective on exponents, and 2x has a coefficient
+        # other than 1: each sums its products
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        px, py = {"x-x": (x, x), "two-x": (2 * x, y)}[kind]
+        p = x ** 2 * y + 3 * x * y ** 2 - y
+        calls = []
+        mul_into = field._mul_into
+        monkeypatch.setattr(field, "_mul_into", lambda *a: (
+            calls.append(a) or mul_into(*a)))
+        got = p.compose(px, py)
+        assert calls
+        monkeypatch.undo()
+        assert got == compose_reference(p, px, py)
