@@ -78,6 +78,12 @@ class Tower:
         """The unit of a non-trivial tower, built once for ``one``."""
         return (one(self.sub()),)
 
+    @functools.cached_property
+    def _quadratic(self):
+        """Whether this is one level over QQ, of degree 2: where ``inv``
+        and ``pmonic`` take ``_adjugate``'s closed form."""
+        return len(self.levels) == 1 and len(self.top_modulus) == 3
+
     @property
     def top_var(self):
         return self.levels[-1][0]
@@ -238,8 +244,15 @@ def inv(tw, a):
       (when r is not 1) and leaves 0, and whose close inverts r again;
       here r is inverted once, and not at all when it is 1.
 
-    The norm formula (a0 - a1 m1 - a1 t) / N, with one inversion, is
-    exact only when the tower below is a field, so it is not used."""
+    At a depth-1 level of degree 2 the inverse is ``_adjugate``'s b / n,
+    with no Euclid.  The level below is QQ, a field.  Plain Euclid on
+    (m, a), a = a0 + a1 t with a1 != 0, inverts a1 and then the constant
+    remainder n / a1^2, both nonzero rationals and so units.  That
+    remainder is 0 exactly when n = 0, and Euclid then raises the split
+    with a made monic, as ``_adjugate`` does.  An inverse is unique, so
+    the value, the split variable and the split factor stay the same;
+    only the inversions of rationals at depth 0 are gone.  Every other
+    level keeps Euclid, where the tower below need not be a field."""
     if not tw.levels:
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -249,6 +262,9 @@ def inv(tw, a):
     s = tw.sub()
     if len(a) == 1:
         return (inv(s, a[0]),)
+    if tw._quadratic:
+        (b0, b1), n = _adjugate(tw, a)
+        return (Fraction(b0, n), Fraction(b1, n))
     r0, s0, r1, s1 = tw.top_modulus, (), a, (one(s),)
     while len(r1) > 1:
         q, r = pdivmod(s, r0, r1)
@@ -258,6 +274,22 @@ def inv(tw, a):
     if r1[0] == one(s):
         return reduce_mod(tw, s1)
     return reduce_mod(tw, pscale(s, s1, inv(s, r1[0])))
+
+
+def _adjugate(tw, a):
+    """``(b, n)`` with a b = n, for a = a0 + a1 t, a1 != 0, at a depth-1
+    level whose modulus is m = t^2 + m1 t + m0: b = (a0 - a1 m1) - a1 t
+    and the rational n = a0 (a0 - a1 m1) + a1^2 m0 = Res(m, a).  Leaves
+    that are ints give ints.  When n = 0, a is a zero divisor and
+    m = (t + a0/a1)(t + m1 - a0/a1): ``ModulusSplit`` carries the first
+    factor, a made monic."""
+    m0, m1, _ = tw.top_modulus
+    a0, a1 = a
+    b0 = a0 - a1 * m1
+    n = a0 * b0 + a1 * a1 * m0
+    if not n:
+        raise ModulusSplit(tw.top_var, (Fraction(a0, a1), 1))
+    return (b0, -a1), n
 
 
 def split_tower(tw, factor):
@@ -451,9 +483,20 @@ def pdiv_exact(tw, f, g):
 
 
 def pmonic(tw, f):
+    """``f`` over its leading coefficient lc.  Where ``inv`` takes the
+    closed form b / n, each coefficient is multiplied by b, on int leaves
+    when f and the modulus have them, and then scaled by 1/n; the top is
+    lc b / n = 1.  The value is that of ``pscale(f, inv(lc))``, and a
+    zero divisor lc raises the same split."""
     if not f or f[-1] == one(tw):
         return f
-    return pscale(tw, f, inv(tw, f[-1]))
+    lc = f[-1]
+    if tw._quadratic and len(lc) == 2:
+        b, n = _adjugate(tw, lc)
+        q = Fraction(1, n)
+        return tuple(qscale(tw, mul(tw, c, b), q) if c else c
+                     for c in f[:-1]) + (one(tw),)
+    return pscale(tw, f, inv(tw, lc))
 
 
 def pgcd(tw, f, g):
@@ -756,9 +799,15 @@ def _mul_into(tw, out, a, b):
 # -- (K[x])[y] helpers ------------------------------------------------
 
 def _yx_content(tw, f):
+    """The monic gcd of the rows, stopping at the first content of length
+    1.  That content is the unit 1 reached by Euclid, so over a product of
+    fields it is 1 in every component, and no row after it can change
+    it."""
     c = ()
     for row in f:
         c = pgcd(tw, c, row)
+        if len(c) == 1:
+            break
     return c
 
 
@@ -809,9 +858,11 @@ def poly_gcd(p, q):
     is h(x0, y) made monic.  So the first image, of p and q, decides d = 0,
     and h is then the content gcd in K[x], already monic from Euclid.
     Inputs free of y take the same route: a y-free f has the image f(x0), a
-    unit made monic to 1, and Euclid in the content gcd inverts the leading
-    coefficient of every row, so a zero divisor there raises
-    ``ModulusSplit``.  Else f and g are made primitive.  If also
+    unit made monic to 1.  Euclid in the content gcd inverts the leading
+    coefficient of each row it reads, the first row always, so a zero
+    divisor there raises ``ModulusSplit``; it stops at a content of 1,
+    which is 1 in every component, so no row after it could change the
+    gcd.  Else f and g are made primitive.  If also
     lc_y(g)(x0) != 0, Res_y(f/h, g/h) specializes, so the degree is d
     unless x0 is one of the ``bad`` roots of lc_y(f) lc_y(g) Res_y(f/h,
     g/h).  Scaled by gamma(x0), where gamma = gcd(lc_y f, lc_y g), images
@@ -1194,13 +1245,23 @@ def elem_to_json(tw, a):
     return {"ext": tw.top_var, "coeffs": [elem_to_json(s, c) for c in a]}
 
 
+def _json_list(value, key):
+    """``value``, read at ``key``, which must be a list: a string is
+    iterable too, and read in its place it would give one coefficient or
+    level per character, none for the empty string."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} is not a list")
+    return value
+
+
 def elem_from_json(tw, data):
     if isinstance(data, str):
         return from_rational(tw, _frac_from_json(data))
     if not tw.levels or data.get("ext") != tw.top_var:
         raise ValueError("element does not match tower")
     s = tw.sub()
-    return reduce_mod(tw, [elem_from_json(s, c) for c in data["coeffs"]])
+    return reduce_mod(tw, [elem_from_json(s, c)
+                           for c in _json_list(data["coeffs"], "coeffs")])
 
 
 def tower_to_json(tw):
@@ -1229,7 +1290,7 @@ def tower_from_json(data):
     adjoined for its tangent form, runs within a recursion limit of 350
     frames, which leaves the default limit of 1000 room for the levels
     the engine adjoins, one per irrational direction it splits."""
-    levels = data.get("levels", [])
+    levels = _json_list(data.get("levels", []), "levels")
     if len(levels) > MAX_LEVELS:
         raise ValueError(f"tower of {len(levels)} levels; at most "
                          f"{MAX_LEVELS} are read")
@@ -1237,7 +1298,8 @@ def tower_from_json(data):
     for level in levels:
         if not isinstance(level["var"], str):
             raise TypeError(f"level name {level['var']!r} is not a string")
-        modulus = tuple(elem_from_json(tw, c) for c in level["modulus"])
+        modulus = tuple(elem_from_json(tw, c)
+                        for c in _json_list(level["modulus"], "modulus"))
         tw = tw.extend(level["var"], modulus)
         if tw.depth == 1:
             factors = _factors_over_qq(modulus)

@@ -329,6 +329,30 @@ class TestExitCodes:
             f"ParseError: malformed polynomial: tower of {cap + 1} levels; "
             f"at most {cap} are read\n"))
 
+    @pytest.mark.parametrize("script", [False, True],
+                             ids=["runner", "console-script"])
+    @pytest.mark.parametrize("name, key", [
+        ("germ_string_coeffs", "coeffs"), ("germ_string_modulus", "modulus"),
+        ("germ_string_levels", "levels")],
+        ids=["coeffs", "modulus", "levels"])
+    def test_string_for_a_list_exit_2(self, runner, script, name, key):
+        # "coeffs": "01" was read as the element s, "modulus": "201" as
+        # t^2 + 2, one coefficient per character, and "levels": "" as the
+        # tower Q, and each germ answered
+        path = str(DATA / f"{name}.json")
+        if script:
+            env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+            res = subprocess.run(
+                [sys.executable, "-c", "from enriques.cli import main; main()",
+                 "germ", "mult-cluster", path],
+                env=env, capture_output=True, text=True, timeout=120)
+            got = res.returncode, res.stdout, res.stderr
+        else:
+            res = run(runner, ["germ", "mult-cluster", path])
+            got = res.exit_code, res.stdout, res.stderr
+        assert got == (2, "", f"ParseError: malformed polynomial: {key!r} "
+                              "is not a list\n")
+
     def test_zero_denominator_exit_2(self, runner, tmp_path):
         gf = write(tmp_path, "g.json", {"vars": ["x", "y"], "terms": [
             [1, 0, "1/0"], [0, 1, "1/1"]]})

@@ -646,10 +646,19 @@ class TestTowerEuclid:
         f = pmul(tw, (neg(tw, a), one(tw)), (from_rational(tw, -1), one(tw)))
         g = pmul(tw, (neg(tw, mul(tw, c, a)), c),
                  (from_rational(tw, 2), one(tw)))
+        # at depth 1 pmonic inverts a lead of length 2 through _adjugate,
+        # not through inv, so both are spied
         seen = []
-        orig = field.inv
-        monkeypatch.setattr(field, "inv", lambda t, b: (
-            seen.append(b) if t == tw else None) or orig(t, b))
+
+        def spy(orig):
+            def call(t, b):
+                if t == tw:
+                    seen.append(b)
+                return orig(t, b)
+            return call
+
+        for name in ("inv", "_adjugate"):
+            monkeypatch.setattr(field, name, spy(getattr(field, name)))
         assert pgcd(tw, f, g) == (neg(tw, a), one(tw))
         assert len(seen) == len(set(seen)) >= 2
 
@@ -680,7 +689,10 @@ class TestTowerEuclid:
     @given(data=st.data())
     def test_inv_matches_plain_euclid(self, tw, data):
         """The same inverse or the same split, with the same distinct
-        elements inverted in the same order at every depth."""
+        elements inverted in the same order at every depth >= 1.  Below a
+        depth-1 level of degree 2, which inverts in closed form, the one
+        rational inverted is that of a constant (b,), right after it;
+        below any other, the rationals inverted are plain Euclid's too."""
         a = data.draw(nonzero(tw))
         with pytest.MonkeyPatch.context() as mp:
             want_seen = spy_inverted(mp, plain_inv)
@@ -689,6 +701,11 @@ class TestTowerEuclid:
             got_seen = spy_inverted(mp, inv)
             got = inverse_or_split(tw, a)
         assert got == want
+        if Tower(tw.levels[:1])._quadratic:
+            assert all(prev == (1, (b,)) for prev, (d, b)
+                       in zip([None, *got_seen], got_seen) if not d)
+            got_seen = [(d, b) for d, b in got_seen if d]
+            want_seen = [(d, b) for d, b in want_seen if d]
         assert list(dict.fromkeys(got_seen)) == list(dict.fromkeys(want_seen))
 
     def test_inv_inverts_each_element_once(self, monkeypatch):
@@ -701,6 +718,83 @@ class TestTowerEuclid:
         assert mul(Q_ST, a, field.inv(Q_ST, a)) == one(Q_ST)
         assert (2, a) in seen and (1, (Fraction(-5, 2),)) in seen
         assert len(seen) == len(set(seen))
+
+
+def monic_or_split(tw, monic, f):
+    try:
+        return "monic", monic(tw, f)
+    except ModulusSplit as e:
+        return "split", e.var, e.factor
+
+
+def plain_pmonic(tw, f):
+    """``f`` scaled by the inverse of its lead from ``field.inv``: the
+    reference for ``pmonic``."""
+    return field.pscale(tw, f, field.inv(tw, f[-1]))
+
+
+class TestQuadraticClosedForm:
+    """At a depth-1 level of degree 2, ``inv`` and ``pmonic`` invert by
+    ``_adjugate``'s closed form b / n: the same value, or the same split
+    variable and factor, as plain Euclid.  Over Q(t), t^2 = 1, n is 0 at
+    the zero divisors a0 + a0 t and a0 - a0 t, and the split carries
+    t + 1 or t - 1.  Q(t)(u), u^2 = t, is quadratic at depth 2, where
+    Euclid stays."""
+
+    TOWERS = pytest.mark.parametrize(
+        "tw", [Q_S, Q_R, Q_T, Q_TU],
+        ids=["d1", "d1-rational", "d1-split", "d2-over-split"])
+
+    @TOWERS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_inv_matches_plain_euclid(self, tw, data):
+        a = data.draw(nonzero(tw))
+        with pytest.MonkeyPatch.context() as mp:
+            spy_inverted(mp, plain_inv)
+            want = inverse_or_split(tw, a)
+        assert inverse_or_split(tw, a) == want
+
+    @TOWERS
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pmonic_matches_plain_inverse(self, tw, data):
+        f = tuple(data.draw(st.lists(elements(tw), max_size=3)))
+        f += (data.draw(nonzero(tw)),)
+        with pytest.MonkeyPatch.context() as mp:
+            spy_inverted(mp, plain_inv)
+            want = monic_or_split(tw, plain_pmonic, f)
+        assert monic_or_split(tw, pmonic, f) == want
+
+    @pytest.mark.parametrize("a, factor", [
+        ((2, 2), (1, 1)), ((Fraction(-1, 3), Fraction(1, 3)), (-1, 1))],
+        ids=["1+t", "1-t"])
+    def test_zero_divisor_splits(self, a, factor):
+        # n = a0^2 - a1^2 = 0 over t^2 = 1: a is a0 (1 + t) or a0 (1 - t)
+        want = ("split", "t", factor)
+        with pytest.MonkeyPatch.context() as mp:
+            spy_inverted(mp, plain_inv)
+            assert inverse_or_split(Q_T, a) == want
+            assert monic_or_split(Q_T, plain_pmonic, ((1,), a)) == want
+        assert inverse_or_split(Q_T, a) == want
+        assert monic_or_split(Q_T, pmonic, ((1,), a)) == want
+
+    def test_depth_2_keeps_euclid(self):
+        # 1 + (1 + t) u over Q(t)(u), u^2 = t: Euclid inverts the lead
+        # 1 + t, a zero divisor, and splits t^2 - 1; the adjugate formula
+        # there would divide by n = 1 - (1 + t)^2 t = -1 - 2t, a unit
+        a = ((1,), (1, 1))
+        assert inverse_or_split(Q_TU, a) == ("split", "t", (1, 1))
+        assert monic_or_split(Q_TU, pmonic, ((1,), a)) == ("split", "t",
+                                                           (1, 1))
+
+    @pytest.mark.parametrize("tw, a", [
+        (Q_S, (1, 1)), (Q_R, (Fraction(1, 2), 3)), (Q_T, (2, 1))],
+        ids=["d1", "d1-rational", "d1-split"])
+    def test_adjugate_times_a_is_n(self, tw, a):
+        b, n = field._adjugate(tw, a)
+        assert mul(tw, a, b) == from_rational(tw, n)
+        assert n == uni_resultant(QQ, tw.top_modulus, a)
 
 
 def schoolbook_mul(tw, a, b):
@@ -895,6 +989,22 @@ class TestGcdCertificate:
             one(tw), one(tw)))
         with pytest.raises(RetryBudgetExceeded, match="points x0"):
             poly_gcd(h * (y + x), h * (y - x))
+
+    @pytest.mark.parametrize("tw, lead", [
+        (QQ, 3), (Q_S, (0, 1)), (Q_T, (1, 1))],
+        ids=["QQ", "Q(s)", "Q(t)-zero-divisor"])
+    def test_content_stops_at_a_unit(self, monkeypatch, tw, lead):
+        # the rows x and x + 1 have content 1, so the row lead x^2 after
+        # them is not read; over Q(t), t^2 = 1, its lead 1 + t is a zero
+        # divisor, and the content is 1 in both components all the same
+        rows = ((zero(tw), one(tw)), (one(tw), one(tw)),
+                (zero(tw), zero(tw), lead))
+        read = []
+        orig = field.pgcd
+        monkeypatch.setattr(field, "pgcd", lambda t, c, row: (
+            read.append(row) or orig(t, c, row)))
+        assert field._yx_content(tw, rows) == (one(tw),)
+        assert read == list(rows[:2])
 
     def test_zero_divisor_leading_coefficient_splits(self, monkeypatch):
         # Over Q(t), t^2 = 1, e = (1 + t)/2 is idempotent.  lc_y(f) = 1 - e
