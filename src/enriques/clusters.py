@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyCluster, ForestViolation
+from .field import json_value
 
 
 @dataclass(frozen=True)
@@ -229,32 +230,22 @@ def cluster_to_json(k):
                       for n in k.forest.nodes]}
 
 
-def json_int(v, what, least=None):
-    """``v`` if it is an integer (not a bool or a float), else TypeError;
-    ValueError if it is below ``least``."""
-    if type(v) is not int:
-        raise TypeError(f"{what} must be an integer, not {v!r}")
-    if least is not None and v < least:
-        raise ValueError(f"{what} must be >= {least}, not {v}")
-    return v
-
-
-def node_from_json(nd):
-    """A Node from JSON: string ids and an integer orbit, else TypeError."""
-    node = Node(nd["id"], nd.get("parent"), nd.get("second_proximity"),
-                json_int(nd.get("orbit", 1), "orbit"))
-    if not isinstance(node.id, str) or not all(
-            v is None or isinstance(v, str)
-            for v in (node.parent, node.second_proximity)):
-        raise TypeError(f"node ids must be strings in {nd!r}")
-    return node
-
-
 def cluster_from_json(data):
-    """A cluster from JSON.  The forest is built before any weight is
-    read, so a forest violation is reported ahead of a malformed weight."""
-    nodes = [node_from_json(nd) for nd in data["nodes"]]
+    """A cluster from JSON: string ids, None where a node has no parent or
+    second proximity, and integer orbits and weights, else TypeError.  The
+    forest is built before any weight is read, so a forest violation is
+    reported ahead of a malformed weight."""
+    entries = json_value(data["nodes"], list, "nodes")
+
+    def ref(nd, key):
+        v = nd.get(key)
+        return None if v is None else json_value(v, str, key)
+
+    nodes = [Node(json_value(nd["id"], str, "id"), ref(nd, "parent"),
+                  ref(nd, "second_proximity"),
+                  json_value(nd.get("orbit", 1), int, "orbit"))
+             for nd in entries]
     forest = EnriquesForest(nodes)
-    weights = {n.id: json_int(nd["mult"], "mult")
-               for n, nd in zip(nodes, data["nodes"])}
+    weights = {n.id: json_value(nd["mult"], int, "mult")
+               for n, nd in zip(nodes, entries)}
     return WeightedMultiCluster(forest, weights)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .clusters import (WeightedMultiCluster, cluster_from_json,
-                       cluster_to_json, json_int, self_intersection,
-                       single_point, chain_cluster)
+                       cluster_to_json, self_intersection, single_point,
+                       chain_cluster)
 from .errors import EmptyCluster, HypothesisViolated, PlacementConflict
+from .field import json_value
 from .localeng import monomial_map, pullback_cluster
 
 GENERIC = "generic"
@@ -368,13 +369,13 @@ def config_to_json(c):
 
 def config_from_json(data):
     sing = tuple(SingularSpec(cluster_from_json(s["cluster"]),
-                              json_int(s["count"], "count"),
+                              json_value(s["count"], int, "count"),
                               s.get("placement", GENERIC))
-                 for s in data["sing"])
-    comps = tuple((json_int(cp["deg"], "deg", 1),
-                   json_int(cp["count"], "count", 1))
-                  for cp in data["components"])
-    marks = json_int(data.get("smooth_vertex_marks", 0),
-                     "smooth_vertex_marks", 0)
-    return PlaneConfig(degree=json_int(data["degree"], "degree", 1),
+                 for s in json_value(data["sing"], list, "sing"))
+    comps = tuple((json_value(cp["deg"], int, "deg", 1),
+                   json_value(cp["count"], int, "count", 1))
+                  for cp in json_value(data["components"], list, "components"))
+    marks = json_value(data.get("smooth_vertex_marks", 0), int,
+                       "smooth_vertex_marks", 0)
+    return PlaneConfig(degree=json_value(data["degree"], int, "degree", 1),
                        components=comps, sing=sing, smooth_vertex_marks=marks)

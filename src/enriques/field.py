@@ -554,12 +554,15 @@ def _pgcd_qq(f, g):
             for i, bv in enumerate(b):
                 r[k + i] -= lr * bv
             r = r[:-1]
-        cont = math.gcd(*r)
-        if cont > 1:
-            r = [v // cont for v in r]
-        a, b = b, r
+        a, b = b, _primitive(r)
     lead = a[-1]
     return tuple(Fraction(v, lead) for v in a)
+
+
+def _primitive(row):
+    """The ints of ``row`` over their gcd (``row`` itself if it is 0 or 1)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
 
 
 def pderiv(tw, f):
@@ -1238,20 +1241,24 @@ def _frac_from_json(s):
         raise ValueError(f"coefficient {s!r} has a zero denominator") from None
 
 
+def json_value(v, kind, what, least=None):
+    """``v``, read at the key ``what``, if its type is exactly ``kind``
+    (list, int or str), else TypeError: a bool is not an int, and a
+    string, which is iterable too, is not a list, so it is never read one
+    item per character.  An int below ``least`` is a ValueError."""
+    if type(v) is not kind:
+        name = {list: "a list", int: "an integer", str: "a string"}[kind]
+        raise TypeError(f"{what!r} is not {name}")
+    if least is not None and v < least:
+        raise ValueError(f"{what} must be >= {least}, not {v}")
+    return v
+
+
 def elem_to_json(tw, a):
     if not tw.levels:
         return rat_str(a)
     s = tw.sub()
     return {"ext": tw.top_var, "coeffs": [elem_to_json(s, c) for c in a]}
-
-
-def _json_list(value, key):
-    """``value``, read at ``key``, which must be a list: a string is
-    iterable too, and read in its place it would give one coefficient or
-    level per character, none for the empty string."""
-    if not isinstance(value, list):
-        raise TypeError(f"{key!r} is not a list")
-    return value
 
 
 def elem_from_json(tw, data):
@@ -1260,8 +1267,8 @@ def elem_from_json(tw, data):
     if not tw.levels or data.get("ext") != tw.top_var:
         raise ValueError("element does not match tower")
     s = tw.sub()
-    return reduce_mod(tw, [elem_from_json(s, c)
-                           for c in _json_list(data["coeffs"], "coeffs")])
+    coeffs = json_value(data["coeffs"], list, "coeffs")
+    return reduce_mod(tw, [elem_from_json(s, c) for c in coeffs])
 
 
 def tower_to_json(tw):
@@ -1290,22 +1297,20 @@ def tower_from_json(data):
     adjoined for its tangent form, runs within a recursion limit of 350
     frames, which leaves the default limit of 1000 room for the levels
     the engine adjoins, one per irrational direction it splits."""
-    levels = _json_list(data.get("levels", []), "levels")
+    levels = json_value(data.get("levels", []), list, "levels")
     if len(levels) > MAX_LEVELS:
         raise ValueError(f"tower of {len(levels)} levels; at most "
                          f"{MAX_LEVELS} are read")
     tw = QQ
     for level in levels:
-        if not isinstance(level["var"], str):
-            raise TypeError(f"level name {level['var']!r} is not a string")
-        modulus = tuple(elem_from_json(tw, c)
-                        for c in _json_list(level["modulus"], "modulus"))
-        tw = tw.extend(level["var"], modulus)
+        var = json_value(level["var"], str, "var")
+        modulus = tuple(elem_from_json(tw, c) for c in
+                        json_value(level["modulus"], list, "modulus"))
+        tw = tw.extend(var, modulus)
         if tw.depth == 1:
             factors = _factors_over_qq(modulus)
             if len(factors) != 1 or factors[0][1] != 1:
-                raise ValueError(f"modulus for {level['var']!r} is "
-                                 "reducible over QQ")
+                raise ValueError(f"modulus for {var!r} is reducible over QQ")
     return tw
 
 
@@ -1317,10 +1322,8 @@ def poly_to_json(p):
 
 def poly_from_json(tower, data):
     terms = {}
-    for i, j, c in data["terms"]:
-        if not all(type(e) is int and e >= 0 for e in (i, j)):
-            raise ValueError(f"exponents {i!r}, {j!r} are not non-negative "
-                             "integers")
+    for i, j, c in json_value(data["terms"], list, "terms"):
+        i, j = (json_value(e, int, "exponent", 0) for e in (i, j))
         if (i, j) in terms:
             raise ValueError(f"monomial x^{i} y^{j} appears twice")
         terms[(i, j)] = elem_from_json(tower, c)

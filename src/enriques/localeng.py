@@ -673,13 +673,13 @@ def _nullspace(rows, ncols):
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank] = _primitive(mat[rank])
+        prow = mat[rank] = F._primitive(mat[rank])
         p = prow[col]
         for r, row in enumerate(mat):
             fac = row[col]
             if r != rank and fac != 0:
-                mat[r] = _primitive([p * a - fac * b
-                                     for a, b in zip(row, prow)])
+                mat[r] = F._primitive([p * a - fac * b
+                                       for a, b in zip(row, prow)])
         pivots.append(col)
         rank += 1
         if rank == len(mat):
@@ -691,11 +691,6 @@ def _nullspace(rows, ncols):
              for row, pc in zip(mat, pivots) if row[fc] != 0]
         basis.append(sorted(v + [(fc, den)]))
     return den, basis
-
-
-def _primitive(row):
-    g = math.gcd(*row)
-    return row if g <= 1 else [a // g for a in row]
 
 
 def _verify_through(poly, k, directions):

@@ -331,26 +331,36 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("script", [False, True],
                              ids=["runner", "console-script"])
-    @pytest.mark.parametrize("name, key", [
-        ("germ_string_coeffs", "coeffs"), ("germ_string_modulus", "modulus"),
-        ("germ_string_levels", "levels")],
-        ids=["coeffs", "modulus", "levels"])
-    def test_string_for_a_list_exit_2(self, runner, script, name, key):
-        # "coeffs": "01" was read as the element s, "modulus": "201" as
-        # t^2 + 2, one coefficient per character, and "levels": "" as the
-        # tower Q, and each germ answered
+    @pytest.mark.parametrize("cmd, name, what, key", [
+        ("germ mult-cluster", "germ_string_coeffs", "polynomial", "coeffs"),
+        ("germ mult-cluster", "germ_string_modulus", "polynomial", "modulus"),
+        ("germ mult-cluster", "germ_string_levels", "polynomial", "levels"),
+        ("germ mult-cluster", "germ_string_terms", "polynomial", "terms"),
+        ("cluster check", "cluster_string_nodes", "cluster", "nodes"),
+        ("config h-index", "config_string_sing", "config", "sing"),
+        ("config h-index", "config_string_components", "config",
+         "components"),
+        ("config h-index", "config_string_cluster_nodes", "config", "nodes")],
+        ids=["coeffs", "modulus", "levels", "terms", "nodes", "sing",
+             "components", "sing-nodes"])
+    def test_string_for_a_list_exit_2(self, runner, script, cmd, name, what,
+                                      key):
+        # each string was once read one item per character: "coeffs": "01"
+        # as the element s, "modulus": "201" as t^2 + 2, "levels": "" as
+        # the tower Q, "nodes" and "components": "" as none, each with an
+        # answer, and "sing": "" as no singular points, a PlacementConflict
         path = str(DATA / f"{name}.json")
         if script:
             env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
             res = subprocess.run(
                 [sys.executable, "-c", "from enriques.cli import main; main()",
-                 "germ", "mult-cluster", path],
+                 *cmd.split(), path],
                 env=env, capture_output=True, text=True, timeout=120)
             got = res.returncode, res.stdout, res.stderr
         else:
-            res = run(runner, ["germ", "mult-cluster", path])
+            res = run(runner, [*cmd.split(), path])
             got = res.exit_code, res.stdout, res.stderr
-        assert got == (2, "", f"ParseError: malformed polynomial: {key!r} "
+        assert got == (2, "", f"ParseError: malformed {what}: {key!r} "
                               "is not a list\n")
 
     def test_zero_denominator_exit_2(self, runner, tmp_path):
@@ -463,7 +473,7 @@ class TestExitCodes:
          "coefficient '1e999999999' is not p/q"),
         (["map", "pullback", "map_tower_list_name.json",
           "cluster_two_on_root.json", "--seed", "3"],
-         "level name ['s'] is not a string")],
+         "'var' is not a string")],
         ids=["exponent-coefficient", "list-level-name"])
     def test_malformed_tower_input_exit_2(self, runner, args, message):
         # Fraction reads "1e999999999" and builds 10^999999999 in full; a

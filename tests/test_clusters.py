@@ -187,6 +187,11 @@ class TestJson:
         k = chain_cluster([3, 2, 1], satellites={2: 0}, orbit=2)
         assert cluster_from_json(cluster_to_json(k)) == k
 
+    def test_string_nodes_rejected(self):
+        # a string is iterable, but "" is not the empty cluster
+        with pytest.raises(TypeError, match="'nodes' is not a list"):
+            cluster_from_json({"nodes": ""})
+
     @pytest.mark.parametrize("nodes, weights, match", [
         ([Node("p"), Node("q", "p")], {"p": 1}, "missing weight for q"),
         ([Node("p")], {"p": 1, "r": 2}, r"unknown nodes \['r'\]"),

@@ -315,3 +315,9 @@ class TestJson:
         for c in (triangle(), fermat(3), wiman(vertex_triples=3),
                   klein_polars()):
             assert config_from_json(config_to_json(c)) == c
+
+    def test_string_sing_rejected(self):
+        # "sing": "" is not a configuration with no singular points
+        data = dict(config_to_json(triangle()), sing="")
+        with pytest.raises(TypeError, match="'sing' is not a list"):
+            config_from_json(data)
