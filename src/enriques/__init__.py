@@ -17,9 +17,9 @@ from .localeng import (Germ, LocalMap, base_points, curves_through,
                        fixed_part, intersection_multiplicity, local_degree,
                        map_multiplicity, monomial_map, mult_cluster,
                        pullback_cluster, shared_cluster)
-from .configs import (KummerSpec, PlaneConfig, SingularSpec,
-                      config_from_json, config_to_json, fermat, h_bound_gap,
-                      h_index, klein_closed_forms, klein_lines, klein_polars,
+from .configs import (PlaneConfig, SingularSpec, config_from_json,
+                      config_to_json, fermat, h_bound_gap, h_index,
+                      klein_closed_forms, klein_lines, klein_polars,
                       klein_recursion, klein_report, klein_S_cluster,
                       klein_state, kummer_pullback, pullback_theorem_check,
                       strict_gap_demo, theorem_b_family, triangle, wiman)

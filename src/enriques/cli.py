@@ -15,7 +15,7 @@ from . import configs as C
 from . import clusters as CL
 from . import localeng as L
 from .errors import EnriquesError, HypothesisViolated, ModulusSplit, ParseError
-from .field import poly_from_json, rat_str, tower_from_json
+from .field import json_value, poly_from_json, rat_str, tower_from_json
 
 
 def dec10(q):
@@ -84,10 +84,12 @@ def malformed(what):
         raise ParseError(f"malformed {what}: {e}") from None
 
 
-def parse_poly(data):
+def parse_poly(data, key="germ"):
+    """The ``"poly"`` (else the whole object) at ``key`` over its tower."""
     with malformed("polynomial"):
+        data = json_value(data, dict, key)
         tower = tower_from_json(data.get("tower", {"levels": []}))
-        return poly_from_json(tower, data["poly"] if "poly" in data else data)
+        return poly_from_json(tower, data.get("poly", data))
 
 
 def parse_cluster(data):
@@ -215,11 +217,11 @@ def germ_mult_cluster(file, fmt, out):
 
 def parse_map(data):
     """A map germ, which must be dominant: a Jacobian determinant that
-    vanishes identically is rejected here, where maps enter, and not in
-    ``LocalMap``, which also carries germ pairs that share a component."""
+    vanishes identically is rejected here, where maps enter."""
     with malformed("map"):
-        f = L.LocalMap.from_polys(parse_poly(data["f1"]),
-                                  parse_poly(data["f2"]))
+        data = json_value(data, dict, "map")
+        f = L.LocalMap.from_polys(parse_poly(data["f1"], "f1"),
+                                  parse_poly(data["f2"], "f2"))
     p1, p2 = f.f1.poly, f.f2.poly
     if p1.tower != p2.tower:
         raise ParseError("malformed map: f1 and f2 are over different towers")
@@ -294,7 +296,7 @@ def config_h_index(file, fmt, out):
 def config_kummer(file, k, seed, out):
     """Configuration pulled back by the degree-k^2 Kummer cover."""
     c = parse_config(load_json(file))
-    new = C.kummer_pullback(c, C.KummerSpec(k), seed)
+    new = C.kummer_pullback(c, k, seed)
     write(json.dumps(C.config_to_json(new), indent=2) + "\n", out)
 
 
@@ -306,7 +308,7 @@ def config_kummer(file, k, seed, out):
 def config_verify_pullback(file, k, seed, fmt, out):
     """Check H(f*C, f*K) against H(C, K) for the Kummer cover."""
     c = parse_config(load_json(file))
-    lhs, rhs, strict = C.pullback_theorem_check(c, C.KummerSpec(k), seed)
+    lhs, rhs, strict = C.pullback_theorem_check(c, k, seed)
     ok = lhs < rhs if strict else lhs <= rhs
     emit([{"lhs": rat_str(lhs), "rhs": rat_str(rhs),
            "strict_expected": strict, "holds": ok,

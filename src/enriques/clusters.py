@@ -235,7 +235,8 @@ def cluster_from_json(data):
     second proximity, and integer orbits and weights, else TypeError.  The
     forest is built before any weight is read, so a forest violation is
     reported ahead of a malformed weight."""
-    entries = json_value(data["nodes"], list, "nodes")
+    entries = [json_value(nd, dict, "node") for nd in json_value(
+        json_value(data, dict, "cluster")["nodes"], list, "nodes")]
 
     def ref(nd, key):
         v = nd.get(key)

@@ -34,15 +34,6 @@ class SingularSpec:
 
 
 @dataclass(frozen=True)
-class KummerSpec:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("Kummer exponent must be >= 2")
-
-
-@dataclass(frozen=True)
 class PlaneConfig:
     """degree, components [(deg, count)], singular clusters, and the number
     of coordinate vertices sitting at smooth points of the curve."""
@@ -162,7 +153,7 @@ def klein_polars():
 # Kummer transport
 # ---------------------------------------------------------------------------
 
-def kummer_pullback(c, s, seed=0):
+def kummer_pullback(c, k, seed=0):
     """Transport a configuration through the degree-k^2 Kummer cover.
 
     Generic singular points get k^2 isomorphic copies; a point at a
@@ -172,7 +163,8 @@ def kummer_pullback(c, s, seed=0):
     ordinary point of multiplicity k.  A pullback under (x^k, y^b) with
     (f*K)^2 != deg f K^2, deg f = k b, raises ``PlacementConflict``.
     """
-    k = s.k
+    if k < 2:
+        raise ValueError("Kummer exponent must be >= 2")
 
     def pulled(cluster, b):
         pb = pullback_cluster(monomial_map(k, b), cluster, seed)
@@ -201,11 +193,10 @@ def kummer_pullback(c, s, seed=0):
 def theorem_b_family(k, seed=0):
     """h of the Kummer pullback of Wiman's arrangement with three of the
     triple points placed at the coordinate vertices."""
-    return h_index(kummer_pullback(wiman(vertex_triples=3), KummerSpec(k),
-                                   seed))
+    return h_index(kummer_pullback(wiman(vertex_triples=3), k, seed))
 
 
-def pullback_theorem_check(c, s, seed=0):
+def pullback_theorem_check(c, k, seed=0):
     """(H(f*C, f*K), H(C, K), strict_expected) for K = Mult(C).
 
     Smooth vertex marks are not part of K, so their preimages are left
@@ -219,7 +210,7 @@ def pullback_theorem_check(c, s, seed=0):
     if rhs > 0:
         raise HypothesisViolated("the theorem needs H(C, K) <= 0")
     stripped = replace(c, smooth_vertex_marks=0)
-    new = kummer_pullback(stripped, s, seed)
+    new = kummer_pullback(stripped, k, seed)
     lhs = h_index(new)
     strict_expected = any(sp.placement == VERTEX for sp in c.sing)
     return lhs, rhs, strict_expected
@@ -257,7 +248,7 @@ def strict_gap_demo(c, k, variant="smooth", seed=0):
         tagged = replace(c, sing=tuple(sing))
     else:
         raise ValueError("variant must be 'smooth' or 'vertex'")
-    new = kummer_pullback(tagged, KummerSpec(k), seed)
+    new = kummer_pullback(tagged, k, seed)
     new_h = h_index(new)
     return new, old_h, new_h
 
@@ -368,13 +359,19 @@ def config_to_json(c):
 
 
 def config_from_json(data):
+    data = json_value(data, dict, "config")
+
+    def objects(key, what):
+        return [json_value(v, dict, what)
+                for v in json_value(data[key], list, key)]
+
     sing = tuple(SingularSpec(cluster_from_json(s["cluster"]),
                               json_value(s["count"], int, "count"),
                               s.get("placement", GENERIC))
-                 for s in json_value(data["sing"], list, "sing"))
+                 for s in objects("sing", "singular point"))
     comps = tuple((json_value(cp["deg"], int, "deg", 1),
                    json_value(cp["count"], int, "count", 1))
-                  for cp in json_value(data["components"], list, "components"))
+                  for cp in objects("components", "component"))
     marks = json_value(data.get("smooth_vertex_marks", 0), int,
                        "smooth_vertex_marks", 0)
     return PlaneConfig(degree=json_value(data["degree"], int, "degree", 1),

@@ -1243,12 +1243,16 @@ def _frac_from_json(s):
 
 def json_value(v, kind, what, least=None):
     """``v``, read at the key ``what``, if its type is exactly ``kind``
-    (list, int or str), else TypeError: a bool is not an int, and a
-    string, which is iterable too, is not a list, so it is never read one
-    item per character.  An int below ``least`` is a ValueError."""
-    if type(v) is not kind:
-        name = {list: "a list", int: "an integer", str: "a string"}[kind]
-        raise TypeError(f"{what!r} is not {name}")
+    (list, int, str or dict, or a tuple of them), else TypeError: a bool
+    is not an int, and a string, which is iterable too, is not a list, so
+    it is never read one item per character.  An int below ``least`` is a
+    ValueError."""
+    kinds = kind if type(kind) is tuple else (kind,)
+    if type(v) not in kinds:
+        names = {list: "a list", int: "an integer", str: "a string",
+                 dict: "an object"}
+        raise TypeError(f"{what!r} is not "
+                        + " or ".join(names[k] for k in kinds))
     if least is not None and v < least:
         raise ValueError(f"{what} must be >= {least}, not {v}")
     return v
@@ -1262,9 +1266,11 @@ def elem_to_json(tw, a):
 
 
 def elem_from_json(tw, data):
-    if isinstance(data, str):
+    """A coefficient: ``p/q``, or over a tower also ``{"ext", "coeffs"}``."""
+    json_value(data, (str, dict) if tw.levels else str, "coefficient")
+    if type(data) is str:
         return from_rational(tw, _frac_from_json(data))
-    if not tw.levels or data.get("ext") != tw.top_var:
+    if data.get("ext") != tw.top_var:
         raise ValueError("element does not match tower")
     s = tw.sub()
     coeffs = json_value(data["coeffs"], list, "coeffs")
@@ -1297,12 +1303,14 @@ def tower_from_json(data):
     adjoined for its tangent form, runs within a recursion limit of 350
     frames, which leaves the default limit of 1000 room for the levels
     the engine adjoins, one per irrational direction it splits."""
+    data = json_value(data, dict, "tower")
     levels = json_value(data.get("levels", []), list, "levels")
     if len(levels) > MAX_LEVELS:
         raise ValueError(f"tower of {len(levels)} levels; at most "
                          f"{MAX_LEVELS} are read")
     tw = QQ
     for level in levels:
+        level = json_value(level, dict, "level")
         var = json_value(level["var"], str, "var")
         modulus = tuple(elem_from_json(tw, c) for c in
                         json_value(level["modulus"], list, "modulus"))
@@ -1322,7 +1330,9 @@ def poly_to_json(p):
 
 def poly_from_json(tower, data):
     terms = {}
-    for i, j, c in json_value(data["terms"], list, "terms"):
+    for term in json_value(json_value(data, dict, "poly")["terms"], list,
+                           "terms"):
+        i, j, c = json_value(term, list, "term")
         i, j = (json_value(e, int, "exponent", 0) for e in (i, j))
         if (i, j) in terms:
             raise ValueError(f"monomial x^{i} y^{j} appears twice")

@@ -17,12 +17,12 @@ the multiplicity cluster of a germ, the base points (and so the local
 degree) of a map germ, and the shared points of two germs (the shared
 cluster, and the certificate of the curves through a cluster).  Each entry
 point passes a ``step(polys)`` that reads the current strict transforms
-and returns either None (no point recorded, stop) or a pair
-``(fields, exps)``: the weights of the new point and the exceptional
-exponent divided out of each polynomial at the next blowup (None: the
-polynomial misses the point and is carried unchanged); the first two
-polynomials span the tangent cone.  ``_chart_int`` works on integer
-leaves: ``F.int_poly`` makes them on entry, and charts keep them.
+and returns either None (no point recorded, stop) or ``exps``, the
+exceptional exponent divided out of each polynomial at the next blowup
+(None: the polynomial misses the point and is carried unchanged); the
+entry point reads the point's weights from ``exps`` by index, and the
+first two polynomials span the tangent cone.  ``_chart_int`` works on
+integer leaves: ``F.int_poly`` makes them on entry, and charts keep them.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ class Germ:
 @dataclass(frozen=True)
 class LocalMap:
     """A map germ (f1, f2), both components non-invertible; dominance is
-    checked where maps enter, and germs sharing a component pass too."""
+    checked where maps enter (``cli.parse_map``)."""
 
     f1: Germ
     f2: Germ
@@ -186,8 +186,8 @@ def _form_t(p, n):
 
 
 def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
-    """Entries (id, parent, second, orbit and step's fields) of every
-    point that ``step`` records, ancestor-first along each branch.
+    """A record ``(clusters.Node, exps from step)`` of every point that
+    ``step`` records, ancestor-first along each branch.
 
     Invariants the entry points rely on:
 
@@ -201,7 +201,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
       polynomials as it is, gcd'd with the other (one is never made monic);
     * the vertical direction is taken iff every spanning form is zero or
       divisible by x;
-    * each branch returns its own entry list, so a branch that is redone
+    * each branch returns its own record list, so a branch that is redone
       leaves nothing behind.
 
     A finite ``budget`` is for the pencil step of ``pullback_cluster``:
@@ -210,9 +210,9 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
     takes its children in turn.  A child of orbit ofac times the point's
     gets the budget left // ofac.  After each direction, all the D5
     branches of its level together, ``left`` drops by the sum of orbit_e
-    nu_e^2 // orbit over the entries it returned; the vertical child gets
-    what is left.  Each chart into a child drops the terms of total degree
-    above the child's budget.  The entries are still those of the
+    nu_e^2 // orbit over the records e it returned; the vertical child
+    gets what is left.  Each chart into a child drops the terms of total degree
+    above the child's budget.  The records are still those of the
     untruncated run, byte for byte.  Write I_p for the intersection number
     at p of the untruncated transforms and b_p for p's budget.  Every held
     transform is a rational multiple of the untruncated one with the terms
@@ -226,7 +226,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
       ofac conjugate points, which have equal I, so I_p = nu^2 + the sum
       of r_q I_q over the children.  Below an earlier child q' the same
       formula gives r_q' I_q' >= the sum of orbit_e nu_e^2 / orbit over
-      the entries e it returned, and r_q' I_q' is an integer, so it is at
+      the records e it returned, and r_q' I_q' is an integer, so it is at
       least the floor taken here.  So r_q I_q <= left, and I_q <= left //
       r_q = b_q <= b_p - nu^2; a budget below nu^2 contradicts this and
       raises ``BudgetExceeded``, never truncates on;
@@ -245,24 +245,20 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
       tangent forms; so the directions, ids and D5 splits are the same.
     """
     ids = itertools.count(1)
-    nus = {}
 
     def rec(tw, polys, parent, second, markers, orbit, depth, budget):
         if depth > cap:
             raise BudgetExceeded(f"blowup recursion exceeded {cap} blowups")
         if any(p.is_zero() for p in polys):
             raise BudgetExceeded("a truncated transform is zero")
-        node = step(polys)
-        if node is None:
+        exps = step(polys)
+        if exps is None:
             return []
-        fields, exps = node
         left = budget - exps[0] ** 2
         if left < 0:
             raise BudgetExceeded("a point exceeds the colength budget")
         nid = f"q{next(ids):03d}"
-        nus[nid] = exps[0]
-        entries = [{"id": nid, "parent": parent, "second": second,
-                    "orbit": orbit, **fields}]
+        records = [(Node(nid, parent, second, orbit), exps)]
         forms = [_form_t(p, e) for p, e in zip(polys[:2], exps)]
         tco = functools.reduce(lambda a, b: pgcd(tw, a, b),
                                [f for f, _ in forms if f is not None])
@@ -290,23 +286,23 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
                 # modulus a branch ends with gives the orbit size
                 res = [e for _, r in branched(ext, ext.top_var, lambda t: go(
                     t, generator(t), len(t.top_modulus) - 1)) for e in r]
-            entries.extend(res)
-            left -= sum(e["orbit"] * nus[e["id"]] ** 2 for e in res) // orbit
+            records.extend(res)
+            left -= sum(n.orbit * e[0] ** 2 for n, e in res) // orbit
         if all(f is None or xm > 0 for f, xm in forms):
             hs = [p if e is None else _relabel(p, e, "y", left)
                   for p, e in zip(polys, exps)]
-            entries.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
+            records.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
                                orbit, depth + 1, left))
-        return entries
+        return records
 
     polys = [F.int_poly(tw, p.terms)[0] for p in polys]
     return rec(tw, polys, None, None, (None, None), 1, 0, budget)
 
 
-def _entries_to_cluster(entries, key="mult"):
-    nodes = [Node(e["id"], e["parent"], e["second"], e["orbit"])
-             for e in entries]
-    return WeightedMultiCluster(nodes, {e["id"]: e[key] for e in entries})
+def _entries_to_cluster(records, i=0):
+    """The cluster of ``_blowups`` records, node n weighted by exps[i]."""
+    return WeightedMultiCluster([n for n, _ in records],
+                                {n.id: e[i] for n, e in records})
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +407,7 @@ def mult_cluster(g):
         left[0] -= m * (m - 1) // 2
         if left[0] < math.inf and (left[0] < 0 or q.total_degree() > 2 * d):
             certify()
-        return {"mult": m}, (m,)
+        return (m,)
 
     try:
         return _entries_to_cluster(_blowups(g.tower, (p,), step))
@@ -429,34 +425,34 @@ def map_multiplicity(f):
     return min(f.f1.order(), f.f2.order())
 
 
-def fixed_part(f):
-    """(contracted curve F or None, (r1, r2)): the components of f with
-    their gcd removed; r1 or r2 may be a unit."""
-    d = F.poly_gcd(f.f1.poly, f.f2.poly)
+def fixed_part(p1, p2):
+    """(common curve F through the origin or None, (r1, r2)): p1 and p2
+    with their gcd removed; r1 or r2 may be a unit."""
+    d = F.poly_gcd(p1, p2)
     if d.total_degree() == 0:
-        return None, (f.f1.poly, f.f2.poly)
+        return None, (p1, p2)
     contracted = Germ(d) if d.order() >= 1 else None
-    return contracted, (F.exact_div(f.f1.poly, d), F.exact_div(f.f2.poly, d))
+    return contracted, (F.exact_div(p1, d), F.exact_div(p2, d))
 
 
 def base_points(f):
     """The weighted cluster of base points of the pencil of f."""
-    contracted, (p1, p2) = fixed_part(f)
-    return _pencil_points(p1, p2, contracted)[0]
+    contracted, (p1, p2) = fixed_part(f.f1.poly, f.f2.poly)
+    return _entries_to_cluster(_pencil_points(p1, p2, contracted))
 
 
 def _pencil_points(p1, p2, contracted, budget=math.inf):
-    """(cluster, fmults): the weighted base points of the pencil (p1, p2),
-    with the multiplicity of the contracted curve at each (0 for None).
-    A finite ``budget`` bounds I_0(p1, p2) and truncates the transforms
-    (``_blowups``).
+    """``_blowups`` records of the base points of the pencil (p1, p2),
+    with exps (nu, nu, fm or None): the weight, and the multiplicity of
+    the contracted curve.  A finite ``budget`` bounds I_0(p1, p2) and
+    truncates the transforms (``_blowups``).
 
     p1 and p2 are not made coprime here: ``base_points`` and
     ``local_degree`` pass the quotients by their gcd, and
     ``pullback_cluster`` a pair that shares no component through the
     origin by construction."""
     if p1.order() < 1 or p2.order() < 1:
-        return (WeightedMultiCluster([], {}), {})
+        return []
     polys = (p1, p2) if contracted is None else (p1, p2, contracted.poly)
 
     def step(polys):
@@ -464,23 +460,16 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
         # polynomial; it does not span the tangent cone
         nu = min(polys[0].order(), polys[1].order())
         fm = polys[2].order() if len(polys) > 2 else 0
-        exps = (nu, nu, fm or None)[:len(polys)]
-        return {"mult": nu, "fmult": fm}, exps
+        return nu, nu, fm or None
 
-    entries = _blowups(p1.tower, polys, step, budget=budget)
-    fmults = {e["id"]: e["fmult"] for e in entries}
-    return _entries_to_cluster(entries), fmults
+    return _blowups(p1.tower, polys, step, budget=budget)
 
 
 def local_degree(f):
     """deg_p(f) = sum over base points of orbit * (nu^2 + nu * mult(F))."""
-    contracted, (p1, p2) = fixed_part(f)
-    cluster, fmults = _pencil_points(p1, p2, contracted)
-    total = 0
-    for n in cluster.forest.nodes:
-        nu = cluster.weights[n.id]
-        total += n.orbit * (nu * nu + nu * fmults[n.id])
-    return total
+    contracted, (p1, p2) = fixed_part(f.f1.poly, f.f2.poly)
+    return sum(n.orbit * nu * (nu + (fm or 0))
+               for n, (nu, _, fm) in _pencil_points(p1, p2, contracted))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +496,7 @@ def intersection_multiplicity(a, b):
     test, inversion or ``ModulusSplit`` changes.
     """
     tw = a.tower
-    contracted, pair = fixed_part(LocalMap(a, b))
+    contracted, pair = fixed_part(a.poly, b.poly)
     if contracted is not None:
         return math.inf
     pa, pb = (F.int_poly(tw, p.terms)[0] for p in pair)
@@ -553,27 +542,25 @@ def _try_resultant_order(tw, qa, qb):
 def shared_cluster(a, b):
     """Clusters of the common infinitely near points of two coprime germs,
     weighted by each germ's multiplicities, over one shared forest."""
-    if fixed_part(LocalMap(a, b))[0] is not None:
+    if fixed_part(a.poly, b.poly)[0] is not None:
         raise HypothesisViolated("germs share a component through the origin")
-    entries = _shared_points(a.poly, b.poly)
-    return (_entries_to_cluster(entries, "ma"),
-            _entries_to_cluster(entries, "mb"))
+    records = _shared_points(a.poly, b.poly)
+    return _entries_to_cluster(records, 0), _entries_to_cluster(records, 1)
 
 
 def _shared_points(p, q, cap=MAX_DEPTH):
-    """``_blowups`` entries of the points p and q share, weighted "ma" and
-    "mb" by their multiplicities.  A component through the origin that p
-    and q share is never separated, so then ``BudgetExceeded`` is raised
-    past ``cap`` blowups.
+    """``_blowups`` records of the points p and q share, with exps their
+    multiplicities (m_p, m_q).  A component through the origin that p and
+    q share is never separated, so then ``BudgetExceeded`` is raised past
+    ``cap`` blowups.
 
     A point with a multiplicity 0 has no children, so the d ancestors of
     a point at depth d all have both multiplicities >= 1, and the Noether
-    sum over the entries is already >= d: a caller that rejects any sum
+    sum over the records is already >= d: a caller that rejects any sum
     above n loses no verdict with ``cap = n``."""
 
     def step(polys):
-        m1, m2 = polys[0].order(), polys[1].order()
-        return {"ma": m1, "mb": m2}, (m1, m2)
+        return polys[0].order(), polys[1].order()
 
     return _blowups(p.tower, (p, q), step, cap)
 
@@ -822,8 +809,8 @@ def _curves_at_degree(k, seed, D):
             last = "sampled member has excess multiplicity at a cluster point"
             continue
         try:
-            inter = sum(e["orbit"] * e["ma"] * e["mb"]
-                        for e in _shared_points(w, z, cap))
+            inter = sum(n.orbit * e[0] * e[1]
+                        for n, e in _shared_points(w, z, cap))
         except BudgetExceeded:
             inter = math.inf
         if inter == k2:
@@ -852,17 +839,18 @@ def pullback_cluster(f, k, seed=0):
     exceptional curve of the other point it is proximate to.  f*(K) is
     the pullback of K in that position.
 
-    ``fixed_part(f)`` is the finiteness check; the composed pair goes to
-    the pencil step without a gcd of its own.  A component C through the
-    origin of both w o f and z o f would map under f either onto a curve
-    germ lying on w = 0 and on z = 0, against I_0(w, z) = K^2 < infinity,
-    or onto the origin, which puts C inside f1 = f2 = 0 against finiteness.
-    A common factor missing the origin is a unit u at every point over
-    the origin: u(0) scales each tangent form and moves no order,
-    direction or unit, as a rational scale does in the recursion, so the
-    entries, ids and D5 splits are those of the reduced pair.  Were a shared component
-    left, the recursion would never separate it and would raise
-    ``BudgetExceeded`` at its cap, not return a wrong cluster.
+    ``fixed_part(f1, f2)`` is the finiteness check; the composed pair
+    goes to the pencil step without a gcd of its own.  A component C
+    through the origin of both w o f and z o f would map under f either
+    onto a curve germ lying on w = 0 and on z = 0, against I_0(w, z) =
+    K^2 < infinity, or onto the origin, which puts C inside f1 = f2 = 0
+    against finiteness.  A common factor missing the origin is a unit u
+    at every point over the origin: u(0) scales each tangent form and
+    moves no order, direction or unit, as a rational scale does in the
+    recursion, so the records, ids and D5 splits are those of the reduced
+    pair.  Were a shared component left, the recursion would never
+    separate it and would raise ``BudgetExceeded`` at its cap, not return
+    a wrong cluster.
 
     The pencil step runs with the budget B = tdeg f1 tdeg f2 K^2, which
     bounds I_0(w o f, z o f) = deg f I_0(w, z) = deg f K^2, the law
@@ -871,7 +859,7 @@ def pullback_cluster(f, k, seed=0):
     On monomial maps B is deg f K^2 exactly.  ``_blowups`` proves that the
     budget changes no output.
     """
-    contracted, _ = fixed_part(f)
+    contracted, _ = fixed_part(f.f1.poly, f.f2.poly)
     if contracted is not None:
         raise ContractedCurvePresent(
             "pullback is only defined for finite map germs")
@@ -881,7 +869,7 @@ def pullback_cluster(f, k, seed=0):
     w, z = (_compose_int(g.poly, f1, f2) for g in curves_through(k, seed))
     budget = (f1[0].total_degree() * f2[0].total_degree()
               * self_intersection(k))
-    return _pencil_points(w, z, None, budget)[0]
+    return _entries_to_cluster(_pencil_points(w, z, None, budget))
 
 
 def _compose_int(w, f1, f2):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from enriques import (QQ, BiPoly, Germ, KummerSpec, base_points,
+from enriques import (QQ, BiPoly, Germ, base_points,
                       chain_cluster, fermat, h_index,
                       intersection_multiplicity, is_consistent, klein_lines,
                       klein_report, local_degree, map_multiplicity,
@@ -180,11 +180,10 @@ def test_criterion_8_pullback_h_instances():
     ok = True
     # triangle -> Fermat: generic placement, no ramified cluster point
     for k in (2, 3):
-        lhs, rhs, strict = pullback_theorem_check(triangle(), KummerSpec(k))
+        lhs, rhs, strict = pullback_theorem_check(triangle(), k)
         ok = ok and lhs <= rhs and not strict
     # Wiman -> Theorem B: three triple points at the vertices, strict drop
-    lhs, rhs, strict = pullback_theorem_check(wiman(vertex_triples=3),
-                                              KummerSpec(2))
+    lhs, rhs, strict = pullback_theorem_check(wiman(vertex_triples=3), 2)
     ok = ok and strict and lhs < rhs == Fraction(-225, 67)
     # strict-gap demonstrations: new_h < old_h exactly
     for cfg, k, variant in ((fermat(2), 3, "smooth"), (wiman(), 2, "vertex"),

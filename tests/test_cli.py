@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from enriques.cli import main
 from enriques.clusters import cluster_to_json, single_point, chain_cluster
-from enriques import field
+from enriques import configs, field
 from enriques.field import generator, poly_to_json, tower_to_json
 from enriques import QQ, BiPoly
 
@@ -31,6 +31,19 @@ def runner():
 
 def run(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def run_either(runner, script, args):
+    """(exit code, stdout, stderr) of the CLI on ``args``, from CliRunner
+    or, with ``script``, from a fresh interpreter."""
+    if not script:
+        res = run(runner, args)
+        return res.exit_code, res.stdout, res.stderr
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    res = subprocess.run(
+        [sys.executable, "-c", "from enriques.cli import main; main()", *args],
+        env=env, capture_output=True, text=True, timeout=120)
+    return res.returncode, res.stdout, res.stderr
 
 
 def write(tmp_path, name, data):
@@ -189,6 +202,18 @@ class TestConfigCommands:
         assert row["holds"] is True
 
 
+    def test_verify_pullback_fails_exit_1(self, runner, monkeypatch):
+        # a check that does not hold still prints its row, then exits 1
+        monkeypatch.setattr(configs, "pullback_theorem_check",
+                            lambda c, k, seed: (Fraction(1), Fraction(0),
+                                                False))
+        res = run(runner, ["config", "verify-pullback",
+                           str(DATA / "config.json"), "--k", "2",
+                           "--format", "json"])
+        assert res.exit_code == 1
+        row = json.loads(res.stdout)[0]
+        assert (row["lhs"], row["rhs"], row["holds"]) == ("1/1", "0/1", False)
+
 class TestSweeps:
     def test_klein_bound_rows(self, runner):
         res = run(runner, ["sweep", "klein-bound", "--kmax", "5",
@@ -312,15 +337,7 @@ class TestExitCodes:
             path = write(tmp_path, f"g{n}.json", {
                 "tower": {"levels": levels},
                 "poly": poly_to_json(Y ** 2 - 3 * X ** 2 + X ** 5)})
-            if not script:
-                res = run(runner, ["germ", "mult-cluster", path])
-                return res.exit_code, res.stdout, res.stderr
-            env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
-            res = subprocess.run(
-                [sys.executable, "-c", "from enriques.cli import main; main()",
-                 "germ", "mult-cluster", path],
-                env=env, capture_output=True, text=True, timeout=120)
-            return res.returncode, res.stdout, res.stderr
+            return run_either(runner, script, ["germ", "mult-cluster", path])
 
         cap = field.MAX_LEVELS
         code, out, _ = invoke(cap)
@@ -349,19 +366,49 @@ class TestExitCodes:
         # as the element s, "modulus": "201" as t^2 + 2, "levels": "" as
         # the tower Q, "nodes" and "components": "" as none, each with an
         # answer, and "sing": "" as no singular points, a PlacementConflict
-        path = str(DATA / f"{name}.json")
-        if script:
-            env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
-            res = subprocess.run(
-                [sys.executable, "-c", "from enriques.cli import main; main()",
-                 *cmd.split(), path],
-                env=env, capture_output=True, text=True, timeout=120)
-            got = res.returncode, res.stdout, res.stderr
-        else:
-            res = run(runner, [*cmd.split(), path])
-            got = res.exit_code, res.stdout, res.stderr
+        got = run_either(runner, script,
+                         [*cmd.split(), str(DATA / f"{name}.json")])
         assert got == (2, "", f"ParseError: malformed {what}: {key!r} "
                               "is not a list\n")
+
+    @pytest.mark.parametrize("script", [False, True],
+                             ids=["runner", "console-script"])
+    @pytest.mark.parametrize("cmd, name, message", [
+        ("cluster check", "cluster_string_node",
+         "cluster: 'node' is not an object"),
+        ("germ mult-cluster", "germ_int_coefficient",
+         "polynomial: 'coefficient' is not a string"),
+        ("germ mult-cluster", "germ_int_term",
+         "polynomial: 'term' is not a list"),
+        ("germ mult-cluster", "germ_tower_int_coefficient",
+         "polynomial: 'coefficient' is not a string or an object"),
+        ("germ mult-cluster", "germ_int_level",
+         "polynomial: 'level' is not an object"),
+        ("cluster check", "list_document",
+         "cluster: 'cluster' is not an object"),
+        ("config h-index", "list_document",
+         "config: 'config' is not an object"),
+        ("germ mult-cluster", "list_document",
+         "polynomial: 'germ' is not an object"),
+        ("map bp", "list_document", "map: 'map' is not an object"),
+        ("map degree", "map_int_component",
+         "polynomial: 'f2' is not an object"),
+        ("config h-index", "config_int_component",
+         "config: 'component' is not an object"),
+        ("config h-index", "config_int_sing",
+         "config: 'singular point' is not an object")],
+        ids=["node", "coefficient", "term", "tower-coefficient", "level",
+             "cluster-document", "config-document", "germ-document",
+             "map-document", "map-component", "component", "sing"])
+    def test_wrong_json_type_names_its_key(self, runner, script, cmd, name,
+                                           message):
+        # each was once reported in Python's words, such as "string
+        # indices must be integers" for a node, "cannot unpack
+        # non-iterable int object" for a term or "'int' object has no
+        # attribute 'get'" for a coefficient over Q(s)
+        got = run_either(runner, script,
+                         [*cmd.split(), str(DATA / f"{name}.json")])
+        assert got == (2, "", f"ParseError: malformed {message}\n")
 
     def test_zero_denominator_exit_2(self, runner, tmp_path):
         gf = write(tmp_path, "g.json", {"vars": ["x", "y"], "terms": [

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from enriques import configs
-from enriques import (HypothesisViolated, KummerSpec, PlaneConfig,
-                      PlacementConflict, SingularSpec, chain_cluster,
-                      config_from_json, config_to_json, fermat, h_bound_gap,
+from enriques import (HypothesisViolated, PlaneConfig, PlacementConflict,
+                      SingularSpec, chain_cluster, config_from_json,
+                      config_to_json, fermat, h_bound_gap,
                       h_index, klein_closed_forms, klein_lines, klein_polars,
                       klein_recursion, klein_report, klein_S_cluster,
                       klein_state, kummer_pullback, pullback_theorem_check,
@@ -93,13 +93,13 @@ class TestPlaneConfigInvariants:
 
     def test_kummer_spec_floor(self):
         with pytest.raises(ValueError):
-            KummerSpec(1)
+            kummer_pullback(triangle(), 1)
 
 
 class TestKummerTransport:
     def test_triangle_becomes_fermat(self):
         for k in (2, 3, 4):
-            new = kummer_pullback(triangle(), KummerSpec(k))
+            new = kummer_pullback(triangle(), k)
             ref = fermat(k)
             assert new.degree == ref.degree
             assert h_index(new) == h_index(ref)
@@ -108,11 +108,11 @@ class TestKummerTransport:
 
     def test_degree_scales_by_k(self):
         for k in (2, 3):
-            new = kummer_pullback(wiman(vertex_triples=3), KummerSpec(k))
+            new = kummer_pullback(wiman(vertex_triples=3), k)
             assert new.degree == k * 45
 
     def test_generic_points_multiply(self):
-        new = kummer_pullback(wiman(), KummerSpec(2))
+        new = kummer_pullback(wiman(), 2)
         assert mult_size(new) == 4 * 201
         assert sigma_m2(new) == 4 * 2700
 
@@ -127,7 +127,7 @@ class TestKummerTransport:
                   SingularSpec(chain_cluster([2, 1, 1], satellites={2: 0}),
                                2, LINE),
                   SingularSpec(single_point(3), 1, LINE)))
-        new = kummer_pullback(c, KummerSpec(k))
+        new = kummer_pullback(c, k)
         got = [(sp.count, sp.placement,
                 [(n.parent, n.second_proximity, sp.cluster.weights[n.id])
                  for n in sp.cluster.forest.nodes])
@@ -169,7 +169,7 @@ class TestKummerTransport:
                             sing=(SingularSpec(single_point(2), 1,
                                                placement),))
         with pytest.raises(PlacementConflict, match=f"deg f = {deg_f}$"):
-            kummer_pullback(c, KummerSpec(2))
+            kummer_pullback(c, 2)
 
 
 class TestTheoremB:
@@ -190,18 +190,17 @@ class TestTheoremB:
 
 class TestPullbackTheorem:
     def test_triangle_generic(self):
-        lhs, rhs, strict = pullback_theorem_check(triangle(), KummerSpec(2))
+        lhs, rhs, strict = pullback_theorem_check(triangle(), 2)
         assert (lhs, rhs, strict) == (0, 0, False)
         assert lhs <= rhs
 
     def test_wiman_vertex_strict(self):
-        lhs, rhs, strict = pullback_theorem_check(wiman(vertex_triples=3),
-                                                  KummerSpec(2))
+        lhs, rhs, strict = pullback_theorem_check(wiman(vertex_triples=3), 2)
         assert strict
         assert lhs < rhs == Fraction(-225, 67)
 
     def test_fermat_vertex_strict(self):
-        lhs, rhs, strict = pullback_theorem_check(fermat(2), KummerSpec(2))
+        lhs, rhs, strict = pullback_theorem_check(fermat(2), 2)
         assert strict and lhs < rhs
 
     def test_positive_h_rejected(self):
@@ -209,7 +208,7 @@ class TestPullbackTheorem:
                         sing=(SingularSpec(single_point(2), 1),))
         assert h_index(c) > 0
         with pytest.raises(HypothesisViolated):
-            pullback_theorem_check(c, KummerSpec(2))
+            pullback_theorem_check(c, 2)
 
 
 class TestStrictGap:

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from enriques import (QQ, BiPoly, ModulusSplit,
+from enriques import (QQ, BiPoly, DivisionByZero, ModulusSplit,
                       RetryBudgetExceeded, Tower, branched, field, poly_gcd,
                       split_directions)
 from enriques.field import (add, divides, elem_from_json, elem_to_json,
@@ -68,6 +68,44 @@ class TestFieldArith:
         assert len(results) == 1
         bt, val = results[0]
         assert mul(bt, val, from_rational(bt, Fraction(-2))) == one(bt)
+
+    def test_branched_passes_other_splits(self):
+        # t - 1 over Q(t)(u), t^2 = 1 and u^2 = 2, is a zero divisor
+        # through t: the handler of u passes the split of t on, and the
+        # handler of t runs the branch u on each factor of t's modulus
+        tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
+
+        def job(t):
+            a = reduce_mod(t, (reduce_mod(t.sub(),
+                                          (Fraction(-1), Fraction(1))),))
+            return None if not a else inv(t, a)
+
+        def over_u(t):
+            return branched(t.extend("u", ((Fraction(-2),), (),
+                                           (Fraction(1),))), "u", job)
+
+        with pytest.raises(ModulusSplit) as exc:
+            over_u(tw)
+        assert exc.value.var == "t"
+        got = [(bt.top_modulus, [v for _, v in r])
+               for bt, r in branched(tw, "t", over_u)]
+        # t = 1, where t - 1 is zero, then t = -1, where it is -2
+        assert got == [((-1, 1), [None]), ((1, 1), [((Fraction(-1, 2),),)])]
+
+    def test_extend_rejects_a_used_variable(self):
+        tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
+        with pytest.raises(ValueError, match="'t' already used"):
+            tw.extend("t", ((Fraction(-3),), (), (Fraction(1),)))
+
+    def test_division_by_zero(self):
+        tw = QQ.extend("t", (Fraction(-2), Fraction(0), Fraction(1)))
+        for t, zero_elem in ((QQ, Fraction(0)), (tw, ())):
+            with pytest.raises(DivisionByZero, match="inverse of zero"):
+                inv(t, zero_elem)
+        with pytest.raises(DivisionByZero, match="polynomial division"):
+            pdivmod(QQ, (Fraction(1), Fraction(1)), (Fraction(0),))
+        with pytest.raises(DivisionByZero, match="zero polynomial"):
+            exact_div(X + Y, BiPoly(QQ, {}))
 
     def test_int_inputs_stay_exact(self):
         # a depth-0 leaf may be an int; 1 / 3 would be a float

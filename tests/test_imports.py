@@ -188,7 +188,7 @@ def test_sympy_stays_unloaded(tmp_path):
 PUBLIC_NAMES = [
     "BiPoly", "BudgetExceeded", "ContractedCurvePresent", "DivisionByZero",
     "EmptyCluster", "EnriquesError", "EnriquesForest", "ForestViolation",
-    "Germ", "HypothesisViolated", "KummerSpec",
+    "Germ", "HypothesisViolated",
     "LocalMap", "ModulusSplit", "Node",
     "NonReducedGerm", "ParseError", "PlacementConflict", "PlaneConfig",
     "QQ", "RetryBudgetExceeded", "SingularSpec", "Tower",
