@@ -79,8 +79,9 @@ def malformed(what):
     recursion limit, is a ``ParseError("malformed <what>: ...")``."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError,
-            RecursionError) as e:
+    except KeyError as e:
+        raise ParseError(f"malformed {what}: missing key {e}") from None
+    except (AttributeError, TypeError, ValueError, RecursionError) as e:
         raise ParseError(f"malformed {what}: {e}") from None
 
 

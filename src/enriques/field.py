@@ -1167,13 +1167,17 @@ def _yun(tw, f):
     return out
 
 
-def split_directions(tw, coeffs):
+def split_directions(tw, coeffs, least=1):
     """Split a univariate polynomial over ``tw`` (coefficients low -> high)
-    into (tower, root) pairs, one per distinct factor.
+    into (tower, root) pairs, one per distinct factor of multiplicity at
+    least ``least``; a factor below it is left out and never adjoined.
 
     One loop over (monic factor, multiplicity) pairs serves every depth: a
     linear factor gives its root in ``tw``, and a larger one a fresh level
     whose generator is the root; the level's degree is the orbit size.
+    The multiplicity is that of ``_factors_over_qq`` over QQ, of ``_yun``
+    over a tower, and k for c t^k; the whole polynomial is factored
+    whatever ``least`` is, so the same splits are raised.
     Over QQ the factors are ``_factors_over_qq``'s, irreducible, in
     sympy's order (length, multiplicity, then the primitive int
     coefficients from the top), which the seeded draws downstream depend
@@ -1196,7 +1200,7 @@ def split_directions(tw, coeffs):
         raise ValueError("cannot split the zero polynomial")
     if len(coeffs) > 1 and not any(coeffs[:-1]) and (
             not tw.levels or coeffs[-1] == one(tw)):
-        return [(tw, from_rational(tw, 0))]
+        return [(tw, from_rational(tw, 0))] if pdeg(coeffs) >= least else []
     if tw.levels:
         factors = _yun(tw, coeffs)
     else:
@@ -1205,7 +1209,9 @@ def split_directions(tw, coeffs):
         factors = [(tuple(Fraction(c, f[-1]) for c in f), m)
                    for f, m in factors]
     out = []
-    for fac, _ in factors:
+    for fac, m in factors:
+        if m < least:
+            continue
         if pdeg(fac) == 1:
             out.append((tw, neg(tw, fac[0])))
         else:
@@ -1332,7 +1338,10 @@ def poly_from_json(tower, data):
     terms = {}
     for term in json_value(json_value(data, dict, "poly")["terms"], list,
                            "terms"):
-        i, j, c = json_value(term, list, "term")
+        term = json_value(term, list, "term")
+        if len(term) != 3:
+            raise ValueError(f"'term' has {len(term)} items, not 3")
+        i, j, c = term
         i, j = (json_value(e, int, "exponent", 0) for e in (i, j))
         if (i, j) in terms:
             raise ValueError(f"monomial x^{i} y^{j} appears twice")

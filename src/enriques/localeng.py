@@ -185,22 +185,30 @@ def _form_t(p, n):
     return cs, n - pdeg(cs)
 
 
-def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
+def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf, least=1):
     """A record ``(clusters.Node, exps from step)`` of every point that
     ``step`` records, ancestor-first along each branch.
 
     Invariants the entry points rely on:
 
-    * the depth cap ``cap`` is checked before ``step``, so a germ needing
+    * a point at depth ``cap`` with any child direction, charted or
+      skipped, raises before its children are visited, so a germ needing
       more than ``cap`` blowups raises even when its last point would
-      stop;
+      stop, whatever ``least`` skips;
+    * a child direction whose multiplicity is below ``least`` is skipped:
+      no chart, no ``step``, no id.  A finite direction's multiplicity is
+      its factor's in the tangent cone, and ``split_directions`` never
+      adjoins a factor it skips; the vertical direction's is the least
+      x-multiplicity xm of the spanning forms.  The pencil and
+      shared-point steps record every child they visit and keep 1;
+      ``mult_cluster`` passes 2 and proves that it changes no output;
     * ids are drawn after ``step`` accepts a point and before its tangent
       cone is split, so a branch aborted by a modulus split consumes ids
       and the redone branches draw fresh ones;
     * the tangent cone is the first nonzero form of the first two
       polynomials as it is, gcd'd with the other (one is never made monic);
     * the vertical direction is taken iff every spanning form is zero or
-      divisible by x;
+      divisible by x^least;
     * each branch returns its own record list, so a branch that is redone
       leaves nothing behind.
 
@@ -247,8 +255,6 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
     ids = itertools.count(1)
 
     def rec(tw, polys, parent, second, markers, orbit, depth, budget):
-        if depth > cap:
-            raise BudgetExceeded(f"blowup recursion exceeded {cap} blowups")
         if any(p.is_zero() for p in polys):
             raise BudgetExceeded("a truncated transform is zero")
         exps = step(polys)
@@ -263,7 +269,14 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
         tco = functools.reduce(lambda a, b: pgcd(tw, a, b),
                                [f for f, _ in forms if f is not None])
         # a constant tangent form has no finite direction
-        dirs = split_directions(tw, tco) if pdeg(tco) > 0 else []
+        dirs = split_directions(tw, tco, least) if pdeg(tco) > 0 else []
+
+        def vertical(floor):
+            return all(f is None or xm >= floor for f, xm in forms)
+
+        if depth >= cap and (pdeg(tco) > 0 or vertical(1)):
+            # every child, charted or skipped, lies one blowup deeper
+            raise BudgetExceeded(f"blowup recursion exceeded {cap} blowups")
 
         def go(t, root, ofac):
             lifted = polys if t == tw else [p.lift_to(t) for p in polys]
@@ -288,7 +301,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf):
                     t, generator(t), len(t.top_modulus) - 1)) for e in r]
             records.extend(res)
             left -= sum(n.orbit * e[0] ** 2 for n, e in res) // orbit
-        if all(f is None or xm > 0 for f, xm in forms):
+        if vertical(least):
             hs = [p if e is None else _relabel(p, e, "y", left)
                   for p, e in zip(polys, exps)]
             records.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
@@ -386,6 +399,32 @@ def mult_cluster(g):
     raised, and dynamic evaluation redoes the branch in each factor.  A
     level that factors could else read multiplicity 1 where a factor has
     2, and end the recursion on a repeated factor.
+
+    The recursion skips every tangent direction of multiplicity 1
+    (``_blowups`` with ``least`` 2): a point of multiplicity >= 2 never
+    lies there, since the multiplicity of a strict transform at a point
+    of the exceptional curve is at most their intersection there, the
+    multiplicity of the direction as a root of the tangent cone
+    (Casas-Alvero, ch. 3).  The output, ids, exceptions and D5 splits
+    are those of the recursion that charts it, as its child would do
+    nothing:
+
+    * ``_chart_rows``, ``_chart_int`` and ``_relabel`` invert nothing;
+    * at a simple root c of the tangent form T, the child's linear form
+      has y-coefficient a positive rational times T'(c) = l g'(c) prod
+      g_i(c)^i, for the lead l of T, the factor g of c and Yun's other
+      factors g_i.  Yun's Euclid ran with no zero divisor, so T'(c) is a
+      unit in every component (over Q each level is a field);
+    * at the vertical direction with xm = 1 the child's x-coefficient is
+      l, which ``_yun``'s ``pmonic`` inverted (on the c t^k route it is 1,
+      over Q a nonzero rational);
+    * so ``_has_unit`` reaches that unit, catching every split before
+      it, the child's order is 1 and ``step`` returns None: no record, no
+      id drawn, no ``ModulusSplit``.
+
+    A skipped child still counts for the depth cap (``_blowups``): the
+    germ y^2 - x^130, whose 65th point has only simple directions, raises
+    as before.
     """
     p = g.poly
     d = p.total_degree()
@@ -410,7 +449,7 @@ def mult_cluster(g):
         return (m,)
 
     try:
-        return _entries_to_cluster(_blowups(g.tower, (p,), step))
+        return _entries_to_cluster(_blowups(g.tower, (p,), step, least=2))
     except BudgetExceeded:
         if left[0] < math.inf:
             certify()

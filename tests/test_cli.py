@@ -396,16 +396,22 @@ class TestExitCodes:
         ("config h-index", "config_int_component",
          "config: 'component' is not an object"),
         ("config h-index", "config_int_sing",
-         "config: 'singular point' is not an object")],
+         "config: 'singular point' is not an object"),
+        ("germ mult-cluster", "germ_short_term",
+         "polynomial: 'term' has 2 items, not 3"),
+        ("map bp", "map_missing_f2", "map: missing key 'f2'")],
         ids=["node", "coefficient", "term", "tower-coefficient", "level",
              "cluster-document", "config-document", "germ-document",
-             "map-document", "map-component", "component", "sing"])
+             "map-document", "map-component", "component", "sing",
+             "term-length", "missing-key"])
     def test_wrong_json_type_names_its_key(self, runner, script, cmd, name,
                                            message):
         # each was once reported in Python's words, such as "string
         # indices must be integers" for a node, "cannot unpack
-        # non-iterable int object" for a term or "'int' object has no
-        # attribute 'get'" for a coefficient over Q(s)
+        # non-iterable int object" for a term, "not enough values to
+        # unpack (expected 3, got 2)" for a short one, "'int' object has
+        # no attribute 'get'" for a coefficient over Q(s) or the bare key
+        # 'f2' for a map without it
         got = run_either(runner, script,
                          [*cmd.split(), str(DATA / f"{name}.json")])
         assert got == (2, "", f"ParseError: malformed {message}\n")

@@ -1,5 +1,6 @@
 """Blowups, multiplicity clusters, base points and pullbacks."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -1542,3 +1543,119 @@ class TestModulusSplitInsideRecursion:
         assert ids_weights_orbits(base_points(f)) == (
             ["q001", "q003", "q005", "q004"], [2, 1, 1, 1], [1, 1, 1, 1])
         assert local_degree(f) == 7
+
+
+@contextlib.contextmanager
+def charting_every_direction():
+    """A patch under which ``mult_cluster`` charts every tangent
+    direction, as the pencil and shared-point steps do, with the
+    multiplicity floor of its recursion forced to 1."""
+    blowups = localeng._blowups
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localeng, "_blowups",
+                   lambda *args, **kw: blowups(*args, **{**kw, "least": 1}))
+        yield
+
+
+def counted_mult_cluster(p):
+    """(the cluster JSON of p, or the exception's type and text; the
+    number of D5 tower splits on the way)."""
+    seen = []
+    split = field.split_tower
+
+    def counted(*args):
+        seen.append(args)
+        return split(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "split_tower", counted)
+        try:
+            out = cluster_to_json(mult_cluster(Germ(p)))
+        except (BudgetExceeded, ModulusSplit, NonReducedGerm) as e:
+            out = (type(e).__name__, str(e))
+    return out, len(seen)
+
+
+@st.composite
+def tangent_products(draw, tw):
+    """One to three factors over ``tw``, each the power l^e (e = 1, 2) of a
+    linear form from a small set, or (y^2 - d x^2)^r (r = 1, 2, e = 2r;
+    irrational over Q for d = 2, 3, -1, and over Q(s), s^2 = 2, split for
+    d = 2), plus one term of degree e + 1 or e + 2: tangent cones whose
+    directions are simple, repeated, shared between factors, vertical or
+    conjugate."""
+    x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+    consts = [BiPoly.const(v, tw) for v in (0, 1, -1, 2)]
+    if tw.levels:
+        consts.append(BiPoly(tw, {(0, 0): generator(tw)}))
+    p = BiPoly.const(1, tw)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            a, b = draw(st.tuples(st.sampled_from(consts),
+                                  st.sampled_from(consts)).filter(
+                lambda ab: not (ab[0].is_zero() and ab[1].is_zero())))
+            e = draw(st.integers(1, 2))
+            lead = (a * x + b * y) ** e
+        else:
+            r = draw(st.integers(1, 2))
+            e = 2 * r
+            lead = (y ** 2 - draw(st.sampled_from([2, 3, -1])) * x ** 2) ** r
+        k = draw(st.integers(e + 1, e + 2))
+        i = draw(st.integers(0, k))
+        c = draw(st.sampled_from(consts[1:]))
+        p = p * (lead + c * x ** i * y ** (k - i))
+    return p
+
+
+class TestSimpleDirections:
+    """``mult_cluster`` skips every tangent direction of multiplicity 1, as
+    no point of multiplicity >= 2 lies there; its output, exceptions and
+    D5 splits are those of the recursion that charts every direction."""
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S, Q_T1],
+                             ids=["QQ", "Q(s)", "Q(t)"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_charting_every_direction(self, tw, data):
+        p = data.draw(tangent_products(tw))
+        assume(p.order() >= 1)
+        got = counted_mult_cluster(p)
+        with charting_every_direction():
+            want = counted_mult_cluster(p)
+        assert got == want, p
+
+    def test_depth_cap_counts_skipped_children(self):
+        # y^2 - x^129 has 64 points of multiplicity 2, at depths 0 to 63
+        # ("depth-64" above); y^2 - x^130 has a 65th at depth 64, the cap,
+        # whose directions 1 and -1 are simple: they are skipped, but the
+        # recursion that visits them passes the cap, so both raise
+        with pytest.raises(BudgetExceeded, match="64 blowups"):
+            mult_cluster(Germ(Y ** 2 - X ** 130))
+        with charting_every_direction(), pytest.raises(BudgetExceeded):
+            mult_cluster(Germ(Y ** 2 - X ** 130))
+
+    @pytest.mark.parametrize("every, finite, vertical", [
+        (False, [0], 0), (True, [1, 0], 1)], ids=["skipped", "charted"])
+    def test_charts_no_simple_direction(self, monkeypatch, every, finite,
+                                        vertical):
+        # the tangent cone y^2 (y - x) x has direction 0 of multiplicity 2,
+        # direction 1 and the vertical one of multiplicity 1
+        roots, axes = [], []
+        chart, relabel = localeng._chart_int, localeng._relabel
+
+        def chart_spy(p, m, c, *args):
+            roots.append(c)
+            return chart(p, m, c, *args)
+
+        def relabel_spy(p, m, axis, *args):
+            axes.append(axis)
+            return relabel(p, m, axis, *args)
+
+        monkeypatch.setattr(localeng, "_chart_int", chart_spy)
+        monkeypatch.setattr(localeng, "_relabel", relabel_spy)
+        p = (Y ** 2 - X ** 3) * (Y - X) * (X - Y ** 2)
+        with charting_every_direction() if every else contextlib.nullcontext():
+            k = mult_cluster(Germ(p))
+        assert weight_list(k) == [4]
+        assert roots == finite
+        assert axes.count("y") == vertical
