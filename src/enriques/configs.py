@@ -36,7 +36,12 @@ class SingularSpec:
 @dataclass(frozen=True)
 class PlaneConfig:
     """degree, components [(deg, count)], singular clusters, and the number
-    of coordinate vertices sitting at smooth points of the curve."""
+    of coordinate vertices sitting at smooth points of the curve.
+
+    A configuration carries counts, not incidences, so only global counts
+    are checked.  Known limit: n lines with two points that share two
+    lines pass the line-pair budget, as 4 lines with 2 triple points do
+    (2 C(3, 2) = 6 = C(4, 2)), though two lines meet only once."""
 
     degree: int
     components: tuple

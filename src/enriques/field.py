@@ -535,9 +535,18 @@ def pgcd(tw, f, g):
 
 def _pgcd_qq(f, g):
     """Rational univariate gcd via the primitive PRS over the integers
-    (avoids the coefficient blowup of naive Euclid over Fraction)."""
+    (avoids the coefficient blowup of naive Euclid over Fraction).
+
+    The monic gcd is returned with int leaves where it has integral
+    ones: (1,) when either input is a nonzero constant, the gcd of a
+    unit with anything, and the primitive gcd with its sign fixed when
+    its lead is +-1.  Otherwise each leaf is a ``Fraction`` over the
+    lead.  An int equals and hashes like the integral ``Fraction``, so
+    the value is the same either way."""
     if not f or not g:
         return pmonic(QQ, f or g)
+    if len(f) == 1 or len(g) == 1:
+        return (1,)
     a, b = int_scale(QQ, f)[0], int_scale(QQ, g)[0]
     while b:
         # integer pseudo-remainder of a by b
@@ -556,6 +565,8 @@ def _pgcd_qq(f, g):
             r = r[:-1]
         a, b = b, _primitive(r)
     lead = a[-1]
+    if abs(lead) == 1:
+        return tuple(a) if lead == 1 else tuple(-v for v in a)
     return tuple(Fraction(v, lead) for v in a)
 
 

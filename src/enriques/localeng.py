@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import comb
 
 from . import field as F
-from .clusters import (Node, WeightedMultiCluster, self_intersection,
-                       virtual_codimension)
+from .clusters import (Node, WeightedMultiCluster, excesses,
+                       self_intersection, virtual_codimension)
 from .errors import (BudgetExceeded, ContractedCurvePresent,
                      HypothesisViolated, ModulusSplit, NonReducedGerm,
                      RetryBudgetExceeded, UnrealizableForest)
@@ -85,9 +85,10 @@ class LocalMap:
 
 
 def monomial_map(a, b, tower=QQ):
-    x = BiPoly.variable("x", tower)
-    y = BiPoly.variable("y", tower)
-    return LocalMap.from_polys(x ** a, y ** b)
+    """The map germ (x^a, y^b), each component one term with coefficient
+    ``one(tower)``: the value ``x ** a`` has, with no product."""
+    return LocalMap.from_polys(BiPoly(tower, {(a, 0): F.one(tower)}),
+                               BiPoly(tower, {(0, b): F.one(tower)}))
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,16 @@ def _chart_rows(tw, c, js):
     """The weight rows of the chart at a nonzero root c, for the y-degrees
     ``js``: row j holds the integer weights C(j, k) a^(j-k) b^(J-j+k),
     k = 0..j, with c = a/b, J = max js and the powers a^e scaled by one
-    positive rational to integer leaves."""
-    (a,), q = F.int_scale(tw, [c])
-    a, b = qscale(tw, a, q.denominator), q.numerator
+    positive rational to integer leaves.
+
+    Over Q, (a, b) is c's numerator and denominator, (c, 1) for an int
+    c: the pair the tower route gives, which scales c = n/d in lowest
+    terms by d/|n| to the sign of n and then by |n| to n over d."""
+    if not tw.levels:
+        a, b = c.numerator, c.denominator
+    else:
+        (a,), q = F.int_scale(tw, [c])
+        a, b = qscale(tw, a, q.denominator), q.numerator
     J = max(js, default=0)
     apow = [F.one(tw)]
     for _ in range(J):
@@ -747,6 +755,20 @@ def curves_through(k, seed):
     seed), for the latest 1024 pairs.  K must sit over one proper point,
     with orbit 1 and weights >= 1, checked here before the cache or any rung.
 
+    K must also be consistent, checked on a cache miss before any rung:
+    the multiplicities of a curve satisfy the proximity inequalities, e_p
+    >= the sum of e_q over the points q proximate to p (Casas-Alvero,
+    *Singularities of Plane Curves*, ch. 4), so no curve has exactly the
+    weights of a cluster with a negative excess, and no seed can draw
+    one.  ``HypothesisViolated`` names the first such node.  The cache
+    holds only certified pairs, so a hit needs no check.
+
+    On Q the pair keeps the integral values of ``_curves_at_degree`` as
+    ints: a leaf is the int sum itself when the basis denominator is 1,
+    and ``Fraction(s, den)`` otherwise.  An int equals and hashes like
+    the integral ``Fraction`` and ``rat_str`` prints both as ``n/1``, so
+    the pairs, their JSON and everything drawn from them are unchanged.
+
     Once both germs pass ``_verify_through``, I_0(w, z) is Noether's sum
     of orbit * e_w * e_z over the points w and z share
     (``_shared_points``); the points of K alone give K^2, so the sum is
@@ -778,6 +800,10 @@ def curves_through(k, seed):
     key = (k.forest, tuple(k.weights[n.id] for n in k.forest.nodes), seed)
     if key in _CURVES_CACHE:
         return _CURVES_CACHE[key]
+    bad = next(((nid, e) for nid, e in excesses(k).items() if e < 0), None)
+    if bad is not None:
+        raise HypothesisViolated(
+            f"cluster is not consistent: excess {bad[1]} at {bad[0]}")
     result = _curves_through(k, seed)
     _CURVES_CACHE[key] = result
     if len(_CURVES_CACHE) > 1024:
@@ -833,7 +859,8 @@ def _curves_at_degree(k, seed, D):
                 continue
             for col, val in row:
                 sums[col] = sums.get(col, 0) + cvec * val
-        return BiPoly(QQ, {monos[col]: Fraction(s, den)
+        # an int leaf equals and hashes like the integral Fraction
+        return BiPoly(QQ, {monos[col]: s if den == 1 else Fraction(s, den)
                            for col, s in sums.items()})
 
     last = None
@@ -891,12 +918,28 @@ def pullback_cluster(f, k, seed=0):
     separate it and would raise ``BudgetExceeded`` at its cap, not return
     a wrong cluster.
 
-    The pencil step runs with the budget B = tdeg f1 tdeg f2 K^2, which
-    bounds I_0(w o f, z o f) = deg f I_0(w, z) = deg f K^2, the law
-    (f*K)^2 = deg f K^2: deg f = I_0(r1, r2) for the quotients r1, r2 of
-    ``fixed_part``, at most tdeg r1 tdeg r2 <= tdeg f1 tdeg f2 by Bezout.
-    On monomial maps B is deg f K^2 exactly.  ``_blowups`` proves that the
-    budget changes no output.
+    The pencil step runs with the budget B = b K^2, for b the least of
+    tdeg f1 tdeg f2 and deg_x f1 deg_y f2 + deg_y f1 deg_x f2.  B bounds
+    I_0(w o f, z o f) = deg f I_0(w, z) = deg f K^2, the law (f*K)^2 =
+    deg f K^2, since deg f = I_0(r1, r2) <= b for the quotients r1, r2 of
+    ``fixed_part``, which share no component:
+
+    * in P^2, Bezout bounds the sum of all their intersection numbers by
+      tdeg r1 tdeg r2 (Fulton, *Algebraic Curves*, ch. 5);
+    * in P^1 x P^1, the closure of r_i = 0 has bidegree (deg_x r_i,
+      deg_y r_i), and curves of bidegrees (a1, b1) and (a2, b2) with no
+      common component meet in a1 b2 + b1 a2 points counted with
+      multiplicity, I_0 among them;
+    * r_i divides f_i, so each degree of r_i is at most f_i's: the
+      common factor that ``fixed_part`` removes misses the origin of a
+      finite germ, so it is a unit there, and removing it lowers both
+      bidegrees and leaves I_0 as it is.
+
+    On monomial maps both bounds are a b, and B is deg f K^2 exactly.
+    ``_blowups`` proves that the budget changes no output.
+
+    Over Q ``_compose_int`` reads the int and Fraction leaves of the
+    drawn pair as they are.
     """
     contracted, _ = fixed_part(f.f1.poly, f.f2.poly)
     if contracted is not None:
@@ -906,14 +949,19 @@ def pullback_cluster(f, k, seed=0):
         return WeightedMultiCluster([], {})
     f1, f2 = (F.int_poly(g.tower, g.poly.terms) for g in (f.f1, f.f2))
     w, z = (_compose_int(g.poly, f1, f2) for g in curves_through(k, seed))
-    budget = (f1[0].total_degree() * f2[0].total_degree()
-              * self_intersection(k))
-    return _entries_to_cluster(_pencil_points(w, z, None, budget))
+    (p1, _), (p2, _) = f1, f2
+    b = min(p1.total_degree() * p2.total_degree(),
+            p1.deg_x() * p2.deg_y() + p1.deg_y() * p2.deg_x())
+    return _entries_to_cluster(_pencil_points(w, z, None,
+                                              b * self_intersection(k)))
 
 
 def _compose_int(w, f1, f2):
     """w(f1, f2) times a positive rational, with int leaves, for rational
     w and the map components as ``F.int_poly`` pairs (F_i, n_i / d_i).
+    Over Q the leaves of w, ints or Fractions, are read as they are, and
+    ``F.int_poly`` passes primitive ints through; over a tower
+    ``from_rational`` lifts each one.  Both give the same values.
 
     With w scaled to int coefficients c_ij, A = deg_x w and B = deg_y w,
     n1^A n2^B w(f1, f2) is the sum of c_ij d1^i n1^(A-i) d2^j n2^(B-j)
@@ -921,9 +969,8 @@ def _compose_int(w, f1, f2):
     ignores the positive scale."""
     (p1, s1), (p2, s2) = f1, f2
     tw = p1.tower
-    # w is rational; read it over the tower of f
-    c, _ = F.int_poly(tw, {m: from_rational(tw, v)
-                            for m, v in w.terms.items()})
+    c, _ = F.int_poly(tw, w.terms if not tw.levels else {
+        m: from_rational(tw, v) for m, v in w.terms.items()})
     a, b = c.deg_x(), c.deg_y()
     n1, d1, n2, d2 = (s1.numerator, s1.denominator,
                       s2.numerator, s2.denominator)

@@ -461,6 +461,20 @@ class TestExitCodes:
         assert res.exit_code == 1
         assert f"UnrealizableForest: {message}" in res.stderr
 
+    def test_inconsistent_cluster_exit_1(self, runner, tmp_path):
+        # cluster check reports it; map pullback refuses it before any
+        # curve is drawn (RetryBudgetExceeded after every rung, before)
+        kf = write(tmp_path, "k.json", cluster_to_json(chain_cluster([2, 2, 3])))
+        res = run(runner, ["cluster", "check", kf, "--format", "json"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)[0]["consistent"] is False
+        mp = write(tmp_path, "m.json", {"f1": poly_to_json(X),
+                                        "f2": poly_to_json(Y)})
+        res = run(runner, ["map", "pullback", mp, kf])
+        assert res.exit_code == 1
+        assert res.stderr == ("HypothesisViolated: cluster is not "
+                              "consistent: excess -1 at q2\n")
+
     @pytest.mark.parametrize("cmd", ["degree", "bp"])
     def test_non_dominant_map_exit_1(self, runner, tmp_path, cmd):
         mp = write(tmp_path, "m.json", {"f1": poly_to_json(X),

@@ -1519,3 +1519,65 @@ class TestExponentRoutes:
         assert calls
         monkeypatch.undo()
         assert got == compose_reference(p, px, py)
+
+
+def fraction_euclid_gcd(f, g):
+    """The monic gcd over Q by plain Euclid on Fractions."""
+    f, g = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    while any(g):
+        while not g[-1]:
+            g.pop()
+        r = list(f)
+        while len(r) >= len(g):
+            q = r[-1] / g[-1]
+            for i, c in enumerate(g):
+                r[len(r) - len(g) + i] -= q * c
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        f, g = g, r
+    return tuple(c / f[-1] for c in f)
+
+
+QQ_LEAVES = st.one_of(st.integers(-6, 6),
+                      st.builds(Fraction, st.integers(-6, 6),
+                                st.integers(1, 4)))
+
+
+class TestPgcdQQInts:
+    """``_pgcd_qq`` keeps integral values as ints, with the value of the
+    monic gcd that Euclid on Fractions gives."""
+
+    @pytest.mark.parametrize("f, g", [
+        ((Fraction(3),), (1, 2, 3)), ((2, 4), (-5,)),
+        ((Fraction(1, 2),), (Fraction(1, 2),))],
+        ids=["constant-f", "constant-g", "both-constant"])
+    def test_constant_input(self, f, g):
+        got = field._pgcd_qq(f, g)
+        assert got == (1,) and type(got[0]) is int
+        assert got == fraction_euclid_gcd(f, g)
+
+    def test_unit_lead(self):
+        # (t - 1)(t + 2) and (t - 1)(2t + 3): the primitive gcd t - 1
+        got = field._pgcd_qq((-2, 1, 1), (Fraction(-3), Fraction(1), 2))
+        assert got == (-1, 1) and all(type(v) is int for v in got)
+        # -(t - 1) and 3(t - 1)(t + 1): the sign is fixed
+        got = field._pgcd_qq((1, -1), (-3, 0, 3))
+        assert got == (-1, 1) and all(type(v) is int for v in got)
+
+    @given(st.lists(QQ_LEAVES, min_size=1, max_size=4),
+           st.lists(QQ_LEAVES, min_size=1, max_size=4),
+           st.lists(QQ_LEAVES, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_euclid(self, a, b, c):
+        # a common factor c makes nontrivial gcds common
+        f, g = (ptrim(QQ, pmul(QQ, ptrim(QQ, u), ptrim(QQ, c)))
+                for u in (a, b))
+        assume(f and g)
+        got = field._pgcd_qq(f, g)
+        want = fraction_euclid_gcd(f, g)
+        assert got == want
+        # ints exactly when the monic gcd is integral, so that its
+        # primitive associate has lead +-1
+        integral = all(v.denominator == 1 for v in want)
+        assert all((type(v) is int) == integral for v in got)

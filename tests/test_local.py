@@ -24,7 +24,7 @@ from enriques import (QQ, BiPoly, BudgetExceeded, ContractedCurvePresent,
                       self_intersection, shared_cluster, single_point,
                       virtual_codimension)
 from enriques import field, localeng
-from enriques.clusters import cluster_to_json
+from enriques.clusters import cluster_from_json, cluster_to_json
 from enriques.field import (from_rational, generator, poly_to_json, ptrim,
                             qscale)
 
@@ -682,6 +682,117 @@ class TestCurvesThrough:
         assert rank == virtual_codimension(k)
 
 
+class TestConsistencyFirst:
+    """A cluster that is not consistent has no curve with its weights, so
+    ``curves_through`` refuses it before any curve is drawn."""
+
+    @pytest.mark.parametrize("weights, nid", [
+        ([1, 2], "q1"), ([2, 3], "q1"), ([3, 4], "q1"), ([2, 2, 3], "q2")])
+    def test_refused_before_any_draw(self, monkeypatch, weights, nid):
+        k = chain_cluster(weights)
+        assert not is_consistent(k)
+        draws = []
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        monkeypatch.setattr(localeng, "_curves_at_degree",
+                            lambda *a: draws.append(a))
+        with pytest.raises(HypothesisViolated,
+                           match=f"^cluster is not consistent: "
+                                 f"excess -1 at {nid}$"):
+            curves_through(k, 0)
+        with pytest.raises(HypothesisViolated, match="not consistent"):
+            pullback_cluster(monomial_map(2, 3), k, 0)
+        assert draws == [] and localeng._CURVES_CACHE == {}
+
+
+class TestIntegerPath:
+    """Integral values stay ints from the drawn pair to the pencil, with
+    the values the Fraction route gives."""
+
+    def test_drawn_leaves_are_ints_over_den_1(self, monkeypatch):
+        # the pair comes from the last system solved: its leaves are the
+        # int sums when the basis denominator is 1, else Fractions
+        dens = []
+        nullspace = localeng._nullspace
+
+        def spied(rows, ncols):
+            out = nullspace(rows, ncols)
+            dens.append(out[0])
+            return out
+
+        monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+        monkeypatch.setattr(localeng, "_nullspace", spied)
+        kinds = set()
+        for weights, sats in PINNED:
+            k = grid_cluster(weights, sats)
+            for seed in range(8):
+                w, z = curves_through(k, seed)
+                vals = [*w.poly.terms.values(), *z.poly.terms.values()]
+                want = int if dens[-1] == 1 else Fraction
+                assert all(type(v) is want for v in vals)
+                kinds.add(want)
+        assert kinds == {int}
+
+    def test_drawn_values_do_not_depend_on_den(self, monkeypatch):
+        # the basis over den 2, with every entry doubled, reads the same
+        # vectors: the draw is the same pair, on Fractions
+        k = chain_cluster([3, 2, 1])
+        want = localeng._curves_at_degree(k, 0, 5)
+        nullspace = localeng._nullspace
+
+        def doubled(rows, ncols):
+            den, basis = nullspace(rows, ncols)
+            return 2 * den, [[(c, 2 * v) for c, v in b] for b in basis]
+
+        monkeypatch.setattr(localeng, "_nullspace", doubled)
+        got = localeng._curves_at_degree(k, 0, 5)
+        for g, h in zip(got, want):
+            assert g.poly == h.poly
+            assert list(g.poly.terms) == list(h.poly.terms)
+            assert all(type(v) is Fraction for v in g.poly.terms.values())
+
+    def test_compose_int_reads_ints_and_fractions_alike(self):
+        f1, f2 = X ** 3 * Y, Fraction(1, 2) * Y ** 3 + X
+        forms = [field.int_poly(QQ, g.terms) for g in (f1, f2)]
+        ws = [g.poly for g in curves_through(chain_cluster([2, 1]), 0)]
+        ws.append(3 * X ** 2 - 6 * Y + 9 * X * Y)
+        for w in ws:
+            ints = BiPoly(QQ, {m: int(v) for m, v in w.terms.items()})
+            fracs = BiPoly(QQ, {m: Fraction(v) for m, v in w.terms.items()})
+            got = localeng._compose_int(ints, *forms)
+            assert (list(got.terms.items())
+                    == list(localeng._compose_int(fracs, *forms)
+                            .terms.items()))
+            assert all(type(v) is int for v in got.terms.values())
+
+    @pytest.mark.parametrize("c, js, want", [
+        (2, {0, 1, 2}, {0: [1], 1: [2, 1], 2: [4, 4, 1]}),
+        (Fraction(-3, 2), {0, 1, 2},
+         {0: [4], 1: [-6, 4], 2: [9, -12, 4]}),
+        (Fraction(4), {1, 3}, {1: [4, 1], 3: [64, 48, 12, 1]})],
+        ids=["int", "negative-fraction", "integral-fraction"])
+    def test_chart_rows_over_q(self, c, js, want):
+        # the table of the int_scale route: c scaled to the primitive a,
+        # then times q's denominator, over q's numerator
+        (a,), q = field.int_scale(QQ, [c])
+        a, b, top = a * q.denominator, q.numerator, max(js)
+        assert want == {j: [math.comb(j, k) * a ** (j - k)
+                            * b ** (top - j + k) for k in range(j + 1)]
+                        for j in js}
+        got = localeng._chart_rows(QQ, c, js)
+        assert got == want
+        assert all(type(v) is int for row in got.values() for v in row)
+
+    def test_verify_directions_chart_as_before(self):
+        # _verify_through charts at the int directions 1, 2, ... of
+        # _cluster_conditions; the chart is that of the Fraction root
+        p, _ = field.int_poly(QQ, {(2, 0): 1, (1, 1): -3, (0, 3): 2,
+                                   (4, 1): 5})
+        for c in (1, 2, 3):
+            assert (list(localeng._chart_int(p, 2, c).terms.items())
+                    == list(localeng._chart_int(p, 2, Fraction(c))
+                            .terms.items()))
+
+
 def pullback_at_top(monkeypatch, f, k):
     """f*(K) from the pair drawn at D_top = 1 + sum of the weights."""
     monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
@@ -795,9 +906,11 @@ class TestPullback:
         assert cluster_to_json(pb) == golden
         assert elapsed < 15.0
         assert factored == []
-        # the budget tdeg f1 tdeg f2 K^2 = 3 * 5 * 12 bounds every chart
-        # output; untruncated, they reach total degree 742
-        assert degrees and max(degrees) <= 180
+        # the budget min(tdeg f1 tdeg f2, deg_x f1 deg_y f2 + deg_y f1
+        # deg_x f2) K^2 = min(3 * 5, 1 * 2 + 3 * 3) * 12 = 132 bounds
+        # every chart output (180 with tdeg f1 tdeg f2 alone); untruncated,
+        # they reach total degree 742
+        assert degrees and max(degrees) <= 132
 
     def test_pullback_does_not_depend_on_the_pair(self, monkeypatch):
         # the pair drawn at the least degree and the one drawn at D_top
@@ -1460,6 +1573,41 @@ class TestColengthBudget:
         assert (cluster_to_json(pullback_cluster(f, k, seed))
                 == cluster_to_json(localeng._entries_to_cluster(
                     localeng._pencil_points(w, z, None))))
+
+    @pytest.mark.parametrize("case, want", [
+        ("fuzz-222", 11 * 12), ("sqrt2-golden", 13 * 6),
+        ("monomial", 6 * 5), ("total-degree", 2 * 1)])
+    def test_bidegree_budget(self, monkeypatch, case, want):
+        # B = min(tdeg f1 tdeg f2, deg_x f1 deg_y f2 + deg_y f1 deg_x f2)
+        # K^2: the bidegree bound is the lesser on the two heavy goldens,
+        # equal on monomial maps, and the greater for (x + y, x^2 + y^2)
+        s = BiPoly(Q_S, {(0, 0): generator(Q_S)})
+        xs, ys = BiPoly.variable("x", Q_S), BiPoly.variable("y", Q_S)
+        f, k = {
+            "fuzz-222": (LocalMap.from_polys(
+                Fraction(1, 2) * Y ** 3 - 2 * X * Y + X,
+                -2 * X ** 3 * Y ** 2 + X ** 3 * Y), chain_cluster([2, 2, 2])),
+            "sqrt2-golden": (LocalMap.from_polys(
+                Fraction(1, 2) * ys ** 3 + (Fraction(1, 2) - 2 * s) * xs
+                - 2 * xs ** 2 * ys ** 3, (s - 2) * xs ** 3 * ys ** 2),
+                cluster_from_json(json.loads(
+                    (GOLDEN.parent / "cluster_two_on_root.json")
+                    .read_text()))),
+            "monomial": (monomial_map(2, 3), chain_cluster([2, 1])),
+            "total-degree": (LocalMap.from_polys(
+                X + Y, X ** 2 + Y ** 2), single_point(1)),
+        }[case]
+        budgets = []
+        pencil = localeng._pencil_points
+
+        def spied(p1, p2, contracted, budget=math.inf):
+            budgets.append(budget)
+            return pencil(p1, p2, contracted, budget)
+
+        monkeypatch.setattr(localeng, "_pencil_points", spied)
+        got = pullback_cluster(f, k, 0)
+        assert budgets == [want]
+        assert self_intersection(got) <= want
 
     def test_siblings_spend_the_budget(self, monkeypatch):
         # (x^3, y^3)*[3, 3, 3] has budget 9 * 27 = 243 and a root of
