@@ -39,9 +39,10 @@ class PlaneConfig:
     of coordinate vertices sitting at smooth points of the curve.
 
     A configuration carries counts, not incidences, so only global counts
-    are checked.  Known limit: n lines with two points that share two
-    lines pass the line-pair budget, as 4 lines with 2 triple points do
-    (2 C(3, 2) = 6 = C(4, 2)), though two lines meet only once."""
+    are checked, by the genus formula (``_check_genus``).  Known limit: n
+    lines with two points that share two lines pass it, as 4 lines with 2
+    triple points do (2 C(3, 2) = 6 = C(4, 2)), though two lines meet
+    only once."""
 
     degree: int
     components: tuple
@@ -58,24 +59,48 @@ class PlaneConfig:
                     + self.smooth_vertex_marks)
         if vertices > 3:
             raise PlacementConflict("more than three coordinate vertices used")
-        _check_line_pair_budget(self)
+        _check_genus(self)
 
 
-def _check_line_pair_budget(c):
-    """For arrangements of lines with only ordinary singularities, the
-    points must account for every pair of lines."""
-    if not c.components or any(deg != 1 for deg, _ in c.components):
-        return
-    if any(len(s.cluster.forest.nodes) != 1 for s in c.sing):
-        return
-    n = sum(cnt for _, cnt in c.components)
-    pairs = 0
-    for s in c.sing:
-        m = s.cluster.weights[s.cluster.forest.nodes[0].id]
-        pairs += s.count * m * (m - 1) // 2
-    if pairs != n * (n - 1) // 2:
+def _delta(k):
+    """delta(K), the sum of orbit * e(e - 1)/2 over the points of K of
+    weight e: the delta invariant of a curve whose multiplicity cluster
+    is K."""
+    return sum(n.orbit * k.weights[n.id] * (k.weights[n.id] - 1) // 2
+               for n in k.forest.nodes)
+
+
+def _check_genus(c):
+    """The genus formula's bounds on the curve of degree d whose
+    components and singular points ``c`` lists.  Its delta invariant is
+    the sum of count * ``_delta`` over the singular points, smooth points
+    adding 0 (Noether's formula; Casas-Alvero, *Singularities of Plane
+    Curves*, ch. 3), and:
+
+    * the component degrees, each times its count, sum to d;
+    * delta >= the sum of d_i d_j over the pairs of components: by
+      Bezout two components meet in d_i d_j points counted with their
+      intersection numbers, and at each point delta is at least the sum
+      of the intersection numbers of its components there;
+    * delta <= C(d, 2): a reduced curve with r <= d components has
+      delta <= (d - 1)(d - 2)/2 + r - 1, as its genus is at least 1 - r.
+
+    For n lines with ordinary points the two bounds give delta = C(n, 2),
+    every pair of lines meeting at one of the points."""
+    d = c.degree
+    total = sum(deg * cnt for deg, cnt in c.components)
+    if total != d:
         raise PlacementConflict(
-            f"line-pair budget {pairs} != C({n},2) = {n * (n - 1) // 2}")
+            f"component degrees sum to {total}, not the degree {d}")
+    delta = sum(s.count * _delta(s.cluster) for s in c.sing)
+    pairs = (d * d - sum(cnt * deg * deg for deg, cnt in c.components)) // 2
+    if pairs > delta:
+        raise PlacementConflict(f"components meet in {pairs} points, more "
+                                f"than the delta {delta} of the singular "
+                                "points")
+    if delta > d * (d - 1) // 2:
+        raise PlacementConflict(f"delta {delta} of the singular points "
+                                f"exceeds C({d}, 2) = {d * (d - 1) // 2}")
 
 
 def sigma_m2(c):

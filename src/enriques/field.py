@@ -84,6 +84,19 @@ class Tower:
         and ``pmonic`` take ``_adjugate``'s closed form."""
         return len(self.levels) == 1 and len(self.top_modulus) == 3
 
+    @functools.cached_property
+    def is_field(self):
+        """Whether the tower is known to be a field: QQ, or one level
+        whose modulus ``_factors_over_qq`` finds irreducible.  Deeper
+        levels are adjoined optimistically and may split.  Over a field
+        the germ-pair entry points of ``localeng`` run without their
+        up-front ``fixed_part`` gcd; every other tower keeps it, as its
+        gcd is what raises a split of a level that factors."""
+        if len(self.levels) != 1:
+            return not self.levels
+        factors = _factors_over_qq(self.top_modulus)
+        return len(factors) == 1 and factors[0][1] == 1
+
     @property
     def top_var(self):
         return self.levels[-1][0]
@@ -1310,9 +1323,8 @@ MAX_LEVELS = 64
 def tower_from_json(data):
     """Build a tower from JSON.  Each modulus has its coefficients reduced
     in the tower below and passes ``Tower.extend``'s checks, and the
-    depth-1 one must be irreducible over QQ: ``_factors_over_qq`` finds it
-    one factor of multiplicity 1.  Deeper moduli are adjoined
-    optimistically.
+    depth-1 one must be irreducible over QQ (``Tower.is_field``).  Deeper
+    moduli are adjoined optimistically.
 
     At most ``MAX_LEVELS`` levels are read, so a deeper tower is a
     ValueError whatever the caller's stack.  Elements recurse once per
@@ -1332,10 +1344,8 @@ def tower_from_json(data):
         modulus = tuple(elem_from_json(tw, c) for c in
                         json_value(level["modulus"], list, "modulus"))
         tw = tw.extend(var, modulus)
-        if tw.depth == 1:
-            factors = _factors_over_qq(modulus)
-            if len(factors) != 1 or factors[0][1] != 1:
-                raise ValueError(f"modulus for {var!r} is reducible over QQ")
+        if tw.depth == 1 and not tw.is_field:
+            raise ValueError(f"modulus for {var!r} is reducible over QQ")
     return tw
 
 

@@ -474,7 +474,11 @@ def map_multiplicity(f):
 
 def fixed_part(p1, p2):
     """(common curve F through the origin or None, (r1, r2)): p1 and p2
-    with their gcd removed; r1 or r2 may be a unit."""
+    with their gcd removed; r1 or r2 may be a unit.  Over a field tower
+    (``Tower.is_field``) the four germ-pair entry points call it only when
+    their own run cannot conclude; elsewhere they call it first, as its
+    gcd raises the split of a level that factors.  ``pullback_cluster``
+    always calls it first: it is the finiteness check."""
     d = F.poly_gcd(p1, p2)
     if d.total_degree() == 0:
         return None, (p1, p2)
@@ -484,8 +488,43 @@ def fixed_part(p1, p2):
 
 def base_points(f):
     """The weighted cluster of base points of the pencil of f."""
-    contracted, (p1, p2) = fixed_part(f.f1.poly, f.f2.poly)
-    return _entries_to_cluster(_pencil_points(p1, p2, contracted))
+    return _entries_to_cluster(_map_points(f))
+
+
+def _map_points(f):
+    """``_pencil_points`` records of the base points of f, the contracted
+    curve F riding along.  On a tower that is not a field ``fixed_part``
+    runs first and the pencil is that of its quotients.  Over a field the
+    pencil of f1 and f2 runs as given, and only its ``BudgetExceeded``
+    runs ``fixed_part``; the records are the same:
+
+    * a component C through the origin that f1 and f2 share is never
+      separated.  Both transforms at a point of C contain the strict
+      transform of C, so the point is a base point and is recorded, and
+      C's tangent there is a root of every nonzero spanning form, so of
+      their gcd over the field (``split_directions`` adjoins it, and D5
+      redoes a level that factors in each factor), or it is the vertical
+      direction, where every spanning form is divisible by x.  So
+      ``_blowups`` follows C to its cap and raises: a run that returns
+      proves F empty.  On the cap's error F, when there is one, takes the
+      route of the other towers;
+    * a common factor u missing the origin is a unit at every point over
+      it: u(0) scales each tangent form and moves no order, direction or
+      unit, so the records, ids and D5 splits are those of the quotients
+      (the argument of ``pullback_cluster``).  So a run that returns gives
+      the quotients' records, and with F empty the error is raised again,
+      as the quotients would run the same recursion to the same cap."""
+    p1, p2 = f.f1.poly, f.f2.poly
+    if p1.tower.is_field:
+        try:
+            return _pencil_points(p1, p2, None)
+        except BudgetExceeded:
+            contracted, (r1, r2) = fixed_part(p1, p2)
+            if contracted is None:
+                raise
+    else:
+        contracted, (r1, r2) = fixed_part(p1, p2)
+    return _pencil_points(r1, r2, contracted)
 
 
 def _pencil_points(p1, p2, contracted, budget=math.inf):
@@ -494,10 +533,10 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
     the contracted curve.  A finite ``budget`` bounds I_0(p1, p2) and
     truncates the transforms (``_blowups``).
 
-    p1 and p2 are not made coprime here: ``base_points`` and
-    ``local_degree`` pass the quotients by their gcd, and
-    ``pullback_cluster`` a pair that shares no component through the
-    origin by construction."""
+    p1 and p2 are not made coprime here: ``_map_points`` passes a pair
+    whose run proves it shares no component through the origin, or the
+    quotients by its gcd, and ``pullback_cluster`` a pair that shares no
+    component through the origin by construction."""
     if p1.order() < 1 or p2.order() < 1:
         return []
     polys = (p1, p2) if contracted is None else (p1, p2, contracted.poly)
@@ -513,10 +552,10 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
 
 
 def local_degree(f):
-    """deg_p(f) = sum over base points of orbit * (nu^2 + nu * mult(F))."""
-    contracted, (p1, p2) = fixed_part(f.f1.poly, f.f2.poly)
+    """deg_p(f) = sum over base points of orbit * (nu^2 + nu * mult(F)),
+    over the records of ``_map_points``."""
     return sum(n.orbit * nu * (nu + (fm or 0))
-               for n, (nu, _, fm) in _pencil_points(p1, p2, contracted))
+               for n, (nu, _, fm) in _map_points(f))
 
 
 # ---------------------------------------------------------------------------
@@ -535,18 +574,57 @@ def intersection_multiplicity(a, b):
     (d_b + 1) shears ``RetryBudgetExceeded`` is raised.  Infinity means a
     common component through the origin (``fixed_part``'s contracted curve).
 
-    The coprime pair is scaled once to primitive integer leaves
-    (``F.int_poly``), and the shears keep them so.  Nothing read here
-    moves: Res_y(l p, m q) = l^(deg_y q) m^(deg_y p) Res_y(p, q) for
+    On a tower that is not a field ``fixed_part`` runs first and the
+    shears run on its quotients.  Over a field they run on the pair as
+    given, and ``fixed_part`` runs only when a ``Res_y`` vanishes at an
+    admissible shear or no shear among the first (d_a + 1)(d_b + 1) is
+    admissible.  Then a contracted curve gives infinity, a gcd that is
+    not constant reruns the shears on the quotients, and a constant gcd
+    keeps the verdict, as the quotients are the pair.  A finite order of
+    the pair is the quotients', so the answer is that of the other towers.
+    Let h be the gcd of the pair:
+
+    * a factor of h of positive y-degree divides both sheared germs, so
+      their ``Res_y`` vanishes (``_try_resultant_order``);
+    * a y-free factor of h through the origin makes both restrictions to
+      x = 0 vanish at u = 0, and at u >= 1 it is sheared to a factor of
+      positive y-degree;
+    * so a finite order needs h(0) != 0, u = 0 and h free of y.  Then h
+      scales the leading y-coefficients and the restrictions by the unit
+      h(0) at x = 0, so u = 0 is admissible for the quotients r1, r2 as
+      for the pair, and Res_y(h r1, h r2) = h^(deg_y r1 + deg_y r2)
+      Res_y(r1, r2): h to a power is a unit at the origin, so the order
+      is the quotients'.
+
+    Each pair the shears run on is scaled once to primitive integer
+    leaves (``F.int_poly``), and the shears keep them so.  Nothing read
+    here moves: Res_y(l p, m q) = l^(deg_y q) m^(deg_y p) Res_y(p, q) for
     nonzero rationals l and m, so ord_x is the same; ``pgcd`` returns the
-    monic gcd; and a nonzero rational is a unit at every depth, so no zero
-    test, inversion or ``ModulusSplit`` changes.
+    monic gcd; and a nonzero rational is a unit at every depth, so no
+    zero test, inversion or ``ModulusSplit`` changes.
     """
     tw = a.tower
-    contracted, pair = fixed_part(a.poly, b.poly)
+    pair = a.poly, b.poly
+    verdict = None
+    if tw.is_field:
+        try:
+            order = _shear_order(tw, *pair)
+        except RetryBudgetExceeded as e:
+            order, verdict = math.inf, e
+        if order < math.inf:
+            return order
+    contracted, quotients = fixed_part(*pair)
     if contracted is not None:
         return math.inf
-    pa, pb = (F.int_poly(tw, p.terms)[0] for p in pair)
+    if verdict is not None and quotients == pair:
+        raise verdict
+    return _shear_order(tw, *quotients)
+
+
+def _shear_order(tw, pa, pb):
+    """ord_x Res_y at the first admissible shear of (pa, pb), infinity
+    when that Res_y vanishes, else ``RetryBudgetExceeded``."""
+    pa, pb = (F.int_poly(tw, p.terms)[0] for p in (pa, pb))
     y = BiPoly.variable("y", tw)
     shears = (pa.total_degree() + 1) * (pb.total_degree() + 1)
     for u in range(shears):
@@ -570,6 +648,10 @@ def _restrict_x0(tw, p):
 
 
 def _try_resultant_order(tw, qa, qb):
+    """ord_x Res_y(qa, qb) when the shear is admissible, else None.  The
+    order is infinity when Res_y vanishes: over a field K, K[x][y] has
+    Res_y(qa, qb) = 0, with both leading y-coefficients nonzero, exactly
+    when qa and qb share a factor of positive y-degree."""
     ra = _restrict_x0(tw, qa)
     rb = _restrict_x0(tw, qb)
     if pdeg(ra) != qa.deg_y() or pdeg(rb) != qb.deg_y():
@@ -578,8 +660,8 @@ def _try_resultant_order(tw, qa, qb):
     # the only allowed common zero on the axis is the origin: gcd = y^k
     if any(g[:-1]):
         return None
-    # qa and qb are coprime, so Res_y(qa, qb) is not zero
-    return next(i for i, c in enumerate(F.resultant_y(qa, qb)) if c)
+    return next((i for i, c in enumerate(F.resultant_y(qa, qb)) if c),
+                math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +670,25 @@ def _try_resultant_order(tw, qa, qb):
 
 def shared_cluster(a, b):
     """Clusters of the common infinitely near points of two coprime germs,
-    weighted by each germ's multiplicities, over one shared forest."""
-    if fixed_part(a.poly, b.poly)[0] is not None:
-        raise HypothesisViolated("germs share a component through the origin")
-    records = _shared_points(a.poly, b.poly)
-    return _entries_to_cluster(records, 0), _entries_to_cluster(records, 1)
+    weighted by each germ's multiplicities, over one shared forest.
+
+    A component through the origin that both germs share is refused.  On
+    a tower that is not a field ``fixed_part`` decides that first.  Over a
+    field ``_shared_points`` runs first: it never separates such a
+    component (the argument of ``_map_points``) and raises at its cap, so
+    only then does ``fixed_part`` decide, and any other error is the one
+    the other towers raise, from the same run on the same germs."""
+    field = a.tower.is_field
+    if field or fixed_part(a.poly, b.poly)[0] is None:
+        try:
+            records = _shared_points(a.poly, b.poly)
+        except BudgetExceeded:
+            if not field or fixed_part(a.poly, b.poly)[0] is None:
+                raise
+        else:
+            return (_entries_to_cluster(records, 0),
+                    _entries_to_cluster(records, 1))
+    raise HypothesisViolated("germs share a component through the origin")
 
 
 def _shared_points(p, q, cap=MAX_DEPTH):

@@ -475,6 +475,20 @@ class TestExitCodes:
         assert res.stderr == ("HypothesisViolated: cluster is not "
                               "consistent: excess -1 at q2\n")
 
+    @pytest.mark.parametrize("script", [False, True],
+                             ids=["runner", "console-script"])
+    @pytest.mark.parametrize("name, message", [
+        # a conic and two lines with ten nodes once gave h = -12/5
+        ("config_ten_nodes",
+         "delta 10 of the singular points exceeds C(4, 2) = 6"),
+        # three lines of a degree-7 curve with one triple point, h = 40
+        ("config_short_degree", "component degrees sum to 3, not the "
+         "degree 7")], ids=["ten-nodes", "short-degree"])
+    def test_genus_formula_exit_1(self, runner, script, name, message):
+        got = run_either(runner, script, ["config", "h-index",
+                                          str(DATA / f"{name}.json")])
+        assert got == (1, "", f"PlacementConflict: {message}\n")
+
     @pytest.mark.parametrize("cmd", ["degree", "bp"])
     def test_non_dominant_map_exit_1(self, runner, tmp_path, cmd):
         mp = write(tmp_path, "m.json", {"f1": poly_to_json(X),

@@ -70,11 +70,39 @@ class TestPlaneConfigInvariants:
             PlaneConfig(degree=3, components=((1, 3),),
                         sing=(SingularSpec(single_point(3), 2),))
 
-    def test_line_pair_budget_skips_infinitely_near_points(self):
-        # the budget counts ordinary points only; a chain cluster is not one
-        c = PlaneConfig(degree=3, components=((1, 3),),
+    def test_genus_budget_counts_infinitely_near_points(self):
+        # five tacnode-like points [2, 1] have delta 5 > C(3, 2) = 3; the
+        # line-pair budget read ordinary points only and let them pass
+        with pytest.raises(PlacementConflict,
+                           match=r"^delta 5 of .* exceeds C\(3, 2\) = 3$"):
+            PlaneConfig(degree=3, components=((1, 3),),
                         sing=(SingularSpec(chain_cluster([2, 1]), 5),))
-        assert mult_size(c) == 10
+
+    @pytest.mark.parametrize("degree, components, sing, message", [
+        (4, ((2, 1), (1, 2)), ((2, 10),),
+         r"delta 10 of the singular points exceeds C\(4, 2\) = 6"),
+        (7, ((1, 3),), ((3, 1),),
+         "component degrees sum to 3, not the degree 7"),
+        (4, ((1, 4),), ((2, 5),),
+         "components meet in 6 points, more than the delta 5 of the "
+         "singular points"),
+    ], ids=["ten-nodes", "degree", "pairs"])
+    def test_genus_formula(self, degree, components, sing, message):
+        with pytest.raises(PlacementConflict, match=f"^{message}$"):
+            PlaneConfig(degree=degree, components=components,
+                        sing=tuple(SingularSpec(single_point(m), n)
+                                   for m, n in sing))
+
+    @pytest.mark.parametrize("make", [
+        triangle, klein_lines, klein_polars, wiman, lambda: wiman(3),
+        lambda: fermat(2), lambda: fermat(5)],
+        ids=["triangle", "klein", "klein-polars", "wiman", "wiman-3",
+             "fermat-2", "fermat-5"])
+    def test_generators_and_kummer_pullbacks_pass(self, make):
+        # built through PlaneConfig, each passed the genus formula
+        c = make()
+        for k in range(2, 9):
+            assert kummer_pullback(c, k).degree == k * c.degree
 
     def test_too_many_vertices(self):
         with pytest.raises(PlacementConflict):

@@ -341,6 +341,16 @@ class TestJson:
                 tower_from_json(data)
         assert calls == ["t"]
 
+    @pytest.mark.parametrize("modulus, irreducible", [
+        ((-1, 0, 1), False), ((4, 0, 0, 0, 1), False),
+        ((1, 0, 2, 0, 1), False), ((-2, 0, 0, 1), True), ((1, 0, 1), True)],
+        ids=["t2-1", "t4+4", "(t2+1)^2", "t3-2", "t2+1"])
+    def test_is_field(self, modulus, irreducible):
+        # QQ, or one level irreducible over QQ; a deeper level may split
+        tw = QQ.extend("t", modulus)
+        assert QQ.is_field and tw.is_field == irreducible
+        assert not tw.extend("u", ((2,), (), (1,))).is_field
+
     def test_elements_are_reduced(self):
         # s^2 is 2 and s^2 - 2 is 0 in Q(s), also where they are read
         s2 = {"ext": "s", "coeffs": ["0", "0", "1"]}

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -14,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enriques import (QQ, BiPoly, BudgetExceeded, ContractedCurvePresent,
-                      Germ, HypothesisViolated, LocalMap, ModulusSplit, Node,
-                      NonReducedGerm, RetryBudgetExceeded,
+                      EnriquesError, Germ, HypothesisViolated, LocalMap,
+                      ModulusSplit, Node, NonReducedGerm, RetryBudgetExceeded,
                       WeightedMultiCluster, base_points, chain_cluster,
                       curves_through, fixed_part,
                       intersection_multiplicity, is_consistent, local_degree,
@@ -978,6 +979,51 @@ class TestPullback:
         assert pb.size() < deg * k.size()
 
 
+def euclid_chain(a, b):
+    """Enriques' multiplicities of the branch x^a = y^b, a and b coprime:
+    the divisors of Euclid's algorithm on (a, b), each repeated as often
+    as its quotient."""
+    chain = []
+    while a and b:
+        a, b = max(a, b), min(a, b)
+        q, r = divmod(a, b)
+        chain += [b] * q
+        a, b = b, r
+    return chain
+
+
+class TestSeedFreeOracles:
+    """Pullbacks and multiplicity clusters checked against answers that
+    no drawn curve enters."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_pullback_of_a_point_is_the_scaled_base_points(self, m, seed):
+        # f*(m O) = m times the base points of (x^a, y^b), node for node
+        for a, b in itertools.product(range(1, 8), repeat=2):
+            f = monomial_map(a, b)
+            bp = base_points(f)
+            want = WeightedMultiCluster(
+                list(bp.forest.nodes),
+                {n.id: m * bp.weights[n.id] for n in bp.forest.nodes})
+            assert (cluster_to_json(pullback_cluster(f, single_point(m), seed))
+                    == cluster_to_json(want)), (a, b)
+
+    def test_base_points_are_the_euclid_chain(self):
+        for a, b in itertools.product(range(1, 8), repeat=2):
+            if math.gcd(a, b) == 1:
+                assert weight_list(base_points(monomial_map(a, b))) == (
+                    euclid_chain(a, b)), (a, b)
+
+    def test_mult_cluster_is_the_euclid_chain(self):
+        pairs = [(a, b) for a, b in itertools.product(range(2, 12), repeat=2)
+                 if math.gcd(a, b) == 1]
+        for a, b in pairs:
+            assert weight_list(mult_cluster(Germ(Y ** b - X ** a))) == [
+                e for e in euclid_chain(a, b) if e >= 2], (a, b)
+        assert len(pairs) == 62
+
+
 @pytest.mark.parametrize("chain, directions, least, top, k2", DIRECTION_ZERO,
                          ids=["3211", "33211"])
 class TestDirectionZero:
@@ -1532,6 +1578,96 @@ def pair_answer(entry, a, b):
     f = LocalMap.from_polys(a, b)
     return (local_degree(f) if entry == "local_degree"
             else cluster_to_json(base_points(f)))
+
+
+def germ_answer(entry, a, b):
+    """The answer of ``entry`` on (a, b) as JSON, or the class and message
+    of what it raised."""
+    try:
+        if entry == "intersection_multiplicity":
+            return intersection_multiplicity(Germ(a), Germ(b))
+        return pair_answer(entry, a, b)
+    except EnriquesError as e:
+        return type(e).__name__, str(e)
+
+
+FIELD_ENTRIES = ["base_points", "local_degree", "shared_cluster",
+                 "intersection_multiplicity"]
+
+
+def built_pairs(tw):
+    """Germ pairs over ``tw`` on which the field route can reach
+    ``fixed_part``: a shared component through the origin, common factors
+    off it with and without y, a common curve off the origin that every
+    shear line x = uy meets, and a coprime pair with 66 shared points,
+    whose cap error the constant gcd leaves as it is."""
+    x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+    c = BiPoly(tw, {(0, 0): generator(tw)}) if tw.levels else 2
+    p, q = y ** 2 - x ** 3, y - c * x ** 2
+    return {
+        "shared-component": ((y - x ** 2) * p, (y - x ** 2) * q),
+        "shared-line": (x * p, x * (x + y)),
+        "off-origin-with-y": ((1 + x * y) * p, (1 + x * y) * q),
+        "off-origin-without-y": ((1 + c * x) * p, (1 + c * x) * q),
+        "off-origin-met-by-every-shear": ((y - 1) * p, (y - 1) * q),
+        "66-shared-points": (y, y - x ** 66),
+    }
+
+
+class TestFieldRoute:
+    """Over a field tower the four germ-pair entry points run on the
+    germs as given and call ``fixed_part`` only when that run cannot
+    conclude.  Each answer, or each exception's class and message, is
+    that of the route every other tower takes, with ``fixed_part``
+    first, which ``Tower.is_field`` patched to False forces."""
+
+    @staticmethod
+    def gcd_first(entry, a, b):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field.Tower, "is_field", property(lambda tw: False))
+            return germ_answer(entry, a, b)
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    @pytest.mark.parametrize("entry", FIELD_ENTRIES)
+    def test_random_pairs(self, entry, tw):
+        rng = random.Random(43)
+        for _ in range(25):
+            a, b = (random_germ(rng, tw, "reduced") for _ in range(2))
+            assert germ_answer(entry, a, b) == self.gcd_first(entry, a, b), (
+                a, b)
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    @pytest.mark.parametrize("case", list(built_pairs(QQ)))
+    @pytest.mark.parametrize("entry", FIELD_ENTRIES)
+    def test_built_pairs(self, entry, case, tw):
+        a, b = built_pairs(tw)[case]
+        got = germ_answer(entry, a, b)
+        assert got == self.gcd_first(entry, a, b)
+        shared = {"intersection_multiplicity": math.inf,
+                  "shared_cluster": ("HypothesisViolated", "germs share a "
+                                     "component through the origin")}
+        if case.startswith("shared") and entry in shared:
+            assert got == shared[entry]
+        if case == "66-shared-points":
+            assert got == (66 if entry == "intersection_multiplicity" else
+                           ("BudgetExceeded",
+                            "blowup recursion exceeded 64 blowups"))
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    @pytest.mark.parametrize("entry", FIELD_ENTRIES)
+    def test_coprime_pairs_run_no_fixed_part(self, monkeypatch, entry, tw):
+        rng = random.Random(7)
+        germs = [random_germ(rng, tw, "reduced") for _ in range(24)]
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        pairs = [(y ** 2 - x ** 3, y - 2 * x ** 2)] + [
+            (a, b) for a, b in zip(germs[::2], germs[1::2])
+            if fixed_part(a, b)[1] == (a, b)]
+        calls = []
+        monkeypatch.setattr(localeng, "fixed_part",
+                            lambda *args: calls.append(args))
+        for a, b in pairs:
+            assert not isinstance(germ_answer(entry, a, b), tuple)
+        assert len(pairs) >= 8 and calls == []
 
 
 COEFFS = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2),
