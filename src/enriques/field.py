@@ -88,10 +88,8 @@ class Tower:
     def is_field(self):
         """Whether the tower is known to be a field: QQ, or one level
         whose modulus ``_factors_over_qq`` finds irreducible.  Deeper
-        levels are adjoined optimistically and may split.  Over a field
-        the germ-pair entry points of ``localeng`` run without their
-        up-front ``fixed_part`` gcd; every other tower keeps it, as its
-        gcd is what raises a split of a level that factors."""
+        levels are adjoined optimistically and may split.
+        ``localeng._coprime`` reads it to run the germ-pair gcd last."""
         if len(self.levels) != 1:
             return not self.levels
         factors = _factors_over_qq(self.top_modulus)

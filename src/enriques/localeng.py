@@ -474,16 +474,82 @@ def map_multiplicity(f):
 
 def fixed_part(p1, p2):
     """(common curve F through the origin or None, (r1, r2)): p1 and p2
-    with their gcd removed; r1 or r2 may be a unit.  Over a field tower
-    (``Tower.is_field``) the four germ-pair entry points call it only when
-    their own run cannot conclude; elsewhere they call it first, as its
-    gcd raises the split of a level that factors.  ``pullback_cluster``
-    always calls it first: it is the finiteness check."""
+    with their gcd removed; r1 or r2 may be a unit.  The germ-pair entry
+    points reach it through ``_coprime``; ``pullback_cluster`` calls it
+    first, as its finiteness check.
+
+    The gcd misses the origin when its constant term is a unit
+    (``_has_unit``): on a tower that is not a field a nonzero constant
+    can be a zero divisor, and then the gcd passes through the origin in
+    some component and misses it in another, which raises that split."""
     d = F.poly_gcd(p1, p2)
     if d.total_degree() == 0:
         return None, (p1, p2)
     contracted = Germ(d) if d.order() >= 1 else None
+    if contracted is None:
+        _has_unit(d.tower, [d.terms[0, 0]])
     return contracted, (F.exact_div(p1, d), F.exact_div(p2, d))
+
+
+def _coprime(p1, p2, run, failed):
+    """``run(r1, r2, F)`` for (F, (r1, r2)) = ``fixed_part(p1, p2)``: the
+    one route of the germ-pair entry points.  Germs over two towers raise
+    ``ValueError`` before anything runs.
+
+    On a tower that is not a field (``Tower.is_field``) ``fixed_part``
+    runs first, as its gcd is what raises the split of a level that
+    factors.  Over a field ``run(p1, p2, None)`` runs on the pair as
+    given, and ``fixed_part`` runs only on its error ``failed``: a
+    constant gcd raises that error again, as the quotients are the pair
+    and ``run`` reads nothing else, and any other gcd gives ``run`` on the
+    quotients.  So the answer is the gcd-first one if every ``run`` that
+    returns on the pair returns its answer on the quotients and F.  Let h
+    be the gcd of the pair:
+
+    * ``_pencil_points`` and ``_shared_points`` (``BudgetExceeded``) never
+      separate a component C through the origin that both polynomials
+      share.  Both transforms at a point of C contain the strict transform
+      of C, so the point is recorded, and C's tangent there is a root of
+      every nonzero spanning form, so of their gcd over the field
+      (``split_directions`` adjoins it, and D5 redoes a level that factors
+      in each factor), or it is the vertical direction, where every
+      spanning form is divisible by x.  So ``_blowups`` follows C to its
+      cap and raises: a run that returns proves F empty.  A factor of h
+      missing the origin is a unit at every point over it: its value there
+      scales each tangent form and moves no order, direction or unit, so
+      the records, ids and D5 splits are those of the quotients;
+    * ``_shear_order`` (``RetryBudgetExceeded``) raises when no shear is
+      admissible or a ``Res_y`` vanishes at an admissible one.  A factor
+      of h of positive y-degree divides both sheared germs, so their
+      ``Res_y`` vanishes; a y-free factor through the origin makes both
+      restrictions to x = 0 vanish at u = 0, and at u >= 1 it is sheared
+      to a factor of positive y-degree.  So an order returned needs u = 0
+      and h free of y with h(0) != 0.  Then h scales the leading
+      y-coefficients and the restrictions by the unit h(0) at x = 0, so
+      u = 0 is admissible for the quotients r1, r2 as for the pair, and
+      Res_y(h r1, h r2) = h^(deg_y r1 + deg_y r2) Res_y(r1, r2): h to a
+      power is a unit at the origin, so the order is the quotients'.
+
+    The quotients never give a vanishing ``Res_y``, so that error marks a
+    pair with a nonconstant gcd.  At an admissible shear both leading
+    y-coefficients are nonzero.  Over a field the sheared quotients are
+    coprime, so their ``Res_y`` is nonzero.  On any other tower they are
+    coprime in each component field, as ``poly_gcd``'s steps hold in
+    each component or raise the split; in a component where the leading
+    y-coefficient of one of them is nonzero, Res_y is a power of it times
+    the resultant of two coprime polynomials, which is nonzero."""
+    if p1.tower != p2.tower:
+        raise ValueError("tower mismatch")
+    if p1.tower.is_field:
+        try:
+            return run(p1, p2, None)
+        except failed:
+            contracted, quotients = fixed_part(p1, p2)
+            if quotients == (p1, p2):
+                raise
+    else:
+        contracted, quotients = fixed_part(p1, p2)
+    return run(*quotients, contracted)
 
 
 def base_points(f):
@@ -492,39 +558,10 @@ def base_points(f):
 
 
 def _map_points(f):
-    """``_pencil_points`` records of the base points of f, the contracted
-    curve F riding along.  On a tower that is not a field ``fixed_part``
-    runs first and the pencil is that of its quotients.  Over a field the
-    pencil of f1 and f2 runs as given, and only its ``BudgetExceeded``
-    runs ``fixed_part``; the records are the same:
-
-    * a component C through the origin that f1 and f2 share is never
-      separated.  Both transforms at a point of C contain the strict
-      transform of C, so the point is a base point and is recorded, and
-      C's tangent there is a root of every nonzero spanning form, so of
-      their gcd over the field (``split_directions`` adjoins it, and D5
-      redoes a level that factors in each factor), or it is the vertical
-      direction, where every spanning form is divisible by x.  So
-      ``_blowups`` follows C to its cap and raises: a run that returns
-      proves F empty.  On the cap's error F, when there is one, takes the
-      route of the other towers;
-    * a common factor u missing the origin is a unit at every point over
-      it: u(0) scales each tangent form and moves no order, direction or
-      unit, so the records, ids and D5 splits are those of the quotients
-      (the argument of ``pullback_cluster``).  So a run that returns gives
-      the quotients' records, and with F empty the error is raised again,
-      as the quotients would run the same recursion to the same cap."""
-    p1, p2 = f.f1.poly, f.f2.poly
-    if p1.tower.is_field:
-        try:
-            return _pencil_points(p1, p2, None)
-        except BudgetExceeded:
-            contracted, (r1, r2) = fixed_part(p1, p2)
-            if contracted is None:
-                raise
-    else:
-        contracted, (r1, r2) = fixed_part(p1, p2)
-    return _pencil_points(r1, r2, contracted)
+    """``_pencil_points`` records of the base points of f, through
+    ``_coprime``: the pencil of the quotients by the gcd of f1 and f2, the
+    contracted curve F riding along."""
+    return _coprime(f.f1.poly, f.f2.poly, _pencil_points, BudgetExceeded)
 
 
 def _pencil_points(p1, p2, contracted, budget=math.inf):
@@ -533,10 +570,9 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
     the contracted curve.  A finite ``budget`` bounds I_0(p1, p2) and
     truncates the transforms (``_blowups``).
 
-    p1 and p2 are not made coprime here: ``_map_points`` passes a pair
-    whose run proves it shares no component through the origin, or the
-    quotients by its gcd, and ``pullback_cluster`` a pair that shares no
-    component through the origin by construction."""
+    p1 and p2 are not made coprime here: ``_map_points`` passes them
+    through ``_coprime``, and ``pullback_cluster`` passes a pair that
+    shares no component through the origin by construction."""
     if p1.order() < 1 or p2.order() < 1:
         return []
     polys = (p1, p2) if contracted is None else (p1, p2, contracted.poly)
@@ -571,30 +607,10 @@ def intersection_multiplicity(a, b):
     pa, pb of degrees d_a, d_b, u fails only if a top form vanishes at
     (u, 1) (at most d_a + d_b values) or the line x = u y meets a common
     zero off the origin (at most d_a d_b, Bezout); so past (d_a + 1)
-    (d_b + 1) shears ``RetryBudgetExceeded`` is raised.  Infinity means a
-    common component through the origin (``fixed_part``'s contracted curve).
-
-    On a tower that is not a field ``fixed_part`` runs first and the
-    shears run on its quotients.  Over a field they run on the pair as
-    given, and ``fixed_part`` runs only when a ``Res_y`` vanishes at an
-    admissible shear or no shear among the first (d_a + 1)(d_b + 1) is
-    admissible.  Then a contracted curve gives infinity, a gcd that is
-    not constant reruns the shears on the quotients, and a constant gcd
-    keeps the verdict, as the quotients are the pair.  A finite order of
-    the pair is the quotients', so the answer is that of the other towers.
-    Let h be the gcd of the pair:
-
-    * a factor of h of positive y-degree divides both sheared germs, so
-      their ``Res_y`` vanishes (``_try_resultant_order``);
-    * a y-free factor of h through the origin makes both restrictions to
-      x = 0 vanish at u = 0, and at u >= 1 it is sheared to a factor of
-      positive y-degree;
-    * so a finite order needs h(0) != 0, u = 0 and h free of y.  Then h
-      scales the leading y-coefficients and the restrictions by the unit
-      h(0) at x = 0, so u = 0 is admissible for the quotients r1, r2 as
-      for the pair, and Res_y(h r1, h r2) = h^(deg_y r1 + deg_y r2)
-      Res_y(r1, r2): h to a power is a unit at the origin, so the order
-      is the quotients'.
+    (d_b + 1) shears ``RetryBudgetExceeded`` is raised.  The shears run
+    through ``_coprime``: on the quotients by the gcd, and infinity means
+    a common component through the origin (``fixed_part``'s contracted
+    curve).
 
     Each pair the shears run on is scaled once to primitive integer
     leaves (``F.int_poly``), and the shears keep them so.  Nothing read
@@ -604,26 +620,14 @@ def intersection_multiplicity(a, b):
     zero test, inversion or ``ModulusSplit`` changes.
     """
     tw = a.tower
-    pair = a.poly, b.poly
-    verdict = None
-    if tw.is_field:
-        try:
-            order = _shear_order(tw, *pair)
-        except RetryBudgetExceeded as e:
-            order, verdict = math.inf, e
-        if order < math.inf:
-            return order
-    contracted, quotients = fixed_part(*pair)
-    if contracted is not None:
-        return math.inf
-    if verdict is not None and quotients == pair:
-        raise verdict
-    return _shear_order(tw, *quotients)
+    return _coprime(a.poly, b.poly, lambda r1, r2, contracted: (
+        math.inf if contracted is not None else _shear_order(tw, r1, r2)),
+        RetryBudgetExceeded)
 
 
 def _shear_order(tw, pa, pb):
-    """ord_x Res_y at the first admissible shear of (pa, pb), infinity
-    when that Res_y vanishes, else ``RetryBudgetExceeded``."""
+    """ord_x Res_y at the first admissible shear of (pa, pb), else
+    ``RetryBudgetExceeded``."""
     pa, pb = (F.int_poly(tw, p.terms)[0] for p in (pa, pb))
     y = BiPoly.variable("y", tw)
     shears = (pa.total_degree() + 1) * (pb.total_degree() + 1)
@@ -648,10 +652,10 @@ def _restrict_x0(tw, p):
 
 
 def _try_resultant_order(tw, qa, qb):
-    """ord_x Res_y(qa, qb) when the shear is admissible, else None.  The
-    order is infinity when Res_y vanishes: over a field K, K[x][y] has
-    Res_y(qa, qb) = 0, with both leading y-coefficients nonzero, exactly
-    when qa and qb share a factor of positive y-degree."""
+    """ord_x Res_y(qa, qb) when the shear is admissible, else None.  A
+    ``Res_y`` that vanishes raises ``RetryBudgetExceeded``: over a field
+    K, K[x][y] has Res_y(qa, qb) = 0, with both leading y-coefficients
+    nonzero, exactly when qa and qb share a factor of positive y-degree."""
     ra = _restrict_x0(tw, qa)
     rb = _restrict_x0(tw, qb)
     if pdeg(ra) != qa.deg_y() or pdeg(rb) != qb.deg_y():
@@ -660,8 +664,10 @@ def _try_resultant_order(tw, qa, qb):
     # the only allowed common zero on the axis is the origin: gcd = y^k
     if any(g[:-1]):
         return None
-    return next((i for i, c in enumerate(F.resultant_y(qa, qb)) if c),
-                math.inf)
+    for i, c in enumerate(F.resultant_y(qa, qb)):
+        if c:
+            return i
+    raise RetryBudgetExceeded("Res_y vanishes at an admissible shear")
 
 
 # ---------------------------------------------------------------------------
@@ -670,25 +676,18 @@ def _try_resultant_order(tw, qa, qb):
 
 def shared_cluster(a, b):
     """Clusters of the common infinitely near points of two coprime germs,
-    weighted by each germ's multiplicities, over one shared forest.
+    weighted by each germ's multiplicities, over one shared forest.  A
+    component through the origin that both germs share is refused
+    (``_coprime``)."""
 
-    A component through the origin that both germs share is refused.  On
-    a tower that is not a field ``fixed_part`` decides that first.  Over a
-    field ``_shared_points`` runs first: it never separates such a
-    component (the argument of ``_map_points``) and raises at its cap, so
-    only then does ``fixed_part`` decide, and any other error is the one
-    the other towers raise, from the same run on the same germs."""
-    field = a.tower.is_field
-    if field or fixed_part(a.poly, b.poly)[0] is None:
-        try:
-            records = _shared_points(a.poly, b.poly)
-        except BudgetExceeded:
-            if not field or fixed_part(a.poly, b.poly)[0] is None:
-                raise
-        else:
-            return (_entries_to_cluster(records, 0),
-                    _entries_to_cluster(records, 1))
-    raise HypothesisViolated("germs share a component through the origin")
+    def run(p, q, contracted):
+        if contracted is not None:
+            raise HypothesisViolated(
+                "germs share a component through the origin")
+        return _shared_points(p, q)
+
+    records = _coprime(a.poly, b.poly, run, BudgetExceeded)
+    return _entries_to_cluster(records, 0), _entries_to_cluster(records, 1)
 
 
 def _shared_points(p, q, cap=MAX_DEPTH):

@@ -1023,6 +1023,29 @@ class TestSeedFreeOracles:
                 e for e in euclid_chain(a, b) if e >= 2], (a, b)
         assert len(pairs) == 62
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("placement", ["vertex", "line"])
+    def test_kummer_germs_are_the_pulled_back_point(self, placement, seed):
+        # the Kummer cover (x^k, y^k) at a vertex, or (x^k, y) on a
+        # coordinate line, pulls the m lines y = a x, a = 1..m, back to
+        # the germ below; its points of multiplicity >= 2 are those of
+        # weight >= 2 of the pulled-back point of weight m
+        def points(k, least):
+            depth, out = {}, []
+            for n in k.forest.nodes:
+                depth[n.id] = 0 if n.parent is None else depth[n.parent] + 1
+                if k.weights[n.id] >= least:
+                    out.append((n.orbit, k.weights[n.id],
+                                n.second_proximity is not None, depth[n.id]))
+            return sorted(out)
+
+        for m, k in itertools.product(range(1, 6), range(2, 6)):
+            germ = math.prod(((Y ** k - a * X ** k) if placement == "vertex"
+                              else (Y - a * X ** k)) for a in range(1, m + 1))
+            f = monomial_map(k, k if placement == "vertex" else 1)
+            assert points(mult_cluster(Germ(germ)), 2) == points(
+                pullback_cluster(f, single_point(m), seed), 2), (m, k)
+
 
 @pytest.mark.parametrize("chain, directions, least, top, k2", DIRECTION_ZERO,
                          ids=["3211", "33211"])
@@ -1600,7 +1623,8 @@ def built_pairs(tw):
     ``fixed_part``: a shared component through the origin, common factors
     off it with and without y, a common curve off the origin that every
     shear line x = uy meets, and a coprime pair with 66 shared points,
-    whose cap error the constant gcd leaves as it is."""
+    whose cap error the constant gcd leaves as it is, and that pair times
+    a factor off the origin, whose cap error the quotients raise again."""
     x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
     c = BiPoly(tw, {(0, 0): generator(tw)}) if tw.levels else 2
     p, q = y ** 2 - x ** 3, y - c * x ** 2
@@ -1611,6 +1635,7 @@ def built_pairs(tw):
         "off-origin-without-y": ((1 + c * x) * p, (1 + c * x) * q),
         "off-origin-met-by-every-shear": ((y - 1) * p, (y - 1) * q),
         "66-shared-points": (y, y - x ** 66),
+        "66-shared-points-off-origin": ((1 + x) * y, (1 + x) * (y - x ** 66)),
     }
 
 
@@ -1668,6 +1693,70 @@ class TestFieldRoute:
         for a, b in pairs:
             assert not isinstance(germ_answer(entry, a, b), tuple)
         assert len(pairs) >= 8 and calls == []
+
+
+class TestGermPairRoute:
+    """``localeng._coprime``, the one route of the four germ-pair entry
+    points: a tower check first, then the pair or its quotients."""
+
+    @pytest.mark.parametrize("pair", ["same-name", "QQ-and-Q(s)",
+                                      "Q(s)-and-QQ"])
+    @pytest.mark.parametrize("entry", FIELD_ENTRIES)
+    def test_tower_mismatch(self, entry, pair):
+        # Q(s), s^2 = 3, names its generator as Q(s), s^2 = 2 does
+        q_s3 = QQ.extend("s", (Fraction(-3), Fraction(0), Fraction(1)))
+        x2, y2 = BiPoly.variable("x", Q_S), BiPoly.variable("y", Q_S)
+        a, b = {
+            "same-name": (y2 ** 2 - 3 * x2 ** 2,
+                          BiPoly(q_s3, {(0, 1): (1,), (1, 0): (0, -1)})),
+            "QQ-and-Q(s)": (Y ** 2 - X ** 3, y2 - x2 ** 2),
+            "Q(s)-and-QQ": (y2 - x2 ** 2, Y ** 2 - X ** 3),
+        }[pair]
+        with pytest.raises(ValueError, match="^tower mismatch$"):
+            germ_answer(entry, a, b)
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["QQ", "Q(s)"])
+    @pytest.mark.parametrize("entry", FIELD_ENTRIES)
+    def test_rerun_on_the_quotients(self, monkeypatch, entry, tw):
+        # the recursion on the pair hits its cap, fixed_part finds 1 + x
+        # and the run on the quotients raises the same error; the
+        # resultant needs no gcd
+        a, b = built_pairs(tw)["66-shared-points-off-origin"]
+        calls, runs = [], []
+        fixed, blowups = localeng.fixed_part, localeng._blowups
+        monkeypatch.setattr(localeng, "fixed_part",
+                            lambda *args: calls.append(args) or fixed(*args))
+
+        def spy(tw, polys, *args, **kw):
+            runs.append(polys)
+            return blowups(tw, polys, *args, **kw)
+
+        monkeypatch.setattr(localeng, "_blowups", spy)
+        start = time.process_time()
+        got = germ_answer(entry, a, b)
+        assert time.process_time() - start < 0.5
+        if entry == "intersection_multiplicity":
+            assert got == 66 and calls == []
+        else:
+            assert got == ("BudgetExceeded",
+                           "blowup recursion exceeded 64 blowups")
+            assert calls == [(a, b)]
+            assert runs == [(a, b), fixed(a, b)[1]]
+
+    def test_factor_through_the_origin_in_one_component(self):
+        # over Q(t), t^2 = 1, the common factor u = t - 1 + x is the line
+        # x at t = 1, a contracted curve that adds to deg_p, and a unit at
+        # t = -1: each entry point raises the split of t
+        t = BiPoly(Q_T1, {(0, 0): (0, 1)})
+        x, y = BiPoly.variable("x", Q_T1), BiPoly.variable("y", Q_T1)
+        u = t - 1 + x
+        a, b = u * y, u * (y - x ** 2)
+        assert [germ_answer(entry, at_t(a, v), at_t(b, v))
+                for entry in ("local_degree", "intersection_multiplicity")
+                for v in (1, -1)] == [3, 2, math.inf, 2]
+        for entry in FIELD_ENTRIES:
+            assert germ_answer(entry, a, b) == (
+                "ModulusSplit", "modulus for 't' splits"), entry
 
 
 COEFFS = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2),
