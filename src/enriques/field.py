@@ -341,8 +341,6 @@ def leaves(tw, elems):
 
 def _scale_leaves(tw, elems, den, num):
     if not tw.levels:
-        if den == num == 1:
-            return [v.numerator for v in elems]
         return [v.numerator * (den // v.denominator) // num for v in elems]
     s = tw.sub()
     return [tuple(_scale_leaves(s, a, den, num)) for a in elems]
@@ -371,8 +369,6 @@ def int_scale(tw, elems):
     num = 0
     for v in vals:
         num = math.gcd(num, v.numerator * (den // v.denominator))
-        if num == 1:
-            break
     num = num or 1
     return _scale_leaves(tw, elems, den, num), Fraction(den, num)
 
@@ -390,12 +386,11 @@ def int_poly(tw, terms):
 
 def ptrim(tw, cs):
     """``cs`` without its trailing zeros, as a tuple; a tuple that ends
-    on a nonzero coefficient is returned as it is."""
+    on a nonzero coefficient comes back as it is, the same object in
+    CPython, whose full slice and ``tuple`` of a tuple return it."""
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
-    if n == len(cs) and type(cs) is tuple:
-        return cs
     return tuple(cs[:n])
 
 
@@ -847,8 +842,6 @@ def monic_lex(p):
         return p
     tw = p.tower
     key = max(p.terms, key=lambda k: (k[1], k[0]))
-    if p.terms[key] == one(tw):
-        return p
     c = inv(tw, p.terms[key])
     return BiPoly(tw, {k: mul(tw, v, c) for k, v in p.terms.items()})
 

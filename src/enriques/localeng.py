@@ -99,16 +99,11 @@ def _chart_rows(tw, c, js):
     """The weight rows of the chart at a nonzero root c, for the y-degrees
     ``js``: row j holds the integer weights C(j, k) a^(j-k) b^(J-j+k),
     k = 0..j, with c = a/b, J = max js and the powers a^e scaled by one
-    positive rational to integer leaves.
-
-    Over Q, (a, b) is c's numerator and denominator, (c, 1) for an int
-    c: the pair the tower route gives, which scales c = n/d in lowest
-    terms by d/|n| to the sign of n and then by |n| to n over d."""
-    if not tw.levels:
-        a, b = c.numerator, c.denominator
-    else:
-        (a,), q = F.int_scale(tw, [c])
-        a, b = qscale(tw, a, q.denominator), q.numerator
+    positive rational to integer leaves.  b is the lcm of the leaf
+    denominators of c, and a = b c, with integer leaves, at every depth;
+    over Q that is c's numerator over its denominator."""
+    b = math.lcm(*(v.denominator for v in F.leaves(tw, [c])))
+    (a,) = F._scale_leaves(tw, [c], b, 1)
     J = max(js, default=0)
     apow = [F.one(tw)]
     for _ in range(J):
@@ -400,35 +395,48 @@ def mult_cluster(g):
     twice, which can only run the gcd.
 
     Each step checks that the form of least degree m has a unit
-    coefficient (``_has_unit``): the input tower need not be a field, and
-    the levels adjoined for conjugate directions are adjoined
-    optimistically.  Every lower form is zero, so m is then the
-    multiplicity in every factor of the tower; otherwise the split is
-    raised, and dynamic evaluation redoes the branch in each factor.  A
-    level that factors could else read multiplicity 1 where a factor has
-    2, and end the recursion on a repeated factor.
+    coefficient (``_has_unit``, at once over Q, where every coefficient
+    is rational): the input tower need not be a field, and the levels
+    adjoined for conjugate directions are adjoined optimistically.
+    Every lower form is zero, so m is then the multiplicity in every
+    factor of the tower; otherwise the split is raised, and dynamic
+    evaluation redoes the branch in each factor.  A level that factors
+    could else read multiplicity 1 where a factor has 2, and end the
+    recursion on a repeated factor.
 
     The recursion skips every tangent direction of multiplicity 1
     (``_blowups`` with ``least`` 2): a point of multiplicity >= 2 never
     lies there, since the multiplicity of a strict transform at a point
     of the exceptional curve is at most their intersection there, the
     multiplicity of the direction as a root of the tangent cone
-    (Casas-Alvero, ch. 3).  The output, ids, exceptions and D5 splits
-    are those of the recursion that charts it, as its child would do
-    nothing:
+    (Casas-Alvero, ch. 3).  Where the tower of the point is a field, the
+    output, ids, exceptions and D5 splits are those of the recursion
+    that charts it, as its child would do nothing:
 
     * ``_chart_rows``, ``_chart_int`` and ``_relabel`` invert nothing;
     * at a simple root c of the tangent form T, the child's linear form
       has y-coefficient a positive rational times T'(c) = l g'(c) prod
       g_i(c)^i, for the lead l of T, the factor g of c and Yun's other
-      factors g_i.  Yun's Euclid ran with no zero divisor, so T'(c) is a
-      unit in every component (over Q each level is a field);
+      factors g_i.  Over a field g is squarefree and prime to each g_i,
+      so T'(c) is a unit, also when g is the modulus of a new level that
+      factors;
     * at the vertical direction with xm = 1 the child's x-coefficient is
       l, which ``_yun``'s ``pmonic`` inverted (on the c t^k route it is 1,
       over Q a nonzero rational);
-    * so ``_has_unit`` reaches that unit, catching every split before
-      it, the child's order is 1 and ``step`` returns None: no record, no
-      id drawn, no ``ModulusSplit``.
+    * ``inv``'s Euclid over a field inverts a unit with no split, so
+      ``_has_unit`` reaches that unit, catching every split before it,
+      the child's order is 1 and ``step`` returns None: no record, no id
+      drawn, no ``ModulusSplit``.
+
+    Over a tower that is not a field, a product of fields, the skip still
+    drops no point: Yun's Euclid inverted only units, so it ran alike in
+    every component, and c is a simple root there, with T'(c) a unit.
+    But inverting a unit can itself meet a zero divisor of a level below
+    (``pgcd``), so the recursion that charts c can raise a split, or redo
+    a branch in each factor, that this one never meets.  Over Q(t), t^2
+    = 1, (x + y + y^2)((x^2 + y^2)^2 + t y^6)((x^2 + y^2)^2 + x^5 y)
+    gives [9, 4 (orbit 2)] here, the cluster at t = 1 and at t = -1,
+    where that recursion raises the split of t.
 
     A skipped child still counts for the depth cap (``_blowups``): the
     germ y^2 - x^130, whose 65th point has only simple directions, raises
@@ -446,9 +454,7 @@ def mult_cluster(g):
     def step(polys):
         q = polys[0]
         m = q.order()
-        if q.tower.levels:
-            _has_unit(q.tower, [c for (i, j), c in q.terms.items()
-                                if i + j == m])
+        _has_unit(q.tower, [c for (i, j), c in q.terms.items() if i + j == m])
         if m < 2:
             return None
         left[0] -= m * (m - 1) // 2

@@ -1,20 +1,23 @@
 """Plane configurations, Kummer transport and the Klein recursion."""
 
+import itertools
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from enriques import configs
-from enriques import (HypothesisViolated, PlaneConfig, PlacementConflict,
-                      SingularSpec, chain_cluster, config_from_json,
-                      config_to_json, fermat, h_bound_gap,
+from enriques import configs, field
+from enriques import (QQ, BiPoly, Germ, HypothesisViolated, PlaneConfig,
+                      PlacementConflict, SingularSpec, chain_cluster,
+                      config_from_json, config_to_json, fermat, h_bound_gap,
                       h_index, klein_closed_forms, klein_lines, klein_polars,
                       klein_recursion, klein_report, klein_S_cluster,
-                      klein_state, kummer_pullback, pullback_theorem_check,
-                      self_intersection, single_point, strict_gap_demo,
-                      theorem_b_family, triangle, wiman)
+                      klein_state, kummer_pullback, mult_cluster,
+                      pullback_theorem_check, self_intersection,
+                      single_point, strict_gap_demo, theorem_b_family,
+                      triangle, wiman)
 from enriques.configs import (GENERIC, LINE, VERTEX, _s_sums,
                               mult_size, sigma_m2)
 
@@ -61,6 +64,67 @@ class TestGenerators:
         assert mult_size(c) == 483
         assert sigma_m2(c) == 5460
         assert h_index(c) == Fraction(-71, 23)
+
+
+# Phi_k, low -> high: the modulus of Q(zeta_k) as one depth-1 level
+CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1)}
+
+
+def cluster_shape(k):
+    """The cluster as (orbit, weight, parent, second proximity) per node,
+    with each id replaced by its node's index."""
+    index = {n.id: i for i, n in enumerate(k.forest.nodes)}
+    return tuple((n.orbit, k.weights[n.id], index.get(n.parent),
+                  index.get(n.second_proximity)) for n in k.forest.nodes)
+
+
+def fermat_points(k):
+    """(cluster shape, placement) of each singular point of the 3k lines
+    x = zeta^j y, y = zeta^j z, z = zeta^j x over Q(zeta_k): the lines
+    intersected pairwise and grouped by point, and ``mult_cluster`` run
+    on the product of the lines through each point, in the affine chart
+    of its first nonzero coordinate."""
+    tw = QQ.extend("z", CYCLOTOMIC[k])
+    zero, one = field.zero(tw), field.one(tw)
+    powers = [one]
+    for _ in range(k - 1):
+        powers.append(field.mul(tw, powers[-1], field.generator(tw)))
+    lines = [line for w in powers for line in (
+        (one, field.neg(tw, w), zero), (zero, one, field.neg(tw, w)),
+        (field.neg(tw, w), zero, one))]
+
+    def meet(a, b):
+        p = [field.sub(tw, field.mul(tw, a[i], b[j]),
+                       field.mul(tw, a[j], b[i]))
+             for i, j in ((1, 2), (2, 0), (0, 1))]
+        lead = field.inv(tw, next(c for c in p if c))
+        return tuple(field.mul(tw, c, lead) for c in p)
+
+    through = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(lines), 2):
+        through.setdefault(meet(a, b), set()).update((i, j))
+    out = []
+    for point, ids in through.items():
+        first = next(i for i, c in enumerate(point) if c)
+        u, v = (i for i in range(3) if i != first)
+        # a line through the point is a_u (X_u - p_u) + a_v (X_v - p_v)
+        germ = math.prod((BiPoly(tw, {(1, 0): lines[i][u],
+                                      (0, 1): lines[i][v]}) for i in ids),
+                         start=BiPoly.const(1, tw))
+        vertex = sum(1 for c in point if c) == 1
+        out.append((cluster_shape(mult_cluster(Germ(germ))),
+                    VERTEX if vertex else GENERIC))
+    return sorted(out)
+
+
+class TestFromEquations:
+    """Declared configuration data checked against the curve's equations."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_fermat_from_its_lines(self, k):
+        want = sorted((cluster_shape(s.cluster), s.placement)
+                      for s in fermat(k).sing for _ in range(s.count))
+        assert fermat_points(k) == want
 
 
 class TestPlaneConfigInvariants:

@@ -1980,10 +1980,45 @@ def tangent_products(draw, tw):
     return p
 
 
+def points_with_orbits(out):
+    """A cluster's JSON as the sorted (depth, weight, satellite) of its
+    points, a node of orbit r counted r times, or an exception's (type,
+    text) as it is.  Over a tower an orbit is one of Yun's squarefree
+    factors, which can join points that form two orbits over Q."""
+    if not isinstance(out, dict):
+        return out
+    depth, points = {}, []
+    for n in out["nodes"]:
+        depth[n["id"]] = 0 if n["parent"] is None else depth[n["parent"]] + 1
+        points += [(depth[n["id"]], n["mult"],
+                    n["second_proximity"] is not None)] * n["orbit"]
+    return sorted(points)
+
+
+def assert_matches_charting_every_direction(tw, p):
+    """Over Q and Q(s) both routes give the same output and D5 splits.
+    Q(t), t^2 = 1, is Q x Q, where inverting a unit can meet a zero
+    divisor of t: each route either raises the split of t or returns
+    the points that both specializations t = 1 and t = -1 give."""
+    got = counted_mult_cluster(p)
+    with charting_every_direction():
+        want = counted_mult_cluster(p)
+    if tw != Q_T1:
+        assert got == want, p
+        return
+    split = ("ModulusSplit", "modulus for 't' splits")
+    at_1, at_minus_1 = (points_with_orbits(counted_mult_cluster(at_t(p, v))[0])
+                        for v in (1, -1))
+    for out, _ in (got, want):
+        assert out == split or points_with_orbits(out) == at_1 == at_minus_1, (
+            p, out)
+
+
 class TestSimpleDirections:
     """``mult_cluster`` skips every tangent direction of multiplicity 1, as
-    no point of multiplicity >= 2 lies there; its output, exceptions and
-    D5 splits are those of the recursion that charts every direction."""
+    no point of multiplicity >= 2 lies there; over a field tower its
+    output, exceptions and D5 splits are those of the recursion that
+    charts every direction."""
 
     @pytest.mark.parametrize("tw", [QQ, Q_S, Q_T1],
                              ids=["QQ", "Q(s)", "Q(t)"])
@@ -1992,10 +2027,22 @@ class TestSimpleDirections:
     def test_matches_charting_every_direction(self, tw, data):
         p = data.draw(tangent_products(tw))
         assume(p.order() >= 1)
-        got = counted_mult_cluster(p)
-        with charting_every_direction():
-            want = counted_mult_cluster(p)
-        assert got == want, p
+        assert_matches_charting_every_direction(tw, p)
+
+    def test_split_below_an_orbit_over_q_t(self):
+        # a rare draw of the test above: the charting route inverts the
+        # unit T'(c) at a simple direction below the orbit-2 point, over
+        # a level that factors, and meets a zero divisor of t on the way
+        x, y = BiPoly.variable("x", Q_T1), BiPoly.variable("y", Q_T1)
+        t = BiPoly(Q_T1, {(0, 0): generator(Q_T1)})
+        p = ((x + y + y ** 2) * ((x ** 2 + y ** 2) ** 2 + t * y ** 6)
+             * ((x ** 2 + y ** 2) ** 2 + x ** 5 * y))
+        assert_matches_charting_every_direction(Q_T1, p)
+        assert ids_weights_orbits(mult_cluster(Germ(p))) == (
+            ["q001", "q002"], [9, 4], [1, 2])
+        with charting_every_direction(), pytest.raises(
+                ModulusSplit, match="'t'"):
+            mult_cluster(Germ(p))
 
     def test_depth_cap_counts_skipped_children(self):
         # y^2 - x^129 has 64 points of multiplicity 2, at depths 0 to 63
