@@ -544,15 +544,12 @@ def _pgcd_qq(f, g):
     (avoids the coefficient blowup of naive Euclid over Fraction).
 
     The monic gcd is returned with int leaves where it has integral
-    ones: (1,) when either input is a nonzero constant, the gcd of a
-    unit with anything, and the primitive gcd with its sign fixed when
-    its lead is +-1.  Otherwise each leaf is a ``Fraction`` over the
-    lead.  An int equals and hashes like the integral ``Fraction``, so
-    the value is the same either way."""
+    ones: the primitive gcd with its sign fixed when its lead is +-1,
+    (1,) when either input is a nonzero constant.  Otherwise each leaf
+    is a ``Fraction`` over the lead.  An int equals and hashes like the
+    integral ``Fraction``, so the value is the same either way."""
     if not f or not g:
         return pmonic(QQ, f or g)
-    if len(f) == 1 or len(g) == 1:
-        return (1,)
     a, b = int_scale(QQ, f)[0], int_scale(QQ, g)[0]
     while b:
         # integer pseudo-remainder of a by b

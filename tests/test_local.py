@@ -1553,6 +1553,20 @@ class TestReducibleTower:
                 assert got == want, (p, v)
         assert clusters >= 10
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "split_directions adjoins each squarefree factor from Yun as one "
+        "level, also where it factors over the tower (the split_directions "
+        "FOUND in CHANGES.md): the double directions, the roots of "
+        "(T - 1)(T^2 - 2), ride one orbit-3 point"))
+    def test_level_with_a_rational_root(self):
+        # defined over Q, whose cluster is [6, 2, 2 (orbit 2)]; over Q(t)
+        # mult_cluster returns [6, 2 (orbit 3)]
+        x, y = BiPoly.variable("x", Q_T1), BiPoly.variable("y", Q_T1)
+        p = (y - x) ** 2 * (y ** 2 - 2 * x ** 2) ** 2 + x ** 8
+        got = cluster_to_json(mult_cluster(Germ(p)))
+        for v in (1, -1):
+            assert got == cluster_to_json(mult_cluster(Germ(at_t(p, v))))
+
     @pytest.mark.parametrize("entry", ["local_degree", "base_points",
                                        "shared_cluster"])
     def test_pair_matches_both_specializations(self, entry):
@@ -1980,38 +1994,23 @@ def tangent_products(draw, tw):
     return p
 
 
-def points_with_orbits(out):
-    """A cluster's JSON as the sorted (depth, weight, satellite) of its
-    points, a node of orbit r counted r times, or an exception's (type,
-    text) as it is.  Over a tower an orbit is one of Yun's squarefree
-    factors, which can join points that form two orbits over Q."""
-    if not isinstance(out, dict):
-        return out
-    depth, points = {}, []
-    for n in out["nodes"]:
-        depth[n["id"]] = 0 if n["parent"] is None else depth[n["parent"]] + 1
-        points += [(depth[n["id"]], n["mult"],
-                    n["second_proximity"] is not None)] * n["orbit"]
-    return sorted(points)
-
-
 def assert_matches_charting_every_direction(tw, p):
-    """Over Q and Q(s) both routes give the same output and D5 splits.
-    Q(t), t^2 = 1, is Q x Q, where inverting a unit can meet a zero
-    divisor of t: each route either raises the split of t or returns
-    the points that both specializations t = 1 and t = -1 give."""
+    """Both routes give the same output and D5 splits, except where one
+    of them raises the split of t over Q(t), t^2 = 1: that tower is
+    Q x Q, where inverting a unit can meet a zero divisor of t.  Each
+    route then either raises that split or returns the cluster JSON that
+    both specializations t = 1 and t = -1 give, as ``TestReducibleTower``
+    states."""
     got = counted_mult_cluster(p)
     with charting_every_direction():
         want = counted_mult_cluster(p)
-    if tw != Q_T1:
+    split = ("ModulusSplit", "modulus for 't' splits")
+    if tw != Q_T1 or split not in (got[0], want[0]):
         assert got == want, p
         return
-    split = ("ModulusSplit", "modulus for 't' splits")
-    at_1, at_minus_1 = (points_with_orbits(counted_mult_cluster(at_t(p, v))[0])
-                        for v in (1, -1))
+    at_1, at_minus_1 = (counted_mult_cluster(at_t(p, v))[0] for v in (1, -1))
     for out, _ in (got, want):
-        assert out == split or points_with_orbits(out) == at_1 == at_minus_1, (
-            p, out)
+        assert out == split or out == at_1 == at_minus_1, (p, out)
 
 
 class TestSimpleDirections:
