@@ -64,6 +64,8 @@ def emit(rows, fmt, out):
 
 
 def load_json(path):
+    """The JSON document at ``path``, the only reader of input files: one
+    that is missing, unreadable or not JSON is a ``ParseError``."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -144,7 +146,7 @@ def cluster():
 
 
 @cluster.command("check")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @table_options
 def cluster_check(file, fmt, out):
     """Check the forest; print size, consistency and K^2."""
@@ -154,7 +156,7 @@ def cluster_check(file, fmt, out):
 
 
 @cluster.command("hc")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @click.option("--c2", required=True, type=int,
               help="self-intersection of the curve")
 @table_options
@@ -167,7 +169,7 @@ def cluster_hc(file, c2, fmt, out):
 
 
 @cluster.command("codim")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @table_options
 def cluster_codim(file, fmt, out):
     """Virtual codimension of the cluster."""
@@ -207,7 +209,7 @@ def germ():
 
 
 @germ.command("mult-cluster")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @table_options
 def germ_mult_cluster(file, fmt, out):
     """Points of multiplicity >= 2 of the germ."""
@@ -239,7 +241,7 @@ def map_():
 
 
 @map_.command("bp")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @table_options
 def map_bp(file, fmt, out):
     """Weighted base points of the map germ's pencil."""
@@ -247,7 +249,7 @@ def map_bp(file, fmt, out):
 
 
 @map_.command("degree")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @table_options
 def map_degree(file, fmt, out):
     """Local degree of the map germ."""
@@ -256,8 +258,8 @@ def map_degree(file, fmt, out):
 
 
 @map_.command("pullback")
-@click.argument("mapfile", type=click.Path(exists=True))
-@click.argument("clusterfile", type=click.Path(exists=True))
+@click.argument("mapfile")
+@click.argument("clusterfile")
 @SEED
 @table_options
 def map_pullback(mapfile, clusterfile, seed, fmt, out):
@@ -280,7 +282,7 @@ def config():
 
 
 @config.command("h-index")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @table_options
 def config_h_index(file, fmt, out):
     """Harbourne index h of the configuration."""
@@ -290,7 +292,7 @@ def config_h_index(file, fmt, out):
 
 
 @config.command("kummer")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @click.option("--k", required=True, type=click.IntRange(min=2))
 @SEED
 @OUT
@@ -302,7 +304,7 @@ def config_kummer(file, k, seed, out):
 
 
 @config.command("verify-pullback")
-@click.argument("file", type=click.Path(exists=True))
+@click.argument("file")
 @click.option("--k", required=True, type=click.IntRange(min=2))
 @SEED
 @table_options

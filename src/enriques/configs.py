@@ -230,11 +230,14 @@ def pullback_theorem_check(c, k, seed=0):
     """(H(f*C, f*K), H(C, K), strict_expected) for K = Mult(C).
 
     Smooth vertex marks are not part of K, so their preimages are left
-    out of the pulled-back cluster.  Strictness is guaranteed when a
-    vertex placement sits over a cluster point: there the local germ
+    out of the pulled-back cluster.  With N = d^2 - sum count K^2 and
+    S = sum count |K|, h = N / S.  The cover scales N by k^2 exactly, as
+    every placement's squares add up to k^2 K^2, while S' <= k^2 S, with
+    S' < k^2 S when a cluster sits at a vertex: there the local germ
     (x^k, y^k) has multiplicity k > 1.  The germ (x^k, y) at a generic
     point of a coordinate line has multiplicity 1, so line placements do
-    not, by themselves, force a strict drop.
+    not, by themselves, lower S'.  So h' = k^2 N / S' < N / S exactly
+    when N < 0 and a vertex placement exists; at N = 0 both are 0.
     """
     rhs = h_index(c)
     if rhs > 0:
@@ -242,7 +245,7 @@ def pullback_theorem_check(c, k, seed=0):
     stripped = replace(c, smooth_vertex_marks=0)
     new = kummer_pullback(stripped, k, seed)
     lhs = h_index(new)
-    strict_expected = any(sp.placement == VERTEX for sp in c.sing)
+    strict_expected = rhs < 0 and VERTEX in {sp.placement for sp in c.sing}
     return lhs, rhs, strict_expected
 
 
@@ -285,7 +288,12 @@ def strict_gap_demo(c, k, variant="smooth", seed=0):
 
 def h_bound_gap(c, k):
     """Exact value of h(C) k^2 |K| / (k^2 |K| + 3) - 3 k^2 / (k^2 |K| + 3)
-    together with its k -> infinity limit h(C) - 3/|K|."""
+    together with its k -> infinity limit h(C) - 3/|K|.
+
+    The value is h' of ``strict_gap_demo``'s smooth variant: the cover
+    takes N = h |K| to k^2 N - 3 k^2 and |K| to k^2 |K| + 3, as every old
+    point becomes k^2 generic ones and each of the three smooth vertex
+    marks one point of square k^2."""
     h = h_index(c)
     n = mult_size(c)
     k2n = k * k * n

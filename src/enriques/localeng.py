@@ -19,10 +19,11 @@ cluster, and the certificate of the curves through a cluster).  Each entry
 point passes a ``step(polys)`` that reads the current strict transforms
 and returns either None (no point recorded, stop) or ``exps``, the
 exceptional exponent divided out of each polynomial at the next blowup
-(None: the polynomial misses the point and is carried unchanged); the
-entry point reads the point's weights from ``exps`` by index, and the
-first two polynomials span the tangent cone.  ``_chart_int`` works on
-integer leaves: ``F.int_poly`` makes them on entry, and charts keep them.
+(0 for a polynomial that misses the point: it is charted as any other,
+and misses every point infinitely near it too); the entry point reads
+the point's weights from ``exps`` by index, and the first two
+polynomials span the tangent cone.  ``_chart_int`` works on integer
+leaves: ``F.int_poly`` makes them on entry, and charts keep them.
 """
 from __future__ import annotations
 
@@ -286,9 +287,8 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf, least=1):
             top = left // ofac if left < math.inf else left
             # one weight table at the root serves every chart of the step
             rows = None if not root else _chart_rows(t, root, {
-                j for p, e in zip(lifted, exps) if e is not None
-                for _, j in p.terms})
-            hs = [p if e is None else _chart_int(p, e, root, top, rows)
+                j for p in lifted for _, j in p.terms})
+            hs = [_chart_int(p, e, root, top, rows)
                   for p, e in zip(lifted, exps)]
             child_second = None if root else markers[1]
             return rec(t, hs, nid, child_second, (nid, child_second),
@@ -305,8 +305,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf, least=1):
             records.extend(res)
             left -= sum(n.orbit * e[0] ** 2 for n, e in res) // orbit
         if vertical(least):
-            hs = [p if e is None else _relabel(p, e, "y", left)
-                  for p, e in zip(polys, exps)]
+            hs = [_relabel(p, e, "y", left) for p, e in zip(polys, exps)]
             records.extend(rec(tw, hs, nid, markers[0], (markers[0], nid),
                                orbit, depth + 1, left))
         return records
@@ -572,9 +571,9 @@ def _map_points(f):
 
 def _pencil_points(p1, p2, contracted, budget=math.inf):
     """``_blowups`` records of the base points of the pencil (p1, p2),
-    with exps (nu, nu, fm or None): the weight, and the multiplicity of
-    the contracted curve.  A finite ``budget`` bounds I_0(p1, p2) and
-    truncates the transforms (``_blowups``).
+    with exps (nu, nu, fm): the weight, and the multiplicity of the
+    contracted curve, 0 where it misses the point.  A finite ``budget``
+    bounds I_0(p1, p2) and truncates the transforms (``_blowups``).
 
     p1 and p2 are not made coprime here: ``_map_points`` passes them
     through ``_coprime``, and ``pullback_cluster`` passes a pair that
@@ -588,7 +587,7 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
         # polynomial; it does not span the tangent cone
         nu = min(polys[0].order(), polys[1].order())
         fm = polys[2].order() if len(polys) > 2 else 0
-        return nu, nu, fm or None
+        return nu, nu, fm
 
     return _blowups(p1.tower, polys, step, budget=budget)
 
@@ -596,7 +595,7 @@ def _pencil_points(p1, p2, contracted, budget=math.inf):
 def local_degree(f):
     """deg_p(f) = sum over base points of orbit * (nu^2 + nu * mult(F)),
     over the records of ``_map_points``."""
-    return sum(n.orbit * nu * (nu + (fm or 0))
+    return sum(n.orbit * nu * (nu + fm)
                for n, (nu, _, fm) in _map_points(f))
 
 

@@ -201,6 +201,16 @@ class TestConfigCommands:
         row = json.loads(res.output)[0]
         assert row["holds"] is True
 
+    def test_verify_pullback_at_h_zero(self, runner):
+        # four concurrent lines at a vertex: h = 0 is not lowered, and no
+        # strict drop is expected (once expected, and reported as failed)
+        res = run(runner, ["config", "verify-pullback",
+                           str(DATA / "config_four_lines_vertex.json"),
+                           "--k", "2", "--format", "json"])
+        assert res.exit_code == 0
+        row = json.loads(res.stdout)[0]
+        assert (row["lhs"], row["rhs"], row["strict_expected"],
+                row["holds"]) == ("0/1", "0/1", False, True)
 
     def test_verify_pullback_fails_exit_1(self, runner, monkeypatch):
         # a check that does not hold still prints its row, then exits 1
@@ -549,21 +559,32 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "ParseError: malformed polynomial" in res.stderr
 
+    @pytest.mark.parametrize("script", [False, True],
+                             ids=["runner", "console-script"])
     @pytest.mark.parametrize("args, message", [
-        (["germ", "mult-cluster", "germ_exponent_coefficient.json"],
-         "coefficient '1e999999999' is not p/q"),
-        (["map", "pullback", "map_tower_list_name.json",
-          "cluster_two_on_root.json", "--seed", "3"],
-         "'var' is not a string")],
-        ids=["exponent-coefficient", "list-level-name"])
-    def test_malformed_tower_input_exit_2(self, runner, args, message):
-        # Fraction reads "1e999999999" and builds 10^999999999 in full; a
-        # list level name is unhashable where a fresh level is named
-        res = run(runner, [str(DATA / a) if a.endswith(".json") else a
-                           for a in args])
-        assert res.exit_code == 2
-        assert res.stderr == f"ParseError: malformed polynomial: {message}\n"
-        assert "Traceback" not in res.stderr
+        ("germ mult-cluster germ_repeated_term.json",
+         "polynomial: monomial x^3 y^0 appears twice"),
+        ("germ mult-cluster germ_exponent_coefficient.json",
+         "polynomial: coefficient '1e999999999' is not p/q"),
+        ("germ mult-cluster germ_decimal_coefficient.json",
+         "polynomial: coefficient '0.5' is not p/q"),
+        ("germ mult-cluster germ_deep_tower.json",
+         "polynomial: tower of 200 levels; at most 64 are read"),
+        ("map pullback map_tower_list_name.json cluster_two_on_root.json "
+         "--seed 3", "polynomial: 'var' is not a string"),
+        ("config h-index config_bad_placement.json",
+         "config: unknown placement 'nowhere'")],
+        ids=["repeated-term", "exponent-coefficient", "decimal-coefficient",
+             "deep-tower", "list-level-name", "unknown-placement"])
+    def test_malformed_data_file_exit_2(self, runner, script, args, message):
+        # a monomial listed twice was once a silent overwrite; Fraction
+        # reads "1e999999999" and builds 10^999999999 in full, and "0.5"
+        # outside README's p/q grammar; a tower of 200 levels is past
+        # field.MAX_LEVELS; a list level name is unhashable where a fresh
+        # level is named
+        got = run_either(runner, script, [
+            str(DATA / a) if a.endswith(".json") else a for a in args.split()])
+        assert got == (2, "", f"ParseError: malformed {message}\n")
 
     @pytest.mark.parametrize("cmd", [["gen", "fermat"], ["config", "kummer"],
                                      ["config", "verify-pullback"]],
@@ -646,12 +667,13 @@ class TestExitCodes:
 
 
 # files that json.load cannot read: a syntax error, bytes that are not
-# UTF-8 (UnicodeDecodeError) and nesting past the recursion limit
-# (RecursionError)
+# UTF-8 (UnicodeDecodeError), nesting past the recursion limit
+# (RecursionError) and a path that is never written (OSError)
 MALFORMED = {
     "not-json": b"{not json",
     "not-utf8": b"\xff\xfe{",
     "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "missing": None,
 }
 
 
@@ -666,6 +688,25 @@ FILE_COMMANDS = {" ".join(path): cmd for path, cmd in _leaves(main)
                  if any(isinstance(p, click.Argument) for p in cmd.params)}
 
 
+def assert_cannot_parse(runner, script, tmp_path, command, kind):
+    """``command``, with every file argument the one file of ``kind`` and
+    its required options set to 2, exits 2 with the one line that
+    ``load_json`` writes for that file."""
+    bad = tmp_path / "bad.json"
+    if MALFORMED[kind] is not None:
+        bad.write_bytes(MALFORMED[kind])
+    args = command.split()
+    for p in FILE_COMMANDS[command].params:
+        if isinstance(p, click.Argument):
+            args.append(str(bad))
+        elif p.required:
+            args += [p.opts[0], "2"]
+    code, out, err = run_either(runner, script, args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ParseError: cannot parse {bad}: ")
+    assert err.count("\n") == 1
+
+
 class TestMalformedFiles:
     def test_every_file_command_is_walked(self):
         assert len(FILE_COMMANDS) == 10
@@ -673,18 +714,17 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
     def test_parse_error_exit_2(self, runner, tmp_path, command, kind):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(MALFORMED[kind])
-        args = command.split()
-        for p in FILE_COMMANDS[command].params:
-            if isinstance(p, click.Argument):
-                args.append(str(bad))
-            elif p.required:
-                args += [p.opts[0], "2"]
-        res = run(runner, args)
-        assert res.exit_code == 2
-        assert res.stderr.startswith(f"ParseError: cannot parse {bad}: ")
-        assert res.stderr.count("\n") == 1
+        assert_cannot_parse(runner, False, tmp_path, command, kind)
+
+    # a fresh interpreter has the default recursion limit and no
+    # CliRunner around it; a syntax error fails in json.load as the bytes
+    # that are not UTF-8 do, with a ValueError
+    @pytest.mark.parametrize("kind", ["missing", "not-utf8", "too-deep"])
+    @pytest.mark.parametrize("command", ["cluster check", "config h-index",
+                                         "germ mult-cluster", "map bp"])
+    def test_parse_error_in_a_fresh_interpreter(self, tmp_path, command,
+                                                kind):
+        assert_cannot_parse(None, True, tmp_path, command, kind)
 
 
 # -- fuzzing: small well-formed JSON with at most one node replaced by junk --

@@ -295,6 +295,13 @@ class TestPullbackTheorem:
         lhs, rhs, strict = pullback_theorem_check(fermat(2), 2)
         assert strict and lhs < rhs
 
+    def test_vertex_at_h_zero_is_not_strict(self):
+        # four concurrent lines, their point at a vertex: h = 0 before and
+        # after, as N = 0 scales to 0, so no strict drop is expected
+        c = PlaneConfig(degree=4, components=((1, 4),),
+                        sing=(SingularSpec(single_point(4), 1, VERTEX),))
+        assert pullback_theorem_check(c, 2) == (0, 0, False)
+
     def test_positive_h_rejected(self):
         c = PlaneConfig(degree=5, components=((5, 1),),
                         sing=(SingularSpec(single_point(2), 1),))
@@ -349,6 +356,16 @@ class TestHBoundGap:
         h = Fraction(-9, 4)
         n = 12
         assert value == (h * 100 * n - 300) / Fraction(100 * n + 3)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("make", [wiman, klein_lines, klein_polars,
+                                      lambda: fermat(3), lambda: fermat(5)],
+                             ids=["wiman", "klein", "klein-polars",
+                                  "fermat-3", "fermat-5"])
+    def test_value_is_the_smooth_cover(self, make, k):
+        # the smooth variant's h' = (h k^2 n - 3 k^2) / (k^2 n + 3)
+        c = make()
+        assert h_bound_gap(c, k)[0] == strict_gap_demo(c, k, "smooth")[2]
 
 
 class TestKlein:

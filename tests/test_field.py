@@ -674,6 +674,27 @@ def inverse_or_split(tw, a):
         return "split", e.var, e.factor
 
 
+def assert_inv_matches_plain_euclid(tw, a):
+    """The same inverse or the same split, with the same distinct
+    elements inverted in the same order at every depth >= 1.  Below a
+    depth-1 level of degree 2, which inverts in closed form, the one
+    rational inverted is that of a constant (b,), right after it; below
+    any other, the rationals inverted are plain Euclid's too."""
+    with pytest.MonkeyPatch.context() as mp:
+        want_seen = spy_inverted(mp, plain_inv)
+        want = inverse_or_split(tw, a)
+    with pytest.MonkeyPatch.context() as mp:
+        got_seen = spy_inverted(mp, inv)
+        got = inverse_or_split(tw, a)
+    assert got == want
+    if Tower(tw.levels[:1])._quadratic:
+        assert all(prev == (1, (b,)) for prev, (d, b)
+                   in zip([None, *got_seen], got_seen) if not d)
+        got_seen = [(d, b) for d, b in got_seen if d]
+        want_seen = [(d, b) for d, b in want_seen if d]
+    assert list(dict.fromkeys(got_seen)) == list(dict.fromkeys(want_seen))
+
+
 # u^2 = t over Q(t), t^2 = 1, is u^2 = 1 on one factor of Q x Q and
 # u^2 = -1 on the other; c^3 = c t is c (c^2 - t), reducible on both
 Q_TU = Q_T.extend("u", ((Fraction(0), Fraction(-1)), (), (Fraction(1),)))
@@ -736,25 +757,17 @@ class TestTowerEuclid:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_inv_matches_plain_euclid(self, tw, data):
-        """The same inverse or the same split, with the same distinct
-        elements inverted in the same order at every depth >= 1.  Below a
-        depth-1 level of degree 2, which inverts in closed form, the one
-        rational inverted is that of a constant (b,), right after it;
-        below any other, the rationals inverted are plain Euclid's too."""
-        a = data.draw(nonzero(tw))
-        with pytest.MonkeyPatch.context() as mp:
-            want_seen = spy_inverted(mp, plain_inv)
-            want = inverse_or_split(tw, a)
-        with pytest.MonkeyPatch.context() as mp:
-            got_seen = spy_inverted(mp, inv)
-            got = inverse_or_split(tw, a)
-        assert got == want
-        if Tower(tw.levels[:1])._quadratic:
-            assert all(prev == (1, (b,)) for prev, (d, b)
-                       in zip([None, *got_seen], got_seen) if not d)
-            got_seen = [(d, b) for d, b in got_seen if d]
-            want_seen = [(d, b) for d, b in want_seen if d]
-        assert list(dict.fromkeys(got_seen)) == list(dict.fromkeys(want_seen))
+        assert_inv_matches_plain_euclid(tw, data.draw(nonzero(tw)))
+
+    # elements whose Euclid against the top modulus ends at a remainder of
+    # exactly 1, which the draws above reach only at some seeds
+    @pytest.mark.parametrize("tw, a", [
+        (Q_CUBE, (Fraction(2), Fraction(0), Fraction(-1))),
+        (Q_ST, ((Fraction(2),), (Fraction(1),))),
+        (Q_TC, ((Fraction(1),), (), (Fraction(2),)))],
+        ids=["d1-cubic", "d2", "d2-cubic-over-split"])
+    def test_inv_at_a_last_remainder_of_1(self, tw, a):
+        assert_inv_matches_plain_euclid(tw, a)
 
     def test_inv_inverts_each_element_once(self, monkeypatch):
         # 1 + s t over Q(s)(t), s^2 = 2 and t^2 = 3: the top step inverts
