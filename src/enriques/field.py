@@ -1013,29 +1013,131 @@ def _eval_x(tw, yx, c):
 
 
 def resultant_y(p, q):
-    """Res_y(p, q) as a dense polynomial in x, at every depth: the
-    Sylvester resultants ``uni_resultant`` of p(x0, y) and q(x0, y) at
-    the int nodes x0 = 0, 1, 2, ... where both lc_y survive, interpolated.
-    It is () when p or q is zero or they share a factor of positive
-    y-degree.  The nodes number one more than a bound on deg_x Res_y,
-    the smaller of deg_x p e + deg_x q d and e m + d n - d e, for y-degrees
-    d = deg_y p, e = deg_y q and total degrees m, n: the Sylvester entry
-    in column c of p's row k has x-degree <= m - d + c - k (n - e + c - l
-    in q's row l), so each term of the determinant has x-degree
-    <= e m + d n - d e, which is at most the Bezout number m n (Cox,
-    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 7)."""
+    """Res_y(p, q) as a dense polynomial in x, at every depth; () when p
+    or q is zero or they share a factor of positive y-degree.
+
+    Over a tower that is not known to be a field (``Tower.is_field``)
+    every pair takes ``_resultant_at_nodes``, whose inversions raise each
+    ``ModulusSplit`` they meet.  Over a field K the pair is first reduced
+    in K[x][y], as (f, g) with d = deg_y f >= e = deg_y g and
+    Res_y(p, q) = u Res_y(f, g) for a nonzero constant u of K.  Each step
+    is a textbook identity of the Sylvester resultant over the domain
+    K[x] (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6;
+    Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3
+    sec. 6):
+
+    - Swapping the pair permutes d e pairs of Sylvester rows, so
+      Res(f, g) = (-1)^(d e) Res(g, f).
+    - At e = 0 the Sylvester matrix is g0 times the identity of size d,
+      so Res(f, g) = g0^d.
+    - At e = 1, Res(g, f) = g1^d f(-g0 / g1), the value at the root of g,
+      so Res(f, g) = (-1)^d sum_j f_j (-g0)^j g1^(d-j), by Horner with the
+      powers of g1 in each term: no inversion.
+    - Where lc_y g is a constant c of K and d - e <= 1, divide in K[x][y]:
+      f = s g + r with deg_y r < e, inverting c once.  Res(g, f) =
+      c^d prod f(a) over the roots a of g, and f(a) = r(a), so Res(g, f)
+      = c^(d - deg r) Res(g, r), and Res(f, g) = (-1)^(d e)
+      c^(d - deg r) Res(g, r).  At r = 0 the pair shares g, and the answer
+      is ().  The pair becomes (g, r), with deg r < e.
+
+    So a pair is finished in K[x][y] when a member has y-degree 0 or 1,
+    or when divisions lead to such a member: a line y - c1 x - c2 x^2
+    against a quadric, and two monic quadrics whose difference is free
+    of y, the two pair shapes of ``intersection_multiplicity`` on the
+    tower-germs benchmark.  The pairs left reach the nodes: both
+    y-degrees are at least 2, and lc_y g is not constant or d - e >= 2.
+    Res(f, g) = Res_y(p, q) / u has the x-degree of Res_y(p, q), so the
+    nodes number 1 + the smaller of the two pairs' ``_degree_bound``.
+
+    The gap limit d - e <= 1 keeps wider pairs on the nodes, as each
+    division step adds about deg_x g to the remainder's x-degree: on
+    random monic pairs of y-degrees (3, 5) and (3, 6), timed on a 2-vCPU
+    Xeon with Python 3.11, division read 0.77-0.94 times the speed of
+    the nodes.  It is a measured compromise, not a bound: at e = 2 over
+    Q division read faster."""
     tw = p.tower
     f, g = p.to_yx(), q.to_yx()
-    dyp, dyq = pdeg(f), pdeg(g)
-    if dyp < 0 or dyq < 0:
+    if not f or not g:
         return ()
-    bound = min(p.deg_x() * dyq + q.deg_x() * dyp,
-                dyq * p.total_degree() + dyp * q.total_degree() - dyp * dyq)
+    bound = _degree_bound(f, g)
+    if not tw.is_field:
+        return _resultant_at_nodes(tw, f, g, bound)
+    u = one(tw)
+    if len(f) < len(g):
+        f, g = g, f
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            u = neg(tw, u)
+    unit = (one(tw),)
+    while True:
+        d, e = pdeg(f), pdeg(g)
+        if e == 0:
+            res = unit
+            for _ in range(d):
+                res = pmul(tw, res, g[0])
+            break
+        if e == 1:
+            a, b = pneg(tw, g[0]), g[1]
+            res, bp = f[-1], unit
+            for fj in reversed(f[:-1]):
+                if b != unit:
+                    bp = pmul(tw, bp, b)
+                res = padd(tw, pmul(tw, res, a),
+                           fj if bp == unit else pmul(tw, fj, bp))
+            if d % 2:
+                u = neg(tw, u)
+            break
+        c = g[-1]
+        if len(c) > 1 or d - e > 1:
+            res = _resultant_at_nodes(tw, f, g,
+                                      min(bound, _degree_bound(f, g)))
+            break
+        c = c[0]
+        ic = None if c == one(tw) else inv(tw, c)
+        r = list(f)
+        for k in range(d - e, -1, -1):
+            s = r[k + e]
+            if ic is not None:
+                s = pscale(tw, s, ic)
+            for i in range(e):
+                if g[i]:
+                    r[k + i] = psub(tw, r[k + i], pmul(tw, s, g[i]))
+        r = ptrim(tw, r[:e])
+        if not r:
+            return ()
+        if d * e % 2:
+            u = neg(tw, u)
+        for _ in range(d - pdeg(r)):
+            u = mul(tw, u, c)
+        f, g = g, r
+    return res if u == one(tw) else pscale(tw, res, u)
+
+
+def _degree_bound(f, g):
+    """A bound on deg_x Res_y(f, g) for nonzero f, g in (K[x])[y]: the
+    smaller of deg_x f e + deg_x g d and e m + d n - d e, for y-degrees
+    d = deg_y f, e = deg_y g and total degrees m, n.  The Sylvester entry
+    in column c of f's row k has x-degree <= m - d + c - k (n - e + c - l
+    in g's row l), so each term of the determinant has x-degree
+    <= e m + d n - d e, which is at most the Bezout number m n (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 7).
+    The top row of each is nonzero, so a zero row (length 0) never sets
+    a maximum."""
+    d, e = pdeg(f), pdeg(g)
+    dxf, dxg = (max(map(len, h)) - 1 for h in (f, g))
+    m, n = (max(len(row) + j for j, row in enumerate(h)) - 1
+            for h in (f, g))
+    return min(dxf * e + dxg * d, e * m + d * n - d * e)
+
+
+def _resultant_at_nodes(tw, f, g, bound):
+    """Res_y(f, g) for nonzero f, g in (K[x])[y] whose resultant has
+    x-degree <= ``bound``: the Sylvester resultants ``uni_resultant`` of
+    f(x0, y) and g(x0, y) at the first bound + 1 int nodes x0 = 0, 1, 2,
+    ... where both lc_y survive, interpolated by ``_lagrange``.  It is
+    the one route over a tower that is not known to be a field."""
     pts, vals = [], []
     for c in itertools.count():
-        lcp = peval(tw, f[-1], c)
-        lcq = peval(tw, g[-1], c)
-        if not lcp or not lcq:
+        if not peval(tw, f[-1], c) or not peval(tw, g[-1], c):
             continue
         pts.append(c)
         vals.append(uni_resultant(tw, _eval_x(tw, f, c), _eval_x(tw, g, c)))

@@ -1234,9 +1234,58 @@ def sylvester(f, g):
                         [sympy.sympify(v) for row in rows for v in row]).det()
 
 
+@st.composite
+def resultant_pairs(draw):
+    """Pairs over Q or Q(s), s^2 = 2, that reach each reduction of
+    ``resultant_y``: y-degrees 0-4 in either order, leads in y of 1, of
+    another constant or of a polynomial in x, and, one pair in four, a
+    shared factor of y-degree 1.  A member of positive y-degree has a
+    term free of y, so that y^d and y^e do not crowd out the coprime
+    pairs."""
+    tw = draw(st.sampled_from([QQ, Q_S]))
+
+    def member(deg):
+        lead = draw(st.sampled_from(["const", "poly", "one"]))
+        if lead == "one":
+            terms = {(0, deg): one(tw)}
+        else:
+            top = {0: draw(nonzero(tw))} if lead == "const" else draw(
+                st.dictionaries(st.integers(1, 2), nonzero(tw), min_size=1,
+                                max_size=2))
+            terms = {(i, deg): c for i, c in top.items()}
+        if deg:
+            terms[(draw(st.integers(0, 2)), 0)] = draw(nonzero(tw))
+            terms.update(draw(st.dictionaries(
+                st.sampled_from([(i, j) for i in range(3)
+                                 for j in range(deg)]),
+                nonzero(tw), max_size=3)))
+        return BiPoly(tw, terms)
+
+    p, q = member(draw(st.integers(0, 4))), member(draw(st.integers(0, 4)))
+    if draw(st.integers(0, 3)) == 0:
+        h = member(1)
+        p, q = h * p, h * q
+    return p, q
+
+
+def _germ_pairs():
+    """The two pair shapes of the tower-germs benchmark over Q(s), s^2 = 2:
+    a line y - c1 x - c2 x^2 against a quadric Q_b = y^2 - e x^2 - b x^3,
+    and two quadrics Q_a, Q_b, whose difference is (b - a) x^3."""
+    s, x, y = s_x_y()
+    q_a = y ** 2 - 3 * x ** 2 - (s - 2) * x ** 3
+    q_b = y ** 2 - 3 * x ** 2 - (s + 1) * x ** 3
+    line = y - s * x - (2 - s) * x ** 2
+    return (line, q_b), (q_a, q_b)
+
+
 class TestTowerResultants:
-    """Res_y over Q, Q(s) and Q(s, t) by evaluation and interpolation, and
-    the Horner by a rational under it."""
+    """Res_y over Q, Q(s) and Q(s, t).  Over a field ``resultant_y``
+    finishes a pair in K[x][y] where a member has y-degree 0 or 1, and
+    divides where the lead in y of the lower member is a constant and the
+    y-degrees differ by at most 1; the pairs left reach the evaluation
+    route, ``_resultant_at_nodes``, as does every pair over a tower that
+    is not known to be a field.  Also the Horner by a rational under it."""
 
     @pytest.mark.parametrize("tw", [QQ, Q_S, Q_ST],
                              ids=["QQ", "sqrt2", "depth2"])
@@ -1264,19 +1313,65 @@ class TestTowerResultants:
         (Y ** 4 - X ** 7, Y ** 3 - X ** 5 + X * Y ** 2, 30)],
         ids=["cusps", "perturbed-cusps", "quartic-cubic"])
     def test_nodes_at_the_degree_bound(self, monkeypatch, p, q, nodes):
-        # e m + d n - d e + 1 nodes (d, e the y-degrees, m, n the total
-        # degrees), fewer than deg_x p e + deg_x q d + 1 and m n + 1
+        # the evaluation route takes e m + d n - d e + 1 nodes (d, e the
+        # y-degrees, m, n the total degrees), fewer than
+        # deg_x p e + deg_x q d + 1 and m n + 1; over Q ``resultant_y``
+        # finishes the cusp pairs by a division step and gives the
+        # quartic-cubic pair fewer nodes
         points = []
         lagrange = field._lagrange
         monkeypatch.setattr(field, "_lagrange",
                             lambda tw, pts, vals: points.append(len(pts))
                             or lagrange(tw, pts, vals))
-        r = resultant_y(p, q)
+        f, g = p.to_yx(), q.to_yx()
+        r = field._resultant_at_nodes(QQ, f, g, field._degree_bound(f, g))
         assert points == [nodes]
         want = sympy.resultant(sympy_expr(p), sympy_expr(q), SYM_Y)
         got = sum((sympy.Rational(c.numerator, c.denominator) * SYM_X ** i
                    for i, c in enumerate(r)), sympy.Integer(0))
         assert sympy.expand(got - want) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=resultant_pairs())
+    @example(pair=_germ_pairs()[0])
+    @example(pair=_germ_pairs()[1])
+    # y-degree 0; y-degree 1 under a lead x; leads 3 and 1 at odd d e;
+    # d - e = 2 under constant leads; a shared factor
+    @example(pair=(X ** 2 + 1, Y ** 3 - X))
+    @example(pair=(X * Y + 1, Y ** 2 - X ** 3))
+    @example(pair=(Y ** 3 + X, 3 * Y ** 3 - X ** 2 * Y + 1))
+    @example(pair=(Y ** 4 - X ** 5, Y ** 2 - X ** 3))
+    @example(pair=((Y ** 2 - X) * (Y + X), (Y ** 2 - X) * (2 * Y - 1)))
+    def test_matches_the_evaluation_route(self, pair):
+        # in both orders against the evaluation route, and over Q in the
+        # drawn order against the Sylvester determinant
+        for a, b in (pair, pair[::-1]):
+            f, g = a.to_yx(), b.to_yx()
+            assert resultant_y(a, b) == field._resultant_at_nodes(
+                a.tower, f, g, field._degree_bound(f, g))
+        p, q = pair
+        if not p.tower.levels:
+            want = sympy.expand(sylvester(
+                *(sympy.Poly(sympy_expr(u), SYM_Y).all_coeffs()[::-1]
+                  for u in pair)))
+            got = sum((sympy.Rational(c.numerator, c.denominator) * SYM_X ** i
+                       for i, c in enumerate(resultant_y(p, q))),
+                      sympy.Integer(0))
+            assert sympy.expand(got - want) == 0
+
+    def test_splits_where_the_tower_is_not_a_field(self):
+        # t - 1 is a zero divisor of Q[t]/(t^2 - 1), the lead in y of a
+        # linear member; over a field that member's pair is finished with
+        # no inversion, but here the evaluation route divides by the lead
+        # at its first node and raises the split, in either order
+        tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        t = BiPoly(tw, {(0, 0): generator(tw)})
+        p, q = y ** 2 - x, (t - 1) * y + x
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ModulusSplit) as exc:
+                resultant_y(a, b)
+            assert exc.value.var == "t"
 
     @DEPTHS
     @settings(max_examples=30, deadline=None)

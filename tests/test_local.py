@@ -25,6 +25,7 @@ from enriques import (QQ, BiPoly, BudgetExceeded, ContractedCurvePresent,
                       self_intersection, shared_cluster, single_point,
                       virtual_codimension)
 from enriques import field, localeng
+from enriques.cli import load_json, parse_map
 from enriques.clusters import cluster_from_json, cluster_to_json
 from enriques.field import (from_rational, generator, poly_to_json, ptrim,
                             qscale)
@@ -999,15 +1000,27 @@ class TestSeedFreeOracles:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_pullback_of_a_point_is_the_scaled_base_points(self, m, seed):
-        # f*(m O) = m times the base points of (x^a, y^b), node for node
-        for a, b in itertools.product(range(1, 8), repeat=2):
-            f = monomial_map(a, b)
+        # f*(m O) = m times the base points of f, node for node: on the
+        # monomial maps (x^a, y^b), 1 <= a, b <= 7, on every map
+        # (x^a + c1 y^(a+1), y^b + c2 x^(b+1)), 1 <= a, b, c1, c2 <= 3,
+        # and on the map files that pull back, two of them over Q(s),
+        # s^2 = 2, and one the captured map of a slow [2, 2, 2] pullback
+        maps = [((a, b), monomial_map(a, b))
+                for a, b in itertools.product(range(1, 8), repeat=2)]
+        maps += [((a, b, c1, c2), LocalMap.from_polys(
+                     X ** a + c1 * Y ** (a + 1), Y ** b + c2 * X ** (b + 1)))
+                 for a, b, c1, c2 in itertools.product(range(1, 4), repeat=4)]
+        maps += [(name, parse_map(load_json(GOLDEN.parent / name)))
+                 for name in ("map.json", "map_cubes.json",
+                              "map_slow_pullback.json", "map_tower.json",
+                              "map_tower_pullback.json")]
+        for key, f in maps:
             bp = base_points(f)
             want = WeightedMultiCluster(
                 list(bp.forest.nodes),
                 {n.id: m * bp.weights[n.id] for n in bp.forest.nodes})
             assert (cluster_to_json(pullback_cluster(f, single_point(m), seed))
-                    == cluster_to_json(want)), (a, b)
+                    == cluster_to_json(want)), key
 
     def test_base_points_are_the_euclid_chain(self):
         for a, b in itertools.product(range(1, 8), repeat=2):
