@@ -111,6 +111,12 @@ class TestFieldArith:
         # a depth-0 leaf may be an int; 1 / 3 would be a float
         assert inv(QQ, 3) == Fraction(1, 3)
         assert type(inv(QQ, 3)) is Fraction
+        # a product by the unit returns the other operand, int leaves
+        # and all, at depths 1 and 2
+        q_st = QQ.extend("s", (-2, 0, 1)).extend("t", ((-3,), (), (1,)))
+        for tw, b in ((q_st.sub(), (2, -1)), (q_st, ((1,), (0, 3)))):
+            assert mul(tw, one(tw), b) is b
+            assert mul(tw, from_rational(tw, 1), b) is b
         p = monic_lex(BiPoly(QQ, {(0, 1): 2, (1, 0): 1}))
         assert p.terms == {(0, 1): Fraction(1), (1, 0): Fraction(1, 2)}
         assert all(type(v) is Fraction for v in p.terms.values())
@@ -595,13 +601,19 @@ class TestIntTower:
     def test_products_keep_int_leaves(self, tw, data):
         """Sums start from their first product, not from a zero, so int
         leaves stay ints: in ``pmul`` over a tower with int moduli, and in
-        a product by an int, which reduces nothing, over any tower."""
+        a product by an int, which reduces nothing, over any tower.  In a
+        tower a product by the unit, with int or ``Fraction`` leaves,
+        returns the other operand itself."""
         vals = int_scale(tw, [data.draw(elements(tw)) for _ in range(4)])[0]
         if tw in (QQ, Q_ST):
             assert all(int_leaves(tw, c) for c in pmul(tw, vals[:2], vals[2:]))
         k = int_const(tw, data.draw(st.integers(-5, 5)))
         assert int_leaves(tw, mul(tw, k, vals[0]))
         assert int_leaves(tw, mul(tw, vals[0], k))
+        if tw.levels:
+            for unit in (one(tw), from_rational(tw, 1)):
+                assert mul(tw, unit, vals[0]) is vals[0]
+                assert mul(tw, vals[0], unit) == vals[0]
 
 
 Q_CUBE = QQ.extend("c", (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
@@ -856,6 +868,133 @@ class TestQuadraticClosedForm:
         b, n = field._adjugate(tw, a)
         assert mul(tw, a, b) == from_rational(tw, n)
         assert n == uni_resultant(QQ, tw.top_modulus, a)
+
+
+def pmonic_reference(tw, f):
+    """``f`` times the inverse of its lead, the top included: b / n from
+    ``_adjugate`` where ``pmonic`` takes the closed form, and
+    ``field.inv`` of the lead elsewhere, each applied by ``pscale``."""
+    if not f or f[-1] == one(tw):
+        return f
+    lc = f[-1]
+    if tw._quadratic and len(lc) == 2:
+        b, n = field._adjugate(tw, lc)
+        return field.pscale(tw, field.pscale(tw, f, b),
+                            from_rational(tw, Fraction(1, n)))
+    return field.pscale(tw, f, field.inv(tw, lc))
+
+
+def pgcd_reference(tw, f, g):
+    """``pgcd``'s Euclid on monic divisors, made monic by
+    ``pmonic_reference``."""
+    f, g = ptrim(tw, f), ptrim(tw, g)
+    if not tw.levels:
+        return field._pgcd_qq(f, g)
+    if not g:
+        return pmonic_reference(tw, f)
+    g = pmonic_reference(tw, g)
+    while g:
+        f, g = g, pmonic_reference(tw, pmod(tw, f, g))
+    return f
+
+
+def yun_reference(tw, f):
+    """Yun's loop to the end, with no exit at a constant gcd(f, f'), on
+    ``pmonic_reference`` and ``pgcd_reference``."""
+    f = pmonic_reference(tw, f)
+    df = field.pderiv(tw, f)
+    a = pgcd_reference(tw, f, df)
+    b = field.pdiv_exact(tw, f, a)
+    c = field.psub(tw, field.pdiv_exact(tw, df, a), field.pderiv(tw, b))
+    out = []
+    i = 1
+    while field.pdeg(b) > 0:
+        d = pgcd_reference(tw, b, c)
+        if field.pdeg(d) > 0:
+            out.append((d, i))
+        b = field.pdiv_exact(tw, b, d)
+        c = field.psub(tw, field.pdiv_exact(tw, c, d), field.pderiv(tw, b))
+        i += 1
+    return out
+
+
+@st.composite
+def yun_forms(draw, tw):
+    """A lead times up to two factors of degree 1 or 2 with multiplicity
+    1 or 2: constants, squarefree forms and forms with a repeated
+    factor."""
+    f = (draw(nonzero(tw)),)
+    for _ in range(draw(st.integers(0, 2))):
+        g = tuple(draw(st.lists(elements(tw), min_size=1, max_size=2)))
+        g += (draw(nonzero(tw)),)
+        for _ in range(draw(st.integers(1, 2))):
+            f = pmul(tw, f, g)
+    return f
+
+
+def result_or_split(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ModulusSplit as e:
+        return "split", e.var, e.factor
+
+
+def same_as_reference(run, reference, tw, *args):
+    """``run`` and ``reference`` give the same value or raise the same
+    split, and ask ``field.inv`` to invert the same elements, at every
+    depth, in the same order."""
+    with pytest.MonkeyPatch.context() as mp:
+        want_seen = spy_inverted(mp, inv)
+        want = result_or_split(reference, tw, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        got_seen = spy_inverted(mp, inv)
+        got = result_or_split(run, tw, *args)
+    assert got == want
+    assert got_seen == want_seen
+
+
+class TestKnownProducts:
+    """``pmonic`` writes the top of a monic polynomial as ``one(tw)``
+    rather than computing lc inv(lc), and ``_yun`` stops once gcd(f, f')
+    is constant.  Neither skips an inversion: over fields and over
+    Q(t), t^2 = 1, and a tower over it, they return the values of the
+    references above, or raise the same split, after inverting the same
+    elements in the same order."""
+
+    TOWERS = pytest.mark.parametrize(
+        "tw", [Q_S, Q_CUBE, Q_ST, Q_T, Q_TU],
+        ids=["d1", "d1-cubic", "d2", "d1-split", "d2-over-split"])
+
+    @TOWERS
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pmonic(self, tw, data):
+        f = tuple(data.draw(st.lists(elements(tw), max_size=3)))
+        f += (data.draw(nonzero(tw)),)
+        same_as_reference(pmonic, pmonic_reference, tw, f)
+
+    @TOWERS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_pgcd(self, tw, data):
+        f, g = data.draw(gcd_pairs(tw))
+        same_as_reference(pgcd, pgcd_reference, tw, f, g)
+
+    @TOWERS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_yun(self, tw, data):
+        same_as_reference(field._yun, yun_reference, tw,
+                          data.draw(yun_forms(tw)))
+
+    @pytest.mark.parametrize("tw, f", [
+        (QQ, (Fraction(1), Fraction(0), Fraction(2))),
+        (Q_CUBE, ((1,), (0, 0, 3))),
+        (Q_ST, ((), ((1,), (0, 1)))),
+        (Q_T, ((1,), (1, 3)))], ids=["d0", "d1-cubic", "d2", "d1-split"])
+    def test_pmonic_top_is_one(self, tw, f):
+        top = pmonic(tw, f)[-1]
+        assert top == one(tw) and int_leaves(tw, top)
 
 
 def schoolbook_mul(tw, a, b):
