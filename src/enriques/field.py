@@ -1282,7 +1282,28 @@ def _yun(tw, f):
     whose gcd returns, 16 rounds at each of seeds 1 and 7).  The loop
     would return the same: it divides f by (1,), runs ``pmonic`` on the
     monic b = f by way of ``pgcd(b, 0)`` and divides b by itself, and
-    none of that inverts anything, so no split is lost."""
+    none of that inverts anything, so no split is lost.
+
+    An f whose every coefficient is zero or a constant (c,) of the level
+    below is decomposed there, and each factor lifted back (on
+    tower-germs, seeds 1 and 7, 16 rounds each, 166 of the 260 calls
+    from ``split_directions`` at depth 1 and 17 of the 80 at depth 2).
+    Every step of Yun on such an f is the lift of the same step one level
+    down: sums, rational scales and products of constants (``mul``'s
+    constant route) are lifted coefficient by coefficient, and so are
+    quotients and remainders by such a divisor; a monic gcd is unique,
+    so ``_pgcd_qq`` over QQ, below a depth-1 level, returns the gcd that
+    the tower Euclid would.  The inversions it drops are of rationals,
+    which are units, or of wrappers (c,), which ``inv`` inverts as c one
+    level down, and the lower run inverts each such c itself, through
+    ``inv`` or through ``pmonic``'s ``_adjugate``, which raises the same
+    split.  So values, ``ModulusSplit`` variables and factors, and D5
+    branches all stay the same."""
+    if tw.levels and all(len(c) <= 1 for c in f):
+        s = tw.sub()
+        return [(tuple((c,) if c else () for c in g), m)
+                for g, m in _yun(s, tuple(c[0] if c else zero(s)
+                                          for c in f))]
     f = pmonic(tw, f)
     df = pderiv(tw, f)
     a = pgcd(tw, f, df)

@@ -939,18 +939,45 @@ def result_or_split(fn, *args):
         return "split", e.var, e.factor
 
 
+def run_and_inverted(run, tw, *args):
+    """``result_or_split`` of ``run`` and the list of (depth, element)
+    that it asks ``field.inv`` to invert."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_inverted(mp, inv)
+        return result_or_split(run, tw, *args), seen
+
+
 def same_as_reference(run, reference, tw, *args):
     """``run`` and ``reference`` give the same value or raise the same
     split, and ask ``field.inv`` to invert the same elements, at every
     depth, in the same order."""
-    with pytest.MonkeyPatch.context() as mp:
-        want_seen = spy_inverted(mp, inv)
-        want = result_or_split(reference, tw, *args)
-    with pytest.MonkeyPatch.context() as mp:
-        got_seen = spy_inverted(mp, inv)
-        got = result_or_split(run, tw, *args)
-    assert got == want
-    assert got_seen == want_seen
+    assert (run_and_inverted(run, tw, *args)
+            == run_and_inverted(reference, tw, *args))
+
+
+def descends(tw, f):
+    """Whether every coefficient of ``f`` is zero or a constant (c,) of
+    the level below: the forms ``_yun`` decomposes one level down."""
+    return bool(tw.levels) and all(len(c) <= 1 for c in f)
+
+
+def yun_descended(tw, f):
+    """``_yun`` on f's coefficients one level down, its factors lifted
+    back to ``tw``."""
+    s = tw.sub()
+    return [(tuple((c,) if c else () for c in g), m)
+            for g, m in field._yun(s, tuple(c[0] if c else zero(s)
+                                            for c in f))]
+
+
+def yun_as_lower_run(tw, f):
+    """A form that descends: ``_yun`` gives the value of ``yun_reference``
+    or raises its split, and equals the lift of the run one level down,
+    value or split, with that run's inversions."""
+    assert result_or_split(field._yun, tw, f) == result_or_split(
+        yun_reference, tw, f)
+    assert run_and_inverted(field._yun, tw, f) == run_and_inverted(
+        yun_descended, tw, f)
 
 
 class TestKnownProducts:
@@ -959,7 +986,11 @@ class TestKnownProducts:
     is constant.  Neither skips an inversion: over fields and over
     Q(t), t^2 = 1, and a tower over it, they return the values of the
     references above, or raise the same split, after inverting the same
-    elements in the same order."""
+    elements in the same order.  A form whose coefficients all lie in
+    the level below is the exception: ``_yun`` runs there, so it gives
+    the reference's value or split with the inversions of that lower
+    run, which drops only inversions of rationals and of wrappers
+    (c,) whose c it tests itself."""
 
     TOWERS = pytest.mark.parametrize(
         "tw", [Q_S, Q_CUBE, Q_ST, Q_T, Q_TU],
@@ -984,8 +1015,34 @@ class TestKnownProducts:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_yun(self, tw, data):
-        same_as_reference(field._yun, yun_reference, tw,
-                          data.draw(yun_forms(tw)))
+        f = data.draw(yun_forms(tw))
+        if descends(tw, f):
+            yun_as_lower_run(tw, f)
+        else:
+            same_as_reference(field._yun, yun_reference, tw, f)
+
+    def test_yun_of_rational_form_runs_over_qq(self):
+        # (t^2 - 2)^2 (t^2 - 3) over Q(s), s^2 = 2: Yun over QQ, with no
+        # inversion at depth 1, though t^2 - 2 splits over Q(s)
+        f = pmul(QQ, pmul(QQ, (-2, 0, 1), (-2, 0, 1)), (-3, 0, 1))
+        lifted = tuple((c,) if c else () for c in f)
+        assert descends(Q_S, lifted)
+        (kind, got), seen = run_and_inverted(field._yun, Q_S, lifted)
+        assert got == [(((-3,), (), (1,)), 1), (((-2,), (), (1,)), 2)]
+        assert got == yun_reference(Q_S, lifted)
+        assert kind == "value" and all(d == 0 for d, _ in seen)
+        yun_as_lower_run(Q_S, lifted)
+
+    def test_yun_of_a_zero_divisor_lead_below_splits(self):
+        # (t - 1) z^2 + z + t over Q(t)(u), t^2 = 1, u^2 = t: every
+        # coefficient lies in Q(t), whose run raises the split of t at
+        # the lead, as the tower run does, with its factor t - 1
+        f = (((0, 1),), ((1,),), ((-1, 1),))
+        assert descends(Q_TU, f)
+        want = result_or_split(yun_reference, Q_TU, f)
+        assert want == ("split", "t", (-1, 1))
+        assert result_or_split(field._yun, Q_TU, f) == want
+        yun_as_lower_run(Q_TU, f)
 
     @pytest.mark.parametrize("tw, f", [
         (QQ, (Fraction(1), Fraction(0), Fraction(2))),

@@ -59,6 +59,13 @@ CASES = {
                                           _d("map_cubes.json"),
                                           _d("chain_333.json"),
                                           "--seed", "7"],
+    # a map found by a seeded search for slow pullbacks: over Q, with 15
+    # points on the chain [3, 2, 2], nearly all of its time in the chart
+    # loop, whose colength budget 28 K^2 is far above deg f K^2 = 5 K^2
+    "map-pullback-hunted-chain322-seed0": ["map", "pullback",
+                                           _d("map_hunted.json"),
+                                           _d("chain_322.json"),
+                                           "--seed", "0"],
     "config-kummer-2": ["config", "kummer", _d("config.json"), "--k", "2"],
     "config-verify-pullback-2": ["config", "verify-pullback",
                                  _d("config.json"), "--k", "2"],
@@ -73,8 +80,9 @@ CASES = {
 # at degree 1 + sum of the weights took 57-65 s (2-vCPU Xeon, Python
 # 3.11.7), nearly all of it in the chart loop on w o f and z o f; at the
 # least degree it took 3.4-4.0 s with untruncated transforms and
-# 0.64-0.70 s with the colength budget
-BOUNDS = {"map-pullback-tower-seed3": 15.0}
+# 0.64-0.70 s with the colength budget; the hunted map took 3.3-4.0 s
+BOUNDS = {"map-pullback-tower-seed3": 15.0,
+          "map-pullback-hunted-chain322-seed0": 15.0}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

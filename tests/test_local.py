@@ -1786,6 +1786,78 @@ class TestGermPairRoute:
                 "ModulusSplit", "modulus for 't' splits"), entry
 
 
+class TestKeptRecords:
+    """A ``LocalMap`` resolves its pencil once: the first of
+    ``base_points`` and ``local_degree`` runs ``_coprime`` and the second
+    reads the records it keeps, while an error is raised on every call."""
+
+    @pytest.mark.parametrize("first", ["base_points", "local_degree"])
+    def test_one_pencil_run(self, monkeypatch, first):
+        runs = []
+        pencil = localeng._pencil_points
+        monkeypatch.setattr(localeng, "_pencil_points", lambda *args: (
+            runs.append(args) or pencil(*args)))
+        f = parse_map(load_json(GOLDEN.parent / "map_tower.json"))
+        entries = [base_points, local_degree]
+        if first == "local_degree":
+            entries.reverse()
+        for entry in entries * 2:
+            entry(f)
+        assert len(runs) == 1
+        # an equal map built apart keeps its own records
+        local_degree(LocalMap(f.f1, f.f2))
+        assert len(runs) == 2
+
+    def test_values_are_those_of_a_fresh_map(self):
+        # every map file that parses, and the maps (x^a + c1 y^(a+1),
+        # y^b + c2 x^(b+1)), 1 <= a, b <= 3, c1, c2 in {1, 2}; the fresh
+        # map is asked in the other order
+        maps = []
+        for path in sorted(GOLDEN.parent.glob("map*.json")):
+            with contextlib.suppress(EnriquesError):
+                maps.append((path.name, parse_map(load_json(path))))
+        assert len(maps) >= 6
+        maps += [((a, b, c1, c2), LocalMap.from_polys(
+                     X ** a + c1 * Y ** (a + 1), Y ** b + c2 * X ** (b + 1)))
+                 for a, b in itertools.product(range(1, 4), repeat=2)
+                 for c1, c2 in itertools.product(range(1, 3), repeat=2)]
+        for key, f in maps:
+            bp, deg = cluster_to_json(base_points(f)), local_degree(f)
+            assert cluster_to_json(base_points(f)) == bp, key
+            fresh = LocalMap.from_polys(f.f1.poly, f.f2.poly)
+            assert local_degree(fresh) == deg, key
+            assert cluster_to_json(base_points(fresh)) == bp, key
+
+    @pytest.mark.parametrize("first", ["base_points", "local_degree"])
+    def test_a_split_is_raised_on_every_call(self, monkeypatch, first):
+        # the pair of test_factor_through_the_origin_in_one_component,
+        # whose fixed_part gcd raises the split before any pencil runs
+        calls = []
+        fixed = localeng.fixed_part
+        monkeypatch.setattr(localeng, "fixed_part",
+                            lambda *args: calls.append(args) or fixed(*args))
+        t = BiPoly(Q_T1, {(0, 0): (0, 1)})
+        x, y = BiPoly.variable("x", Q_T1), BiPoly.variable("y", Q_T1)
+        u = t - 1 + x
+        f = LocalMap.from_polys(u * y, u * (y - x ** 2))
+        entries = [base_points, local_degree]
+        if first == "local_degree":
+            entries.reverse()
+        for entry in entries:
+            with pytest.raises(ModulusSplit, match="modulus for 't' splits"):
+                entry(f)
+        assert len(calls) == 2 and "_points" not in vars(f)
+
+    def test_equal_maps_compare_and_hash_equal(self):
+        f, g = monomial_map(2, 3), monomial_map(2, 3)
+        base_points(f)
+        assert "_points" in vars(f) and "_points" not in vars(g)
+        assert f == g and hash(f) == hash(g)
+        assert f != monomial_map(3, 2)
+        with pytest.raises(AttributeError):
+            f.f1 = g.f2
+
+
 COEFFS = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2),
                           Fraction(3)])
 
