@@ -458,9 +458,9 @@ def pdivmod(tw, f, g):
     leading coefficient of ``g`` is inverted only when it is not 1, so
     exact division by a monic factor (``pdiv_exact`` in ``split_tower``)
     and ``pgcd``'s Euclid, whose divisors are monic, never invert.
-    ``inv``'s extended Euclid, ``uni_resultant`` and ``exact_div`` still
-    divide by divisors that need not be monic.  Reduction modulo a tower
-    modulus is ``reduce_mod``.
+    ``inv``'s extended Euclid and ``exact_div`` still divide by divisors
+    that need not be monic.  Reduction modulo a tower modulus is
+    ``reduce_mod``.
     """
     g = ptrim(tw, g)
     if not g:
@@ -987,37 +987,6 @@ def divides(q, p):
 # Resultants
 # ---------------------------------------------------------------------------
 
-def uni_resultant(tw, f, g):
-    """Resultant of two dense univariate polynomials over the tower."""
-    f, g = ptrim(tw, f), ptrim(tw, g)
-    if not f or not g:
-        return zero(tw)
-    sign = 1
-    acc = one(tw)
-    while pdeg(g) > 0:
-        if pdeg(f) < pdeg(g):
-            if (pdeg(f) * pdeg(g)) % 2:
-                sign = -sign
-            f, g = g, f
-            continue
-        r = pmod(tw, f, g)
-        if (pdeg(f) * pdeg(g)) % 2:
-            sign = -sign
-        if not r:
-            return zero(tw)
-        e = pdeg(f) - pdeg(r)
-        lcg = g[-1]
-        for _ in range(e):
-            acc = mul(tw, acc, lcg)
-        f, g = g, r
-    # g is a nonzero constant
-    for _ in range(pdeg(f)):
-        acc = mul(tw, acc, g[0])
-    if sign < 0:
-        acc = neg(tw, acc)
-    return acc
-
-
 def _eval_x(tw, yx, c):
     """Evaluate each x-coefficient at the rational x = c, giving a dense
     poly in y."""
@@ -1030,50 +999,61 @@ def resultant_y(p, q):
 
     Over a tower that is not known to be a field (``Tower.is_field``)
     every pair takes ``_resultant_at_nodes``, whose inversions raise each
-    ``ModulusSplit`` they meet.  Over a field K the pair is first reduced
-    in K[x][y], as (f, g) with d = deg_y f >= e = deg_y g and
-    Res_y(p, q) = u Res_y(f, g) for a nonzero constant u of K.  Each step
-    is a textbook identity of the Sylvester resultant over the domain
-    K[x] (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6;
-    Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3
-    sec. 6):
+    ``ModulusSplit`` they meet.  Over a field the pair is reduced in
+    K[x][y] by ``_euclid_resultant``, which hands the pairs it does not
+    finish to the nodes."""
+    tw = p.tower
+    f, g = p.to_yx(), q.to_yx()
+    if not f or not g:
+        return ()
+    if not tw.is_field:
+        return _resultant_at_nodes(tw, f, g)
+    return _euclid_resultant(tw, f, g)
+
+
+def _euclid_resultant(tw, f, g):
+    """Res_y(f, g) for nonzero f and g in (K[x])[y], by Euclid over K[x];
+    () when they share a factor of positive y-degree.  K is a field, or f
+    and g are free of x (a node of ``_resultant_at_nodes``).  The pair is
+    kept as (f, g) with d = deg_y f >= e = deg_y g, and the answer as u
+    times Res_y of the current pair, for a constant u of K that is +-1 at
+    the start.  Each step is a textbook identity of the Sylvester
+    resultant (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 6; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+    ch. 3 sec. 6):
 
     - Swapping the pair permutes d e pairs of Sylvester rows, so
       Res(f, g) = (-1)^(d e) Res(g, f).
     - At e = 0 the Sylvester matrix is g0 times the identity of size d,
       so Res(f, g) = g0^d.
-    - At e = 1, Res(g, f) = g1^d f(-g0 / g1), the value at the root of g,
-      so Res(f, g) = (-1)^d sum_j f_j (-g0)^j g1^(d-j), by Horner with the
-      powers of g1 in each term: no inversion.
-    - Where lc_y g is a constant c of K and d - e <= 1, divide in K[x][y]:
-      f = s g + r with deg_y r < e, inverting c once.  Res(g, f) =
-      c^d prod f(a) over the roots a of g, and f(a) = r(a), so Res(g, f)
-      = c^(d - deg r) Res(g, r), and Res(f, g) = (-1)^(d e)
-      c^(d - deg r) Res(g, r).  At r = 0 the pair shares g, and the answer
-      is ().  The pair becomes (g, r), with deg r < e.
+    - At e = 1 under a lead g1 that is not constant, Res(g, f) =
+      g1^d f(-g0 / g1), the value at the root of g, so Res(f, g) =
+      (-1)^d sum_j f_j (-g0)^j g1^(d-j), by Horner with the powers of g1
+      in each term: no inversion.
+    - Where lc_y g is a constant c of K, divide in K[x][y]: f = s g + r
+      with deg_y r < e, inverting c once (not at all when c = 1); c is a
+      unit once ``inv`` returns.  Res(g, f) = c^d prod f(a) over the roots
+      a of g, and f(a) = r(a), so Res(g, f) = c^(d - deg r) Res(g, r),
+      and Res(f, g) = (-1)^(d e) c^(d - deg r) Res(g, r).  At r = 0 the
+      pair shares g, and the answer is ().  The pair becomes (g, r), with
+      deg r < e.
 
-    So a pair is finished in K[x][y] when a member has y-degree 0 or 1,
-    or when divisions lead to such a member: a line y - c1 x - c2 x^2
-    against a quadric, and two monic quadrics whose difference is free
-    of y, the two pair shapes of ``intersection_multiplicity`` on the
-    tower-germs benchmark.  The pairs left reach the nodes: both
-    y-degrees are at least 2, and lc_y g is not constant or d - e >= 2.
-    Res(f, g) = Res_y(p, q) / u has the x-degree of Res_y(p, q), so the
-    nodes number 1 + the smaller of the two pairs' ``_degree_bound``.
+    A linear g under a constant lead takes the division step, which under
+    the lead 1 makes Horner's products.  So a pair is finished here when
+    divisions lead to a member of y-degree 0 or 1: a line y - c1 x - c2
+    x^2 against a quadric, and two monic quadrics whose difference is
+    free of y, the two pair shapes of ``intersection_multiplicity`` on the
+    tower-germs benchmark, each by one division under the lead 1.  The
+    pairs left reach the nodes: e >= 2, and lc_y g is not constant, or
+    d - e >= 2 with g of positive x-degree.
 
     The gap limit d - e <= 1 keeps wider pairs on the nodes, as each
-    division step adds about deg_x g to the remainder's x-degree: on
-    random monic pairs of y-degrees (3, 5) and (3, 6), timed on a 2-vCPU
-    Xeon with Python 3.11, division read 0.77-0.94 times the speed of
-    the nodes.  It is a measured compromise, not a bound: at e = 2 over
-    Q division read faster."""
-    tw = p.tower
-    f, g = p.to_yx(), q.to_yx()
-    if not f or not g:
-        return ()
-    bound = _degree_bound(f, g)
-    if not tw.is_field:
-        return _resultant_at_nodes(tw, f, g, bound)
+    division step adds deg_x g to the remainder's x-degree: on random
+    monic pairs of y-degrees (3, 5) and (3, 6), timed on a 2-vCPU Xeon
+    with Python 3.11, division read 0.77-0.94 times the speed of the
+    nodes.  It is a measured compromise, not a bound: at e = 2 over Q
+    division read faster.  A g free of x adds nothing, so it divides at
+    any gap, as every pair does at a node."""
     u = one(tw)
     if len(f) < len(g):
         f, g = g, f
@@ -1083,25 +1063,21 @@ def resultant_y(p, q):
     while True:
         d, e = pdeg(f), pdeg(g)
         if e == 0:
-            res = unit
-            for _ in range(d):
+            res = g[0] if d else unit
+            for _ in range(d - 1):
                 res = pmul(tw, res, g[0])
             break
-        if e == 1:
-            a, b = pneg(tw, g[0]), g[1]
-            res, bp = f[-1], unit
+        c = g[-1]
+        if e == 1 and len(c) > 1:
+            a, res, bp = pneg(tw, g[0]), f[-1], unit
             for fj in reversed(f[:-1]):
-                if b != unit:
-                    bp = pmul(tw, bp, b)
-                res = padd(tw, pmul(tw, res, a),
-                           fj if bp == unit else pmul(tw, fj, bp))
+                bp = pmul(tw, bp, c)
+                res = padd(tw, pmul(tw, res, a), pmul(tw, fj, bp))
             if d % 2:
                 u = neg(tw, u)
             break
-        c = g[-1]
-        if len(c) > 1 or d - e > 1:
-            res = _resultant_at_nodes(tw, f, g,
-                                      min(bound, _degree_bound(f, g)))
+        if len(c) > 1 or e > 1 and d - e > 1 and max(map(len, g)) > 1:
+            res = _resultant_at_nodes(tw, f, g)
             break
         c = c[0]
         ic = None if c == one(tw) else inv(tw, c)
@@ -1118,8 +1094,9 @@ def resultant_y(p, q):
             return ()
         if d * e % 2:
             u = neg(tw, u)
-        for _ in range(d - pdeg(r)):
-            u = mul(tw, u, c)
+        if ic is not None:
+            for _ in range(d - pdeg(r)):
+                u = mul(tw, u, c)
         f, g = g, r
     return res if u == one(tw) else pscale(tw, res, u)
 
@@ -1141,18 +1118,26 @@ def _degree_bound(f, g):
     return min(dxf * e + dxg * d, e * m + d * n - d * e)
 
 
-def _resultant_at_nodes(tw, f, g, bound):
-    """Res_y(f, g) for nonzero f, g in (K[x])[y] whose resultant has
-    x-degree <= ``bound``: the Sylvester resultants ``uni_resultant`` of
-    f(x0, y) and g(x0, y) at the first bound + 1 int nodes x0 = 0, 1, 2,
-    ... where both lc_y survive, interpolated by ``_lagrange``.  It is
-    the one route over a tower that is not known to be a field."""
+def _resultant_at_nodes(tw, f, g):
+    """Res_y(f, g) for nonzero f, g in (K[x])[y]: the resultants of
+    f(x0, y) and g(x0, y) at the first ``_degree_bound(f, g)`` + 1 int
+    nodes x0 = 0, 1, 2, ... where both lc_y survive, interpolated by
+    ``_lagrange``.  It is the one route over a tower that is not known to
+    be a field.  Each node's value is ``_euclid_resultant`` on rows free
+    of x.  There every lead is a constant, so every step of positive e is
+    the division of Euclid by ``pdivmod``, with its remainders: it
+    inverts exactly the leads ``pdivmod`` would invert, each divisor's
+    lead other than 1, and a zero divisor among them raises its split
+    where Euclid raised it."""
     pts, vals = [], []
+    bound = _degree_bound(f, g)
     for c in itertools.count():
         if not peval(tw, f[-1], c) or not peval(tw, g[-1], c):
             continue
         pts.append(c)
-        vals.append(uni_resultant(tw, _eval_x(tw, f, c), _eval_x(tw, g, c)))
+        rows = ([(v,) if v else () for v in _eval_x(tw, h, c)] for h in (f, g))
+        r = _euclid_resultant(tw, *rows)
+        vals.append(r[0] if r else zero(tw))
         if len(pts) == bound + 1:
             break
     return _lagrange(tw, pts, vals)

@@ -684,17 +684,36 @@ def _try_resultant_order(tw, qa, qb):
     """ord_x Res_y(qa, qb) when the shear is admissible, else None.  A
     ``Res_y`` that vanishes raises ``RetryBudgetExceeded``: over a field
     K, K[x][y] has Res_y(qa, qb) = 0, with both leading y-coefficients
-    nonzero, exactly when qa and qb share a factor of positive y-degree."""
+    nonzero, exactly when qa and qb share a factor of positive y-degree.
+
+    Over a tower that is not known to be a field, a product of fields
+    K_1 x ... x K_r, a nonzero element can be a zero divisor: zero in
+    some K_i and not in others.  Three nonzero values decide the answer,
+    the leads in y of qa and qb at x = 0 (the shear is admissible) and
+    the first nonzero coefficient of Res_y (the order).  Each is checked
+    to be a unit (``_has_unit``), which raises the split of a zero
+    divisor.  Then each is nonzero in every K_i, where the leads keep the
+    y-degrees, so Res_y maps to each factor's Res_y and its order is the
+    same in every factor; ``pgcd`` and ``resultant_y`` invert only units
+    or raise a split themselves.  Without the check, Q(t), t^2 = 1, read
+    1 on a = y, b = y - (t - 1) x - x^2, whose order is 2 at t = 1 (where
+    the x-coefficient vanishes) and 1 at t = -1.  Over a field every
+    nonzero value is a unit, and there is no check."""
     ra = _restrict_x0(tw, qa)
     rb = _restrict_x0(tw, qb)
     if pdeg(ra) != qa.deg_y() or pdeg(rb) != qb.deg_y():
         return None
+    if not tw.is_field:
+        for c in (ra[-1], rb[-1]):
+            _has_unit(tw, (c,))
     g = pgcd(tw, ra, rb)
     # the only allowed common zero on the axis is the origin: gcd = y^k
     if any(g[:-1]):
         return None
     for i, c in enumerate(F.resultant_y(qa, qb)):
         if c:
+            if not tw.is_field:
+                _has_unit(tw, (c,))
             return i
     raise RetryBudgetExceeded("Res_y vanishes at an admissible shear")
 

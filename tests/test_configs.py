@@ -280,7 +280,69 @@ class TestTheoremB:
         assert all(v > Fraction(-25, 7) for v in vals)
 
 
+GENERATORS = {"triangle": triangle, "wiman0": wiman,
+              "wiman3": lambda: wiman(vertex_triples=3),
+              "klein": klein_lines, "klein-polars": klein_polars,
+              "fermat3": lambda: fermat(3), "fermat4": lambda: fermat(4),
+              "fermat5": lambda: fermat(5)}
+
+
+def tag_vertex(c):
+    """``c`` with one ordinary generic point re-tagged as a coordinate
+    vertex, as ``strict_gap_demo``'s vertex variant tags it, or None where
+    that would use more than three vertices."""
+    vertices = (sum(sp.count for sp in c.sing if sp.placement == VERTEX)
+                + c.smooth_vertex_marks)
+    if vertices == 3:
+        return None
+    sing = list(c.sing)
+    i = next(i for i, sp in enumerate(sing) if sp.placement == GENERIC
+             and len(sp.cluster.forest.nodes) == 1)
+    sp = sing[i]
+    if sp.count == 1:
+        sing[i] = replace(sp, placement=VERTEX)
+    else:
+        sing[i:i + 1] = [replace(sp, count=sp.count - 1),
+                         SingularSpec(sp.cluster, 1, VERTEX)]
+    return replace(c, sing=tuple(sing))
+
+
+def realizable_cases():
+    """(configuration, k) on configurations that curves have: the
+    generators as given and with one more vertex, for k = 2..4, and the
+    Kummer pullbacks of four of them at k0 = 2 and 3, for k = 2 and 3.
+    Random counts are not drawn, as counts alone accept configurations
+    that no curve has (``PlaneConfig``)."""
+    cases = []
+    for name, make in GENERATORS.items():
+        tagged = tag_vertex(make())
+        for k in (2, 3, 4):
+            cases.append(pytest.param(make(), k, id=f"{name}-k{k}"))
+            if tagged is not None:
+                cases.append(pytest.param(tagged, k,
+                                          id=f"{name}-vertex-k{k}"))
+    for name in ("wiman3", "fermat3", "fermat4", "klein"):
+        for k0, k in itertools.product((2, 3), (2, 3)):
+            cases.append(pytest.param(
+                kummer_pullback(GENERATORS[name](), k0), k,
+                id=f"{name}-pulled{k0}-k{k}"))
+    return cases
+
+
 class TestPullbackTheorem:
+    @pytest.mark.parametrize("c, k", realizable_cases())
+    def test_realizable_sweep(self, c, k):
+        # N = d^2 - sum count K^2 scales by k^2 under the cover, H never
+        # rises, and it drops strictly exactly when N < 0 and a point sits
+        # at a vertex, which is the check's own flag
+        lhs, rhs, strict = pullback_theorem_check(c, k)
+        new = kummer_pullback(replace(c, smooth_vertex_marks=0), k)
+        n = c.degree ** 2 - sigma_m2(c)
+        assert new.degree ** 2 - sigma_m2(new) == k * k * n
+        assert lhs <= rhs
+        vertex = any(sp.placement == VERTEX for sp in c.sing)
+        assert (lhs < rhs) == (n < 0 and vertex) == strict
+
     def test_triangle_generic(self):
         lhs, rhs, strict = pullback_theorem_check(triangle(), 2)
         assert (lhs, rhs, strict) == (0, 0, False)

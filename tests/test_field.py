@@ -21,8 +21,7 @@ from enriques.field import (add, divides, elem_from_json, elem_to_json,
                             padd, pdivmod, peval, pgcd, pmod, pmonic, pmul,
                             poly_from_json, poly_to_json, ptrim, qscale,
                             reduce_mod, resultant_y, tower_from_json,
-                            tower_to_json, uni_resultant, zero, _fresh_var,
-                            leaves)
+                            tower_to_json, zero, _fresh_var, leaves)
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -213,12 +212,13 @@ class TestPolyGcd:
 
 
 class TestResultants:
-    def test_uni_resultant_linear(self):
-        # res(y - a, y - b) = a - b up to sign convention
-        f = (Fraction(-3), Fraction(1))
-        g = (Fraction(5), Fraction(1))
-        r = uni_resultant(QQ, f, g)
-        assert r in (Fraction(8), Fraction(-8))
+    def test_node_resultant_linear(self):
+        # Res(y - 3, y + 5) = 5 - (-3) = 8, by Sylvester's sign, on rows
+        # free of x as a node gives them
+        f, g = (Fraction(-3), Fraction(1)), (Fraction(5), Fraction(1))
+        r = field._euclid_resultant(QQ, *(tuple((c,) for c in h)
+                                          for h in (f, g)))
+        assert r == (8,) and sylvester(f, g) == 8
 
     def test_resultant_parabolas(self):
         # res_y(y - x^2, y + x^2) = 2x^2
@@ -867,7 +867,7 @@ class TestQuadraticClosedForm:
     def test_adjugate_times_a_is_n(self, tw, a):
         b, n = field._adjugate(tw, a)
         assert mul(tw, a, b) == from_rational(tw, n)
-        assert n == uni_resultant(QQ, tw.top_modulus, a)
+        assert n == sylvester(tw.top_modulus, a)
 
 
 def pmonic_reference(tw, f):
@@ -1421,13 +1421,40 @@ def sylvester(f, g):
     """The Sylvester determinant of the dense polynomials ``f`` and ``g``
     in y (low -> high, entries sympy expressions or rationals), by sympy's
     ``Matrix``: a reference for the value and sign of a resultant that is
-    independent of ``uni_resultant`` and of sympy's ``resultant``."""
+    independent of ``field``'s resultants and of sympy's ``resultant``."""
     m, n = len(f) - 1, len(g) - 1
     rows = [[0] * i + list(reversed(f)) + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + list(reversed(g)) + [0] * (m - 1 - i)
              for i in range(m)]
     return sympy.Matrix(m + n, m + n,
                         [sympy.sympify(v) for row in rows for v in row]).det()
+
+
+def tower_sylvester(tw, f, g):
+    """The Sylvester determinant of the dense polynomials ``f`` and ``g``
+    in y over ``tw``, rows laid out as in ``sylvester``, by Laplace
+    expansion along each row in turn with tower ``mul`` and ``add``, each
+    minor kept by the columns it has left.  It never divides, so it never
+    splits; at y-degrees <= 3 the matrix is at most 6 x 6."""
+    m, n = len(f) - 1, len(g) - 1
+    z = zero(tw)
+    rows = [[z] * i + list(reversed(f)) + [z] * (n - 1 - i) for i in range(n)]
+    rows += [[z] * i + list(reversed(g)) + [z] * (m - 1 - i)
+             for i in range(m)]
+
+    @functools.cache
+    def minor(k, cols):
+        if k == len(rows):
+            return one(tw)
+        acc = z
+        for i, j in enumerate(cols):
+            if rows[k][j]:
+                rest = minor(k + 1, cols[:i] + cols[i + 1:])
+                term = mul(tw, rows[k][j], rest)
+                acc = add(tw, acc, neg(tw, term) if i % 2 else term)
+        return acc
+
+    return minor(0, tuple(range(m + n)))
 
 
 @st.composite
@@ -1477,11 +1504,15 @@ def _germ_pairs():
 
 class TestTowerResultants:
     """Res_y over Q, Q(s) and Q(s, t).  Over a field ``resultant_y``
-    finishes a pair in K[x][y] where a member has y-degree 0 or 1, and
-    divides where the lead in y of the lower member is a constant and the
-    y-degrees differ by at most 1; the pairs left reach the evaluation
-    route, ``_resultant_at_nodes``, as does every pair over a tower that
-    is not known to be a field.  Also the Horner by a rational under it."""
+    reduces a pair in K[x][y] (``_euclid_resultant``): a member of
+    y-degree 0 closes it, as does Horner against a linear member under a
+    lead that is not constant, and it divides where the lead in y of the
+    lower member is a constant, unless that member has y-degree >= 2 and
+    positive x-degree and the y-degrees differ by 2 or more.  The pairs
+    left reach the evaluation route, ``_resultant_at_nodes``, as does
+    every pair over a tower that is not known to be a field, and each
+    node's value comes from the same loop on rows free of x.  Also the
+    Horner by a rational under it."""
 
     @pytest.mark.parametrize("tw", [QQ, Q_S, Q_ST],
                              ids=["QQ", "sqrt2", "depth2"])
@@ -1497,10 +1528,10 @@ class TestTowerResultants:
             fp, fq = at_x(tw, p, x0), at_x(tw, q, x0)
             # both lc_y survive at x0
             if len(fp) == p.deg_y() + 1 and len(fq) == q.deg_y() + 1:
-                # over QQ the reference is sympy's, not the routine that
-                # evaluates the resultant at the nodes
+                # the Sylvester determinant, by sympy over QQ and by
+                # Laplace expansion over a tower
                 want = (sylvester(fp, fq) if not tw.levels
-                        else uni_resultant(tw, fp, fq))
+                        else tower_sylvester(tw, fp, fq))
                 assert peval(tw, r, x0) == want
 
     @pytest.mark.parametrize("p, q, nodes", [
@@ -1520,7 +1551,7 @@ class TestTowerResultants:
                             lambda tw, pts, vals: points.append(len(pts))
                             or lagrange(tw, pts, vals))
         f, g = p.to_yx(), q.to_yx()
-        r = field._resultant_at_nodes(QQ, f, g, field._degree_bound(f, g))
+        r = field._resultant_at_nodes(QQ, f, g)
         assert points == [nodes]
         want = sympy.resultant(sympy_expr(p), sympy_expr(q), SYM_Y)
         got = sum((sympy.Rational(c.numerator, c.denominator) * SYM_X ** i
@@ -1531,12 +1562,15 @@ class TestTowerResultants:
     @given(pair=resultant_pairs())
     @example(pair=_germ_pairs()[0])
     @example(pair=_germ_pairs()[1])
-    # y-degree 0; y-degree 1 under a lead x; leads 3 and 1 at odd d e;
-    # d - e = 2 under constant leads; a shared factor
+    # y-degree 0; y-degree 1 under a lead x and under the lead 2; leads
+    # 3 and 1 at odd d e; d - e = 2 under constant leads, with g of
+    # positive x-degree and free of x; a shared factor
     @example(pair=(X ** 2 + 1, Y ** 3 - X))
     @example(pair=(X * Y + 1, Y ** 2 - X ** 3))
+    @example(pair=(Y ** 3 + X ** 2 * Y - X, 2 * Y - X ** 2))
     @example(pair=(Y ** 3 + X, 3 * Y ** 3 - X ** 2 * Y + 1))
     @example(pair=(Y ** 4 - X ** 5, Y ** 2 - X ** 3))
+    @example(pair=(Y ** 4 + X * Y - X ** 3, 3 * Y ** 2 + Y - 1))
     @example(pair=((Y ** 2 - X) * (Y + X), (Y ** 2 - X) * (2 * Y - 1)))
     def test_matches_the_evaluation_route(self, pair):
         # in both orders against the evaluation route, and over Q in the
@@ -1544,7 +1578,7 @@ class TestTowerResultants:
         for a, b in (pair, pair[::-1]):
             f, g = a.to_yx(), b.to_yx()
             assert resultant_y(a, b) == field._resultant_at_nodes(
-                a.tower, f, g, field._degree_bound(f, g))
+                a.tower, f, g)
         p, q = pair
         if not p.tower.levels:
             want = sympy.expand(sylvester(
@@ -1557,9 +1591,9 @@ class TestTowerResultants:
 
     def test_splits_where_the_tower_is_not_a_field(self):
         # t - 1 is a zero divisor of Q[t]/(t^2 - 1), the lead in y of a
-        # linear member; over a field that member's pair is finished with
-        # no inversion, but here the evaluation route divides by the lead
-        # at its first node and raises the split, in either order
+        # linear member; over a field that member's pair is finished in
+        # K[x][y], but here the evaluation route divides by the lead at
+        # its first node and raises the split, in either order
         tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
         x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
         t = BiPoly(tw, {(0, 0): generator(tw)})
@@ -1568,6 +1602,20 @@ class TestTowerResultants:
             with pytest.raises(ModulusSplit) as exc:
                 resultant_y(a, b)
             assert exc.value.var == "t"
+
+    def test_splits_at_a_gap_2_node(self):
+        # at every node the lead in y of (t - 1) y^2 + x is t - 1, a zero
+        # divisor of Q[t]/(t^2 - 1) below y^4 + x, two y-degrees higher:
+        # the division step inverts it at the first node and raises the
+        # split of t by t - 1, in either order, as Euclid by pdivmod does
+        tw = QQ.extend("t", (Fraction(-1), Fraction(0), Fraction(1)))
+        x, y = BiPoly.variable("x", tw), BiPoly.variable("y", tw)
+        t = BiPoly(tw, {(0, 0): generator(tw)})
+        p, q = y ** 4 + x, (t - 1) * y ** 2 + x
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ModulusSplit) as exc:
+                resultant_y(a, b)
+            assert (exc.value.var, exc.value.factor) == ("t", (-1, 1))
 
     @DEPTHS
     @settings(max_examples=30, deadline=None)

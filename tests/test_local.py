@@ -1581,7 +1581,8 @@ class TestReducibleTower:
             assert got == cluster_to_json(mult_cluster(Germ(at_t(p, v))))
 
     @pytest.mark.parametrize("entry", ["local_degree", "base_points",
-                                       "shared_cluster"])
+                                       "shared_cluster",
+                                       "intersection_multiplicity"])
     def test_pair_matches_both_specializations(self, entry):
         # seeded pairs of reduced germs; a germ pair sharing a component
         # through the origin is a HypothesisViolated of ``shared_cluster``
@@ -1601,6 +1602,21 @@ class TestReducibleTower:
                     assert got == pair_answer(entry, at_t(a, v),
                                               at_t(b, v)), (a, b, v)
         assert answered >= 10
+
+    def test_zero_divisor_order_splits(self):
+        # Res_y(a, b) = -(t - 1) x - x^2: its first coefficient t - 1 is a
+        # zero divisor, so the order is 2 at t = 1 and 1 at t = -1, and
+        # intersection_multiplicity raises the split of t, as
+        # shared_cluster does
+        x, y = BiPoly.variable("x", Q_T1), BiPoly.variable("y", Q_T1)
+        t = BiPoly(Q_T1, {(0, 0): generator(Q_T1)})
+        a, b = y, y - (t - 1) * x - x ** 2
+        for entry in ("intersection_multiplicity", "shared_cluster"):
+            with pytest.raises(ModulusSplit) as exc:
+                pair_answer(entry, a, b)
+            assert exc.value.var == "t"
+        assert [pair_answer("intersection_multiplicity", at_t(a, v),
+                            at_t(b, v)) for v in (1, -1)] == [2, 1]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "only mult_cluster checks that the forms it reads have a unit "
@@ -1623,6 +1639,8 @@ class TestReducibleTower:
 
 def pair_answer(entry, a, b):
     """The answer of ``entry`` on the pair of germs (a, b), as JSON."""
+    if entry == "intersection_multiplicity":
+        return intersection_multiplicity(Germ(a), Germ(b))
     if entry == "shared_cluster":
         return [cluster_to_json(k) for k in shared_cluster(Germ(a), Germ(b))]
     f = LocalMap.from_polys(a, b)
@@ -1634,8 +1652,6 @@ def germ_answer(entry, a, b):
     """The answer of ``entry`` on (a, b) as JSON, or the class and message
     of what it raised."""
     try:
-        if entry == "intersection_multiplicity":
-            return intersection_multiplicity(Germ(a), Germ(b))
         return pair_answer(entry, a, b)
     except EnriquesError as e:
         return type(e).__name__, str(e)
