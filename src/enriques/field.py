@@ -559,10 +559,24 @@ def _pgcd_qq(f, g):
     ones: the primitive gcd with its sign fixed when its lead is +-1,
     (1,) when either input is a nonzero constant.  Otherwise each leaf
     is a ``Fraction`` over the lead.  An int equals and hashes like the
-    integral ``Fraction``, so the value is the same either way."""
+    integral ``Fraction``, so the value is the same either way.
+
+    ``int_scale`` scales by a positive rational, so the primitive forms
+    a, b of proportional inputs are equal up to sign.  The PRS would
+    stop at the zero pseudo-remainder of a by b with the primitive gcd
+    b, and that step is skipped; a = -b gives the same gcd once its sign
+    is fixed.  Two linear inputs that are not proportional have a
+    nonzero determinant a0 b1 - a1 b0, so distinct roots and the gcd
+    (1,), where the PRS would end on that determinant made primitive to
+    +-1."""
     if not f or not g:
         return pmonic(QQ, f or g)
     a, b = int_scale(QQ, f)[0], int_scale(QQ, g)[0]
+    if len(a) == len(b):
+        if a == b or a == [-v for v in b]:
+            b = []
+        elif len(a) == 2:
+            return (1,)
     while b:
         # integer pseudo-remainder of a by b
         r = list(a)
@@ -846,9 +860,10 @@ def _yx_primitive(tw, f):
 
 
 def monic_lex(p):
-    """Normalize so the lex-leading (highest y, then x) coefficient is 1."""
-    if p.is_zero():
-        return p
+    """Normalize so the lex-leading (highest y, then x) coefficient is 1.
+
+    ``p`` is nonzero: ``poly_gcd`` passes a nonzero input as it is, or
+    Brown's result, a nonzero primitive times the monic content gcd."""
     tw = p.tower
     key = max(p.terms, key=lambda k: (k[1], k[0]))
     c = inv(tw, p.terms[key])

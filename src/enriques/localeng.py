@@ -126,8 +126,18 @@ def _chart_rows(tw, c, js):
     ``js``: row j holds the integer weights C(j, k) a^(j-k) b^(J-j+k),
     k = 0..j, with c = a/b, J = max js and the powers a^e scaled by one
     positive rational to integer leaves.  b is the lcm of the leaf
-    denominators of c, and a = b c, with integer leaves, at every depth;
-    over Q that is c's numerator over its denominator."""
+    denominators of c, and a = b c, with integer leaves, at every depth.
+
+    Over Q that is c's numerator over its denominator, and the rows are
+    written as int products: the tower route's powers a^e are ints with
+    gcd 1 (a^0 = 1), which ``F.int_scale`` returns as they are, and
+    ``qscale`` multiplies them by the int C(j, k) b^(J-j+k), so both give
+    the same ints."""
+    if not tw.levels:
+        a, b = c.numerator, c.denominator
+        J = max(js, default=0)
+        return {j: [comb(j, k) * a ** (j - k) * b ** (J - j + k)
+                    for k in range(j + 1)] for j in js}
     b = math.lcm(*(v.denominator for v in F.leaves(tw, [c])))
     (a,) = F._scale_leaves(tw, [c], b, 1)
     J = max(js, default=0)
@@ -165,6 +175,11 @@ def _chart_int(p, m, c, top=math.inf, rows=None):
     runs over p's terms and k in the same order, so the output terms are
     inserted in the same order.
 
+    Over Q a second loop makes one int product and sum per (term, k),
+    and one gcd makes the result primitive: ``F.mul`` and ``F.add`` of
+    ints are those operations, and ``F.int_poly`` of int leaves divides
+    them by their gcd, so the terms, and their order, are the same.
+
     A Taylor shift of each total-degree row is slower here: composed
     pullback polynomials have sparse rows.
     """
@@ -174,6 +189,19 @@ def _chart_int(p, m, c, top=math.inf, rows=None):
     if rows is None:
         rows = _chart_rows(tw, c, {j for _, j in p.terms})
     out = {}
+    if not tw.levels:
+        for (i, j), n in p.terms.items():
+            base = i + j - m
+            if base < 0:
+                raise ValueError("division exponent exceeds vanishing order")
+            for k, w in enumerate(rows[j]):
+                if base + k > top:
+                    break
+                key = (base, k)
+                out[key] = out.get(key, 0) + n * w
+        g = math.gcd(*out.values())
+        return BiPoly(tw, out if g <= 1 else {key: v // g
+                                              for key, v in out.items()})
     for (i, j), n in p.terms.items():
         base = i + j - m
         if base < 0:
@@ -192,13 +220,15 @@ def _relabel(p, m, axis, top=math.inf):
     keeping only the terms of total degree at most ``top``: (i, j) goes
     one-to-one to (i + j - m, j) or (i, i + j - m), so each coefficient
     moves unchanged."""
-    if any(i + j < m for i, j in p.terms):
-        raise ValueError("division exponent exceeds vanishing order")
     vertical = axis == "y"
-    keys = (((i, i + j - m) if vertical else (i + j - m, j), n)
-            for (i, j), n in p.terms.items())
-    return BiPoly(p.tower, {key: n for key, n in keys
-                            if key[0] + key[1] <= top})
+    out = {}
+    for (i, j), n in p.terms.items():
+        base = i + j - m
+        if base < 0:
+            raise ValueError("division exponent exceeds vanishing order")
+        if base + (i if vertical else j) <= top:
+            out[(i, base) if vertical else (base, j)] = n
+    return BiPoly(p.tower, out)
 
 
 def _form_t(p, n):
@@ -212,6 +242,20 @@ def _form_t(p, n):
     if not cs:
         return None, None
     return cs, n - pdeg(cs)
+
+
+def _tangent_cone(tw, forms):
+    """The tangent cone of one or two nonzero tangent forms: the one form
+    as it is (never made monic), or the ``pgcd`` of the two.
+
+    Over Q, when every form is a single term c t^j, it is t^(least j),
+    read from the exponents with no ``pgcd``.  That is the monic gcd of
+    two such forms, and ``split_directions`` splits c t^j as it splits
+    t^j over Q, so the directions, and with them the records, are the
+    same.  In a tower c t^j keeps the route that inverts c."""
+    if not tw.levels and not any(v for f in forms for v in f[:-1]):
+        return (0,) * min(map(pdeg, forms)) + (1,)
+    return functools.reduce(lambda a, b: pgcd(tw, a, b), forms)
 
 
 def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf, least=1):
@@ -234,8 +278,8 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf, least=1):
     * ids are drawn after ``step`` accepts a point and before its tangent
       cone is split, so a branch aborted by a modulus split consumes ids
       and the redone branches draw fresh ones;
-    * the tangent cone is the first nonzero form of the first two
-      polynomials as it is, gcd'd with the other (one is never made monic);
+    * the tangent cone is ``_tangent_cone`` of the nonzero forms of the
+      first two polynomials;
     * the vertical direction is taken iff every spanning form is zero or
       divisible by x^least;
     * each branch returns its own record list, so a branch that is redone
@@ -295,8 +339,7 @@ def _blowups(tw, polys, step, cap=MAX_DEPTH, budget=math.inf, least=1):
         nid = f"q{next(ids):03d}"
         records = [(Node(nid, parent, second, orbit), exps)]
         forms = [_form_t(p, e) for p, e in zip(polys[:2], exps)]
-        tco = functools.reduce(lambda a, b: pgcd(tw, a, b),
-                               [f for f, _ in forms if f is not None])
+        tco = _tangent_cone(tw, [f for f, _ in forms if f is not None])
         # a constant tangent form has no finite direction
         dirs = split_directions(tw, tco, least) if pdeg(tco) > 0 else []
 
@@ -1114,6 +1157,9 @@ def _compose_int(w, f1, f2):
     tw = p1.tower
     c, _ = F.int_poly(tw, w.terms if not tw.levels else {
         m: from_rational(tw, v) for m, v in w.terms.items()})
+    if s1 == s2 == 1:
+        # every scale d1^i n1^(A-i) d2^j n2^(B-j) is 1
+        return c.compose(p1, p2)
     a, b = c.deg_x(), c.deg_y()
     n1, d1, n2, d2 = (s1.numerator, s1.denominator,
                       s2.numerator, s2.denominator)

@@ -1927,6 +1927,33 @@ class TestPgcdQQInts:
         got = field._pgcd_qq((1, -1), (-3, 0, 3))
         assert got == (-1, 1) and all(type(v) is int for v in got)
 
+    @pytest.mark.parametrize("f, g", [
+        ((1, 2), (3, 1)), ((Fraction(1, 2), 1), (-1, 1)),
+        ((0, 5), (7, Fraction(7, 3)))],
+        ids=["ints", "fraction-lead-1", "root-0"])
+    def test_linear_pair_that_is_not_proportional(self, f, g):
+        # a0 b1 - a1 b0 != 0: distinct roots, the gcd (1,)
+        got = field._pgcd_qq(f, g)
+        assert got == (1,) and type(got[0]) is int
+        assert got == fraction_euclid_gcd(f, g)
+
+    @pytest.mark.parametrize("f, g, want, integral", [
+        ((2, 2), (-3, -3), (1, 1), True),
+        ((1, 2), (Fraction(1, 2), 1), (Fraction(1, 2), 1), False),
+        ((1, 0, -1), (-2, 0, 2), (-1, 0, 1), True),
+        ((1, 1, 2), (3, 3, 6), (Fraction(1, 2), Fraction(1, 2), 1), False),
+        ((Fraction(1, 3), 0, 0, Fraction(-2, 3)), (-1, 0, 0, 2),
+         (Fraction(-1, 2), 0, 0, 1), False)],
+        ids=["linear-unit-lead", "linear-lead-2", "negative-multiple",
+             "quadratic-lead-2", "cubic-fractions"])
+    def test_proportional_pair(self, f, g, want, integral):
+        # the primitive forms are equal up to sign, and their gcd is the
+        # primitive form made monic
+        got = field._pgcd_qq(f, g)
+        assert got == want == fraction_euclid_gcd(f, g)
+        assert all((type(v) is int) == integral for v in got)
+        assert field._pgcd_qq(g, f) == got
+
     @given(st.lists(QQ_LEAVES, min_size=1, max_size=4),
            st.lists(QQ_LEAVES, min_size=1, max_size=4),
            st.lists(QQ_LEAVES, min_size=1, max_size=3))

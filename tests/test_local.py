@@ -1,6 +1,7 @@
 """Blowups, multiplicity clusters, base points and pullbacks."""
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -1304,6 +1305,144 @@ class TestChartInt:
         localeng._chart_int(p, 3, field.zero(tw))
         with pytest.raises(ValueError):
             localeng._chart_int(p, 4, field.zero(tw))
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["d0", "d1"])
+    def test_nonzero_direction_past_the_order(self, tw):
+        # the int loop over Q and the tower loop each check every term
+        p, _ = field.int_poly(tw, {(2, 1): from_rational(tw, 1),
+                                   (3, 0): from_rational(tw, 3)})
+        c = (from_rational(tw, Fraction(-1, 2)) if not tw.levels
+             else generator(tw))
+        localeng._chart_int(p, 3, c)
+        with pytest.raises(ValueError, match="division exponent exceeds "
+                                             "vanishing order"):
+            localeng._chart_int(p, 4, c)
+
+    @pytest.mark.parametrize("tw", [QQ, Q_S], ids=["d0", "d1"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_relabel_past_the_order(self, tw, axis):
+        # the term of order 3 comes after one of order 4, and the check
+        # raises on it whatever ``top`` keeps
+        p = BiPoly(tw, {(1, 3): from_rational(tw, 2),
+                        (0, 3): from_rational(tw, 1)})
+        localeng._relabel(p, 3, axis)
+        for top in (math.inf, 0):
+            with pytest.raises(ValueError, match="division exponent "
+                                                 "exceeds vanishing order"):
+                localeng._relabel(p, 4, axis, top)
+
+    def test_int_loop_matches_fraction_expansion(self):
+        """Over Q the chart is the primitive positive multiple of
+        p(x, x(y + c)) / x^m, expanded here over Fractions by products of
+        dicts, kept to total degree ``top``; its terms come in the order
+        of p's terms, then of k."""
+        rng = random.Random(0)
+        for _ in range(300):
+            p = {(rng.randint(0, 4), rng.randint(0, 4)):
+                 rng.choice([-1, 1]) * rng.randint(1, 9)
+                 for _ in range(rng.randint(1, 6))}
+            m = rng.randint(0, min(i + j for i, j in p))
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                         rng.randint(1, 5))
+            top = rng.choice([math.inf, rng.randint(0, 8)])
+            want = fraction_chart(p, m, c, top)
+            got = localeng._chart_int(BiPoly(QQ, p), m, c, top)
+            assert got.terms == want
+            assert all(type(v) is int for v in got.terms.values())
+            order = dict.fromkeys((i + j - m, k) for i, j in p
+                                  for k in range(j + 1))
+            assert list(got.terms) == [key for key in order if key in want]
+
+
+def fraction_chart(terms, m, c, top):
+    """p(x, x(y + c)) / x^m for p = sum terms[(i, j)] x^i y^j, with the
+    terms of total degree above ``top`` dropped, scaled by the positive
+    rational that makes its coefficients coprime ints."""
+
+    def times(a, b):
+        out = {}
+        for (i, j), u in a.items():
+            for (k, l), v in b.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + u * v
+        return out
+
+    total = {}
+    for (i, j), n in terms.items():
+        part = {(i, 0): Fraction(n)}
+        for _ in range(j):
+            part = times(part, {(1, 1): 1, (1, 0): c})
+        for key, v in part.items():
+            total[key] = total.get(key, 0) + v
+    kept = {(i - m, j): v for (i, j), v in total.items()
+            if v and i - m + j <= top}
+    den = math.lcm(*(v.denominator for v in kept.values()))
+    num = math.gcd(*(int(v * den) for v in kept.values())) or 1
+    return {key: int(v * den) // num for key, v in kept.items()}
+
+
+class TestTangentCone:
+    """Over Q a tangent cone of single-term forms c t^j is read from the
+    exponents; every other input takes ``pgcd``."""
+
+    @staticmethod
+    def through_pgcd(tw, forms):
+        return functools.reduce(lambda a, b: field.pgcd(tw, a, b), forms)
+
+    def test_single_terms_against_pgcd(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            forms = [(0,) * rng.randint(0, 6) + (rng.choice(
+                [1, -1, 3, Fraction(-2, 5)]),) for _ in range(rng.randint(1, 2))]
+            got = localeng._tangent_cone(QQ, forms)
+            want = self.through_pgcd(QQ, forms)
+            assert all(type(v) is int for v in got) and got[-1] == 1
+            assert field.pdeg(got) == field.pdeg(want)
+            if len(forms) == 2:
+                # the monic gcd t^(least j) that pgcd returns
+                assert got == want
+            elif field.pdeg(got) > 0:
+                # the one form c t^j as it is splits as t^j does
+                for least in (1, 2, 3):
+                    assert (field.split_directions(QQ, got, least)
+                            == field.split_directions(QQ, want, least))
+
+    @pytest.mark.parametrize("tw, forms", [
+        (QQ, [(0, 1, 2), (0, 0, 3)]),
+        (QQ, [(1, 0, -1)]),
+        (Q_S, [((), (), (Fraction(2),)), ((), (Fraction(1),))]),
+        (Q_S, [((), (Fraction(0), Fraction(3)))])],
+        ids=["two-terms", "one-form-two-terms", "tower-pair", "tower-one"])
+    def test_other_forms_take_pgcd(self, tw, forms):
+        assert (localeng._tangent_cone(tw, forms)
+                == self.through_pgcd(tw, forms))
+
+    def test_records_as_through_pgcd(self, monkeypatch):
+        # pullbacks and multiplicity clusters with the cone of every point
+        # taken by pgcd, and with single terms read from their exponents
+        def run():
+            monkeypatch.setattr(localeng, "_CURVES_CACHE", {})
+            return [repr(pullback_cluster(monomial_map(a, b), chain_cluster(
+                        w, satellites=sats), seed=3))
+                    for a, b in ((1, 2), (2, 3), (3, 3))
+                    for w, sats in GRID[10:]] + [
+                repr(mult_cluster(Germ(g))) for g in (
+                    (Y ** 2 - X ** 3) * (Y ** 3 - X ** 2),
+                    (Y ** 2 - X ** 5) ** 2 + X ** 7 * Y)]
+
+        pgcd_calls = []
+
+        def spied(tw, a, b):
+            pgcd_calls.append(1)
+            return field.pgcd(tw, a, b)
+
+        monkeypatch.setattr(localeng, "pgcd", spied)
+        fast = run()
+        fast_calls = len(pgcd_calls)
+        monkeypatch.setattr(localeng, "_tangent_cone",
+                            lambda tw, forms: functools.reduce(
+                                lambda a, b: spied(tw, a, b), forms))
+        assert run() == fast
+        assert fast_calls < len(pgcd_calls) - fast_calls
 
 
 def other_root(tw):
